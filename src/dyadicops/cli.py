@@ -19,6 +19,7 @@ from .core import (
     HaarSpectrum,
     StepFunction,
     analyze,
+    check_depth,
     lp_norm,
     pairing,
     synthesize,
@@ -47,7 +48,7 @@ from .paraproducts import (
     product_decomposition_residual,
     transpose_residual,
 )
-from .scalars import FLOAT64, RATIONAL
+from .scalars import FLOAT64, RATIONAL, finite_float, parse_fraction
 from .sublinear import (
     bmo2_via_haar,
     bmo_norm,
@@ -82,7 +83,7 @@ SUITES = (
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(obj, output: str | None):
@@ -216,6 +217,9 @@ _SUITE_RUNNERS = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    check_depth(args.depth)
     rng = random.Random(f"verify:{args.suite}:{args.seed}")
     failures = _SUITE_RUNNERS[args.suite](args, rng)
     _emit(
@@ -251,7 +255,7 @@ def _parse_p(text: str):
     p = text.strip()
     if p in ("inf", "oo", "infinity"):
         return math.inf
-    return Fraction(p)
+    return parse_fraction(p)
 
 
 def cmd_norms(args) -> int:
@@ -282,7 +286,9 @@ def cmd_norms(args) -> int:
 
 def cmd_czd(args) -> int:
     f = StepFunction.from_json_dict(_load_json(args.input))
-    height = Fraction(args.height) if f.mode == RATIONAL else float(Fraction(args.height))
+    height = parse_fraction(args.height)
+    if f.mode == FLOAT64:
+        height = finite_float(height)
     _emit(cz_decompose(f, height).to_json_dict(), args.output)
     return 0
 
@@ -304,7 +310,7 @@ def _build_descriptor(args) -> OperatorDescriptor:
     if args.symbol is not None:
         symbol = SymbolSequence.from_json_dict(_load_json(args.symbol))
     elif args.symbol_const is not None:
-        symbol = SymbolSequence.constant(Fraction(args.symbol_const))
+        symbol = SymbolSequence.constant(parse_fraction(args.symbol_const))
     elif kind in ("multilinear_multiplier", "commutator"):
         symbol = SymbolSequence.constant(1)
     slot = args.slot if kind == "commutator" else None

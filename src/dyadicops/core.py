@@ -9,8 +9,10 @@ half, with magnitude |I|**(-1/2).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -104,6 +106,17 @@ class DyadicInterval:
 
 
 UNIVERSE = DyadicInterval(0, 0)
+
+# The finest grid that samplers and verify suites accept: 2**20 leaves.
+MAX_DEPTH = 20
+
+
+def check_depth(depth: int) -> int:
+    """Reject a grid depth outside 1..MAX_DEPTH before anything is
+    allocated for it."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must lie in 1..{MAX_DEPTH}, got {depth}")
+    return depth
 
 
 def interval_family(depth: int) -> list[DyadicInterval]:
@@ -291,7 +304,7 @@ class StepFunction:
         if self.mode == FLOAT64:
             return self
         return StepFunction._raw(
-            self.depth, [float(v) for v in self.values], FLOAT64
+            self.depth, [scalars.finite_float(v) for v in self.values], FLOAT64
         )
 
     # -- serialization --------------------------------------------------------
@@ -308,6 +321,99 @@ class StepFunction:
         mode = check_mode(obj.get("mode", RATIONAL))
         values = [scalars.decode_value(v, mode) for v in obj["values"]]
         return cls(int(obj["depth"]), tuple(values), mode)
+
+
+@dataclass(frozen=True)
+class SupportView:
+    """A step function seen from one dyadic interval S, its support.
+
+    ``values`` holds the leaf values on S.  Outside S the function is given
+    block by block: ``blocks[k]`` covers the sibling of S's ancestor at
+    level k + 1 (the last block is S's own sibling), so S and its blocks
+    tile [0, 1).  A block is a scalar where the function is constant on it
+    and the tuple of its leaf values otherwise.  On the universe there are
+    no blocks and ``values`` is the whole function.
+
+    Inputs that vanish outside S, and every operator output built from
+    them, take O(|S| + level(S)) numbers this way.  The tables of a view
+    (``interval_integrals`` and the two built on it) need it to vanish
+    outside S and come in the support layout of ``support_layout``.
+    """
+
+    depth: int
+    support: DyadicInterval
+    values: tuple
+    blocks: tuple
+    mode: str
+
+    @classmethod
+    def restrict(cls, f: StepFunction, support: DyadicInterval) -> "SupportView":
+        """f seen from ``support``.  f must vanish outside ``support``: only
+        the leaves of ``support`` are read, and every block is zero."""
+        span = support.leaf_span(f.depth)
+        blocks = (scalars.zero(f.mode),) * support.level
+        return cls(f.depth, support, f.values[span.start:span.stop], blocks, f.mode)
+
+    def block_span(self, k: int) -> range:
+        """The leaves of ``blocks[k]``."""
+        level, pos = self.support.level, self.support.position
+        sibling = DyadicInterval(k + 1, (pos >> (level - k - 1)) ^ 1)
+        return sibling.leaf_span(self.depth)
+
+    def expand(self) -> StepFunction:
+        """The function on the full grid."""
+        if not self.blocks:
+            return StepFunction._raw(self.depth, self.values, self.mode)
+        vals = [None] * (1 << self.depth)
+        for k, block in enumerate(self.blocks):
+            span = self.block_span(k)
+            if type(block) is not tuple:
+                block = [block] * len(span)
+            vals[span.start:span.stop] = block
+        span = self.support.leaf_span(self.depth)
+        vals[span.start:span.stop] = self.values
+        return StepFunction._raw(self.depth, vals, self.mode)
+
+
+def block_runs(f: StepFunction | SupportView) -> Iterator[tuple]:
+    """The (value, leaf count) pairs of f outside ``f.values``: a view's
+    blocks, nothing for a StepFunction.  With ``f.values`` (one leaf each)
+    they give the distribution of f, which is all that L^p norms and weak
+    quasinorms read."""
+    if not isinstance(f, SupportView):
+        return
+    for k, block in enumerate(f.blocks):
+        if type(block) is tuple:
+            yield from zip(block, repeat(1))
+        else:
+            yield block, 1 << (f.depth - k - 1)
+
+
+def _right_of(support: DyadicInterval, level: int) -> int:
+    """1 when ``support`` lies in the right half of its ancestor at
+    ``level``, else 0."""
+    return (support.position >> (support.level - level - 1)) & 1
+
+
+def support_layout(table: Sequence[Sequence], support: DyadicInterval) -> list:
+    """The rows of a full (level, pos) table cut down to the intervals that
+    contain ``support`` or lie inside it.
+
+    A row above the support's level keeps its one ancestor entry; a row at
+    or below it keeps the 2**(level - support.level) entries inside the
+    support, in position order.  Tables of a SupportView, and the tables
+    ``_engine`` takes on a support, use this layout; on the universe it is
+    the full table itself.
+    """
+    top, pos = support.level, support.position
+    if top == 0:
+        return table
+    return [
+        row[pos >> (top - level):(pos >> (top - level)) + 1]
+        if level < top
+        else row[pos << (level - top):(pos + 1) << (level - top)]
+        for level, row in enumerate(table)
+    ]
 
 
 @dataclass(frozen=True)
@@ -389,24 +495,37 @@ class HaarSpectrum:
 # -- integral tables ----------------------------------------------------------
 
 
-def interval_integrals(f: StepFunction) -> list[list]:
-    """table[level][pos] = integral of f over that interval, levels 0..depth."""
+def _support_level(f: StepFunction | SupportView) -> int:
+    """0 for a StepFunction; a view's support level, once its blocks are
+    checked to be zero, as every table of a view assumes."""
+    if not isinstance(f, SupportView):
+        return 0
+    if any(f.blocks):
+        raise ValueError("tables of a SupportView need it to vanish off its support")
+    return f.support.level
+
+
+def interval_integrals(f: StepFunction | SupportView) -> list[list]:
+    """table[level][pos] = integral of f over that interval, levels 0..depth.
+
+    A SupportView, which must vanish outside its support, gets its table in
+    the support layout, computed from its leaves on the support alone.
+    """
+    top = _support_level(f)
     n = 1 << f.depth
-    if f.mode == RATIONAL:
-        w = Fraction(1, n)
-        level = [v * w for v in f.values]
-    else:
-        w = 1.0 / n
-        level = [v * w for v in f.values]
+    w = Fraction(1, n) if f.mode == RATIONAL else 1.0 / n
+    level = [v * w for v in f.values]
     table = [level]
     while len(level) > 1:
         level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
         table.append(level)
+    # every ancestor of the support holds all of f
+    table += [list(level) for _ in range(top)]
     table.reverse()
     return table
 
 
-def average_table(f: StepFunction) -> list[list]:
+def average_table(f: StepFunction | SupportView) -> list[list]:
     """table[level][pos] = average of f over that interval, levels 0..depth."""
     ints = interval_integrals(f)
     out = []
@@ -416,15 +535,22 @@ def average_table(f: StepFunction) -> list[list]:
     return out
 
 
-def coefficient_table(f: StepFunction) -> list[list]:
-    """table[level][pos] = Haar coefficient <f, h_I>, levels 0..depth-1."""
+def coefficient_table(f: StepFunction | SupportView) -> list[list]:
+    """table[level][pos] = Haar coefficient <f, h_I>, levels 0..depth-1
+    (in the support layout for a SupportView)."""
     ints = interval_integrals(f)
+    top = _support_level(f)
     out = []
     for level in range(f.depth):
         mag = scalars.root2_power(level, f.mode)
         below = ints[level + 1]
+        if level < top:
+            # an ancestor of the support: f lives in one half of it
+            side = below[0]
+            out.append([mag * side if _right_of(f.support, level) else mag * -side])
+            continue
         out.append(
-            [mag * (below[2 * k + 1] - below[2 * k]) for k in range(1 << level)]
+            [mag * (below[2 * k + 1] - below[2 * k]) for k in range(len(below) // 2)]
         )
     return out
 
@@ -571,21 +697,19 @@ def lp_norm(f: StepFunction, p):
     return total ** (1.0 / float(q))
 
 
-def _weak_candidates(f: StepFunction):
-    """Pairs (v, measure of {|f| >= v}) for the distinct nonzero |values|."""
+def _weak_candidates(f: StepFunction | SupportView):
+    """Pairs (v, measure of {|f| >= v}) for the distinct nonzero |values|,
+    largest v first; a SupportView is read from its runs."""
     n = 1 << f.depth
-    mags = sorted((abs(v) for v in f.values), reverse=True)
-    out = []
-    for count, v in enumerate(mags, start=1):
-        if not v:
-            break
-        # the last occurrence of each distinct value carries the full count
-        if count == n or mags[count] != v:
-            if f.mode == RATIONAL:
-                out.append((v, Fraction(count, n)))
-            else:
-                out.append((v, count / n))
-    return out
+    counts = Counter(map(abs, f.values))
+    for v, c in block_runs(f):
+        counts[abs(v)] += c
+    counts.pop(scalars.zero(f.mode), None)
+    mags = sorted(counts, reverse=True)
+    totals = accumulate(map(counts.__getitem__, mags))
+    if f.mode == RATIONAL:
+        return [(v, Fraction(t, n)) for v, t in zip(mags, totals)]
+    return [(v, t / n) for v, t in zip(mags, totals)]
 
 
 def weak_lp_quasinorm(f: StepFunction, p):

@@ -12,11 +12,20 @@ is unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import scalars
-from .core import DyadicInterval, HaarSpectrum, StepFunction, analyze, synthesize
+from .core import (
+    DyadicInterval,
+    HaarSpectrum,
+    StepFunction,
+    SupportView,
+    analyze,
+    support_layout,
+    synthesize,
+)
 from .errors import ShapeError
 from .paraproducts import (
     AlphaVector,
@@ -35,12 +44,22 @@ class SymbolSequence:
     """A bounded family of numbers indexed by dyadic intervals.
 
     ``entries`` overrides ``default`` on the listed intervals.  Values are
-    stored as given (int, Fraction, Exact, or float) and coerced to the
-    computation mode when the symbol is applied.
+    stored as given (int, Fraction, Exact, or finite float) and coerced to
+    the computation mode when the symbol is applied.  The coerced table is
+    built once per (depth, mode) and kept, so ``entries`` must not change
+    after the first ``table`` call; equality ignores the kept tables.
     """
 
     default: object = 0
     entries: dict = field(default_factory=dict)
+    _tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        for v in (self.default, *self.entries.values()):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"symbol values must be finite, got {v!r}")
 
     @classmethod
     def constant(cls, value) -> "SymbolSequence":
@@ -55,15 +74,21 @@ class SymbolSequence:
             best = max(best, abs(float(v)))
         return best
 
-    def table(self, depth: int, mode: str) -> list[list]:
-        """Per-(level, pos) coerced values for a depth-``depth`` grid."""
-        return [
-            [
-                scalars.coerce(self.value(DyadicInterval(level, pos)), mode)
-                for pos in range(1 << level)
-            ]
-            for level in range(depth)
-        ]
+    def table(self, depth: int, mode: str) -> tuple[tuple, ...]:
+        """Per-(level, pos) coerced values for a depth-``depth`` grid,
+        built on the first call for each (depth, mode)."""
+        key = (depth, mode)
+        table = self._tables.get(key)
+        if table is None:
+            table = tuple(
+                tuple(
+                    scalars.coerce(self.value(DyadicInterval(level, pos)), mode)
+                    for pos in range(1 << level)
+                )
+                for level in range(depth)
+            )
+            self._tables[key] = table
+        return table
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -123,7 +148,7 @@ def multilinear_multiplier(
     depth, mode = _check_tuple(fs)
     return _engine(
         a.bits, _slot_tables(a.bits, fs), depth, mode, eps.table(depth, mode)
-    )
+    ).expand()
 
 
 def commutator(
@@ -153,3 +178,67 @@ def commutator_linear(
     """[b, T_eps](f) = T_eps(b*f) - b*T_eps(f)."""
     b._check_compatible(f)
     return linear_multiplier(eps, b * f) - b * linear_multiplier(eps, f)
+
+
+# -- sharp inputs seen from their support ------------------------------------------
+
+
+def multiplier_on_support(
+    eps: SymbolSequence, alpha, fs: Sequence[SupportView]
+) -> SupportView:
+    """``multilinear_multiplier`` for inputs seen from one support interval
+    (``SupportView.restrict``); the symbol table is the kept one, cut down
+    to the support."""
+    a = _as_alpha(alpha)
+    if not a.is_admissible:
+        raise ValueError("alpha must have at least one Haar slot")
+    if len(fs) != a.m:
+        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
+    depth, mode = _check_tuple(fs)
+    support = fs[0].support
+    if any(f.support != support for f in fs):
+        raise ShapeError("inputs are seen from different supports")
+    symbol = support_layout(eps.table(depth, mode), support)
+    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, symbol, support)
+
+
+def commutator_on_support(
+    slot: int,
+    b: StepFunction,
+    eps: SymbolSequence,
+    alpha,
+    fs: Sequence[SupportView],
+) -> SupportView:
+    """``commutator`` for inputs that vanish outside one support interval S
+    and are seen from it; the values equal those of the full-grid call.
+
+    Inside S, b enters through its leaves there.  On a block, ``b * T(fs)``
+    needs b's leaves only where T's constant is nonzero; such a block is
+    expanded leaf by leaf.
+    """
+    a = _as_alpha(alpha)
+    if not 1 <= slot <= a.m:
+        raise ValueError(f"slot must be in 1..{a.m}, got {slot}")
+    if len(fs) != a.m:
+        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
+    depth, mode = _check_tuple(fs)
+    if b.depth != depth or b.mode != mode:
+        raise ShapeError(f"b is depth-{b.depth} {b.mode}, inputs are depth-{depth} {mode}")
+    f = fs[slot - 1]
+    support = f.support
+    span = support.leaf_span(depth)
+    b_on = b.values[span.start:span.stop]
+    modified = list(fs)
+    modified[slot - 1] = SupportView(
+        depth, support, tuple(x * y for x, y in zip(b_on, f.values)), f.blocks, mode
+    )
+    inside = multiplier_on_support(eps, a, modified)
+    outside = multiplier_on_support(eps, a, fs)
+    values = tuple(x - c * y for x, c, y in zip(inside.values, b_on, outside.values))
+    blocks = []
+    for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
+        if y:
+            span = outside.block_span(k)
+            x = tuple(x - c * y for c in b.values[span.start:span.stop])
+        blocks.append(x)
+    return SupportView(depth, support, values, tuple(blocks), mode)

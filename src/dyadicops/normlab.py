@@ -21,13 +21,31 @@ from . import __version__, scalars
 from .core import (
     DyadicInterval,
     StepFunction,
+    SupportView,
     _weak_candidates,
+    block_runs,
+    check_depth,
+    coefficient_table,
     interval_family,
     lp_norm,
+    support_layout,
 )
 from .errors import ResolutionError, ShapeError
-from .multipliers import SymbolSequence, commutator, multilinear_multiplier
-from .paraproducts import AlphaVector, _as_alpha, paraproduct, pi_paraproduct
+from .multipliers import (
+    SymbolSequence,
+    commutator,
+    commutator_on_support,
+    multilinear_multiplier,
+    multiplier_on_support,
+)
+from .paraproducts import (
+    AlphaVector,
+    _as_alpha,
+    _engine,
+    _slot_tables,
+    paraproduct,
+    pi_paraproduct,
+)
 from .scalars import FLOAT64, RATIONAL
 from .sublinear import bmo_norm, bstar_seminorm
 
@@ -43,7 +61,7 @@ class ExponentTuple:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ps = tuple(Fraction(x) for x in self.p)
+        ps = tuple(scalars.parse_fraction(x) for x in self.p)
         if not ps:
             raise ValueError("need at least one exponent")
         if any(x < 1 for x in ps):
@@ -52,7 +70,7 @@ class ExponentTuple:
 
     @classmethod
     def from_string(cls, s: str) -> "ExponentTuple":
-        return cls(tuple(Fraction(part.strip()) for part in s.split(",")))
+        return cls(tuple(part.strip() for part in s.split(",")))
 
     @property
     def m(self) -> int:
@@ -154,6 +172,30 @@ class OperatorDescriptor:
             return multilinear_multiplier(self.symbol, self.alpha, fs)
         return commutator(self.slot, self.b, self.symbol, self.alpha, fs)
 
+    def apply_on_support(
+        self, fs: Sequence[SupportView], b_coefficients: list | None
+    ) -> SupportView:
+        """``apply`` for inputs that vanish outside one interval and are seen
+        from it (``SupportView.restrict``).
+
+        ``b_coefficients`` is b's full coefficient table, which only
+        pi_paraproduct reads (cut down to the support); an experiment
+        builds it once for all its jobs.
+        """
+        if self.kind == "multilinear_multiplier":
+            return multiplier_on_support(self.symbol, self.alpha, fs)
+        if self.kind == "commutator":
+            return commutator_on_support(
+                self.slot, self.b, self.symbol, self.alpha, fs
+            )
+        f = fs[0]
+        bits = self.alpha.bits
+        tables = _slot_tables(bits, fs)
+        if self.kind == "pi_paraproduct":
+            bits = (0,) + bits
+            tables.insert(0, support_layout(b_coefficients, f.support))
+        return _engine(bits, tables, f.depth, f.mode, support=f.support)
+
     def to_json_dict(self) -> dict:
         out = {
             "kind": self.kind,
@@ -211,8 +253,7 @@ class SamplerSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        check_depth(self.depth)
         if self.level_cap is not None and not 0 <= self.level_cap < self.depth:
             raise ValueError(
                 f"level_cap must lie in 0..{self.depth - 1}, got {self.level_cap}"
@@ -409,6 +450,18 @@ def commutator_necessity_family(
     return out
 
 
+def extremal_support(
+    descriptor: OperatorDescriptor, interval: DyadicInterval
+) -> DyadicInterval:
+    """The interval outside which every input of the sharp tuple at
+    ``interval`` vanishes: the interval itself, or its parent for the
+    case-I commutator family."""
+    if descriptor.kind == "commutator" and interval.level >= 1:
+        if necessity_case(descriptor.alpha, descriptor.slot) == "I":
+            return interval.parent()
+    return interval
+
+
 def extremal_tuple(
     descriptor: OperatorDescriptor,
     exponents: ExponentTuple,
@@ -433,14 +486,19 @@ def extremal_tuple(
 # -- experiments -----------------------------------------------------------------
 
 
-def _lr_quasinorm(f: StepFunction, r: Fraction) -> float:
-    """(mean of |f|**r) ** (1/r); a norm for r >= 1, a quasinorm below."""
+def _lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
+    """(mean of |f|**r) ** (1/r); a norm for r >= 1, a quasinorm below.
+
+    A SupportView is summed over its support's leaves and then its block
+    runs, so for a function that vanishes outside its support the sum is
+    the same float as over the full grid."""
     rf = float(r)
-    total = sum(abs(v) ** rf for v in f.values) / len(f.values)
-    return total ** (1.0 / rf)
+    total = sum(abs(v) ** rf for v in f.values)
+    total += sum(abs(v) ** rf * c for v, c in block_runs(f))
+    return (total / (1 << f.depth)) ** (1.0 / rf)
 
 
-def _weak_lr_quasinorm(f: StepFunction, r: Fraction) -> float:
+def _weak_lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
     rf = float(r)
     candidates = _weak_candidates(f)
     if not candidates:
@@ -461,6 +519,10 @@ class ExperimentReport:
     b_norms: dict | None
     mode: str
     trial_ratios: tuple = field(default_factory=tuple, repr=False)
+    # jobs whose ratio is None, and the first interval attaining
+    # extremal_lower_bound (None when no sharp job produced a ratio)
+    skipped_jobs: int = 0
+    extremal_interval: DyadicInterval | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -476,10 +538,20 @@ class ExperimentReport:
             "weak_type": self.weak_type,
             "b_norms": self.b_norms,
             "mode": self.mode,
+            "skipped_jobs": self.skipped_jobs,
+            "extremal_interval": None
+            if self.extremal_interval is None
+            else {
+                "level": self.extremal_interval.level,
+                "pos": self.extremal_interval.position,
+            },
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return (
+            json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        )
 
     def trials_csv(self) -> str:
         lines = ["trial,ratio"]
@@ -499,6 +571,8 @@ def _run_experiment(
 ) -> ExperimentReport:
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if exponents.m != descriptor.arity:
         raise ShapeError(
             f"descriptor arity {descriptor.arity} vs {exponents.m} exponents"
@@ -513,28 +587,45 @@ def _run_experiment(
         )
     r = exponents.r
     out_norm = _weak_lr_quasinorm if weak else _lr_quasinorm
+    # the tables every sharp job reads, built once and before any worker
+    # thread starts
+    b_coefficients = None
+    if desc.kind == "pi_paraproduct":
+        b_coefficients = coefficient_table(desc.b)
+    if desc.symbol is not None:
+        desc.symbol.table(sampler.depth, FLOAT64)
 
-    def measure(fs: list[StepFunction] | None) -> float | None:
+    def measure(fs, norm, apply) -> float | None:
         if fs is None:
             return None
-        norms = [lp_norm(f, p) for f, p in zip(fs, exponents.p)]
+        norms = [norm(f, p) for f, p in zip(fs, exponents.p)]
         if any(n == 0.0 for n in norms):
             return None
-        value = out_norm(desc.apply(fs), r)
+        value = out_norm(apply(fs), r)
         for n in norms:
             value /= n
         return value
 
-    jobs: list = [
-        ("random", trial) for trial in range(trials)
-    ]
-    for interval in interval_family(sampler.depth):
-        jobs.append(("extremal", interval))
+    def on_support(views: list[SupportView]) -> SupportView:
+        return desc.apply_on_support(views, b_coefficients)
+
+    intervals = interval_family(sampler.depth)
+    jobs: list = [("random", trial) for trial in range(trials)]
+    jobs += [("extremal", interval) for interval in intervals]
 
     def run_job(job) -> float | None:
         if job[0] == "random":
-            return measure(sampler.draw_tuple(job[1], desc, exponents))
-        return measure(extremal_tuple(desc, exponents, job[1], sampler.depth))
+            fs = sampler.draw_tuple(job[1], desc, exponents)
+            return measure(fs, lp_norm, desc.apply)
+        fs = extremal_tuple(desc, exponents, job[1], sampler.depth)
+        if fs is None:
+            return None
+        # every input vanishes outside the support, so the job runs there:
+        # the inputs' norms are the same floats, the output's agree to
+        # rounding
+        support = extremal_support(desc, job[1])
+        views = [SupportView.restrict(f, support) for f in fs]
+        return measure(views, _lr_quasinorm, on_support)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -548,8 +639,13 @@ def _run_experiment(
     for index, ratio in ratios:
         if ratio is not None and (best_trial is None or ratio > best_ratio):
             best_ratio, best_trial = ratio, index
-    extremal_ratios = [r for (i, r) in ratios[trials:] if r is not None]
-    extremal_lower_bound = max(extremal_ratios) if extremal_ratios else None
+    extremal_lower_bound = None
+    extremal_interval = None
+    for interval, ratio in zip(intervals, results[trials:]):
+        if ratio is not None and (
+            extremal_lower_bound is None or ratio > extremal_lower_bound
+        ):
+            extremal_lower_bound, extremal_interval = ratio, interval
 
     b_norms = None
     if desc.b is not None:
@@ -571,6 +667,8 @@ def _run_experiment(
         b_norms=b_norms,
         mode=FLOAT64,
         trial_ratios=tuple(ratios),
+        skipped_jobs=sum(ratio is None for ratio in results),
+        extremal_interval=extremal_interval,
     )
 
 

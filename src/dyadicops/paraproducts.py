@@ -19,8 +19,11 @@ from typing import Sequence
 
 from . import scalars
 from .core import (
+    UNIVERSE,
     DyadicInterval,
     StepFunction,
+    SupportView,
+    _right_of,
     average_table,
     coefficient_table,
     inner_product,
@@ -151,20 +154,52 @@ def _engine(
     depth: int,
     mode: str,
     symbol_table: list | None = None,
-) -> StepFunction:
-    """Accumulate sum over intervals of (symbol *) slot products * h_I^sigma."""
+    support: DyadicInterval = UNIVERSE,
+) -> SupportView:
+    """Accumulate sum over intervals of (symbol *) slot products * h_I^sigma.
+
+    Every table, the symbol's included, comes in the support layout of
+    ``support`` (``core.support_layout``), which on the universe is the
+    full layout.  The sum is exact when each product vanishes at the
+    intervals that neither contain ``support`` nor lie inside it, as it
+    does when some slot's input vanishes outside ``support``.  The output
+    is then its leaf values on ``support`` plus one constant on each
+    sibling block along the ancestor chain.  Each value adds its terms in
+    the order of the full-grid call, so float64 results match it bit for
+    bit.
+    """
     sigma = bits.count(0)
-    n = 1 << depth
+    top = support.level
     z = scalars.zero(mode)
-    out = [z] * n
     const_acc = z
     odd = sigma % 2 == 1
-    for level in range(depth):
+    # the ancestors: each Haar power is constant on the half that holds
+    # the support and on the other half, where the next block begins
+    above = z
+    blocks = []
+    for level in range(top):
+        t = tables[0][level][0]
+        for tab in tables[1:]:
+            t = t * tab[level][0]
+        if symbol_table is not None:
+            t = t * symbol_table[level][0]
+        if t and sigma == 0:
+            const_acc = const_acc + t
+        elif t:
+            tw = t * scalars.root2_power(level * sigma, mode)
+            if odd and not _right_of(support, level):
+                tw = -tw
+            blocks.append(above - tw if odd else above + tw)
+            above = above + tw
+            continue
+        blocks.append(above)
+    out = [above] * (1 << (depth - top))
+    for level in range(top, depth):
         w = scalars.root2_power(level * sigma, mode)
         width = 1 << (depth - level)
         half = width >> 1
         row0 = tables[0][level]
-        for pos in range(1 << level):
+        for pos in range(len(row0)):
             t = row0[pos]
             for tab in tables[1:]:
                 t = t * tab[level][pos]
@@ -187,7 +222,8 @@ def _engine(
                     out[leaf] = out[leaf] + tw
     if sigma == 0 and const_acc:
         out = [v + const_acc for v in out]
-    return StepFunction._raw(depth, out, mode)
+        blocks = [v + const_acc for v in blocks]
+    return SupportView(depth, support, tuple(out), tuple(blocks), mode)
 
 
 def _slot_tables(bits, fs):
@@ -209,7 +245,7 @@ def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     depth, mode = _check_tuple(fs)
-    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode)
+    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode).expand()
 
 
 def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFunction:
@@ -242,7 +278,7 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
         tables = [
             ctabs[j] if bit == 0 else atabs[j] for j, bit in enumerate(a.bits)
         ]
-        total = total + _engine(a.bits, tables, depth, mode)
+        total = total + _engine(a.bits, tables, depth, mode).expand()
     corr = scalars.one(mode)
     for at in atabs:
         corr = corr * at[0][0]

@@ -287,11 +287,33 @@ def root2_power(k: int, mode: str):
     return 2.0 ** (k / 2.0)
 
 
+def parse_fraction(text) -> Fraction:
+    """``Fraction(text)``, with a zero denominator ("1/0") reported as the
+    ValueError of any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def finite_float(value) -> float:
+    """``float(value)``, rejecting NaN, the infinities, and numbers too
+    large for a float.  ``coerce`` and ``decode_value`` repeat this inline:
+    they run once per leaf of every float64 file."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError("number too large for a float64 value") from None
+    if math.isfinite(x):
+        return x
+    raise ValueError(f"float64 values must be finite, got {x!r}")
+
+
 def coerce(value, mode: str):
     """Convert a number to the scalar type of ``mode``.
 
     Rational mode accepts int, Fraction, Exact, and fraction strings but
-    rejects floats; float64 mode accepts anything numeric.
+    rejects floats; float64 mode accepts anything numeric and finite.
     """
     if mode == RATIONAL:
         if type(value) is Exact:
@@ -301,7 +323,7 @@ def coerce(value, mode: str):
         if isinstance(value, (int, Fraction)):
             return Exact(value)
         if isinstance(value, str):
-            return Exact(Fraction(value))
+            return Exact(parse_fraction(value))
         if isinstance(value, Exact):
             return value
         if isinstance(value, float):
@@ -311,9 +333,13 @@ def coerce(value, mode: str):
             )
         raise TypeError(f"cannot use {type(value).__name__} in rational mode")
     if mode == FLOAT64:
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
+        if type(value) is not float:
+            return finite_float(
+                parse_fraction(value) if isinstance(value, str) else value
+            )
+        if math.isfinite(value):
+            return value
+        raise ValueError(f"float64 values must be finite, got {value!r}")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -343,17 +369,22 @@ def encode_value(value, mode: str):
 
 def decode_value(obj, mode: str):
     if mode == FLOAT64:
+        if type(obj) is float and math.isfinite(obj):
+            return obj
         if isinstance(obj, str):
-            return float(Fraction(obj))
+            return finite_float(parse_fraction(obj))
         if isinstance(obj, list):
             a, b = obj
-            return float(Fraction(a)) + float(Fraction(b)) * _SQRT2
-        return float(obj)
+            return finite_float(
+                finite_float(parse_fraction(a))
+                + finite_float(parse_fraction(b)) * _SQRT2
+            )
+        return finite_float(obj)
     if isinstance(obj, list):
         a, b = obj
-        return Exact(Fraction(a), Fraction(b))
+        return Exact(parse_fraction(a), parse_fraction(b))
     if isinstance(obj, str):
-        return Exact(Fraction(obj))
+        return Exact(parse_fraction(obj))
     if isinstance(obj, int):
         return Exact(obj)
     raise TypeError(f"cannot decode {obj!r} as a rational-mode value")

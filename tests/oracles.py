@@ -7,7 +7,13 @@ the package uses, so agreement is meaningful.
 
 from fractions import Fraction
 
-from dyadicops import DyadicInterval, Exact, StepFunction, interval_family
+from dyadicops import (
+    DyadicInterval,
+    Exact,
+    StepFunction,
+    extremal_tuple,
+    interval_family,
+)
 from dyadicops.scalars import RATIONAL, zero as scalar_zero, one as scalar_one
 
 
@@ -127,3 +133,42 @@ def naive_bmo_pow(b: StepFunction, r: int):
 
 def random_rationals(rng, count, numer=16, denom=8):
     return [Fraction(rng.randint(-numer, numer), rng.randint(1, denom)) for _ in range(count)]
+
+
+def naive_lr(f: StepFunction, r) -> float:
+    """(mean over leaves of |f|**r) ** (1/r), leaf by leaf."""
+    rf = float(r)
+    total = 0.0
+    for v in f.values:
+        total += abs(float(v)) ** rf
+    return (total / (1 << f.depth)) ** (1.0 / rf)
+
+
+def naive_weak_lr(f: StepFunction, r) -> float:
+    """max over the leaf values v != 0 of |v| * |{|f| >= |v|}| ** (1/r),
+    counting leaves for each candidate."""
+    rf = float(r)
+    mags = [abs(float(v)) for v in f.values]
+    best = 0.0
+    for v in mags:
+        if v:
+            share = sum(1 for w in mags if w >= v) / len(mags)
+            best = max(best, v * share ** (1.0 / rf))
+    return best
+
+
+def dense_sharp_ratio(descriptor, exponents, interval, depth, weak=False):
+    """The ratio of the sharp job at ``interval`` measured on the full grid:
+    the dense ``measure(extremal_tuple(...))`` that the support-aware path
+    of the experiment harness must reproduce.  None when the job is
+    skipped."""
+    fs = extremal_tuple(descriptor, exponents, interval, depth)
+    if fs is None:
+        return None
+    norms = [naive_lr(f, p) for f, p in zip(fs, exponents.p)]
+    if any(n == 0.0 for n in norms):
+        return None
+    value = (naive_weak_lr if weak else naive_lr)(descriptor.apply(fs), exponents.r)
+    for n in norms:
+        value /= n
+    return value

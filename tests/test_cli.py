@@ -5,6 +5,7 @@ import pytest
 
 from dyadicops import StepFunction, SymbolSequence, analyze
 from dyadicops.cli import main
+from dyadicops.core import MAX_DEPTH
 
 
 def write_json(path, obj):
@@ -236,3 +237,64 @@ class TestParsing:
             "estimate", "--op", "para", "--alpha", "21", "--p", "2,2",
             "--depth", "2", "--trials", "2", "-o", str(tmp_path / "r.json"),
         ]) == 2
+
+
+class TestBoundary:
+    """Bad input at the boundary prints ``error: ...`` and exits 2."""
+
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        # json.dumps writes the NaN token that json.loads reads back
+        path.write_text(json.dumps(
+            {"depth": 2, "mode": "float64", "values": [1.0, float("nan"), 2.0, -1.0]}
+        ))
+        return path
+
+    def test_norms_rejects_nan(self, nan_file, capsys):
+        assert main(["norms", str(nan_file), "--p", "1,inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+
+    def test_estimate_rejects_nan_in_b(self, tmp_path, nan_file, capsys):
+        out = tmp_path / "r.json"
+        assert main([
+            "estimate", "--op", "pi", "--alpha", "1", "--b", str(nan_file),
+            "--p", "2", "--trials", "3", "-o", str(out),
+        ]) == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
+    def test_estimate_zero_denominator_exponent(self, tmp_path, capsys):
+        assert main([
+            "estimate", "--op", "para", "--alpha", "01", "--p", "1/0,2",
+            "--depth", "2", "--trials", "2", "-o", str(tmp_path / "r.json"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_czd_zero_denominator_height(self, func_file, capsys):
+        assert main(["czd", str(func_file), "--height", "1/0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_rejects_negative_trials(self, capsys):
+        assert main(["verify", "decomposition", "--trials", "-3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_estimate_rejects_negative_workers(self, tmp_path, capsys):
+        assert main([
+            "estimate", "--op", "para", "--alpha", "01", "--p", "2,2",
+            "--depth", "2", "--trials", "2", "--workers", "-2",
+            "-o", str(tmp_path / "r.json"),
+        ]) == 2
+
+    def test_depth_cap_checked_before_allocation(self, tmp_path, capsys):
+        # one above the cap: rejected by the check, so nothing of size
+        # 2**(MAX_DEPTH + 1) is ever built
+        too_deep = str(MAX_DEPTH + 1)
+        assert main(["verify", "decomposition", "--depth", too_deep]) == 2
+        assert main([
+            "estimate", "--op", "para", "--alpha", "01", "--p", "2,2",
+            "--depth", too_deep, "--trials", "2", "-o", str(tmp_path / "r.json"),
+        ]) == 2
+        assert "depth" in capsys.readouterr().err

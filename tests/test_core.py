@@ -162,6 +162,25 @@ class TestStepFunction:
         with pytest.raises(ShapeError):
             StepFunction.from_values([1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            StepFunction.from_values([1.0, bad], mode=FLOAT64)
+        with pytest.raises(ValueError):
+            StepFunction.from_json_dict(
+                {"depth": 1, "mode": FLOAT64, "values": [1.0, bad]}
+            )
+        with pytest.raises(ValueError):
+            HaarSpectrum(1, bad, {}, FLOAT64)
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            StepFunction.from_json_dict({"depth": 1, "values": ["1", "1/0"]})
+        with pytest.raises(ValueError):
+            StepFunction.from_json_dict(
+                {"depth": 1, "mode": FLOAT64, "values": ["1", "1/0"]}
+            )
+
     def test_mode_mixing_rejected(self):
         f = StepFunction.from_values([1, 2])
         g = f.as_float64()

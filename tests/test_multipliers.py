@@ -79,6 +79,35 @@ class TestSymbolSequence:
         blob = json.dumps(eps.to_json_dict(), indent=2, sort_keys=True)
         assert SymbolSequence.from_json_dict(json.loads(blob)) == eps
 
+    def test_table_built_once(self, monkeypatch):
+        eps = SymbolSequence(default=2, entries={DyadicInterval(1, 1): -1})
+        first = eps.table(3, "rational")
+        calls = []
+        monkeypatch.setattr(SymbolSequence, "value", lambda self, i: calls.append(i) or 0)
+        assert eps.table(3, "rational") is first
+        assert calls == []
+        # another (depth, mode) gets its own table
+        assert eps.table(3, "float64") is not first and len(calls) == 7
+
+    def test_kept_tables_do_not_change_equality_or_json(self):
+        fresh = SymbolSequence(default=Fraction(1, 3), entries={DyadicInterval(2, 3): 5})
+        used = SymbolSequence(default=Fraction(1, 3), entries={DyadicInterval(2, 3): 5})
+        used.table(4, "float64")
+        used.table(3, "rational")
+        assert used == fresh
+        assert used.to_json_dict() == fresh.to_json_dict()
+        back = SymbolSequence.from_json_dict(json.loads(json.dumps(used.to_json_dict())))
+        assert back == used
+        assert "_tables" not in repr(used)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError):
+            SymbolSequence(default=float("nan"))
+        with pytest.raises(ValueError):
+            SymbolSequence(entries={DyadicInterval(1, 0): float("inf")})
+        with pytest.raises(ValueError):
+            SymbolSequence.from_json_dict({"default": float("nan")})
+
 
 class TestLinearMultiplier:
     def test_frozen_sign_flip(self):

@@ -24,6 +24,7 @@ from dyadicops import (
     pairing,
     weak_type_ratio,
 )
+from dyadicops.core import MAX_DEPTH
 from dyadicops.errors import ShapeError
 from dyadicops.normlab import _lr_quasinorm
 from dyadicops.scalars import FLOAT64
@@ -127,6 +128,11 @@ class TestSampler:
             SamplerSpec("random-step", 0)
         with pytest.raises(ValueError):
             SamplerSpec("rademacher-haar", 3, level_cap=3)
+
+    def test_depth_cap(self):
+        SamplerSpec("random-step", MAX_DEPTH)
+        with pytest.raises(ValueError):
+            SamplerSpec("random-step", MAX_DEPTH + 1)
 
     def test_trial_determinism(self):
         spec = SamplerSpec("random-step", 3, seed=42)
@@ -232,6 +238,17 @@ class TestExperiments:
         # extremal jobs land after the random trials
         assert report.best_trial >= 20
 
+    def test_report_names_the_extremal_interval(self):
+        d = self.make_multiplier()
+        report = estimate_operator_norm(
+            d, ExponentTuple((2, 2)), SamplerSpec("random-step", 3, seed=1), trials=20
+        )
+        obj = report.to_json_dict()
+        assert obj["extremal_lower_bound"] == pytest.approx(5.0)
+        assert obj["extremal_interval"] == {"level": 1, "pos": 0}
+        assert report.extremal_interval == DyadicInterval(1, 0)
+        assert obj["skipped_jobs"] == 0
+
     def test_reports_byte_identical(self):
         d = self.make_multiplier()
         e = ExponentTuple((2, 2))
@@ -313,6 +330,37 @@ class TestExperiments:
         ratios = dict(report.trial_ratios)
         assert ratios[3] is None  # universe-level extremal job skipped
         assert report.best_ratio > 0
+        assert report.skipped_jobs == sum(r is None for _, r in report.trial_ratios)
+        assert report.to_json_dict()["skipped_jobs"] >= 1
+
+    def test_no_ratio_no_interval(self):
+        # b = 0: every commutator output vanishes, so each job has ratio 0
+        # and the first interval attains the bound; with all inputs
+        # skipped nothing does
+        b = StepFunction.zeros(2, FLOAT64)
+        d = OperatorDescriptor(
+            "commutator", (0, 1), b=b, symbol=SymbolSequence.constant(1), slot=1
+        )
+        report = estimate_operator_norm(
+            d, ExponentTuple((2, 2)), SamplerSpec("random-step", 2, seed=0), trials=2
+        )
+        assert report.extremal_lower_bound == 0.0
+        assert report.extremal_interval == DyadicInterval(1, 0)
+        empty = ExperimentReport(
+            descriptor=d, exponents=ExponentTuple((2, 2)),
+            sampler=SamplerSpec("random-step", 2), trials=1, best_ratio=0.0,
+            best_trial=None, extremal_lower_bound=None, weak_type=False,
+            b_norms=None, mode=FLOAT64,
+        )
+        assert empty.to_json_dict()["extremal_interval"] is None
+
+    def test_workers_must_be_positive(self):
+        d = self.make_multiplier()
+        with pytest.raises(ValueError):
+            estimate_operator_norm(
+                d, ExponentTuple((2, 2)), SamplerSpec("random-step", 2), trials=2,
+                workers=0,
+            )
 
 
 class TestClosedFormRatios:
