@@ -349,10 +349,64 @@ class SupportView:
     @classmethod
     def restrict(cls, f: StepFunction, support: DyadicInterval) -> "SupportView":
         """f seen from ``support``.  f must vanish outside ``support``: only
-        the leaves of ``support`` are read, and every block is zero."""
+        the leaves of ``support`` are read, and every block is zero.  On the
+        universe the view shares f's values."""
         span = support.leaf_span(f.depth)
         blocks = (scalars.zero(f.mode),) * support.level
         return cls(f.depth, support, f.values[span.start:span.stop], blocks, f.mode)
+
+    @classmethod
+    def _halves(
+        cls, interval: DyadicInterval, support: DyadicInterval, depth: int,
+        mode: str, left, right,
+    ) -> "SupportView":
+        """``left`` on the left half of ``interval``, ``right`` on its right
+        half (all of it for a leaf), zero elsewhere, seen from ``support``."""
+        if not support.contains(interval):
+            raise ValueError(f"{support} does not contain {interval}")
+        z = scalars.zero(mode)
+        span = interval.leaf_span(depth)
+        start = span.start - support.leaf_span(depth).start
+        half = len(span) // 2
+        vals = [z] * (1 << (depth - support.level))
+        vals[start:start + half] = [left] * half
+        vals[start + half:start + len(span)] = [right] * (len(span) - half)
+        return cls(depth, support, tuple(vals), (z,) * support.level, mode)
+
+    @classmethod
+    def indicator(
+        cls, interval: DyadicInterval, support: DyadicInterval, depth: int,
+        mode: str = RATIONAL,
+    ) -> "SupportView":
+        """``StepFunction.indicator`` seen from ``support``, which must
+        contain ``interval``."""
+        one = scalars.one(mode)
+        return cls._halves(interval, support, depth, mode, one, one)
+
+    @classmethod
+    def haar(
+        cls, interval: DyadicInterval, support: DyadicInterval, depth: int,
+        mode: str = RATIONAL,
+    ) -> "SupportView":
+        """``StepFunction.haar`` seen from ``support``, which must contain
+        ``interval``."""
+        if interval.level >= depth:
+            raise ResolutionError(
+                f"no Haar function at level {interval.level} on a "
+                f"depth-{depth} grid"
+            )
+        mag = scalars.root2_power(interval.level, mode)
+        return cls._halves(interval, support, depth, mode, -mag, mag)
+
+    def scale(self, scalar) -> "SupportView":
+        s = scalars.coerce(scalar, self.mode)
+        blocks = tuple(
+            tuple(s * x for x in block) if type(block) is tuple else s * block
+            for block in self.blocks
+        )
+        return SupportView(
+            self.depth, self.support, tuple(s * x for x in self.values), blocks, self.mode
+        )
 
     def block_span(self, k: int) -> range:
         """The leaves of ``blocks[k]``."""

@@ -32,6 +32,8 @@ from .paraproducts import (
     _as_alpha,
     _check_tuple,
     _engine,
+    _seen_from_support,
+    _shown,
     _slot_tables,
 )
 from .scalars import FLOAT64, RATIONAL
@@ -136,7 +138,11 @@ def multilinear_multiplier(
     eps: SymbolSequence, alpha, fs: Sequence[StepFunction]
 ) -> StepFunction:
     """Haar multiplier with slot structure alpha: each interval's term is
-    scaled by eps_I.  Alpha must have at least one zero bit."""
+    scaled by eps_I.  Alpha must have at least one zero bit.
+
+    fs may also be SupportViews of one support; the output is then seen
+    from it, and the kept symbol table is cut down to it.
+    """
     a = _as_alpha(alpha)
     if not a.is_admissible:
         raise ValueError(
@@ -146,9 +152,11 @@ def multilinear_multiplier(
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     depth, mode = _check_tuple(fs)
-    return _engine(
-        a.bits, _slot_tables(a.bits, fs), depth, mode, eps.table(depth, mode)
-    ).expand()
+    views, dense = _seen_from_support(fs)
+    support = views[0].support
+    symbol = support_layout(eps.table(depth, mode), support)
+    out = _engine(a.bits, _slot_tables(a.bits, views), depth, mode, symbol, support)
+    return _shown(out, dense)
 
 
 def commutator(
@@ -158,18 +166,37 @@ def commutator(
     alpha,
     fs: Sequence[StepFunction],
 ) -> StepFunction:
-    """[b, T]_slot(fs) with T the alpha multiplier for eps; slot is 1-based."""
+    """[b, T]_slot(fs) with T the alpha multiplier for eps; slot is 1-based.
+
+    fs may also be SupportViews of one support S, which must vanish outside
+    it; the output is then seen from S.  b enters through its leaves on S
+    and, for ``b * T(fs)``, on each block where T's constant is nonzero;
+    such a block is expanded leaf by leaf.
+    """
     a = _as_alpha(alpha)
     if not 1 <= slot <= a.m:
         raise ValueError(f"slot must be in 1..{a.m}, got {slot}")
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    b._check_compatible(fs[0])
-    modified = list(fs)
-    modified[slot - 1] = b * fs[slot - 1]
+    depth, mode = _check_tuple([b, *fs])
+    views, dense = _seen_from_support(fs)
+    f = views[slot - 1]
+    span = f.support.leaf_span(depth)
+    b_on = b.values[span.start:span.stop]
+    modified = list(views)
+    modified[slot - 1] = SupportView(
+        depth, f.support, tuple(x * y for x, y in zip(b_on, f.values)), f.blocks, mode
+    )
     inside = multilinear_multiplier(eps, a, modified)
-    outside = b * multilinear_multiplier(eps, a, fs)
-    return inside - outside
+    outside = multilinear_multiplier(eps, a, views)
+    values = [x - c * y for x, c, y in zip(inside.values, b_on, outside.values)]
+    blocks = []
+    for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
+        if y:
+            span = outside.block_span(k)
+            x = tuple(x - c * y for c in b.values[span.start:span.stop])
+        blocks.append(x)
+    return _shown(SupportView(depth, f.support, tuple(values), tuple(blocks), mode), dense)
 
 
 def commutator_linear(
@@ -178,67 +205,3 @@ def commutator_linear(
     """[b, T_eps](f) = T_eps(b*f) - b*T_eps(f)."""
     b._check_compatible(f)
     return linear_multiplier(eps, b * f) - b * linear_multiplier(eps, f)
-
-
-# -- sharp inputs seen from their support ------------------------------------------
-
-
-def multiplier_on_support(
-    eps: SymbolSequence, alpha, fs: Sequence[SupportView]
-) -> SupportView:
-    """``multilinear_multiplier`` for inputs seen from one support interval
-    (``SupportView.restrict``); the symbol table is the kept one, cut down
-    to the support."""
-    a = _as_alpha(alpha)
-    if not a.is_admissible:
-        raise ValueError("alpha must have at least one Haar slot")
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode = _check_tuple(fs)
-    support = fs[0].support
-    if any(f.support != support for f in fs):
-        raise ShapeError("inputs are seen from different supports")
-    symbol = support_layout(eps.table(depth, mode), support)
-    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, symbol, support)
-
-
-def commutator_on_support(
-    slot: int,
-    b: StepFunction,
-    eps: SymbolSequence,
-    alpha,
-    fs: Sequence[SupportView],
-) -> SupportView:
-    """``commutator`` for inputs that vanish outside one support interval S
-    and are seen from it; the values equal those of the full-grid call.
-
-    Inside S, b enters through its leaves there.  On a block, ``b * T(fs)``
-    needs b's leaves only where T's constant is nonzero; such a block is
-    expanded leaf by leaf.
-    """
-    a = _as_alpha(alpha)
-    if not 1 <= slot <= a.m:
-        raise ValueError(f"slot must be in 1..{a.m}, got {slot}")
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode = _check_tuple(fs)
-    if b.depth != depth or b.mode != mode:
-        raise ShapeError(f"b is depth-{b.depth} {b.mode}, inputs are depth-{depth} {mode}")
-    f = fs[slot - 1]
-    support = f.support
-    span = support.leaf_span(depth)
-    b_on = b.values[span.start:span.stop]
-    modified = list(fs)
-    modified[slot - 1] = SupportView(
-        depth, support, tuple(x * y for x, y in zip(b_on, f.values)), f.blocks, mode
-    )
-    inside = multiplier_on_support(eps, a, modified)
-    outside = multiplier_on_support(eps, a, fs)
-    values = tuple(x - c * y for x, c, y in zip(inside.values, b_on, outside.values))
-    blocks = []
-    for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
-        if y:
-            span = outside.block_span(k)
-            x = tuple(x - c * y for c in b.values[span.start:span.stop])
-        blocks.append(x)
-    return SupportView(depth, support, values, tuple(blocks), mode)

@@ -15,6 +15,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import __version__, scalars
@@ -28,24 +29,10 @@ from .core import (
     coefficient_table,
     interval_family,
     lp_norm,
-    support_layout,
 )
 from .errors import ResolutionError, ShapeError
-from .multipliers import (
-    SymbolSequence,
-    commutator,
-    commutator_on_support,
-    multilinear_multiplier,
-    multiplier_on_support,
-)
-from .paraproducts import (
-    AlphaVector,
-    _as_alpha,
-    _engine,
-    _slot_tables,
-    paraproduct,
-    pi_paraproduct,
-)
+from .multipliers import SymbolSequence, commutator, multilinear_multiplier
+from .paraproducts import AlphaVector, _as_alpha, paraproduct, pi_paraproduct
 from .scalars import FLOAT64, RATIONAL
 from .sublinear import bmo_norm, bstar_seminorm
 
@@ -164,37 +151,24 @@ class OperatorDescriptor:
         )
 
     def apply(self, fs: Sequence[StepFunction]) -> StepFunction:
+        """The operator on fs: StepFunctions, or SupportViews of one
+        support (``extremal_tuple(..., on_support=True)``), whose output is
+        then seen from that support too."""
         if self.kind == "paraproduct":
             return paraproduct(self.alpha, fs)
         if self.kind == "pi_paraproduct":
-            return pi_paraproduct(self.alpha, self.b, fs)
+            return pi_paraproduct(self.alpha, self.b, fs, self.b_table)
         if self.kind == "multilinear_multiplier":
             return multilinear_multiplier(self.symbol, self.alpha, fs)
         return commutator(self.slot, self.b, self.symbol, self.alpha, fs)
 
-    def apply_on_support(
-        self, fs: Sequence[SupportView], b_coefficients: list | None
-    ) -> SupportView:
-        """``apply`` for inputs that vanish outside one interval and are seen
-        from it (``SupportView.restrict``).
-
-        ``b_coefficients`` is b's full coefficient table, which only
-        pi_paraproduct reads (cut down to the support); an experiment
-        builds it once for all its jobs.
-        """
-        if self.kind == "multilinear_multiplier":
-            return multiplier_on_support(self.symbol, self.alpha, fs)
-        if self.kind == "commutator":
-            return commutator_on_support(
-                self.slot, self.b, self.symbol, self.alpha, fs
-            )
-        f = fs[0]
-        bits = self.alpha.bits
-        tables = _slot_tables(bits, fs)
-        if self.kind == "pi_paraproduct":
-            bits = (0,) + bits
-            tables.insert(0, support_layout(b_coefficients, f.support))
-        return _engine(bits, tables, f.depth, f.mode, support=f.support)
+    @cached_property
+    def b_table(self) -> list | None:
+        """b's coefficient table, built once per descriptor for
+        pi_paraproduct (None for the other kinds)."""
+        if self.kind != "pi_paraproduct":
+            return None
+        return coefficient_table(self.b)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -327,19 +301,33 @@ class SamplerSpec:
 # -- sharp families --------------------------------------------------------------
 
 
+def _seen(views: list[SupportView], on_support: bool) -> list:
+    """A sharp family as built, seen from its support, or on the full grid."""
+    return views if on_support else [v.expand() for v in views]
+
+
 def extremal_multiplier_family(
-    interval: DyadicInterval, alpha, depth: int, mode: str = FLOAT64
+    interval: DyadicInterval,
+    alpha,
+    depth: int,
+    mode: str = FLOAT64,
+    *,
+    on_support: bool = False,
 ) -> list[StepFunction]:
     """Haar function in the zero slots, plain indicator in the others; the
-    measured ratio for the eps-multiplier is exactly |eps_I|."""
+    measured ratio for the eps-multiplier is exactly |eps_I|.
+
+    The family vanishes outside the interval; with ``on_support`` it comes
+    as SupportViews seen from it.
+    """
     a = _as_alpha(alpha)
     if interval.level >= depth:
         raise ResolutionError(
             f"no Haar function at level {interval.level} on a depth-{depth} grid"
         )
-    h = StepFunction.haar(interval, depth, mode)
-    ind = StepFunction.indicator(interval, depth, mode)
-    return [h if bit == 0 else ind for bit in a.bits]
+    h = SupportView.haar(interval, interval, depth, mode)
+    ind = SupportView.indicator(interval, interval, depth, mode)
+    return _seen([h if bit == 0 else ind for bit in a.bits], on_support)
 
 
 def _scale_pow2(exponent: Fraction, mode: str):
@@ -360,12 +348,15 @@ def extremal_pi_family(
     exponents: ExponentTuple,
     depth: int,
     mode: str = FLOAT64,
+    *,
+    on_support: bool = False,
 ) -> list[StepFunction]:
     """L^p-normalized sharp family for the symbol paraproduct: scaled Haar
     functions in the zero slots, scaled indicators in the others.
 
     When alpha has more than one zero bit the measured L^r ratio equals
-    |<b, h_J>| / sqrt(|J|) exactly.
+    |<b, h_J>| / sqrt(|J|) exactly.  The family vanishes outside the
+    interval; with ``on_support`` it comes as SupportViews seen from it.
     """
     a = _as_alpha(alpha)
     if len(exponents.p) != a.m:
@@ -381,11 +372,13 @@ def extremal_pi_family(
     for bit, p in zip(a.bits, exponents.p):
         if bit == 0:
             scale = _scale_pow2(-level * (Fraction(1, 2) - 1 / p), mode)
-            out.append(StepFunction.haar(interval, depth, mode).scale(scale))
+            out.append(SupportView.haar(interval, interval, depth, mode).scale(scale))
         else:
             scale = _scale_pow2(Fraction(level) / p, mode)
-            out.append(StepFunction.indicator(interval, depth, mode).scale(scale))
-    return out
+            out.append(
+                SupportView.indicator(interval, interval, depth, mode).scale(scale)
+            )
+    return _seen(out, on_support)
 
 
 def necessity_case(alpha, slot: int) -> str:
@@ -406,6 +399,8 @@ def commutator_necessity_family(
     slot: int,
     depth: int,
     mode: str = FLOAT64,
+    *,
+    on_support: bool = False,
 ) -> list[StepFunction]:
     """The sharp input tuple for the slot commutator at one interval.
 
@@ -416,6 +411,10 @@ def commutator_necessity_family(
     the Haar function of the parent elsewhere; the plain operator then
     vanishes and the commutator reduces to the Haar sum of b inside the
     interval.
+
+    The tuple vanishes outside the interval in case II and outside its
+    parent in case I; with ``on_support`` it comes as SupportViews seen
+    from that interval.
     """
     a = _as_alpha(alpha)
     expected = necessity_case(a, slot)
@@ -431,9 +430,9 @@ def commutator_necessity_family(
                 f"no Haar function at level {interval.level} on a "
                 f"depth-{depth} grid"
             )
-        h = StepFunction.haar(interval, depth, mode)
-        ind = StepFunction.indicator(interval, depth, mode)
-        return [h if bit == 0 else ind for bit in a.bits]
+        h = SupportView.haar(interval, interval, depth, mode)
+        ind = SupportView.indicator(interval, interval, depth, mode)
+        return _seen([h if bit == 0 else ind for bit in a.bits], on_support)
     if a.m < 2:
         raise ValueError("case I needs at least two slots")
     if interval.level < 1:
@@ -444,22 +443,9 @@ def commutator_necessity_family(
             f"depth-{depth} grid"
         )
     parent = interval.parent()
-    h_parent = StepFunction.haar(parent, depth, mode)
-    out = [h_parent] * a.m
-    out[slot - 1] = StepFunction.indicator(interval, depth, mode)
-    return out
-
-
-def extremal_support(
-    descriptor: OperatorDescriptor, interval: DyadicInterval
-) -> DyadicInterval:
-    """The interval outside which every input of the sharp tuple at
-    ``interval`` vanishes: the interval itself, or its parent for the
-    case-I commutator family."""
-    if descriptor.kind == "commutator" and interval.level >= 1:
-        if necessity_case(descriptor.alpha, descriptor.slot) == "I":
-            return interval.parent()
-    return interval
+    out = [SupportView.haar(parent, parent, depth, mode)] * a.m
+    out[slot - 1] = SupportView.indicator(interval, parent, depth, mode)
+    return _seen(out, on_support)
 
 
 def extremal_tuple(
@@ -467,19 +453,31 @@ def extremal_tuple(
     exponents: ExponentTuple,
     interval: DyadicInterval,
     depth: int,
+    *,
+    on_support: bool = False,
 ) -> list[StepFunction] | None:
     """The sharp family for the descriptor at one interval, or None when
-    the interval does not support it."""
+    the interval does not support it.
+
+    Every input vanishes outside one interval, the family's support; with
+    ``on_support`` the inputs come as SupportViews seen from it, so that
+    ``descriptor.apply`` and the norms work on the support alone.
+    """
     kind = descriptor.kind
+    alpha = descriptor.alpha
     if kind in ("paraproduct", "multilinear_multiplier"):
-        return extremal_multiplier_family(interval, descriptor.alpha, depth)
+        return extremal_multiplier_family(
+            interval, alpha, depth, on_support=on_support
+        )
     if kind == "pi_paraproduct":
-        return extremal_pi_family(interval, descriptor.alpha, exponents, depth)
-    case = necessity_case(descriptor.alpha, descriptor.slot)
-    if case == "I" and (interval.level < 1 or descriptor.alpha.m < 2):
+        return extremal_pi_family(
+            interval, alpha, exponents, depth, on_support=on_support
+        )
+    case = necessity_case(alpha, descriptor.slot)
+    if case == "I" and (interval.level < 1 or alpha.m < 2):
         return None
     return commutator_necessity_family(
-        case, interval, descriptor.alpha, descriptor.slot, depth
+        case, interval, alpha, descriptor.slot, depth, on_support=on_support
     )
 
 
@@ -587,27 +585,21 @@ def _run_experiment(
         )
     r = exponents.r
     out_norm = _weak_lr_quasinorm if weak else _lr_quasinorm
-    # the tables every sharp job reads, built once and before any worker
+    # the symbol table every job reads, built once and before any worker
     # thread starts
-    b_coefficients = None
-    if desc.kind == "pi_paraproduct":
-        b_coefficients = coefficient_table(desc.b)
     if desc.symbol is not None:
         desc.symbol.table(sampler.depth, FLOAT64)
 
-    def measure(fs, norm, apply) -> float | None:
+    def measure(fs, norm) -> float | None:
         if fs is None:
             return None
         norms = [norm(f, p) for f, p in zip(fs, exponents.p)]
         if any(n == 0.0 for n in norms):
             return None
-        value = out_norm(apply(fs), r)
+        value = out_norm(desc.apply(fs), r)
         for n in norms:
             value /= n
         return value
-
-    def on_support(views: list[SupportView]) -> SupportView:
-        return desc.apply_on_support(views, b_coefficients)
 
     intervals = interval_family(sampler.depth)
     jobs: list = [("random", trial) for trial in range(trials)]
@@ -615,17 +607,11 @@ def _run_experiment(
 
     def run_job(job) -> float | None:
         if job[0] == "random":
-            fs = sampler.draw_tuple(job[1], desc, exponents)
-            return measure(fs, lp_norm, desc.apply)
-        fs = extremal_tuple(desc, exponents, job[1], sampler.depth)
-        if fs is None:
-            return None
-        # every input vanishes outside the support, so the job runs there:
-        # the inputs' norms are the same floats, the output's agree to
-        # rounding
-        support = extremal_support(desc, job[1])
-        views = [SupportView.restrict(f, support) for f in fs]
-        return measure(views, _lr_quasinorm, on_support)
+            return measure(sampler.draw_tuple(job[1], desc, exponents), lp_norm)
+        # a sharp tuple runs on its support: the inputs' norms are the same
+        # floats as on the full grid, the output's agree to rounding
+        fs = extremal_tuple(desc, exponents, job[1], sampler.depth, on_support=True)
+        return measure(fs, _lr_quasinorm)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -29,6 +29,7 @@ from .core import (
     inner_product,
     pairing,
     pointwise_product,
+    support_layout,
 )
 from .errors import ResolutionError, ShapeError
 from .scalars import RATIONAL
@@ -233,6 +234,27 @@ def _slot_tables(bits, fs):
     ]
 
 
+def _seen_from_support(fs) -> tuple[list[SupportView], bool]:
+    """The inputs as views of one support, and whether they came as
+    StepFunctions, which are seen from the universe.
+
+    Every operator takes either kind of tuple: StepFunctions give a
+    StepFunction, SupportViews of one support (``SupportView.restrict``)
+    give the output seen from that support.
+    """
+    if not any(isinstance(f, SupportView) for f in fs):
+        return [SupportView.restrict(f, UNIVERSE) for f in fs], True
+    if not all(isinstance(f, SupportView) for f in fs):
+        raise ShapeError("inputs mix StepFunctions and SupportViews")
+    if any(f.support != fs[0].support for f in fs):
+        raise ShapeError("inputs are seen from different supports")
+    return list(fs), False
+
+
+def _shown(out: SupportView, dense: bool):
+    return out.expand() if dense else out
+
+
 def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     """The paraproduct indexed by alpha applied to the tuple fs.
 
@@ -245,16 +267,32 @@ def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     depth, mode = _check_tuple(fs)
-    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode).expand()
+    views, dense = _seen_from_support(fs)
+    support = views[0].support
+    out = _engine(a.bits, _slot_tables(a.bits, views), depth, mode, support=support)
+    return _shown(out, dense)
 
 
-def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFunction:
+def pi_paraproduct(
+    alpha, b: StepFunction, fs: Sequence[StepFunction], b_table: list | None = None
+) -> StepFunction:
     """Paraproduct with symbol b: b always enters through its Haar
-    coefficients, i.e. this is the (0, alpha) paraproduct of (b, fs)."""
+    coefficients, i.e. this is the (0, alpha) paraproduct of (b, fs).
+
+    ``b_table`` is b's ``coefficient_table`` for a caller that keeps it
+    across calls; b itself need not vanish outside the inputs' support.
+    """
     a = _as_alpha(alpha)
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    return paraproduct(AlphaVector((0,) + a.bits), [b, *fs])
+    depth, mode = _check_tuple([b, *fs])
+    views, dense = _seen_from_support(fs)
+    support = views[0].support
+    if b_table is None:
+        b_table = coefficient_table(b)
+    tables = [support_layout(b_table, support), *_slot_tables(a.bits, views)]
+    out = _engine((0,) + a.bits, tables, depth, mode, support=support)
+    return _shown(out, dense)
 
 
 # -- identities ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The support-aware evaluation of sharp tuples against the dense path.
 
 Every input of a sharp tuple vanishes outside one dyadic interval, so the
-harness evaluates it on that interval (``SupportView``) instead of the full
-grid.  These tests hold that path to the dense one: exactly (``==``) in
+harness builds and evaluates it on that interval (``SupportView``) instead
+of the full grid.  These tests hold that path to the dense one: exactly (``==``) in
 rational mode, and within 1e-12 relative for the float64 ratios that the
 experiment reports, against the dense ``measure(extremal_tuple(...))`` in
 ``tests/oracles.py``.
@@ -24,7 +24,11 @@ from dyadicops import (
     SymbolSequence,
     commutator,
     estimate_operator_norm,
+    extremal_tuple,
     interval_family,
+    multilinear_multiplier,
+    paraproduct,
+    pi_paraproduct,
     weak_type_ratio,
 )
 from dyadicops.core import (
@@ -34,8 +38,8 @@ from dyadicops.core import (
     interval_integrals,
     support_layout,
 )
-from dyadicops.multipliers import commutator_on_support
-from dyadicops.normlab import KINDS, extremal_support
+from dyadicops.errors import ShapeError
+from dyadicops.normlab import KINDS
 from dyadicops.paraproducts import _engine, _slot_tables
 from dyadicops.scalars import FLOAT64, RATIONAL
 
@@ -136,14 +140,61 @@ class TestSharpRatios:
                         assert_matches_dense(desc, ExponentTuple(tuple(ps)), depth, weak, 0)
 
     def test_support_is_the_parent_for_case_one(self):
-        b = StepFunction.from_values([1.0, 0.0, 2.0, 0.5], mode=FLOAT64)
+        b = StepFunction.from_values([1.0, 0.0, 2.0, 0.5, 0.0, 1.0, 3.0, 2.0], mode=FLOAT64)
         eps = SymbolSequence.constant(1)
+        exps = ExponentTuple((2, 2))
         one = OperatorDescriptor("commutator", (0, 1), b=b, symbol=eps, slot=1)
         two = OperatorDescriptor("commutator", (0, 1), b=b, symbol=eps, slot=2)
         i = DyadicInterval(2, 3)
-        assert extremal_support(one, i) == DyadicInterval(1, 1)
-        assert extremal_support(two, i) == i
-        assert extremal_support(OperatorDescriptor("paraproduct", (0, 1)), i) == i
+        for desc, support in (
+            (one, DyadicInterval(1, 1)),
+            (two, i),
+            (OperatorDescriptor("paraproduct", (0, 1)), i),
+            (OperatorDescriptor("pi_paraproduct", (0, 1), b=b), i),
+        ):
+            views = extremal_tuple(desc, exps, i, 3, on_support=True)
+            assert {v.support for v in views} == {support}
+            assert len(views[0].values) == len(support.leaf_span(3))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_views_expand_to_the_full_grid_family(self, kind):
+        """The sharp inputs, built on their support, are the functions that
+        the full-grid constructors give."""
+        rng = random.Random(kind)
+        depth = 4
+        for bits in ((0,), (1, 0), (0, 0, 1), (0, 1, 1)):
+            for slot in range(1, len(bits) + 1):
+                desc = make_descriptor(kind, bits, slot, rng, depth)
+                exps = ExponentTuple(tuple(rng.choice(EXPONENTS) for _ in bits))
+                for i in interval_family(depth):
+                    dense = extremal_tuple(desc, exps, i, depth)
+                    views = extremal_tuple(desc, exps, i, depth, on_support=True)
+                    if dense is None:
+                        assert views is None
+                        continue
+                    assert [v.expand() for v in views] == dense
+                    want = reference_family(desc, exps, i, depth)
+                    assert [f.values for f in dense] == [f.values for f in want]
+
+
+def reference_family(desc, exps, interval, depth):
+    """The sharp tuple written with the full-grid constructors."""
+    bits = desc.alpha.bits
+    h = StepFunction.haar(interval, depth, FLOAT64)
+    ind = StepFunction.indicator(interval, depth, FLOAT64)
+    if desc.kind == "pi_paraproduct":
+        level = interval.level
+        return [
+            h.scale(2.0 ** float(-level * (Fraction(1, 2) - 1 / p)))
+            if bit == 0
+            else ind.scale(2.0 ** float(Fraction(level) / p))
+            for bit, p in zip(bits, exps.p)
+        ]
+    if desc.kind == "commutator" and bits[desc.slot - 1] == 0 and bits.count(0) == 1:
+        out = [StepFunction.haar(interval.parent(), depth, FLOAT64)] * len(bits)
+        out[desc.slot - 1] = ind
+        return out
+    return [h if bit == 0 else ind for bit in bits]
 
 
 def vanishing_outside(rng, support, depth):
@@ -239,7 +290,8 @@ class TestExactOnSupport:
         eps = random_symbol(rng, depth)
         fs = [vanishing_outside(rng, support, depth) for _ in range(m)]
         views = [SupportView.restrict(f, support) for f in fs]
-        local = commutator_on_support(slot, b, eps, bits, views)
+        local = commutator(slot, b, eps, bits, views)
+        assert local.support == support
         assert local.expand() == commutator(slot, b, eps, bits, fs)
 
     def test_commutator_expands_blocks_where_t_is_nonzero(self):
@@ -253,6 +305,43 @@ class TestExactOnSupport:
         f = StepFunction.from_values([0, 0, 1, 3, 0, 0, 0, 0])
         g = StepFunction.from_values([0, 0, 2, 1, 0, 0, 0, 0])
         views = [SupportView.restrict(h, support) for h in (f, g)]
-        local = commutator_on_support(2, b, eps, (0, 1), views)
+        local = commutator(2, b, eps, (0, 1), views)
         assert any(type(block) is tuple for block in local.blocks)
         assert local.expand() == commutator(2, b, eps, (0, 1), [f, g])
+
+
+class TestOperatorsOnViews:
+    """Each operator takes StepFunctions or SupportViews of one support;
+    views give the output seen from the support."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_every_operator_on_views_equals_dense(self, seed):
+        rng = random.Random(seed)
+        depth = rng.randint(1, 4)
+        m = rng.randint(1, 3)
+        bits = tuple(rng.randint(0, 1) for _ in range(m))
+        support = random_support(rng, depth)
+        fs = [vanishing_outside(rng, support, depth) for _ in range(m)]
+        views = [SupportView.restrict(f, support) for f in fs]
+        b = StepFunction.from_values(random_rationals(rng, 1 << depth, numer=6, denom=4))
+        ops = [
+            lambda gs: paraproduct(bits, gs),
+            lambda gs: pi_paraproduct(bits, b, gs),
+        ]
+        if 0 in bits:
+            eps = random_symbol(rng, depth)
+            ops.append(lambda gs: multilinear_multiplier(eps, bits, gs))
+        for op in ops:
+            local = op(views)
+            assert isinstance(local, SupportView) and local.support == support
+            assert local.expand() == op(fs)
+
+    def test_inputs_must_share_one_support(self):
+        f = StepFunction.from_values([0, 0, 1, 2])
+        left = SupportView.restrict(StepFunction.from_values([1, 2, 0, 0]), DyadicInterval(1, 0))
+        right = SupportView.restrict(f, DyadicInterval(1, 1))
+        with pytest.raises(ShapeError):
+            paraproduct((0, 1), [left, right])
+        with pytest.raises(ShapeError):
+            paraproduct((0, 1), [right, f])
