@@ -53,10 +53,7 @@ from .paraproducts import (
     AlphaVector,
     adjoint_residual,
     admissible_alphas,
-    enumerate_Um,
-    haar_power,
     localized_average_residual,
-    multiplication_decomposition_residual,
     paraproduct,
     pi_paraproduct,
     product_decomposition_residual,
@@ -66,8 +63,6 @@ from .multipliers import (
     COMMUTATOR_CONVENTION,
     SymbolSequence,
     commutator,
-    commutator_linear,
-    linear_multiplier,
     multilinear_multiplier,
 )
 from .normlab import (
@@ -122,10 +117,7 @@ __all__ = [
     "AlphaVector",
     "adjoint_residual",
     "admissible_alphas",
-    "enumerate_Um",
-    "haar_power",
     "localized_average_residual",
-    "multiplication_decomposition_residual",
     "paraproduct",
     "pi_paraproduct",
     "product_decomposition_residual",
@@ -133,8 +125,6 @@ __all__ = [
     "COMMUTATOR_CONVENTION",
     "SymbolSequence",
     "commutator",
-    "commutator_linear",
-    "linear_multiplier",
     "multilinear_multiplier",
     "ExperimentReport",
     "ExponentTuple",

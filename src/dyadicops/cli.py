@@ -26,12 +26,7 @@ from .core import (
     weak_lp_quasinorm,
 )
 from .errors import DyadicOpsError
-from .multipliers import (
-    SymbolSequence,
-    commutator,
-    linear_multiplier,
-    multilinear_multiplier,
-)
+from .multipliers import SymbolSequence, commutator, multilinear_multiplier
 from .normlab import (
     ExponentTuple,
     OperatorDescriptor,
@@ -93,8 +88,18 @@ def _emit(obj, output: str | None):
     sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+def _load(path: str, cls, kind: str):
+    """``cls.from_json_dict`` of a JSON file; the error names the kind of
+    file expected when the file holds something else."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} is not a {kind} file: expected a JSON object")
+    try:
+        return cls.from_json_dict(obj)
+    except KeyError as exc:
+        raise ValueError(
+            f"{path} is not a {kind} file: missing key {exc.args[0]!r}"
+        ) from None
 
 
 def _scalar_is_small(value, mode: str) -> bool:
@@ -179,7 +184,7 @@ def _suite_multiplier_coeff(args, rng) -> int:
     for _ in range(args.trials):
         eps = _random_symbol(rng, args.depth)
         f = _random_function(rng, args.depth, args.mode)
-        out = linear_multiplier(eps, f)
+        out = multilinear_multiplier(eps, (0,), [f])
         table = eps.table(args.depth, args.mode)
         for interval in interval_family(args.depth):
             want = table[interval.level][interval.position] * pairing(f, interval, 0)
@@ -219,6 +224,8 @@ _SUITE_RUNNERS = {
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     check_depth(args.depth)
     rng = random.Random(f"verify:{args.suite}:{args.seed}")
     failures = _SUITE_RUNNERS[args.suite](args, rng)
@@ -242,12 +249,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    obj = _load_json(args.input)
     if args.direction == "analyze":
-        out = analyze(StepFunction.from_json_dict(obj)).to_json_dict()
+        out = analyze(_load(args.input, StepFunction, "step function"))
     else:
-        out = synthesize(HaarSpectrum.from_json_dict(obj)).to_json_dict()
-    _emit(out, args.output)
+        out = synthesize(_load(args.input, HaarSpectrum, "Haar spectrum"))
+    _emit(out.to_json_dict(), args.output)
     return 0
 
 
@@ -259,7 +265,7 @@ def _parse_p(text: str):
 
 
 def cmd_norms(args) -> int:
-    f = StepFunction.from_json_dict(_load_json(args.input))
+    f = _load(args.input, StepFunction, "step function")
     ps = [_parse_p(part) for part in args.p.split(",")]
     out = {
         "depth": f.depth,
@@ -285,7 +291,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_czd(args) -> int:
-    f = StepFunction.from_json_dict(_load_json(args.input))
+    f = _load(args.input, StepFunction, "step function")
     height = parse_fraction(args.height)
     if f.mode == FLOAT64:
         height = finite_float(height)
@@ -305,10 +311,10 @@ def _build_descriptor(args) -> OperatorDescriptor:
     alpha = AlphaVector.from_string(args.alpha)
     b = None
     if args.b is not None:
-        b = StepFunction.from_json_dict(_load_json(args.b))
+        b = _load(args.b, StepFunction, "step function")
     symbol = None
     if args.symbol is not None:
-        symbol = SymbolSequence.from_json_dict(_load_json(args.symbol))
+        symbol = _load(args.symbol, SymbolSequence, "symbol sequence")
     elif args.symbol_const is not None:
         symbol = SymbolSequence.constant(parse_fraction(args.symbol_const))
     elif kind in ("multilinear_multiplier", "commutator"):
@@ -335,10 +341,8 @@ def _run_experiment_cmd(args, weak: bool) -> int:
         family=args.family, depth=depth, seed=args.seed, level_cap=args.level_cap
     )
     runner = weak_type_ratio if weak else estimate_operator_norm
-    report = runner(descriptor, exponents, sampler, args.trials, workers=args.workers)
-    text = report.to_json()
-    Path(args.output).write_text(text)
-    sys.stdout.write(text)
+    report = runner(descriptor, exponents, sampler, args.trials)
+    _emit(report.to_json_dict(), args.output)
     if args.dump_trials:
         Path(args.dump_trials).write_text(report.trials_csv())
     return 0
@@ -411,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--seed", type=int, default=0)
         e.add_argument("--family", default="random-step")
         e.add_argument("--level-cap", type=int, default=None)
-        e.add_argument("--workers", type=int, default=None)
         e.add_argument("--dump-trials", default=None)
-        e.add_argument("-o", "--output", default="report.json")
+        e.add_argument("-o", "--output", default=None)
         e.set_defaults(func=cmd_weak if weak else cmd_estimate)
 
     return parser

@@ -579,6 +579,32 @@ def interval_integrals(f: StepFunction | SupportView) -> list[list]:
     return table
 
 
+def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
+    """Leaf values of ``start + sum of terms[level][pos] * s_I`` in one
+    top-down pass, I being the interval (level, pos) of a grid of depth
+    ``len(terms)``.  s_I is the sign pattern of h_I (-1 on the left half of
+    I, +1 on the right half) when ``odd`` and the indicator of I otherwise.
+
+    Each child takes its parent's value plus or minus the parent's term, so
+    every leaf adds its terms from the coarsest level down, and zero terms
+    are skipped, which leaves a signed zero as it is.
+    """
+    vals = [start]
+    for row in terms:
+        children = []
+        push = children.extend
+        for v, t in zip(vals, row):
+            if not t:
+                push((v, v))
+            elif odd:
+                push((v - t, v + t))
+            else:
+                v = v + t
+                push((v, v))
+        vals = children
+    return vals
+
+
 def average_table(f: StepFunction | SupportView) -> list[list]:
     """table[level][pos] = average of f over that interval, levels 0..depth."""
     ints = interval_integrals(f)
@@ -627,16 +653,15 @@ def analyze(f: StepFunction) -> HaarSpectrum:
 
 
 def synthesize(spectrum: HaarSpectrum) -> StepFunction:
-    """Inverse Haar transform: mean + sum of coeff * h_I."""
+    """Inverse Haar transform: mean + sum of coeff * h_I, each leaf adding
+    its terms from the coarsest level down."""
     depth, mode = spectrum.depth, spectrum.mode
-    vals = [spectrum.mean] * (1 << depth)
+    z = scalars.zero(mode)
+    mags = [scalars.root2_power(level, mode) for level in range(depth)]
+    terms = [[z] * (1 << level) for level in range(depth)]
     for interval, c in spectrum.coeffs.items():
-        term = c * scalars.root2_power(interval.level, mode)
-        span = interval.leaf_span(depth)
-        half = len(span) // 2
-        for i, leaf in enumerate(span):
-            vals[leaf] = vals[leaf] + (term if i >= half else -term)
-    return StepFunction._raw(depth, vals, mode)
+        terms[interval.level][interval.position] = c * mags[interval.level]
+    return StepFunction._raw(depth, haar_sum(spectrum.mean, terms, True), mode)
 
 
 def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):

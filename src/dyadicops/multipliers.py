@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import scalars
-from .core import (
-    DyadicInterval,
-    HaarSpectrum,
-    StepFunction,
-    SupportView,
-    analyze,
-    support_layout,
-    synthesize,
-)
+from .core import DyadicInterval, StepFunction, SupportView, support_layout
 from .errors import ShapeError
 from .paraproducts import (
     AlphaVector,
@@ -122,18 +114,6 @@ class SymbolSequence:
         return cls(dec(obj.get("default", 0)), entries)
 
 
-def linear_multiplier(eps: SymbolSequence, f: StepFunction) -> StepFunction:
-    """sum over intervals of eps_I * <f, h_I> * h_I (the global mean is
-    dropped)."""
-    spec = analyze(f)
-    table = eps.table(f.depth, f.mode)
-    scaled = {
-        interval: table[interval.level][interval.position] * c
-        for interval, c in spec.coeffs.items()
-    }
-    return synthesize(HaarSpectrum(f.depth, 0, scaled, f.mode))
-
-
 def multilinear_multiplier(
     eps: SymbolSequence, alpha, fs: Sequence[StepFunction]
 ) -> StepFunction:
@@ -197,11 +177,3 @@ def commutator(
             x = tuple(x - c * y for c in b.values[span.start:span.stop])
         blocks.append(x)
     return _shown(SupportView(depth, f.support, tuple(values), tuple(blocks), mode), dense)
-
-
-def commutator_linear(
-    b: StepFunction, eps: SymbolSequence, f: StepFunction
-) -> StepFunction:
-    """[b, T_eps](f) = T_eps(b*f) - b*T_eps(f)."""
-    b._check_compatible(f)
-    return linear_multiplier(eps, b * f) - b * linear_multiplier(eps, f)

@@ -3,8 +3,7 @@ families from the boundedness proofs appended as dedicated trials.
 
 Experiments run in float64 mode.  Every trial is seeded independently from
 (seed, trial index), so reports are byte-identical across runs and
-independent of evaluation order; enabling the thread pool cannot change
-the result.
+independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +25,7 @@ from .core import (
     block_runs,
     check_depth,
     coefficient_table,
+    haar_sum,
     interval_family,
     lp_norm,
 )
@@ -260,20 +259,15 @@ class SamplerSpec:
             ]
         if self.family == "rademacher-haar":
             cap = self.level_cap if self.level_cap is not None else self.depth - 1
+            mags = [2.0 ** (level / 2.0) for level in range(cap + 1)]
+            unused = [[0.0] * (1 << level) for level in range(cap + 1, self.depth)]
             out = []
             for _ in range(m):
-                vals = [0.0] * n
-                for level in range(cap + 1):
-                    mag = 2.0 ** (level / 2.0)
-                    width = 1 << (self.depth - level)
-                    half = width >> 1
-                    for pos in range(1 << level):
-                        c = rng.choice((-1.0, 1.0)) * mag
-                        start = pos * width
-                        for leaf in range(start, start + half):
-                            vals[leaf] -= c
-                        for leaf in range(start + half, start + width):
-                            vals[leaf] += c
+                terms = [
+                    [rng.choice((-1.0, 1.0)) * mag for _ in range(1 << level)]
+                    for level, mag in enumerate(mags)
+                ]
+                vals = haar_sum(0.0, terms + unused, True)
                 out.append(StepFunction._raw(self.depth, vals, FLOAT64))
             return out
         if self.family == "indicator":
@@ -565,12 +559,9 @@ def _run_experiment(
     sampler: SamplerSpec,
     trials: int,
     weak: bool,
-    workers: int | None,
 ) -> ExperimentReport:
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if exponents.m != descriptor.arity:
         raise ShapeError(
             f"descriptor arity {descriptor.arity} vs {exponents.m} exponents"
@@ -585,10 +576,6 @@ def _run_experiment(
         )
     r = exponents.r
     out_norm = _weak_lr_quasinorm if weak else _lr_quasinorm
-    # the symbol table every job reads, built once and before any worker
-    # thread starts
-    if desc.symbol is not None:
-        desc.symbol.table(sampler.depth, FLOAT64)
 
     def measure(fs, norm) -> float | None:
         if fs is None:
@@ -613,11 +600,7 @@ def _run_experiment(
         fs = extremal_tuple(desc, exponents, job[1], sampler.depth, on_support=True)
         return measure(fs, _lr_quasinorm)
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
+    results = [run_job(job) for job in jobs]
 
     ratios = list(enumerate(results))
     best_ratio = 0.0
@@ -663,12 +646,11 @@ def estimate_operator_norm(
     exponents: ExponentTuple,
     sampler: SamplerSpec,
     trials: int,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Monte-Carlo lower bound for the L^{p_1} x ... x L^{p_m} -> L^r
     operator norm; the sharp families at every interval are always
     appended as extra trials, so best_ratio >= extremal_lower_bound."""
-    return _run_experiment(descriptor, exponents, sampler, trials, False, workers)
+    return _run_experiment(descriptor, exponents, sampler, trials, False)
 
 
 def weak_type_ratio(
@@ -676,7 +658,6 @@ def weak_type_ratio(
     exponents: ExponentTuple,
     sampler: SamplerSpec,
     trials: int,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Same search against the weak-L^r quasinorm; needs some p_j = 1."""
-    return _run_experiment(descriptor, exponents, sampler, trials, True, workers)
+    return _run_experiment(descriptor, exponents, sampler, trials, True)

@@ -26,13 +26,12 @@ from .core import (
     _right_of,
     average_table,
     coefficient_table,
+    haar_sum,
     inner_product,
-    pairing,
     pointwise_product,
     support_layout,
 )
 from .errors import ResolutionError, ShapeError
-from .scalars import RATIONAL
 
 
 @dataclass(frozen=True)
@@ -106,37 +105,6 @@ def admissible_alphas(m: int) -> list[AlphaVector]:
     return out
 
 
-# The admissible vectors form the index set usually written U_m.
-enumerate_Um = admissible_alphas
-
-
-def haar_power(
-    interval: DyadicInterval, sigma: int, depth: int, mode: str = RATIONAL
-) -> StepFunction:
-    """The sigma-th power of the Haar function of ``interval``.
-
-    Power zero is the constant one on the whole universe; even powers are
-    |I|**(-sigma/2) on I; odd powers keep the Haar sign pattern.
-    """
-    if not isinstance(sigma, int) or sigma < 0:
-        raise ValueError(f"exponent must be an integer >= 0, got {sigma}")
-    if interval.level >= depth:
-        raise ResolutionError(
-            f"no Haar function at level {interval.level} on a depth-{depth} grid"
-        )
-    if sigma == 0:
-        return StepFunction.constant(1, depth, mode)
-    z = scalars.zero(mode)
-    w = scalars.root2_power(interval.level * sigma, mode)
-    vals = [z] * (1 << depth)
-    span = interval.leaf_span(depth)
-    half = len(span) // 2
-    flip = sigma % 2 == 1
-    for i, leaf in enumerate(span):
-        vals[leaf] = -w if (flip and i < half) else w
-    return StepFunction._raw(depth, vals, mode)
-
-
 def _check_tuple(fs: Sequence[StepFunction]) -> tuple[int, str]:
     if len(fs) < 1:
         raise ShapeError("need at least one input function")
@@ -165,14 +133,17 @@ def _engine(
     intervals that neither contain ``support`` nor lie inside it, as it
     does when some slot's input vanishes outside ``support``.  The output
     is then its leaf values on ``support`` plus one constant on each
-    sibling block along the ancestor chain.  Each value adds its terms in
-    the order of the full-grid call, so float64 results match it bit for
-    bit.
+    sibling block along the ancestor chain.  Each value adds its terms
+    from the coarsest level down, as the full-grid call does, so float64
+    results match it bit for bit.
     """
     sigma = bits.count(0)
     top = support.level
     z = scalars.zero(mode)
-    const_acc = z
+    factors = tables[1:] if symbol_table is None else [*tables[1:], symbol_table]
+    # h_I**0 is 1 on the whole universe: for sigma = 0 the sum is one
+    # constant
+    const = z
     odd = sigma % 2 == 1
     # the ancestors: each Haar power is constant on the half that holds
     # the support and on the other half, where the next block begins
@@ -180,12 +151,10 @@ def _engine(
     blocks = []
     for level in range(top):
         t = tables[0][level][0]
-        for tab in tables[1:]:
+        for tab in factors:
             t = t * tab[level][0]
-        if symbol_table is not None:
-            t = t * symbol_table[level][0]
         if t and sigma == 0:
-            const_acc = const_acc + t
+            const = const + t
         elif t:
             tw = t * scalars.root2_power(level * sigma, mode)
             if odd and not _right_of(support, level):
@@ -194,36 +163,26 @@ def _engine(
             above = above + tw
             continue
         blocks.append(above)
-    out = [above] * (1 << (depth - top))
+    # at and below the support: each interval's term, its slot product
+    # times |I|**(-sigma/2), summed top-down
+    terms = []
     for level in range(top, depth):
         w = scalars.root2_power(level * sigma, mode)
-        width = 1 << (depth - level)
-        half = width >> 1
-        row0 = tables[0][level]
-        for pos in range(len(row0)):
-            t = row0[pos]
-            for tab in tables[1:]:
+        row = []
+        for pos, t in enumerate(tables[0][level]):
+            for tab in factors:
                 t = t * tab[level][pos]
-            if symbol_table is not None:
-                t = t * symbol_table[level][pos]
-            if not t:
-                continue
-            if sigma == 0:
-                const_acc = const_acc + t
-                continue
-            tw = t * w
-            start = pos * width
-            if odd:
-                for leaf in range(start, start + half):
-                    out[leaf] = out[leaf] - tw
-                for leaf in range(start + half, start + width):
-                    out[leaf] = out[leaf] + tw
-            else:
-                for leaf in range(start, start + width):
-                    out[leaf] = out[leaf] + tw
-    if sigma == 0 and const_acc:
-        out = [v + const_acc for v in out]
-        blocks = [v + const_acc for v in blocks]
+            row.append(t * w if t else t)
+        terms.append(row)
+    if sigma == 0:
+        for row in terms:
+            for t in row:
+                if t:
+                    const = const + t
+        return SupportView(
+            depth, support, (const,) * (1 << (depth - top)), (const,) * top, mode
+        )
+    out = haar_sum(above, terms, odd)
     return SupportView(depth, support, tuple(out), tuple(blocks), mode)
 
 
@@ -298,10 +257,6 @@ def pi_paraproduct(
 # -- identities ---------------------------------------------------------------
 
 
-def _mean(f: StepFunction):
-    return pairing(f, DyadicInterval(0, 0), 1)
-
-
 def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     """prod(fs) minus the sum of all admissible paraproducts minus the
     global-mean constant; identically zero (exactly so in rational mode)."""
@@ -374,13 +329,6 @@ def localized_average_residual(
     for leaf in interval.leaf_span(depth):
         residual[leaf] = value
     return StepFunction._raw(depth, residual, mode)
-
-
-def multiplication_decomposition_residual(
-    b: StepFunction, f: StepFunction
-) -> StepFunction:
-    """b*f minus its three-paraproduct expansion minus <b><f>; zero."""
-    return product_decomposition_residual([b, f])
 
 
 def adjoint_residual(f1: StepFunction, f2: StepFunction, g: StepFunction):

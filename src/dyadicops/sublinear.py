@@ -14,6 +14,7 @@ from .core import (
     UNIVERSE,
     average_table,
     coefficient_table,
+    haar_sum,
     interval_integrals,
 )
 from .errors import RootExceedsHeight
@@ -33,21 +34,13 @@ def maximal(f: StepFunction) -> StepFunction:
 
 def square_function_sq(f: StepFunction) -> StepFunction:
     """Pointwise square of the Haar square function; exact in rational mode."""
-    coeffs = coefficient_table(f)
-    acc = [scalars.zero(f.mode)] * (1 << f.depth)
-    for level in range(f.depth):
-        scale = 1 << level  # 1/|I|
-        row = coeffs[level]
-        width = 1 << (f.depth - level)
-        for k in range(1 << level):
-            c = row[k]
-            if not c:
-                continue
-            term = c * c * scale
-            start = k * width
-            for leaf in range(start, start + width):
-                acc[leaf] = acc[leaf] + term
-    return StepFunction._raw(f.depth, acc, f.mode)
+    terms = [
+        [c * c * (1 << level) for c in row]  # 1/|I| = 2**level
+        for level, row in enumerate(coefficient_table(f))
+    ]
+    return StepFunction._raw(
+        f.depth, haar_sum(scalars.zero(f.mode), terms, False), f.mode
+    )
 
 
 def square_function(f: StepFunction) -> StepFunction:

@@ -8,13 +8,16 @@ the package uses, so agreement is meaningful.
 from fractions import Fraction
 
 from dyadicops import (
+    UNIVERSE,
     DyadicInterval,
     Exact,
     StepFunction,
     extremal_tuple,
     interval_family,
 )
-from dyadicops.scalars import RATIONAL, zero as scalar_zero, one as scalar_one
+from dyadicops import scalars
+from dyadicops.core import SupportView, coefficient_table
+from dyadicops.scalars import FLOAT64, RATIONAL, zero as scalar_zero, one as scalar_one
 
 
 def leaf_interval(leaf: int, depth: int) -> DyadicInterval:
@@ -172,3 +175,124 @@ def dense_sharp_ratio(descriptor, exponents, interval, depth, weak=False):
     for n in norms:
         value /= n
     return value
+
+
+# -- leaf-loop forms of the top-down pass -----------------------------------------
+#
+# The library builds every Haar sum in one top-down pass (``core.haar_sum``).
+# These are the earlier forms, which add each term to every leaf under its
+# interval, level by level; float64 results must match them bit for bit.
+
+
+def loop_engine(bits, tables, depth, mode, symbol_table=None, support=UNIVERSE):
+    """The paraproduct engine with a per-leaf accumulation below the
+    support; tables in the support layout, as ``paraproducts._engine``."""
+    sigma = bits.count(0)
+    top = support.level
+    z = scalars.zero(mode)
+    const_acc = z
+    odd = sigma % 2 == 1
+    above = z
+    blocks = []
+    for level in range(top):
+        t = tables[0][level][0]
+        for tab in tables[1:]:
+            t = t * tab[level][0]
+        if symbol_table is not None:
+            t = t * symbol_table[level][0]
+        if t and sigma == 0:
+            const_acc = const_acc + t
+        elif t:
+            tw = t * scalars.root2_power(level * sigma, mode)
+            right = (support.position >> (support.level - level - 1)) & 1
+            if odd and not right:
+                tw = -tw
+            blocks.append(above - tw if odd else above + tw)
+            above = above + tw
+            continue
+        blocks.append(above)
+    out = [above] * (1 << (depth - top))
+    for level in range(top, depth):
+        w = scalars.root2_power(level * sigma, mode)
+        width = 1 << (depth - level)
+        half = width >> 1
+        row0 = tables[0][level]
+        for pos in range(len(row0)):
+            t = row0[pos]
+            for tab in tables[1:]:
+                t = t * tab[level][pos]
+            if symbol_table is not None:
+                t = t * symbol_table[level][pos]
+            if not t:
+                continue
+            if sigma == 0:
+                const_acc = const_acc + t
+                continue
+            tw = t * w
+            start = pos * width
+            if odd:
+                for leaf in range(start, start + half):
+                    out[leaf] = out[leaf] - tw
+                for leaf in range(start + half, start + width):
+                    out[leaf] = out[leaf] + tw
+            else:
+                for leaf in range(start, start + width):
+                    out[leaf] = out[leaf] + tw
+    if sigma == 0 and const_acc:
+        out = [v + const_acc for v in out]
+        blocks = [v + const_acc for v in blocks]
+    return SupportView(depth, support, tuple(out), tuple(blocks), mode)
+
+
+def loop_synthesize(spectrum) -> StepFunction:
+    """Inverse Haar transform adding coeff * h_I leaf by leaf, in the order
+    of ``spectrum.coeffs``."""
+    depth, mode = spectrum.depth, spectrum.mode
+    vals = [spectrum.mean] * (1 << depth)
+    for interval, c in spectrum.coeffs.items():
+        term = c * scalars.root2_power(interval.level, mode)
+        span = interval.leaf_span(depth)
+        half = len(span) // 2
+        for i, leaf in enumerate(span):
+            vals[leaf] = vals[leaf] + (term if i >= half else -term)
+    return StepFunction._raw(depth, vals, mode)
+
+
+def loop_square_sq(f: StepFunction) -> StepFunction:
+    """Squared square function from the coefficient table, leaf by leaf."""
+    coeffs = coefficient_table(f)
+    acc = [scalars.zero(f.mode)] * (1 << f.depth)
+    for level in range(f.depth):
+        width = 1 << (f.depth - level)
+        for k, c in enumerate(coeffs[level]):
+            if not c:
+                continue
+            term = c * c * (1 << level)
+            for leaf in range(k * width, (k + 1) * width):
+                acc[leaf] = acc[leaf] + term
+    return StepFunction._raw(f.depth, acc, f.mode)
+
+
+def loop_rademacher_haar(sampler, trial: int, m: int) -> list:
+    """The rademacher-haar draw of ``SamplerSpec.draw_tuple``: the same rng
+    calls in (function, level, pos) order, each +-1 Haar term added leaf by
+    leaf."""
+    rng = sampler._rng(trial)
+    depth = sampler.depth
+    cap = sampler.level_cap if sampler.level_cap is not None else depth - 1
+    out = []
+    for _ in range(m):
+        vals = [0.0] * (1 << depth)
+        for level in range(cap + 1):
+            mag = 2.0 ** (level / 2.0)
+            width = 1 << (depth - level)
+            half = width >> 1
+            for pos in range(1 << level):
+                c = rng.choice((-1.0, 1.0)) * mag
+                start = pos * width
+                for leaf in range(start, start + half):
+                    vals[leaf] -= c
+                for leaf in range(start + half, start + width):
+                    vals[leaf] += c
+        out.append(StepFunction._raw(depth, vals, FLOAT64))
+    return out

@@ -93,6 +93,21 @@ class TestTransform:
         bad.write_text("{\"depth\": 2}")
         assert main(["transform", "analyze", str(bad)]) == 2
 
+    def test_wrong_kind_of_file_names_it(self, tmp_path, func_file, capsys):
+        spec_path = tmp_path / "spec.json"
+        assert main(["transform", "analyze", str(func_file), "-o", str(spec_path)]) == 0
+        capsys.readouterr()
+        assert main(["transform", "synthesize", str(func_file)]) == 2
+        err = capsys.readouterr().err
+        assert "not a Haar spectrum file" in err and "'mean'" in err
+        assert main(["transform", "analyze", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert "not a step function file" in err and "'values'" in err
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2]")
+        assert main(["transform", "analyze", str(listing)]) == 2
+        assert "not a step function file" in capsys.readouterr().err
+
 
 class TestNorms:
     def test_norms_of_spike(self, func_file, capsys):
@@ -153,10 +168,26 @@ class TestEstimate:
             "--p", "2,2", "--depth", "3", "--trials", "10", "--seed", "7",
         ]
         assert main(args + ["-o", str(out1)]) == 0
-        assert main(args + ["-o", str(out2), "--workers", "3"]) == 0
+        assert main(args + ["-o", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
         report = json.loads(out1.read_text())
         assert report["best_ratio"] >= report["extremal_lower_bound"]
+
+    @pytest.mark.parametrize("command", ["estimate", "weak"])
+    def test_report_goes_to_stdout_without_output(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = [
+            command, "--op", "para", "--alpha", "01", "--p", "1,2",
+            "--depth", "3", "--trials", "4",
+        ]
+        assert main(args) == 0
+        assert list(tmp_path.iterdir()) == []
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.json"
+        assert main(args + ["-o", str(out)]) == 0
+        assert capsys.readouterr().out == printed == out.read_text()
 
     def test_symbol_const(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -281,12 +312,15 @@ class TestBoundary:
         assert main(["verify", "decomposition", "--trials", "-3"]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_estimate_rejects_negative_workers(self, tmp_path, capsys):
-        assert main([
-            "estimate", "--op", "para", "--alpha", "01", "--p", "2,2",
-            "--depth", "2", "--trials", "2", "--workers", "-2",
-            "-o", str(tmp_path / "r.json"),
-        ]) == 2
+    @pytest.mark.parametrize(
+        "suite, m",
+        [("multiplier-coeff", "-5"), ("transpose", "0"), ("commutator-constant", "0")],
+    )
+    def test_verify_rejects_arity_below_one(self, capsys, suite, m):
+        assert main(["verify", suite, "--m", m, "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --m must be >= 1, got {m}\n"
 
     def test_depth_cap_checked_before_allocation(self, tmp_path, capsys):
         # one above the cap: rejected by the check, so nothing of size

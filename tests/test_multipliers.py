@@ -15,9 +15,7 @@ from dyadicops import (
     admissible_alphas,
     analyze,
     commutator,
-    commutator_linear,
     interval_family,
-    linear_multiplier,
     lp_norm,
     multilinear_multiplier,
     pairing,
@@ -113,34 +111,34 @@ class TestLinearMultiplier:
     def test_frozen_sign_flip(self):
         f = StepFunction.from_values([0, 1])
         # f = 1/2 + 1/2 h_U; flipping the sign of the Haar part
-        out = linear_multiplier(SymbolSequence.constant(-1), f)
+        out = multilinear_multiplier(SymbolSequence.constant(-1), (0,), [f])
         assert out == StepFunction.from_values([Fraction(1, 2), Fraction(-1, 2)])
 
     def test_frozen_scaling(self):
         f = StepFunction.from_values([0, 1])
-        out = linear_multiplier(SymbolSequence.constant(5), f)
+        out = multilinear_multiplier(SymbolSequence.constant(5), (0,), [f])
         assert out == StepFunction.from_values([Fraction(-5, 2), Fraction(5, 2)])
 
     def test_mean_is_dropped(self):
         f = StepFunction.constant(Fraction(7, 2), 2)
-        assert linear_multiplier(SymbolSequence.constant(1), f).is_zero()
+        assert multilinear_multiplier(SymbolSequence.constant(1), (0,), [f]).is_zero()
 
     @settings(max_examples=20, deadline=None)
     @given(step_functions(3), st.integers(0, 10_000))
     def test_coefficient_law(self, f, seed):
         rng = random.Random(seed)
         eps = random_symbol(rng, 3)
-        out = linear_multiplier(eps, f)
+        out = multilinear_multiplier(eps, (0,), [f])
         spec = analyze(f)
         for i in interval_family(3):
             assert pairing(out, i, 0) == Exact(eps.value(i)) * spec.coefficient(i)
 
     def test_identity_symbol_recovers_mean_free_part(self):
         f = StepFunction.from_values([1, 5, 2, 0])
-        out = linear_multiplier(SymbolSequence.constant(1), f)
+        out = multilinear_multiplier(SymbolSequence.constant(1), (0,), [f])
         assert out == f - StepFunction.constant(2, 2)
         step = StepFunction.from_values([0, 1])
-        assert linear_multiplier(SymbolSequence.constant(1), step) == (
+        assert multilinear_multiplier(SymbolSequence.constant(1), (0,), [step]) == (
             StepFunction.from_values([Fraction(-1, 2), Fraction(1, 2)])
         )
 
@@ -215,7 +213,7 @@ class TestCommutator:
         # either slot: T with b folded in gives h_U, b*T(f,g) = (0,2)
         assert commutator(1, b, unit, (0, 1), [f, g]) == expect
         assert commutator(2, b, unit, (0, 1), [f, g]) == expect
-        assert commutator_linear(b, unit, f) == expect
+        assert commutator(1, b, unit, (0,), [f]) == expect
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -252,7 +250,10 @@ class TestCommutator:
         rng = random.Random(6)
         b, f = random_tuple(rng, 2, 3)
         eps = random_symbol(rng, 3)
-        assert commutator_linear(b, eps, f) == commutator(1, b, eps, (0,), [f])
+        expect = multilinear_multiplier(eps, (0,), [b * f]) - b * (
+            multilinear_multiplier(eps, (0,), [f])
+        )
+        assert commutator(1, b, eps, (0,), [f]) == expect
 
     def test_case_two_closed_form(self):
         # alpha puts a coefficient pairing in the commutator slot: the
@@ -268,11 +269,10 @@ class TestCommutator:
             StepFunction.indicator(i0, depth),
         ]
         got = commutator(1, b, SymbolSequence.constant(1), alpha, fs)
-        from dyadicops import haar_power
-
         avg = pairing(b, i0, 1)
         osc = b - StepFunction.constant(avg, depth)
-        expect = -(osc * haar_power(i0, 2, depth))
+        h_squared = StepFunction.indicator(i0, depth).scale(1 << i0.level)
+        expect = -(osc * h_squared)
         assert got == expect
 
     def test_float_mode(self):

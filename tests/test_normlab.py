@@ -257,14 +257,6 @@ class TestExperiments:
         b = estimate_operator_norm(d, e, s, trials=30)
         assert a.to_json() == b.to_json()
 
-    def test_parallel_matches_sequential(self):
-        d = self.make_multiplier()
-        e = ExponentTuple((2, 2))
-        s = SamplerSpec("random-step", 3, seed=2)
-        seq = estimate_operator_norm(d, e, s, trials=25)
-        par = estimate_operator_norm(d, e, s, trials=25, workers=4)
-        assert seq.to_json() == par.to_json()
-
     def test_report_fields(self):
         b = StepFunction.from_values([1, 0, 0, 0])
         d = OperatorDescriptor("pi_paraproduct", (1,), b=b)
@@ -353,14 +345,6 @@ class TestExperiments:
             b_norms=None, mode=FLOAT64,
         )
         assert empty.to_json_dict()["extremal_interval"] is None
-
-    def test_workers_must_be_positive(self):
-        d = self.make_multiplier()
-        with pytest.raises(ValueError):
-            estimate_operator_norm(
-                d, ExponentTuple((2, 2)), SamplerSpec("random-step", 2), trials=2,
-                workers=0,
-            )
 
 
 class TestClosedFormRatios:

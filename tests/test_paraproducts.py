@@ -13,10 +13,8 @@ from dyadicops import (
     StepFunction,
     admissible_alphas,
     adjoint_residual,
-    haar_power,
     inner_product,
     localized_average_residual,
-    multiplication_decomposition_residual,
     paraproduct,
     pi_paraproduct,
     pointwise_product,
@@ -24,7 +22,8 @@ from dyadicops import (
     transpose_residual,
 )
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.scalars import FLOAT64
+from dyadicops.paraproducts import _engine
+from dyadicops.scalars import FLOAT64, RATIONAL, one, zero
 
 from oracles import naive_paraproduct, random_rationals
 
@@ -64,13 +63,8 @@ class TestAlphaVector:
         assert not AlphaVector((1, 1)).is_admissible
 
     def test_enumeration_order_m2(self):
+        assert [a.bits for a in admissible_alphas(1)] == [(0,)]
         assert [a.bits for a in admissible_alphas(2)] == [(0, 1), (0, 0), (1, 0)]
-
-    def test_enumeration_alias(self):
-        from dyadicops import enumerate_Um
-
-        assert enumerate_Um is admissible_alphas
-        assert [a.bits for a in enumerate_Um(1)] == [(0,)]
 
     def test_enumeration_order_m3(self):
         expect = [
@@ -90,6 +84,20 @@ class TestAlphaVector:
         assert len(alphas) == 2**m - 1
         assert len(set(alphas)) == len(alphas)
         assert all(a.is_admissible and a.m == m for a in alphas)
+
+
+def haar_power(interval, sigma, depth):
+    """h_I**sigma as the engine sums it: a single unit product at I, with
+    sigma Haar slots (one average slot for sigma = 0)."""
+    unit = [
+        [one(RATIONAL) if (level, pos) == (interval.level, interval.position)
+         else zero(RATIONAL) for pos in range(1 << level)]
+        for level in range(depth)
+    ]
+    ones = [[one(RATIONAL)] * (1 << level) for level in range(depth)]
+    bits = (0,) * sigma or (1,)
+    tables = [unit] + [ones] * (len(bits) - 1)
+    return _engine(bits, tables, depth, RATIONAL).expand()
 
 
 class TestHaarPower:
@@ -121,12 +129,6 @@ class TestHaarPower:
         for i in [UNIVERSE, DyadicInterval(1, 1), DyadicInterval(2, 2)]:
             h = StepFunction.haar(i, depth)
             assert haar_power(i, sigma, depth) == pointwise_product([h] * sigma)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            haar_power(UNIVERSE, -1, 2)
-        with pytest.raises(ResolutionError):
-            haar_power(DyadicInterval(2, 0), 1, 2)
 
 
 class TestParaproduct:
@@ -286,9 +288,9 @@ class TestDecompositions:
     def test_multiplication_special_case(self):
         rng = random.Random(17)
         b, f = random_tuple(rng, 2, 3)
-        assert multiplication_decomposition_residual(b, f).is_zero()
-        assert multiplication_decomposition_residual(
-            StepFunction.from_values([1, 2]), StepFunction.from_values([3, 4])
+        assert product_decomposition_residual([b, f]).is_zero()
+        assert product_decomposition_residual(
+            [StepFunction.from_values([1, 2]), StepFunction.from_values([3, 4])]
         ).is_zero()
         assert (
             pointwise_product([b, f])
