@@ -16,10 +16,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
+    DyadicInterval,
     HaarSpectrum,
     StepFunction,
     analyze,
     check_depth,
+    interval_family,
     lp_norm,
     pairing,
     synthesize,
@@ -52,7 +54,6 @@ from .sublinear import (
     maximal,
     square_function,
 )
-from .core import DyadicInterval, interval_family
 
 FLOAT_TOL = 1e-9
 
@@ -90,7 +91,8 @@ def _emit(obj, output: str | None):
 
 def _load(path: str, cls, kind: str):
     """``cls.from_json_dict`` of a JSON file; the error names the kind of
-    file expected when the file holds something else."""
+    file expected when the file holds something else: a missing key, or a
+    value of the wrong type, such as an entry that is not an object."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ValueError(f"{path} is not a {kind} file: expected a JSON object")
@@ -100,6 +102,8 @@ def _load(path: str, cls, kind: str):
         raise ValueError(
             f"{path} is not a {kind} file: missing key {exc.args[0]!r}"
         ) from None
+    except TypeError as exc:
+        raise ValueError(f"{path} is not a {kind} file: {exc}") from None
 
 
 def _scalar_is_small(value, mode: str) -> bool:
@@ -342,9 +346,11 @@ def _run_experiment_cmd(args, weak: bool) -> int:
     )
     runner = weak_type_ratio if weak else estimate_operator_norm
     report = runner(descriptor, exponents, sampler, args.trials)
-    _emit(report.to_json_dict(), args.output)
+    # the files before stdout: an unwritable CSV path exits 2 with no report
+    # written or printed; an unwritable -o path, after the CSV is written
     if args.dump_trials:
         Path(args.dump_trials).write_text(report.trials_csv())
+    _emit(report.to_json_dict(), args.output)
     return 0
 
 
@@ -437,3 +443,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -12,12 +12,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
 from .errors import ResolutionError, ShapeError
-from .scalars import FLOAT64, RATIONAL, Exact, check_mode
+from .scalars import FLOAT64, RATIONAL, check_mode
 
 
 @dataclass(frozen=True, order=True)
@@ -158,11 +158,18 @@ def _coerce_values(values: Iterable, mode: str) -> tuple:
 
 @dataclass(frozen=True)
 class StepFunction:
-    """A function on [0, 1) constant on the 2**depth leaf cells."""
+    """A function on [0, 1) constant on the 2**depth leaf cells.
+
+    It is also the SupportView of the universe: ``support`` and ``blocks``
+    are class attributes, not fields, so equality and JSON ignore them.
+    """
 
     depth: int
     values: tuple
     mode: str = RATIONAL
+
+    support = UNIVERSE
+    blocks = ()
 
     def __post_init__(self):
         check_mode(self.mode)
@@ -206,29 +213,13 @@ class StepFunction:
     def indicator(
         cls, interval: DyadicInterval, depth: int, mode: str = RATIONAL
     ) -> "StepFunction":
-        z, o = scalars.zero(mode), scalars.one(mode)
-        vals = [z] * (1 << depth)
-        for leaf in interval.leaf_span(depth):
-            vals[leaf] = o
-        return cls._raw(depth, vals, mode)
+        return SupportView.indicator(interval, UNIVERSE, depth, mode)
 
     @classmethod
     def haar(
         cls, interval: DyadicInterval, depth: int, mode: str = RATIONAL
     ) -> "StepFunction":
-        if interval.level >= depth:
-            raise ResolutionError(
-                f"no Haar function at level {interval.level} on a "
-                f"depth-{depth} grid"
-            )
-        z = scalars.zero(mode)
-        mag = scalars.root2_power(interval.level, mode)
-        vals = [z] * (1 << depth)
-        span = interval.leaf_span(depth)
-        half = len(span) // 2
-        for i, leaf in enumerate(span):
-            vals[leaf] = mag if i >= half else -mag
-        return cls._raw(depth, vals, mode)
+        return SupportView.haar(interval, UNIVERSE, depth, mode)
 
     # -- pointwise algebra --------------------------------------------------
 
@@ -300,6 +291,9 @@ class StepFunction:
             not v for leaf, v in enumerate(self.values) if leaf not in span
         )
 
+    def expand(self) -> "StepFunction":
+        return self
+
     def as_float64(self) -> "StepFunction":
         if self.mode == FLOAT64:
             return self
@@ -331,8 +325,8 @@ class SupportView:
     block by block: ``blocks[k]`` covers the sibling of S's ancestor at
     level k + 1 (the last block is S's own sibling), so S and its blocks
     tile [0, 1).  A block is a scalar where the function is constant on it
-    and the tuple of its leaf values otherwise.  On the universe there are
-    no blocks and ``values`` is the whole function.
+    and the tuple of its leaf values otherwise.  The view of the universe
+    is the StepFunction itself: ``seen`` builds that, never a SupportView.
 
     Inputs that vanish outside S, and every operator output built from
     them, take O(|S| + level(S)) numbers this way.  The tables of a view
@@ -346,20 +340,19 @@ class SupportView:
     blocks: tuple
     mode: str
 
-    @classmethod
-    def restrict(cls, f: StepFunction, support: DyadicInterval) -> "SupportView":
+    @staticmethod
+    def restrict(f: StepFunction, support: DyadicInterval):
         """f seen from ``support``.  f must vanish outside ``support``: only
-        the leaves of ``support`` are read, and every block is zero.  On the
-        universe the view shares f's values."""
+        the leaves of ``support`` are read, and every block is zero."""
         span = support.leaf_span(f.depth)
         blocks = (scalars.zero(f.mode),) * support.level
-        return cls(f.depth, support, f.values[span.start:span.stop], blocks, f.mode)
+        return seen(f.depth, support, f.values[span.start:span.stop], blocks, f.mode)
 
-    @classmethod
+    @staticmethod
     def _halves(
-        cls, interval: DyadicInterval, support: DyadicInterval, depth: int,
+        interval: DyadicInterval, support: DyadicInterval, depth: int,
         mode: str, left, right,
-    ) -> "SupportView":
+    ):
         """``left`` on the left half of ``interval``, ``right`` on its right
         half (all of it for a leaf), zero elsewhere, seen from ``support``."""
         if not support.contains(interval):
@@ -371,15 +364,15 @@ class SupportView:
         vals = [z] * (1 << (depth - support.level))
         vals[start:start + half] = [left] * half
         vals[start + half:start + len(span)] = [right] * (len(span) - half)
-        return cls(depth, support, tuple(vals), (z,) * support.level, mode)
+        return seen(depth, support, vals, (z,) * support.level, mode)
 
     @classmethod
     def indicator(
         cls, interval: DyadicInterval, support: DyadicInterval, depth: int,
         mode: str = RATIONAL,
-    ) -> "SupportView":
-        """``StepFunction.indicator`` seen from ``support``, which must
-        contain ``interval``."""
+    ):
+        """The indicator of ``interval`` seen from ``support``, which must
+        contain it."""
         one = scalars.one(mode)
         return cls._halves(interval, support, depth, mode, one, one)
 
@@ -387,9 +380,9 @@ class SupportView:
     def haar(
         cls, interval: DyadicInterval, support: DyadicInterval, depth: int,
         mode: str = RATIONAL,
-    ) -> "SupportView":
-        """``StepFunction.haar`` seen from ``support``, which must contain
-        ``interval``."""
+    ):
+        """The Haar function of ``interval`` seen from ``support``, which
+        must contain it."""
         if interval.level >= depth:
             raise ResolutionError(
                 f"no Haar function at level {interval.level} on a "
@@ -416,8 +409,6 @@ class SupportView:
 
     def expand(self) -> StepFunction:
         """The function on the full grid."""
-        if not self.blocks:
-            return StepFunction._raw(self.depth, self.values, self.mode)
         vals = [None] * (1 << self.depth)
         for k, block in enumerate(self.blocks):
             span = self.block_span(k)
@@ -429,13 +420,19 @@ class SupportView:
         return StepFunction._raw(self.depth, vals, self.mode)
 
 
+def seen(depth: int, support: DyadicInterval, values, blocks, mode: str):
+    """The function with ``values`` on ``support`` and ``blocks`` outside
+    it: a StepFunction on the universe, a SupportView elsewhere."""
+    if support.level == 0:
+        return StepFunction._raw(depth, values, mode)
+    return SupportView(depth, support, tuple(values), tuple(blocks), mode)
+
+
 def block_runs(f: StepFunction | SupportView) -> Iterator[tuple]:
     """The (value, leaf count) pairs of f outside ``f.values``: a view's
     blocks, nothing for a StepFunction.  With ``f.values`` (one leaf each)
     they give the distribution of f, which is all that L^p norms and weak
     quasinorms read."""
-    if not isinstance(f, SupportView):
-        return
     for k, block in enumerate(f.blocks):
         if type(block) is tuple:
             yield from zip(block, repeat(1))
@@ -550,10 +547,8 @@ class HaarSpectrum:
 
 
 def _support_level(f: StepFunction | SupportView) -> int:
-    """0 for a StepFunction; a view's support level, once its blocks are
-    checked to be zero, as every table of a view assumes."""
-    if not isinstance(f, SupportView):
-        return 0
+    """f's support level, once its blocks are checked to be zero, as every
+    table of a view assumes."""
     if any(f.blocks):
         raise ValueError("tables of a SupportView need it to vanish off its support")
     return f.support.level
@@ -640,6 +635,7 @@ def coefficient_table(f: StepFunction | SupportView) -> list[list]:
 
 def analyze(f: StepFunction) -> HaarSpectrum:
     """Haar transform: global mean plus <f, h_I> for every interval."""
+    f = f.expand()
     ints = interval_integrals(f)
     coeffs = {}
     for level in range(f.depth):
@@ -672,6 +668,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
     """
     if alpha not in (0, 1):
         raise ValueError(f"alpha bit must be 0 or 1, got {alpha}")
+    f = f.expand()
     depth, mode = f.depth, f.mode
     if alpha == 1:
         if interval.level > depth:
@@ -701,6 +698,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
 
 def inner_product(f: StepFunction, g: StepFunction):
     """Integral of f*g over [0, 1)."""
+    f, g = f.expand(), g.expand()
     f._check_compatible(g)
     acc = scalars.zero(f.mode)
     for x, y in zip(f.values, g.values):
@@ -732,27 +730,43 @@ def _normalize_p(p) -> Fraction | None:
     return q
 
 
-def lp_norm_pow(f: StepFunction, p):
+def _magnitudes(f: StepFunction | SupportView) -> Iterator:
+    """|f| on every leaf value and block run of f."""
+    return map(abs, chain(f.values, (v for v, _ in block_runs(f))))
+
+
+def _float_power_sum(f: StepFunction | SupportView, p: float) -> float:
+    """The sum of |f|**p over the leaves, in floats: the values first, then
+    the block runs, so a view that vanishes off its support sums to the
+    same float as its expansion."""
+    size = abs if f.mode == FLOAT64 else (lambda v: abs(float(v)))
+    total = sum(size(v) ** p for v in f.values)
+    return total + sum(size(v) ** p * c for v, c in block_runs(f))
+
+
+def lp_norm_pow(f: StepFunction | SupportView, p):
     """||f||_p ** p with integer p (exact in rational mode); max |f| for p=inf."""
     q = _normalize_p(p)
     if q is None:
-        return max(abs(v) for v in f.values)
+        return max(_magnitudes(f))
     if q.denominator != 1:
         if f.mode == RATIONAL:
             raise ValueError(
                 f"exact p-th powers need an integer exponent, got {q}"
             )
-        return sum(abs(v) ** float(q) for v in f.values) / (1 << f.depth)
+        return _float_power_sum(f, float(q)) / (1 << f.depth)
     k = q.numerator
     acc = scalars.zero(f.mode)
     for v in f.values:
         acc = acc + abs(v) ** k
+    for v, c in block_runs(f):
+        acc = acc + abs(v) ** k * c
     if f.mode == RATIONAL:
         return acc * Fraction(1, 1 << f.depth)
     return acc / (1 << f.depth)
 
 
-def lp_norm(f: StepFunction, p):
+def lp_norm(f: StepFunction | SupportView, p):
     """The L^p norm, p in [1, inf].
 
     Float mode always returns a float.  Rational mode is exact for p = 1
@@ -761,18 +775,17 @@ def lp_norm(f: StepFunction, p):
     """
     q = _normalize_p(p)
     if q is None:
-        return max(abs(v) for v in f.values)
+        return max(_magnitudes(f))
     if f.mode == FLOAT64:
         pf = float(q)
-        total = sum(abs(v) ** pf for v in f.values) / (1 << f.depth)
-        return total ** (1.0 / pf)
+        return (_float_power_sum(f, pf) / (1 << f.depth)) ** (1.0 / pf)
     if q == 1:
         return lp_norm_pow(f, 1)
     if q == 2:
         return scalars.scalar_sqrt(lp_norm_pow(f, 2), RATIONAL)
     if q.denominator == 1:
         return float(lp_norm_pow(f, q)) ** (1.0 / float(q))
-    total = sum(abs(float(v)) ** float(q) for v in f.values) / (1 << f.depth)
+    total = _float_power_sum(f, float(q)) / (1 << f.depth)
     return total ** (1.0 / float(q))
 
 

@@ -17,18 +17,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import scalars
-from .core import DyadicInterval, StepFunction, SupportView, support_layout
+from .core import DyadicInterval, StepFunction, seen, support_layout
 from .errors import ShapeError
-from .paraproducts import (
-    AlphaVector,
-    _as_alpha,
-    _check_tuple,
-    _engine,
-    _seen_from_support,
-    _shown,
-    _slot_tables,
-)
-from .scalars import FLOAT64, RATIONAL
+from .paraproducts import _as_alpha, _check_tuple, _engine, _slot_tables
+from .scalars import RATIONAL
 
 COMMUTATOR_CONVENTION = "T(f_1,...,b*f_i,...,f_m) - b*T(f_1,...,f_m)"
 
@@ -131,12 +123,9 @@ def multilinear_multiplier(
         )
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode = _check_tuple(fs)
-    views, dense = _seen_from_support(fs)
-    support = views[0].support
+    depth, mode, support = _check_tuple(fs)
     symbol = support_layout(eps.table(depth, mode), support)
-    out = _engine(a.bits, _slot_tables(a.bits, views), depth, mode, symbol, support)
-    return _shown(out, dense)
+    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, symbol, support)
 
 
 def commutator(
@@ -158,17 +147,16 @@ def commutator(
         raise ValueError(f"slot must be in 1..{a.m}, got {slot}")
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode = _check_tuple([b, *fs])
-    views, dense = _seen_from_support(fs)
-    f = views[slot - 1]
-    span = f.support.leaf_span(depth)
+    depth, mode, support = _check_tuple(fs, b)
+    f = fs[slot - 1]
+    span = support.leaf_span(depth)
     b_on = b.values[span.start:span.stop]
-    modified = list(views)
-    modified[slot - 1] = SupportView(
-        depth, f.support, tuple(x * y for x, y in zip(b_on, f.values)), f.blocks, mode
+    modified = list(fs)
+    modified[slot - 1] = seen(
+        depth, support, [x * y for x, y in zip(b_on, f.values)], f.blocks, mode
     )
     inside = multilinear_multiplier(eps, a, modified)
-    outside = multilinear_multiplier(eps, a, views)
+    outside = multilinear_multiplier(eps, a, fs)
     values = [x - c * y for x, c, y in zip(inside.values, b_on, outside.values)]
     blocks = []
     for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
@@ -176,4 +164,4 @@ def commutator(
             span = outside.block_span(k)
             x = tuple(x - c * y for c in b.values[span.start:span.stop])
         blocks.append(x)
-    return _shown(SupportView(depth, f.support, tuple(values), tuple(blocks), mode), dense)
+    return seen(depth, support, values, blocks, mode)

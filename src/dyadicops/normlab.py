@@ -9,7 +9,6 @@ independent of evaluation order.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,8 +20,8 @@ from .core import (
     DyadicInterval,
     StepFunction,
     SupportView,
+    _float_power_sum,
     _weak_candidates,
-    block_runs,
     check_depth,
     coefficient_table,
     haar_sum,
@@ -151,8 +150,8 @@ class OperatorDescriptor:
 
     def apply(self, fs: Sequence[StepFunction]) -> StepFunction:
         """The operator on fs: StepFunctions, or SupportViews of one
-        support (``extremal_tuple(..., on_support=True)``), whose output is
-        then seen from that support too."""
+        support (a sharp family), whose output is then seen from that
+        support too."""
         if self.kind == "paraproduct":
             return paraproduct(self.alpha, fs)
         if self.kind == "pi_paraproduct":
@@ -279,9 +278,10 @@ class SamplerSpec:
                     StepFunction.indicator(interval, self.depth, FLOAT64).scale(scale)
                 )
             return out
-        # extremal: the sharp family at a random interval
+        # extremal: the sharp family at a random interval, on the full grid
         interval = self._random_interval(rng)
-        return extremal_tuple(descriptor, exponents, interval, self.depth)
+        fs = extremal_tuple(descriptor, exponents, interval, self.depth)
+        return None if fs is None else [f.expand() for f in fs]
 
     def to_json_dict(self) -> dict:
         return {
@@ -295,33 +295,23 @@ class SamplerSpec:
 # -- sharp families --------------------------------------------------------------
 
 
-def _seen(views: list[SupportView], on_support: bool) -> list:
-    """A sharp family as built, seen from its support, or on the full grid."""
-    return views if on_support else [v.expand() for v in views]
+def _sharp_tuple(bits, interval: DyadicInterval, depth: int, mode: str) -> list:
+    """h_I in the zero slots and 1_I in the others, seen from I."""
+    h = SupportView.haar(interval, interval, depth, mode)
+    ind = SupportView.indicator(interval, interval, depth, mode)
+    return [h if bit == 0 else ind for bit in bits]
 
 
 def extremal_multiplier_family(
-    interval: DyadicInterval,
-    alpha,
-    depth: int,
-    mode: str = FLOAT64,
-    *,
-    on_support: bool = False,
-) -> list[StepFunction]:
+    interval: DyadicInterval, alpha, depth: int, mode: str = FLOAT64
+) -> list:
     """Haar function in the zero slots, plain indicator in the others; the
     measured ratio for the eps-multiplier is exactly |eps_I|.
 
-    The family vanishes outside the interval; with ``on_support`` it comes
-    as SupportViews seen from it.
+    The family vanishes outside the interval and is seen from it; call
+    ``.expand()`` for the full grid.
     """
-    a = _as_alpha(alpha)
-    if interval.level >= depth:
-        raise ResolutionError(
-            f"no Haar function at level {interval.level} on a depth-{depth} grid"
-        )
-    h = SupportView.haar(interval, interval, depth, mode)
-    ind = SupportView.indicator(interval, interval, depth, mode)
-    return _seen([h if bit == 0 else ind for bit in a.bits], on_support)
+    return _sharp_tuple(_as_alpha(alpha).bits, interval, depth, mode)
 
 
 def _scale_pow2(exponent: Fraction, mode: str):
@@ -342,37 +332,29 @@ def extremal_pi_family(
     exponents: ExponentTuple,
     depth: int,
     mode: str = FLOAT64,
-    *,
-    on_support: bool = False,
-) -> list[StepFunction]:
+) -> list:
     """L^p-normalized sharp family for the symbol paraproduct: scaled Haar
     functions in the zero slots, scaled indicators in the others.
 
     When alpha has more than one zero bit the measured L^r ratio equals
     |<b, h_J>| / sqrt(|J|) exactly.  The family vanishes outside the
-    interval; with ``on_support`` it comes as SupportViews seen from it.
+    interval and is seen from it; call ``.expand()`` for the full grid.
     """
     a = _as_alpha(alpha)
     if len(exponents.p) != a.m:
         raise ShapeError(
             f"alpha has {a.m} slots but got {len(exponents.p)} exponents"
         )
-    if interval.level >= depth:
-        raise ResolutionError(
-            f"no Haar function at level {interval.level} on a depth-{depth} grid"
-        )
     level = interval.level
+    views = _sharp_tuple(a.bits, interval, depth, mode)
     out = []
-    for bit, p in zip(a.bits, exponents.p):
+    for f, bit, p in zip(views, a.bits, exponents.p):
         if bit == 0:
             scale = _scale_pow2(-level * (Fraction(1, 2) - 1 / p), mode)
-            out.append(SupportView.haar(interval, interval, depth, mode).scale(scale))
         else:
             scale = _scale_pow2(Fraction(level) / p, mode)
-            out.append(
-                SupportView.indicator(interval, interval, depth, mode).scale(scale)
-            )
-    return _seen(out, on_support)
+        out.append(f.scale(scale))
+    return out
 
 
 def necessity_case(alpha, slot: int) -> str:
@@ -393,9 +375,7 @@ def commutator_necessity_family(
     slot: int,
     depth: int,
     mode: str = FLOAT64,
-    *,
-    on_support: bool = False,
-) -> list[StepFunction]:
+) -> list:
     """The sharp input tuple for the slot commutator at one interval.
 
     Case II (slot is an average slot, or there are other Haar slots): Haar
@@ -407,8 +387,8 @@ def commutator_necessity_family(
     interval.
 
     The tuple vanishes outside the interval in case II and outside its
-    parent in case I; with ``on_support`` it comes as SupportViews seen
-    from that interval.
+    parent in case I, and is seen from that interval; call ``.expand()``
+    for the full grid.
     """
     a = _as_alpha(alpha)
     expected = necessity_case(a, slot)
@@ -419,14 +399,7 @@ def commutator_necessity_family(
             f"alpha {a} with slot {slot} admits case {expected}, not {case}"
         )
     if case == "II":
-        if interval.level >= depth:
-            raise ResolutionError(
-                f"no Haar function at level {interval.level} on a "
-                f"depth-{depth} grid"
-            )
-        h = SupportView.haar(interval, interval, depth, mode)
-        ind = SupportView.indicator(interval, interval, depth, mode)
-        return _seen([h if bit == 0 else ind for bit in a.bits], on_support)
+        return _sharp_tuple(a.bits, interval, depth, mode)
     if a.m < 2:
         raise ValueError("case I needs at least two slots")
     if interval.level < 1:
@@ -439,7 +412,7 @@ def commutator_necessity_family(
     parent = interval.parent()
     out = [SupportView.haar(parent, parent, depth, mode)] * a.m
     out[slot - 1] = SupportView.indicator(interval, parent, depth, mode)
-    return _seen(out, on_support)
+    return out
 
 
 def extremal_tuple(
@@ -447,47 +420,34 @@ def extremal_tuple(
     exponents: ExponentTuple,
     interval: DyadicInterval,
     depth: int,
-    *,
-    on_support: bool = False,
-) -> list[StepFunction] | None:
+) -> list | None:
     """The sharp family for the descriptor at one interval, or None when
     the interval does not support it.
 
-    Every input vanishes outside one interval, the family's support; with
-    ``on_support`` the inputs come as SupportViews seen from it, so that
-    ``descriptor.apply`` and the norms work on the support alone.
+    Every input vanishes outside one interval, the family's support, and
+    is seen from it, so that ``descriptor.apply`` and the norms work on the
+    support alone; call ``.expand()`` for the full grid.
     """
     kind = descriptor.kind
     alpha = descriptor.alpha
     if kind in ("paraproduct", "multilinear_multiplier"):
-        return extremal_multiplier_family(
-            interval, alpha, depth, on_support=on_support
-        )
+        return extremal_multiplier_family(interval, alpha, depth)
     if kind == "pi_paraproduct":
-        return extremal_pi_family(
-            interval, alpha, exponents, depth, on_support=on_support
-        )
+        return extremal_pi_family(interval, alpha, exponents, depth)
     case = necessity_case(alpha, descriptor.slot)
     if case == "I" and (interval.level < 1 or alpha.m < 2):
         return None
-    return commutator_necessity_family(
-        case, interval, alpha, descriptor.slot, depth, on_support=on_support
-    )
+    return commutator_necessity_family(case, interval, alpha, descriptor.slot, depth)
 
 
 # -- experiments -----------------------------------------------------------------
 
 
 def _lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
-    """(mean of |f|**r) ** (1/r); a norm for r >= 1, a quasinorm below.
-
-    A SupportView is summed over its support's leaves and then its block
-    runs, so for a function that vanishes outside its support the sum is
-    the same float as over the full grid."""
+    """(mean of |f|**r) ** (1/r), blocks included: the float64 ``lp_norm``
+    for r >= 1, a quasinorm below."""
     rf = float(r)
-    total = sum(abs(v) ** rf for v in f.values)
-    total += sum(abs(v) ** rf * c for v, c in block_runs(f))
-    return (total / (1 << f.depth)) ** (1.0 / rf)
+    return (_float_power_sum(f, rf) / (1 << f.depth)) ** (1.0 / rf)
 
 
 def _weak_lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
@@ -597,7 +557,7 @@ def _run_experiment(
             return measure(sampler.draw_tuple(job[1], desc, exponents), lp_norm)
         # a sharp tuple runs on its support: the inputs' norms are the same
         # floats as on the full grid, the output's agree to rounding
-        fs = extremal_tuple(desc, exponents, job[1], sampler.depth, on_support=True)
+        fs = extremal_tuple(desc, exponents, job[1], sampler.depth)
         return measure(fs, _lr_quasinorm)
 
     results = [run_job(job) for job in jobs]

@@ -29,6 +29,7 @@ from .core import (
     haar_sum,
     inner_product,
     pointwise_product,
+    seen,
     support_layout,
 )
 from .errors import ResolutionError, ShapeError
@@ -105,16 +106,26 @@ def admissible_alphas(m: int) -> list[AlphaVector]:
     return out
 
 
-def _check_tuple(fs: Sequence[StepFunction]) -> tuple[int, str]:
+def _check_tuple(
+    fs: Sequence[StepFunction], b: StepFunction | None = None
+) -> tuple[int, str, DyadicInterval]:
+    """The depth, mode and support that the inputs share, a StepFunction
+    being seen from the universe; ``b``, on the full grid, must match
+    their depth and mode only."""
     if len(fs) < 1:
         raise ShapeError("need at least one input function")
-    depth, mode = fs[0].depth, fs[0].mode
-    for f in fs[1:]:
-        if f.depth != depth:
-            raise ShapeError(f"depth mismatch: {depth} vs {f.depth}")
-        if f.mode != mode:
-            raise ShapeError(f"mode mismatch: {mode} vs {f.mode}")
-    return depth, mode
+    first = fs[0] if b is None else b
+    for f in fs:
+        if f.depth != first.depth:
+            raise ShapeError(f"depth mismatch: {first.depth} vs {f.depth}")
+        if f.mode != first.mode:
+            raise ShapeError(f"mode mismatch: {first.mode} vs {f.mode}")
+        if f.support != fs[0].support:
+            raise ShapeError(
+                f"inputs are seen from different supports: "
+                f"{fs[0].support} vs {f.support}"
+            )
+    return first.depth, first.mode, fs[0].support
 
 
 def _engine(
@@ -124,18 +135,18 @@ def _engine(
     mode: str,
     symbol_table: list | None = None,
     support: DyadicInterval = UNIVERSE,
-) -> SupportView:
+) -> StepFunction | SupportView:
     """Accumulate sum over intervals of (symbol *) slot products * h_I^sigma.
 
     Every table, the symbol's included, comes in the support layout of
     ``support`` (``core.support_layout``), which on the universe is the
     full layout.  The sum is exact when each product vanishes at the
     intervals that neither contain ``support`` nor lie inside it, as it
-    does when some slot's input vanishes outside ``support``.  The output
-    is then its leaf values on ``support`` plus one constant on each
-    sibling block along the ancestor chain.  Each value adds its terms
-    from the coarsest level down, as the full-grid call does, so float64
-    results match it bit for bit.
+    does when some slot's input vanishes outside ``support``.  The output,
+    built by ``core.seen``, is then its leaf values on ``support`` plus one
+    constant on each sibling block along the ancestor chain.  Each value
+    adds its terms from the coarsest level down, as the full-grid call
+    does, so float64 results match it bit for bit.
     """
     sigma = bits.count(0)
     top = support.level
@@ -179,11 +190,9 @@ def _engine(
             for t in row:
                 if t:
                     const = const + t
-        return SupportView(
-            depth, support, (const,) * (1 << (depth - top)), (const,) * top, mode
-        )
-    out = haar_sum(above, terms, odd)
-    return SupportView(depth, support, tuple(out), tuple(blocks), mode)
+        values = (const,) * (1 << (depth - top))
+        return seen(depth, support, values, (const,) * top, mode)
+    return seen(depth, support, haar_sum(above, terms, odd), blocks, mode)
 
 
 def _slot_tables(bits, fs):
@@ -193,27 +202,6 @@ def _slot_tables(bits, fs):
     ]
 
 
-def _seen_from_support(fs) -> tuple[list[SupportView], bool]:
-    """The inputs as views of one support, and whether they came as
-    StepFunctions, which are seen from the universe.
-
-    Every operator takes either kind of tuple: StepFunctions give a
-    StepFunction, SupportViews of one support (``SupportView.restrict``)
-    give the output seen from that support.
-    """
-    if not any(isinstance(f, SupportView) for f in fs):
-        return [SupportView.restrict(f, UNIVERSE) for f in fs], True
-    if not all(isinstance(f, SupportView) for f in fs):
-        raise ShapeError("inputs mix StepFunctions and SupportViews")
-    if any(f.support != fs[0].support for f in fs):
-        raise ShapeError("inputs are seen from different supports")
-    return list(fs), False
-
-
-def _shown(out: SupportView, dense: bool):
-    return out.expand() if dense else out
-
-
 def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     """The paraproduct indexed by alpha applied to the tuple fs.
 
@@ -221,15 +209,15 @@ def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     sigma-th Haar power, sigma being the number of zero bits.  The all-ones
     alpha (sigma = 0) is accepted as plumbing; the operators the norm
     theory speaks about have sigma >= 1.
+
+    Every operator takes StepFunctions or SupportViews of one support
+    (``SupportView.restrict``) and returns the output seen from it.
     """
     a = _as_alpha(alpha)
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode = _check_tuple(fs)
-    views, dense = _seen_from_support(fs)
-    support = views[0].support
-    out = _engine(a.bits, _slot_tables(a.bits, views), depth, mode, support=support)
-    return _shown(out, dense)
+    depth, mode, support = _check_tuple(fs)
+    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, support=support)
 
 
 def pi_paraproduct(
@@ -244,14 +232,11 @@ def pi_paraproduct(
     a = _as_alpha(alpha)
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode = _check_tuple([b, *fs])
-    views, dense = _seen_from_support(fs)
-    support = views[0].support
+    depth, mode, support = _check_tuple(fs, b)
     if b_table is None:
         b_table = coefficient_table(b)
-    tables = [support_layout(b_table, support), *_slot_tables(a.bits, views)]
-    out = _engine((0,) + a.bits, tables, depth, mode, support=support)
-    return _shown(out, dense)
+    tables = [support_layout(b_table, support), *_slot_tables(a.bits, fs)]
+    return _engine((0,) + a.bits, tables, depth, mode, support=support)
 
 
 # -- identities ---------------------------------------------------------------
@@ -263,7 +248,7 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     m = len(fs)
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
-    depth, mode = _check_tuple(fs)
+    depth, mode, _ = _check_tuple(fs)
     ctabs = [coefficient_table(f) for f in fs]
     atabs = [average_table(f) for f in fs]
     total = StepFunction.zeros(depth, mode)
@@ -288,7 +273,7 @@ def localized_average_residual(
     to J) plus the same global-mean constant.  Returns LHS - RHS, which is
     identically zero.
     """
-    depth, mode = _check_tuple(fs)
+    depth, mode, _ = _check_tuple(fs)
     if interval.level < 1:
         raise ValueError("localization needs a proper subinterval of the universe")
     if interval.level > depth:

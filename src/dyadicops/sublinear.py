@@ -11,11 +11,9 @@ from . import scalars
 from .core import (
     DyadicInterval,
     StepFunction,
-    UNIVERSE,
     average_table,
     coefficient_table,
     haar_sum,
-    interval_integrals,
 )
 from .errors import RootExceedsHeight
 from .scalars import FLOAT64, RATIONAL
@@ -24,6 +22,7 @@ from .scalars import FLOAT64, RATIONAL
 def maximal(f: StepFunction) -> StepFunction:
     """Dyadic maximal function: at each point, the largest average of |f|
     over the containing intervals (universe through leaf)."""
+    f = f.expand()
     avgs = average_table(f.abs())
     best = avgs[0]
     for level in range(1, f.depth + 1):
@@ -34,6 +33,7 @@ def maximal(f: StepFunction) -> StepFunction:
 
 def square_function_sq(f: StepFunction) -> StepFunction:
     """Pointwise square of the Haar square function; exact in rational mode."""
+    f = f.expand()
     terms = [
         [c * c * (1 << level) for c in row]  # 1/|I| = 2**level
         for level, row in enumerate(coefficient_table(f))
@@ -63,7 +63,7 @@ def square_function(f: StepFunction) -> StepFunction:
 
 def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
     """table[level][pos] = average over the interval of |b - <b>_I|**r."""
-    n = 1 << b.depth
+    b = b.expand()
     avgs = average_table(b)
     if r == 2:
         # <(b - m)^2>_I = <b^2>_I - m^2, no leaf scan needed
@@ -117,6 +117,7 @@ def bmo_norm(b: StepFunction, r: int):
 def bmo2_via_haar_sq(b: StepFunction):
     """sup over intervals I of |I|**-1 * sum of squared Haar coefficients of
     the subintervals of I; exact in rational mode."""
+    b = b.expand()
     coeffs = coefficient_table(b)
     # bottom-up subtree sums of squared coefficients
     subtree = [c * c for c in coeffs[b.depth - 1]]
@@ -145,6 +146,7 @@ def bmo2_via_haar(b: StepFunction):
 
 def bstar_seminorm(b: StepFunction):
     """sup over intervals of |<b, h_I>| / sqrt(|I|); exact in rational mode."""
+    b = b.expand()
     coeffs = coefficient_table(b)
     best = scalars.zero(b.mode)
     for level in range(b.depth):
@@ -214,6 +216,7 @@ def cz_decompose(f: StepFunction, height) -> CZDecomposition:
     height (ties are not selected).  Requires the global average of |f| to
     be at most the height.
     """
+    f = f.expand()
     h = scalars.coerce(height, f.mode)
     if not h > scalars.zero(f.mode):
         raise ValueError("height must be positive")

@@ -37,6 +37,13 @@ def naive_haar(interval: DyadicInterval, leaf: int, depth: int, mode=RATIONAL):
     return mag if leaf >= start + width // 2 else -mag
 
 
+def naive_indicator(interval: DyadicInterval, leaf: int, depth: int, mode=RATIONAL):
+    """Literal definition of the indicator of an interval on one leaf."""
+    width = 1 << (depth - interval.level)
+    start = interval.position * width
+    return scalar_one(mode) if start <= leaf < start + width else scalar_zero(mode)
+
+
 def naive_integral(f: StepFunction, interval: DyadicInterval):
     acc = scalar_zero(f.mode)
     for leaf in interval.leaf_span(f.depth):
@@ -168,6 +175,7 @@ def dense_sharp_ratio(descriptor, exponents, interval, depth, weak=False):
     fs = extremal_tuple(descriptor, exponents, interval, depth)
     if fs is None:
         return None
+    fs = [f.expand() for f in fs]
     norms = [naive_lr(f, p) for f, p in zip(fs, exponents.p)]
     if any(n == 0.0 for n in norms):
         return None

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dyadicops
 from dyadicops import StepFunction, SymbolSequence, analyze
 from dyadicops.cli import main
 from dyadicops.core import MAX_DEPTH
@@ -332,3 +337,82 @@ class TestBoundary:
             "--depth", too_deep, "--trials", "2", "-o", str(tmp_path / "r.json"),
         ]) == 2
         assert "depth" in capsys.readouterr().err
+
+    def test_unwritable_dump_trials_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([
+            "estimate", "--op", "para", "--alpha", "01", "--p", "2,2",
+            "--depth", "2", "--trials", "1", "-o", str(out),
+            "--dump-trials", str(tmp_path / "missing" / "x.csv"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_unwritable_output_prints_nothing_after_the_csv(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        assert main([
+            "estimate", "--op", "para", "--alpha", "01", "--p", "2,2",
+            "--depth", "2", "--trials", "1", "--dump-trials", str(csv),
+            "-o", str(tmp_path / "missing" / "r.json"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert csv.read_text().startswith("trial,ratio")
+
+    @pytest.mark.parametrize(
+        "kind, obj, argv",
+        [
+            (
+                "symbol sequence",
+                {"default": 1, "entries": [1]},
+                ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+                 "--depth", "2", "--trials", "2", "--symbol"],
+            ),
+            (
+                "Haar spectrum",
+                {"depth": 2, "mean": "0", "coeffs": [3]},
+                ["transform", "synthesize"],
+            ),
+            (
+                "step function",
+                {"depth": 2, "values": 5},
+                ["norms"],
+            ),
+        ],
+    )
+    def test_entry_that_is_not_an_object_names_the_file(
+        self, tmp_path, capsys, kind, obj, argv
+    ):
+        path = tmp_path / "bad.json"
+        write_json(path, obj)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not a {kind} file: ")
+
+
+class TestModuleEntry:
+    """``python -m dyadicops.cli`` runs the command line."""
+
+    def run(self, *argv):
+        src = str(Path(dyadicops.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        return subprocess.run(
+            [sys.executable, "-m", "dyadicops.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_suite_runs_and_exits_zero(self):
+        done = self.run("verify", "adjoint", "--depth", "2", "--trials", "2")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ok"] is True
+
+    def test_bad_input_exits_two(self):
+        done = self.run("verify", "adjoint", "--trials", "0")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")

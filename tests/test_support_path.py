@@ -8,6 +8,7 @@ experiment reports, against the dense ``measure(extremal_tuple(...))`` in
 ``tests/oracles.py``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,13 +23,29 @@ from dyadicops import (
     SamplerSpec,
     StepFunction,
     SymbolSequence,
+    UNIVERSE,
+    analyze,
+    bmo2_via_haar_sq,
+    bmo_norm_pow,
+    bstar_seminorm,
     commutator,
+    commutator_necessity_family,
     estimate_operator_norm,
+    extremal_multiplier_family,
+    extremal_pi_family,
     extremal_tuple,
+    inner_product,
     interval_family,
+    lp_norm,
+    lp_norm_pow,
+    maximal,
     multilinear_multiplier,
+    necessity_case,
+    pairing,
     paraproduct,
     pi_paraproduct,
+    square_function_sq,
+    weak_lp_quasinorm,
     weak_type_ratio,
 )
 from dyadicops.core import (
@@ -38,12 +55,12 @@ from dyadicops.core import (
     interval_integrals,
     support_layout,
 )
-from dyadicops.errors import ShapeError
+from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.normlab import KINDS
 from dyadicops.paraproducts import _engine, _slot_tables
 from dyadicops.scalars import FLOAT64, RATIONAL
 
-from oracles import dense_sharp_ratio, random_rationals
+from oracles import dense_sharp_ratio, naive_haar, naive_indicator, random_rationals
 
 REL_TOL = 1e-12
 EXPONENTS = (1, Fraction(3, 2), 2, 3)
@@ -152,7 +169,7 @@ class TestSharpRatios:
             (OperatorDescriptor("paraproduct", (0, 1)), i),
             (OperatorDescriptor("pi_paraproduct", (0, 1), b=b), i),
         ):
-            views = extremal_tuple(desc, exps, i, 3, on_support=True)
+            views = extremal_tuple(desc, exps, i, 3)
             assert {v.support for v in views} == {support}
             assert len(views[0].values) == len(support.leaf_span(3))
 
@@ -167,34 +184,41 @@ class TestSharpRatios:
                 desc = make_descriptor(kind, bits, slot, rng, depth)
                 exps = ExponentTuple(tuple(rng.choice(EXPONENTS) for _ in bits))
                 for i in interval_family(depth):
-                    dense = extremal_tuple(desc, exps, i, depth)
-                    views = extremal_tuple(desc, exps, i, depth, on_support=True)
-                    if dense is None:
+                    views = extremal_tuple(desc, exps, i, depth)
+                    want = reference_family(desc, exps, i, depth)
+                    if want is None:
                         assert views is None
                         continue
-                    assert [v.expand() for v in views] == dense
-                    want = reference_family(desc, exps, i, depth)
-                    assert [f.values for f in dense] == [f.values for f in want]
+                    assert [v.expand().values for v in views] == want
 
 
 def reference_family(desc, exps, interval, depth):
-    """The sharp tuple written with the full-grid constructors."""
+    """The leaf values of the sharp tuple, written leaf by leaf from the
+    definitions in ``tests/oracles.py``; None where the job is skipped."""
+    leaves = range(1 << depth)
+
+    def haar(i, scale=1.0):
+        return tuple(naive_haar(i, leaf, depth, FLOAT64) * scale for leaf in leaves)
+
+    def ind(i, scale=1.0):
+        return tuple(naive_indicator(i, leaf, depth, FLOAT64) * scale for leaf in leaves)
+
     bits = desc.alpha.bits
-    h = StepFunction.haar(interval, depth, FLOAT64)
-    ind = StepFunction.indicator(interval, depth, FLOAT64)
     if desc.kind == "pi_paraproduct":
         level = interval.level
         return [
-            h.scale(2.0 ** float(-level * (Fraction(1, 2) - 1 / p)))
+            haar(interval, 2.0 ** float(-level * (Fraction(1, 2) - 1 / p)))
             if bit == 0
-            else ind.scale(2.0 ** float(Fraction(level) / p))
+            else ind(interval, 2.0 ** float(Fraction(level) / p))
             for bit, p in zip(bits, exps.p)
         ]
     if desc.kind == "commutator" and bits[desc.slot - 1] == 0 and bits.count(0) == 1:
-        out = [StepFunction.haar(interval.parent(), depth, FLOAT64)] * len(bits)
-        out[desc.slot - 1] = ind
+        if interval.level == 0 or len(bits) < 2:
+            return None
+        out = [haar(interval.parent())] * len(bits)
+        out[desc.slot - 1] = ind(interval)
         return out
-    return [h if bit == 0 else ind for bit in bits]
+    return [haar(interval) if bit == 0 else ind(interval) for bit in bits]
 
 
 def vanishing_outside(rng, support, depth):
@@ -334,7 +358,7 @@ class TestOperatorsOnViews:
             ops.append(lambda gs: multilinear_multiplier(eps, bits, gs))
         for op in ops:
             local = op(views)
-            assert isinstance(local, SupportView) and local.support == support
+            assert local.support == support
             assert local.expand() == op(fs)
 
     def test_inputs_must_share_one_support(self):
@@ -345,3 +369,124 @@ class TestOperatorsOnViews:
             paraproduct((0, 1), [left, right])
         with pytest.raises(ShapeError):
             paraproduct((0, 1), [right, f])
+        # a StepFunction is the view of the universe, so it mixes with one
+        universe = SupportView(2, UNIVERSE, f.values, (), f.mode)
+        out = paraproduct((0, 1), [universe, f])
+        assert type(out) is StepFunction and out == paraproduct((0, 1), [f, f])
+
+
+def rational_sharp_outputs(depth, rng):
+    """(name, output) for every operator kind on its rational sharp family
+    at every interval that supports it: views with blocks, StepFunctions on
+    the universe."""
+    b = StepFunction.from_values(random_rationals(rng, 1 << depth, numer=6, denom=4))
+    eps = random_symbol(rng, depth)
+    exps = ExponentTuple((1, 2, 2))
+    for bits in ((0,), (0, 1), (1, 0), (0, 0, 1)):
+        m = len(bits)
+        for i in interval_family(depth):
+            fam = extremal_multiplier_family(i, bits, depth, RATIONAL)
+            yield "paraproduct", paraproduct(bits, fam)
+            yield "multiplier", multilinear_multiplier(eps, bits, fam)
+            pi_fam = extremal_pi_family(i, bits, ExponentTuple(exps.p[:m]), depth, RATIONAL)
+            yield "pi_paraproduct", pi_paraproduct(bits, b, pi_fam)
+            for slot in range(1, m + 1):
+                case = necessity_case(bits, slot)
+                if case == "I" and (i.level < 1 or m < 2):
+                    continue
+                fs = commutator_necessity_family(case, i, bits, slot, depth, RATIONAL)
+                yield "commutator", commutator(slot, b, eps, bits, fs)
+
+
+class TestFunctionsOfViews:
+    """Norms, pairings, transforms and the sublinear functions read a view,
+    blocks included, as the function it expands to."""
+
+    def test_every_function_of_an_operator_output_equals_its_expansion(self):
+        depth = 3
+        b = StepFunction.from_values(random_rationals(random.Random(1), 1 << depth))
+        seen_kinds = set()
+        for name, out in rational_sharp_outputs(depth, random.Random(0)):
+            full = out.expand()
+            if out.support != UNIVERSE:
+                seen_kinds.add(name)
+            for p in (1, 2, 3, math.inf):
+                assert lp_norm(out, p) == lp_norm(full, p), (name, p)
+            assert lp_norm_pow(out, 3) == lp_norm_pow(full, 3), name
+            assert lp_norm(out, Fraction(3, 2)) == pytest.approx(
+                lp_norm(full, Fraction(3, 2)), rel=REL_TOL
+            ), name
+            assert weak_lp_quasinorm(out, 1) == weak_lp_quasinorm(full, 1), name
+            for i in interval_family(depth):
+                for alpha in (0, 1):
+                    assert pairing(out, i, alpha) == pairing(full, i, alpha), (name, i)
+            assert inner_product(out, b) == inner_product(full, b), name
+            assert inner_product(b, out) == inner_product(b, full), name
+            assert analyze(out) == analyze(full), name
+            assert maximal(out) == maximal(full), name
+            assert square_function_sq(out) == square_function_sq(full), name
+            for r in (1, 2):
+                assert bmo_norm_pow(out, r) == bmo_norm_pow(full, r), name
+            assert bmo2_via_haar_sq(out) == bmo2_via_haar_sq(full), name
+            assert bstar_seminorm(out) == bstar_seminorm(full), name
+        assert seen_kinds == {"paraproduct", "multiplier", "pi_paraproduct", "commutator"}
+
+    def test_float_norms_of_a_view_with_blocks(self):
+        fs = extremal_pi_family(DyadicInterval(2, 1), (1,), ExponentTuple((2,)), 3)
+        b = StepFunction.from_values([1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0], mode=FLOAT64)
+        out = pi_paraproduct((1,), b, fs)
+        assert any(out.blocks)
+        for p in (1, Fraction(3, 2), 2, math.inf):
+            assert lp_norm(out, p) == pytest.approx(lp_norm(out.expand(), p), rel=REL_TOL)
+
+
+class TestConstructors:
+    """The Haar function and the indicator of an interval, built on the
+    full grid or seen from any support that contains the interval, against
+    their leaf-by-leaf definitions."""
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_full_grid_constructors_match_the_definitions(self, mode):
+        for depth in range(1, 6):
+            leaves = range(1 << depth)
+            for level in range(depth + 1):
+                for pos in range(1 << level):
+                    i = DyadicInterval(level, pos)
+                    ind = [naive_indicator(i, x, depth, mode) for x in leaves]
+                    assert StepFunction.indicator(i, depth, mode) == StepFunction(
+                        depth, tuple(ind), mode
+                    )
+                    if level == depth:
+                        continue
+                    h = [naive_haar(i, x, depth, mode) for x in leaves]
+                    assert StepFunction.haar(i, depth, mode) == StepFunction(
+                        depth, tuple(h), mode
+                    )
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_views_of_every_containing_support_expand_to_them(self, mode):
+        for depth in range(1, 6):
+            for level in range(depth + 1):
+                for pos in range(1 << level):
+                    i = DyadicInterval(level, pos)
+                    for s in i.ancestors(include_self=True):
+                        ind = SupportView.indicator(i, s, depth, mode)
+                        assert ind.support == s
+                        assert ind.expand() == StepFunction.indicator(i, depth, mode)
+                        if level == depth:
+                            continue
+                        h = SupportView.haar(i, s, depth, mode)
+                        assert h.support == s
+                        assert h.expand() == StepFunction.haar(i, depth, mode)
+
+    def test_the_universe_is_seen_as_a_step_function(self):
+        i = DyadicInterval(1, 1)
+        f = SupportView.haar(i, UNIVERSE, 2, FLOAT64)
+        assert type(f) is StepFunction and f.expand() is f
+        assert f.support == UNIVERSE and f.blocks == ()
+        assert type(SupportView.restrict(f, UNIVERSE)) is StepFunction
+        # support and blocks are not fields: equality and JSON ignore them
+        assert f == StepFunction.from_values([0.0, 0.0, -2 ** 0.5, 2 ** 0.5], FLOAT64)
+        assert set(f.to_json_dict()) == {"depth", "mode", "values"}
+        with pytest.raises(ResolutionError):
+            SupportView.haar(DyadicInterval(2, 0), UNIVERSE, 2, FLOAT64)
