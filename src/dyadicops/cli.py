@@ -45,7 +45,13 @@ from .paraproducts import (
     product_decomposition_residual,
     transpose_residual,
 )
-from .scalars import FLOAT64, RATIONAL, finite_float, parse_fraction
+from .scalars import (
+    FLOAT64,
+    RATIONAL,
+    finite_float,
+    parse_finite_fraction,
+    parse_fraction,
+)
 from .sublinear import (
     bmo2_via_haar,
     bmo_norm,
@@ -265,7 +271,7 @@ def _parse_p(text: str):
     p = text.strip()
     if p in ("inf", "oo", "infinity"):
         return math.inf
-    return parse_fraction(p)
+    return parse_finite_fraction(p)
 
 
 def cmd_norms(args) -> int:

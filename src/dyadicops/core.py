@@ -9,6 +9,7 @@ half, with magnitude |I|**(-1/2).
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -562,7 +563,7 @@ def interval_integrals(f: StepFunction | SupportView) -> list[list]:
     """
     top = _support_level(f)
     n = 1 << f.depth
-    w = Fraction(1, n) if f.mode == RATIONAL else 1.0 / n
+    w = scalars.reciprocal(n, f.mode)
     level = [v * w for v in f.values]
     table = [level]
     while len(level) > 1:
@@ -680,7 +681,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
         for leaf in span:
             total = total + f.values[leaf]
         if mode == RATIONAL:
-            return total * Fraction(1, len(span))
+            return total * scalars.reciprocal(len(span), mode)
         return total / len(span)
     if interval.level >= depth:
         raise ResolutionError(
@@ -692,7 +693,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
     for i, leaf in enumerate(span):
         acc = (acc + f.values[leaf]) if i >= half else (acc - f.values[leaf])
     if mode == RATIONAL:
-        return acc * Fraction(1, 1 << depth) * scalars.root2_power(interval.level, mode)
+        return acc * scalars.root2_power(interval.level - 2 * depth, mode)
     return acc * (2.0 ** (interval.level / 2.0 - depth))
 
 
@@ -704,7 +705,7 @@ def inner_product(f: StepFunction, g: StepFunction):
     for x, y in zip(f.values, g.values):
         acc = acc + x * y
     if f.mode == RATIONAL:
-        return acc * Fraction(1, 1 << f.depth)
+        return acc * scalars.reciprocal(1 << f.depth, RATIONAL)
     return acc / (1 << f.depth)
 
 
@@ -762,8 +763,24 @@ def lp_norm_pow(f: StepFunction | SupportView, p):
     for v, c in block_runs(f):
         acc = acc + abs(v) ** k * c
     if f.mode == RATIONAL:
-        return acc * Fraction(1, 1 << f.depth)
+        return acc * scalars.reciprocal(1 << f.depth, RATIONAL)
     return acc / (1 << f.depth)
+
+
+# the largest integer p for which rational-mode lp_norm builds |f|**p exactly
+_MAX_EXACT_POWER = 1024
+
+
+def _scaled_lp_norm(f: StepFunction | SupportView, p: float) -> float:
+    """M * (mean of (|f|/M)**p)**(1/p) with M = max |f|, in floats: the L^p
+    norm for an exponent at which the mean of |f|**p leaves the float range."""
+    size = abs if f.mode == FLOAT64 else (lambda v: abs(float(v)))
+    top = max(map(size, chain(f.values, (v for v, _ in block_runs(f)))))
+    if not top:
+        return 0.0
+    total = sum((size(v) / top) ** p for v in f.values)
+    total += sum((size(v) / top) ** p * c for v, c in block_runs(f))
+    return top * (total / (1 << f.depth)) ** (1.0 / p)
 
 
 def lp_norm(f: StepFunction | SupportView, p):
@@ -771,22 +788,32 @@ def lp_norm(f: StepFunction | SupportView, p):
 
     Float mode always returns a float.  Rational mode is exact for p = 1
     and p = inf, exact for p = 2 whenever the square root exists in the
-    scalar field, and falls back to a float otherwise.
+    scalar field, and falls back to a float otherwise.  When the mean of
+    |f|**p over- or underflows a float, or, in rational mode, an integer p
+    above 1024 would make its exact value too large, the norm is
+    M * (mean of (|f|/M)**p)**(1/p) with M = max |f|.
     """
     q = _normalize_p(p)
     if q is None:
         return max(_magnitudes(f))
-    if f.mode == FLOAT64:
-        pf = float(q)
-        return (_float_power_sum(f, pf) / (1 << f.depth)) ** (1.0 / pf)
-    if q == 1:
+    exact = f.mode == RATIONAL and q.denominator == 1
+    if exact and q == 1:
         return lp_norm_pow(f, 1)
-    if q == 2:
+    if exact and q == 2:
         return scalars.scalar_sqrt(lp_norm_pow(f, 2), RATIONAL)
-    if q.denominator == 1:
-        return float(lp_norm_pow(f, q)) ** (1.0 / float(q))
-    total = _float_power_sum(f, float(q)) / (1 << f.depth)
-    return total ** (1.0 / float(q))
+    pf = float(q)
+    if exact and q > _MAX_EXACT_POWER:
+        return _scaled_lp_norm(f, pf)
+    try:
+        if exact:
+            mean = float(lp_norm_pow(f, q))
+        else:
+            mean = _float_power_sum(f, pf) / (1 << f.depth)
+    except OverflowError:
+        return _scaled_lp_norm(f, pf)
+    if sys.float_info.min <= mean < math.inf:
+        return mean ** (1.0 / pf)
+    return _scaled_lp_norm(f, pf)
 
 
 def _weak_candidates(f: StepFunction | SupportView):

@@ -46,7 +46,7 @@ class ExponentTuple:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ps = tuple(scalars.parse_fraction(x) for x in self.p)
+        ps = tuple(scalars.parse_finite_fraction(x) for x in self.p)
         if not ps:
             raise ValueError("need at least one exponent")
         if any(x < 1 for x in ps):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
@@ -37,103 +38,126 @@ def frac_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _sign(a: int, b: int) -> int:
+    """The sign of a + b*sqrt(2) for ints a, b."""
+    if b == 0:
+        return -1 if a < 0 else (1 if a > 0 else 0)
+    if a == 0:
+        return -1 if b < 0 else 1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # mixed signs: a + b*sqrt(2) has the sign of a iff a*a > 2*b*b
+    s = 1 if a > 0 else -1
+    return s if a * a > 2 * b * b else -s
+
+
 class Exact:
     """An element ``a + b*sqrt(2)`` of the quadratic field Q(sqrt 2).
 
-    Closed under +, -, *, / and integer powers; comparisons and abs are
-    exact.  Mixing with floats is rejected so exactness cannot silently
-    leak away.
+    Stored as three ints ``A``, ``B``, ``D`` meaning ``(A + B*sqrt(2)) / D``,
+    with ``D > 0`` and ``gcd(A, B, D) = 1``, so every value has exactly one
+    representation and ``==`` compares the ints.  ``a`` and ``b`` give the
+    two rational parts as Fractions.  Closed under +, -, *, / and integer
+    powers; comparisons and abs are exact.  Mixing with floats is rejected
+    so exactness cannot silently leak away.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("A", "B", "D")
 
     def __init__(self, a=0, b=0):
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
-
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction) -> "Exact":
-        x = object.__new__(cls)
-        x.a = a
-        x.b = b
-        return x
+        if type(a) is int and type(b) is int:
+            self.A, self.B, self.D = a, b, 1
+            return
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
+        da, db = a.denominator, b.denominator
+        # over the lcm of two lowest-terms denominators no factor is common
+        d = da // gcd(da, db) * db
+        self.A = a.numerator * (d // da)
+        self.B = b.numerator * (d // db)
+        self.D = d
 
     @classmethod
     def root2_power(cls, k: int) -> "Exact":
         """2**(k/2) for any integer k, possibly negative."""
         q, r = divmod(k, 2)
-        if r == 0:
-            return cls._make(Fraction(2) ** q, _F0)
-        return cls._make(_F0, Fraction(2) ** q)
+        p = 1 << abs(q)
+        num, den = (p, 1) if q >= 0 else (1, p)
+        return _exact(0, num, den) if r else _exact(num, 0, den)
 
-    # -- coercion ---------------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
 
-    @staticmethod
-    def _lift(other):
-        if type(other) is Exact:
-            return other
-        if isinstance(other, int):
-            return Exact._make(Fraction(other), _F0)
-        if isinstance(other, Fraction):
-            return Exact._make(other, _F0)
-        if isinstance(other, Exact):
-            return other
-        return None
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     # -- field operations -------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return Exact._make(self.a + o.a, self.b + o.b)
+        d, e = self.D, o.D
+        if d == e:
+            return _canonical(self.A + o.A, self.B + o.B, d)
+        return _canonical(self.A * e + o.A * d, self.B * e + o.B * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return Exact._make(self.a - o.a, self.b - o.b)
+        d, e = self.D, o.D
+        if d == e:
+            return _canonical(self.A - o.A, self.B - o.B, d)
+        return _canonical(self.A * e - o.A * d, self.B * e - o.B * d, d * e)
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return Exact._make(o.a - self.a, o.b - self.b)
+        return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.a, self.b, o.a, o.b
-        return Exact._make(a * c + 2 * b * d, a * d + b * c)
+        if type(other) is Exact:
+            o = other
+        elif type(other) is int:
+            # an int factor, such as a table's 2**level, needs no Exact
+            return _canonical(self.A * other, self.B * other, self.D)
+        else:
+            o = _lift(other)
+            if o is None:
+                return NotImplemented
+        a, b, c, d = self.A, self.B, o.A, o.B
+        return _canonical(a * c + 2 * b * d, a * d + b * c, self.D * o.D)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Exact":
-        den = self.a * self.a - 2 * self.b * self.b
-        if den == 0:
-            raise ZeroDivisionError("division by zero Exact value")
-        return Exact._make(self.a / den, -self.b / den)
-
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return self * o._inverse()
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        return o * self._inverse()
+        return _quotient(o, self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self._inverse() ** (-n)
+            return _quotient(_EXACT_ONE, self) ** (-n)
+        if not self.B:
+            # A and D are coprime, so their powers are too
+            return _exact(self.A**n, 0, self.D**n)
         out = _EXACT_ONE
         base = self
         k = n
@@ -145,7 +169,7 @@ class Exact:
         return out
 
     def __neg__(self):
-        return Exact._make(-self.a, -self.b)
+        return _exact(-self.A, -self.B, self.D)
 
     def __pos__(self):
         return self
@@ -153,72 +177,67 @@ class Exact:
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: a + b*sqrt(2) has the sign of a iff a*a > 2*b*b
-        s = 1 if a > 0 else -1
-        return s if a * a > 2 * b * b else -s
+        return _sign(self.A, self.B)
+
+    def _cmp(self, o: "Exact") -> int:
+        """The sign of self - o."""
+        d, e = self.D, o.D
+        return _sign(self.A * e - o.A * d, self.B * e - o.B * d)
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self.A, self.B) < 0 else self
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A == o.A and self.B == o.B and self.D == o.D
 
     def __ne__(self, other):
         r = self.__eq__(other)
         return r if r is NotImplemented else not r
 
     def __lt__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return self._cmp(o) < 0
 
     def __le__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return self._cmp(o) <= 0
 
     def __gt__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() > 0
+        return self._cmp(o) > 0
 
     def __ge__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is Exact else _lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() >= 0
+        return self._cmp(o) >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
+        # equal to hash(q) for a rational q, as the numeric types require
+        if self.B == 0:
+            return hash(self.A) if self.D == 1 else hash(Fraction(self.A, self.D))
         return hash((self.a, self.b))
 
     def __bool__(self):
-        return bool(self.a or self.b)
+        return bool(self.A or self.B)
 
     # -- conversions ------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.B != 0:
             raise ValueError(f"{self} has an irrational sqrt(2) part")
         return self.a
 
@@ -230,10 +249,10 @@ class Exact:
         if b == 0:
             c = frac_sqrt(a)
             if c is not None:
-                return Exact._make(c, _F0)
+                return Exact(c)
             d = frac_sqrt(a / 2)
             if d is not None:
-                return Exact._make(_F0, d)
+                return Exact(0, d)
             return None
         # want (c + d*sqrt2)^2 = a + b*sqrt2: c^2 + 2d^2 = a, 2cd = b.
         # c^2 solves t^2 - a t + b^2/2 = 0.
@@ -243,8 +262,7 @@ class Exact:
         for t in ((a + disc) / 2, (a - disc) / 2):
             c = frac_sqrt(t)
             if c is not None and c != 0:
-                d = b / (2 * c)
-                root = Exact._make(c, d)
+                root = Exact(c, b / (2 * c))
                 if root.sign() < 0:
                     root = -root
                 if root * root == self:
@@ -252,24 +270,76 @@ class Exact:
         return None
 
     def __float__(self):
-        return float(self.a) + float(self.b) * _SQRT2
+        # int true division rounds A/D exactly as float(Fraction(A, D)) does
+        return self.A / self.D + self.B / self.D * _SQRT2
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a}{op}{abs(self.b)}*sqrt2"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*sqrt2"
+        op = "+" if b > 0 else "-"
+        return f"{a}{op}{abs(b)}*sqrt2"
 
     def __repr__(self):
         return f"Exact({self.a!r}, {self.b!r})"
 
 
-_F0 = Fraction(0)
-_EXACT_ZERO = Exact._make(_F0, _F0)
-_EXACT_ONE = Exact._make(Fraction(1), _F0)
-_EXACT_SQRT2 = Exact._make(_F0, Fraction(1))
+_new = object.__new__
+
+
+def _exact(A: int, B: int, D: int) -> Exact:
+    """The Exact (A + B*sqrt(2)) / D of ints already in canonical form."""
+    x = _new(Exact)
+    x.A = A
+    x.B = B
+    x.D = D
+    return x
+
+
+def _canonical(A: int, B: int, D: int) -> Exact:
+    """The Exact (A + B*sqrt(2)) / D for D > 0, divided by gcd(A, B, D)."""
+    g = gcd(A, B, D)
+    x = _new(Exact)
+    if g == 1:
+        x.A = A
+        x.B = B
+        x.D = D
+    else:
+        x.A = A // g
+        x.B = B // g
+        x.D = D // g
+    return x
+
+
+def _quotient(x: Exact, y: Exact) -> Exact:
+    """x / y, multiplying through by y's conjugate:
+    1 / ((c + d*sqrt2)/e) = e * (c - d*sqrt2) / (c*c - 2*d*d)."""
+    c, d = y.A, y.B
+    n = c * c - 2 * d * d
+    if not n:
+        raise ZeroDivisionError("division by zero Exact value")
+    a, b, e = x.A, x.B, y.D
+    if n < 0:
+        e = -e
+        n = -n
+    return _canonical((a * c - 2 * b * d) * e, (b * c - a * d) * e, x.D * n)
+
+
+def _lift(other) -> Exact | None:
+    """An int (bool included) or Fraction as an Exact; None for other types."""
+    if isinstance(other, int):
+        return _exact(int(other), 0, 1)
+    if isinstance(other, Fraction):
+        return _exact(other.numerator, 0, other.denominator)
+    if isinstance(other, Exact):
+        return other
+    return None
+
+
+_EXACT_ZERO = _exact(0, 0, 1)
+_EXACT_ONE = _exact(1, 0, 1)
 
 
 def zero(mode: str):
@@ -287,6 +357,13 @@ def root2_power(k: int, mode: str):
     return 2.0 ** (k / 2.0)
 
 
+def reciprocal(n: int, mode: str):
+    """1/n for a positive int n in the requested mode."""
+    if mode == RATIONAL:
+        return _exact(1, 0, n)
+    return 1.0 / n
+
+
 def parse_fraction(text) -> Fraction:
     """``Fraction(text)``, with a zero denominator ("1/0") reported as the
     ValueError of any other malformed number."""
@@ -294,6 +371,17 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def parse_finite_fraction(text) -> Fraction:
+    """``parse_fraction(text)`` for a number that fits a float64 value:
+    "1e400" parses as the integer 10**400, which no float can hold."""
+    q = parse_fraction(text)
+    try:
+        float(q)
+    except OverflowError:
+        raise ValueError(f"{text} is too large for a float64 value") from None
+    return q
 
 
 def finite_float(value) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import scalars
 from .core import (
@@ -83,7 +82,7 @@ def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
             for leaf in range(start, start + width):
                 acc = acc + abs(b.values[leaf] - m)
             if b.mode == RATIONAL:
-                row.append(acc * Fraction(1, width))
+                row.append(acc * scalars.reciprocal(width, RATIONAL))
             else:
                 row.append(acc / width)
         out.append(row)

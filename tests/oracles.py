@@ -5,6 +5,7 @@ loops, deliberately avoiding the bottom-up tables and span accumulation
 the package uses, so agreement is meaningful.
 """
 
+import math
 from fractions import Fraction
 
 from dyadicops import (
@@ -17,7 +18,8 @@ from dyadicops import (
 )
 from dyadicops import scalars
 from dyadicops.core import SupportView, coefficient_table
-from dyadicops.scalars import FLOAT64, RATIONAL, zero as scalar_zero, one as scalar_one
+from dyadicops.scalars import FLOAT64, RATIONAL, frac_sqrt
+from dyadicops.scalars import one as scalar_one, zero as scalar_zero
 
 
 def leaf_interval(leaf: int, depth: int) -> DyadicInterval:
@@ -304,3 +306,242 @@ def loop_rademacher_haar(sampler, trial: int, m: int) -> list:
                     vals[leaf] += c
         out.append(StepFunction._raw(depth, vals, FLOAT64))
     return out
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+class FractionExact:
+    """An element ``a + b*sqrt(2)`` of the quadratic field Q(sqrt 2), held
+    as two Fractions: the representation ``Exact`` had before it moved to
+    canonical ints, kept as the reference for ``Exact``'s differential
+    tests.  Its repr spells ``Exact(...)`` so the two can be compared.
+
+    Closed under +, -, *, / and integer powers; comparisons and abs are
+    exact.  Mixing with floats is rejected so exactness cannot silently
+    leak away.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
+
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction) -> "FractionExact":
+        x = object.__new__(cls)
+        x.a = a
+        x.b = b
+        return x
+
+    @classmethod
+    def root2_power(cls, k: int) -> "FractionExact":
+        """2**(k/2) for any integer k, possibly negative."""
+        q, r = divmod(k, 2)
+        if r == 0:
+            return cls._make(Fraction(2) ** q, _F0)
+        return cls._make(_F0, Fraction(2) ** q)
+
+    # -- coercion ---------------------------------------------------------
+
+    @staticmethod
+    def _lift(other):
+        if type(other) is FractionExact:
+            return other
+        if isinstance(other, int):
+            return FractionExact._make(Fraction(other), _F0)
+        if isinstance(other, Fraction):
+            return FractionExact._make(other, _F0)
+        if isinstance(other, FractionExact):
+            return other
+        return None
+
+    # -- field operations -------------------------------------------------
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return FractionExact._make(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return FractionExact._make(self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return FractionExact._make(o.a - self.a, o.b - self.b)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return FractionExact._make(a * c + 2 * b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> "FractionExact":
+        den = self.a * self.a - 2 * self.b * self.b
+        if den == 0:
+            raise ZeroDivisionError("division by zero Exact value")
+        return FractionExact._make(self.a / den, -self.b / den)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o._inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self._inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self._inverse() ** (-n)
+        out = _FRACTION_EXACT_ONE
+        base = self
+        k = n
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __neg__(self):
+        return FractionExact._make(-self.a, -self.b)
+
+    def __pos__(self):
+        return self
+
+    # -- order ------------------------------------------------------------
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0:
+            return -1 if a < 0 else (1 if a > 0 else 0)
+        if a == 0:
+            return -1 if b < 0 else 1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # mixed signs: a + b*sqrt(2) has the sign of a iff a*a > 2*b*b
+        s = 1 if a > 0 else -1
+        return s if a * a > 2 * b * b else -s
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __ne__(self, other):
+        r = self.__eq__(other)
+        return r if r is NotImplemented else not r
+
+    def __lt__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() < 0
+
+    def __le__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() <= 0
+
+    def __gt__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() > 0
+
+    def __ge__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() >= 0
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    # -- conversions ------------------------------------------------------
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def as_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise ValueError(f"{self} has an irrational sqrt(2) part")
+        return self.a
+
+    def sqrt(self) -> "FractionExact | None":
+        """Exact square root within Q(sqrt 2), or None if there is none."""
+        if self.sign() < 0:
+            return None
+        a, b = self.a, self.b
+        if b == 0:
+            c = frac_sqrt(a)
+            if c is not None:
+                return FractionExact._make(c, _F0)
+            d = frac_sqrt(a / 2)
+            if d is not None:
+                return FractionExact._make(_F0, d)
+            return None
+        # want (c + d*sqrt2)^2 = a + b*sqrt2: c^2 + 2d^2 = a, 2cd = b.
+        # c^2 solves t^2 - a t + b^2/2 = 0.
+        disc = frac_sqrt(a * a - 2 * b * b)
+        if disc is None:
+            return None
+        for t in ((a + disc) / 2, (a - disc) / 2):
+            c = frac_sqrt(t)
+            if c is not None and c != 0:
+                d = b / (2 * c)
+                root = FractionExact._make(c, d)
+                if root.sign() < 0:
+                    root = -root
+                if root * root == self:
+                    return root
+        return None
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * _SQRT2
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        if self.a == 0:
+            return f"{self.b}*sqrt2"
+        op = "+" if self.b > 0 else "-"
+        return f"{self.a}{op}{abs(self.b)}*sqrt2"
+
+    def __repr__(self):
+        return f"Exact({self.a!r}, {self.b!r})"
+
+
+_F0 = Fraction(0)
+_FRACTION_EXACT_ONE = FractionExact._make(Fraction(1), _F0)

@@ -137,6 +137,14 @@ class TestNorms:
         assert maximal.values[0] == 2
         assert "square" in obj
 
+    @pytest.mark.parametrize("mode", ["rational", "float64"])
+    def test_norms_of_a_large_exponent(self, tmp_path, capsys, mode):
+        path = tmp_path / "f.json"
+        write_json(path, StepFunction.from_values([1, -3, 2, 1], mode=mode).to_json_dict())
+        assert main(["norms", str(path), "--p", "700"]) == 0
+        norm = json.loads(capsys.readouterr().out)["lp"]["700"]
+        assert norm == pytest.approx(3 * 4 ** (-1 / 700), rel=1e-12)
+
     def test_bad_exponent_exits_two(self, func_file):
         assert main(["norms", str(func_file), "--p", "0.5"]) == 2
 
@@ -308,6 +316,28 @@ class TestBoundary:
             "--depth", "2", "--trials", "2", "-o", str(tmp_path / "r.json"),
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("mode", ["rational", "float64"])
+    def test_norms_rejects_an_exponent_too_large_for_a_float(
+        self, tmp_path, capsys, mode
+    ):
+        # "1e400" parses as the integer 10**400: rational mode would raise
+        # every value to that power, float64 mode would overflow
+        path = tmp_path / "f.json"
+        write_json(path, StepFunction.from_values([1, -3, 2, 1], mode=mode).to_json_dict())
+        assert main(["norms", str(path), "--p", "2,1e400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1e400 is too large for a float64 value\n"
+
+    def test_estimate_rejects_an_exponent_too_large_for_a_float(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([
+            "estimate", "--op", "para", "--alpha", "01", "--p", "1e400,2",
+            "--depth", "3", "--trials", "2", "-o", str(out),
+        ]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: 1e400 is too large for a float64 value\n"
 
     def test_czd_zero_denominator_height(self, func_file, capsys):
         assert main(["czd", str(func_file), "--height", "1/0"]) == 2

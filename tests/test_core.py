@@ -366,6 +366,22 @@ class TestNorms:
         expect = ((1 + 2 ** 1.5) / 2) ** (2 / 3)
         assert v == pytest.approx(expect)
 
+    @pytest.mark.parametrize("p", [700, 10**300])
+    @pytest.mark.parametrize("mode", ["rational", "float64"])
+    def test_large_p_is_scaled_by_the_max(self, p, mode):
+        # 3.0 ** 700 overflows a float; 3 ** 10**300 has no room anywhere
+        values = [1, -3, 2, Fraction(1, 2)]
+        f = StepFunction.from_values(values, mode=mode)
+        top = 3.0
+        mean = sum((abs(float(v)) / top) ** float(p) for v in values) / 4
+        expect = top * mean ** (1.0 / float(p))
+        assert lp_norm(f, p) == pytest.approx(expect, rel=1e-12)
+
+    def test_underflowing_power_sum_is_scaled(self):
+        f = StepFunction.from_values([0.5, 0.25], mode="float64")
+        expect = 0.5 * ((1 + 0.5**2000) / 2) ** (1 / 2000)
+        assert lp_norm(f, 2000) == pytest.approx(expect, rel=1e-12)
+
     def test_p_validation(self):
         f = StepFunction.from_values([1, 2])
         with pytest.raises(ValueError):
