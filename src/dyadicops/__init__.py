@@ -51,13 +51,11 @@ from .sublinear import (
 )
 from .paraproducts import (
     AlphaVector,
-    adjoint_residual,
     admissible_alphas,
     localized_average_residual,
     paraproduct,
     pi_paraproduct,
     product_decomposition_residual,
-    transpose_residual,
 )
 from .multipliers import (
     COMMUTATOR_CONVENTION,
@@ -70,6 +68,7 @@ from .normlab import (
     ExponentTuple,
     OperatorDescriptor,
     SamplerSpec,
+    adjoint_residual,
     commutator_necessity_family,
     estimate_operator_norm,
     extremal_multiplier_family,
@@ -115,13 +114,11 @@ __all__ = [
     "square_function",
     "square_function_sq",
     "AlphaVector",
-    "adjoint_residual",
     "admissible_alphas",
     "localized_average_residual",
     "paraproduct",
     "pi_paraproduct",
     "product_decomposition_residual",
-    "transpose_residual",
     "COMMUTATOR_CONVENTION",
     "SymbolSequence",
     "commutator",
@@ -130,6 +127,7 @@ __all__ = [
     "ExponentTuple",
     "OperatorDescriptor",
     "SamplerSpec",
+    "adjoint_residual",
     "commutator_necessity_family",
     "estimate_operator_norm",
     "extremal_multiplier_family",

@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -601,6 +602,21 @@ def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
     return vals
 
 
+def _kept(build):
+    """The table ``build(f)``, built on the first call and kept on f: the
+    values of f never change, and callers only read its tables."""
+    name = build.__name__
+
+    @wraps(build)
+    def table(f: StepFunction | SupportView) -> list[list]:
+        if name not in f.__dict__:
+            f.__dict__[name] = build(f)
+        return f.__dict__[name]
+
+    return table
+
+
+@_kept
 def average_table(f: StepFunction | SupportView) -> list[list]:
     """table[level][pos] = average of f over that interval, levels 0..depth."""
     ints = interval_integrals(f)
@@ -611,6 +627,7 @@ def average_table(f: StepFunction | SupportView) -> list[list]:
     return out
 
 
+@_kept
 def coefficient_table(f: StepFunction | SupportView) -> list[list]:
     """table[level][pos] = Haar coefficient <f, h_I>, levels 0..depth-1
     (in the support layout for a SupportView)."""
@@ -771,49 +788,46 @@ def lp_norm_pow(f: StepFunction | SupportView, p):
 _MAX_EXACT_POWER = 1024
 
 
-def _scaled_lp_norm(f: StepFunction | SupportView, p: float) -> float:
-    """M * (mean of (|f|/M)**p)**(1/p) with M = max |f|, in floats: the L^p
-    norm for an exponent at which the mean of |f|**p leaves the float range."""
-    size = abs if f.mode == FLOAT64 else (lambda v: abs(float(v)))
-    top = max(map(size, chain(f.values, (v for v, _ in block_runs(f)))))
-    if not top:
-        return 0.0
-    total = sum((size(v) / top) ** p for v in f.values)
-    total += sum((size(v) / top) ** p * c for v, c in block_runs(f))
-    return top * (total / (1 << f.depth)) ** (1.0 / p)
-
-
 def lp_norm(f: StepFunction | SupportView, p):
     """The L^p norm, p in [1, inf].
 
     Float mode always returns a float.  Rational mode is exact for p = 1
     and p = inf, exact for p = 2 whenever the square root exists in the
-    scalar field, and falls back to a float otherwise.  When the mean of
-    |f|**p over- or underflows a float, or, in rational mode, an integer p
-    above 1024 would make its exact value too large, the norm is
-    M * (mean of (|f|/M)**p)**(1/p) with M = max |f|.
+    scalar field, and falls back to a float otherwise.  Every other p takes
+    the float ``power_mean``.
     """
     q = _normalize_p(p)
     if q is None:
         return max(_magnitudes(f))
-    exact = f.mode == RATIONAL and q.denominator == 1
-    if exact and q == 1:
+    if f.mode == RATIONAL and q == 1:
         return lp_norm_pow(f, 1)
-    if exact and q == 2:
+    if f.mode == RATIONAL and q == 2:
         return scalars.scalar_sqrt(lp_norm_pow(f, 2), RATIONAL)
+    return power_mean(f, q)
+
+
+def power_mean(f: StepFunction | SupportView, q: Fraction) -> float:
+    """(mean of |f|**q) ** (1/q) as a float, for a finite q > 0: the L^q
+    norm for q >= 1 and a quasinorm below; M * (mean of (|f|/M)**q)**(1/q)
+    with M = max |f| when the mean over- or underflows a float."""
     pf = float(q)
-    if exact and q > _MAX_EXACT_POWER:
-        return _scaled_lp_norm(f, pf)
     try:
-        if exact:
-            mean = float(lp_norm_pow(f, q))
-        else:
+        if f.mode == FLOAT64 or q.denominator != 1:
             mean = _float_power_sum(f, pf) / (1 << f.depth)
+        else:
+            # an integer q above 1024 would make the exact mean too large
+            mean = float(lp_norm_pow(f, q)) if q <= _MAX_EXACT_POWER else math.inf
     except OverflowError:
-        return _scaled_lp_norm(f, pf)
+        mean = math.inf
     if sys.float_info.min <= mean < math.inf:
         return mean ** (1.0 / pf)
-    return _scaled_lp_norm(f, pf)
+    size = abs if f.mode == FLOAT64 else (lambda v: abs(float(v)))
+    top = max(map(size, chain(f.values, (v for v, _ in block_runs(f)))))
+    if not top:
+        return 0.0
+    total = sum((size(v) / top) ** pf for v in f.values)
+    total += sum((size(v) / top) ** pf * c for v, c in block_runs(f))
+    return top * (total / (1 << f.depth)) ** (1.0 / pf)
 
 
 def _weak_candidates(f: StepFunction | SupportView):

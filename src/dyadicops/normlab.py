@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from . import __version__, scalars
@@ -20,13 +19,13 @@ from .core import (
     DyadicInterval,
     StepFunction,
     SupportView,
-    _float_power_sum,
     _weak_candidates,
     check_depth,
-    coefficient_table,
     haar_sum,
+    inner_product,
     interval_family,
     lp_norm,
+    power_mean,
 )
 from .errors import ResolutionError, ShapeError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
@@ -138,15 +137,7 @@ class OperatorDescriptor:
         return self.alpha.m
 
     def as_float64(self) -> "OperatorDescriptor":
-        if self.b is None or self.b.mode == FLOAT64:
-            return self
-        return OperatorDescriptor(
-            kind=self.kind,
-            alpha=self.alpha,
-            b=self.b.as_float64(),
-            symbol=self.symbol,
-            slot=self.slot,
-        )
+        return self if self.b is None else replace(self, b=self.b.as_float64())
 
     def apply(self, fs: Sequence[StepFunction]) -> StepFunction:
         """The operator on fs: StepFunctions, or SupportViews of one
@@ -155,18 +146,42 @@ class OperatorDescriptor:
         if self.kind == "paraproduct":
             return paraproduct(self.alpha, fs)
         if self.kind == "pi_paraproduct":
-            return pi_paraproduct(self.alpha, self.b, fs, self.b_table)
+            return pi_paraproduct(self.alpha, self.b, fs)
         if self.kind == "multilinear_multiplier":
             return multilinear_multiplier(self.symbol, self.alpha, fs)
         return commutator(self.slot, self.b, self.symbol, self.alpha, fs)
 
-    @cached_property
-    def b_table(self) -> list | None:
-        """b's coefficient table, built once per descriptor for
-        pi_paraproduct (None for the other kinds)."""
-        if self.kind != "pi_paraproduct":
-            return None
-        return coefficient_table(self.b)
+    def adjoint(self, slot: int, fs: Sequence[StepFunction], g) -> StepFunction:
+        """T*j(fs; g), the transpose in slot j = ``slot`` with the other slots
+        fixed by fs: <T(fs), g> = <f_j, T*j(fs; g)>; f_j is not read.
+
+        The duality rule: T*j is the same operator with g in slot j and bit
+        j of alpha set to 1 - sigma % 2, sigma counting the zero bits (and
+        b's Haar slot for pi).  g pairs with h_I**sigma, a power of |I| times
+        h_I for an odd sigma and times 1_I/|I| for an even one, and the new
+        bit pairs g the same way.  The all-ones paraproduct, a constant, has
+        no such adjoint.  For [b, T]_i, with T*j from the multiplier T, it is
+        b T*j(fs; g) - T*j(fs; b g) for j = i, else
+        T*j(fs with b f_i in slot i; g) - T*j(fs; b g).
+        """
+        m = self.arity
+        if not 1 <= slot <= m:
+            raise ValueError(f"slot must be in 1..{m}, got {slot}")
+        if len(fs) != m:
+            raise ShapeError(f"alpha has {m} slots but got {len(fs)} functions")
+        if self.kind == "commutator":
+            t = replace(self, kind="multilinear_multiplier", b=None, slot=None)
+            b, i = self.b, self.slot
+            t_bg = t.adjoint(slot, fs, b * g)
+            if slot == i:
+                return b * t.adjoint(slot, fs, g) - t_bg
+            return t.adjoint(slot, [*fs[: i - 1], b * fs[i - 1], *fs[i:]], g) - t_bg
+        sigma = self.alpha.zero_count + (self.kind == "pi_paraproduct")
+        if sigma == 0:
+            raise ValueError("the all-ones paraproduct is a constant: no adjoint")
+        bits = (*self.alpha.bits[: slot - 1], 1 - sigma % 2, *self.alpha.bits[slot:])
+        t = replace(self, alpha=AlphaVector(bits))
+        return t.apply([*fs[: slot - 1], g, *fs[slot:]])
 
     def to_json_dict(self) -> dict:
         out = {
@@ -193,6 +208,13 @@ class OperatorDescriptor:
             else None,
             slot=obj.get("slot"),
         )
+
+
+def adjoint_residual(descriptor: OperatorDescriptor, slot: int, fs, g):
+    """<T(fs), g> - <f_j, T*j(fs; g)> with j = ``slot``; exactly zero in
+    rational mode (``OperatorDescriptor.adjoint``)."""
+    lhs = inner_product(descriptor.apply(fs), g)
+    return lhs - inner_product(fs[slot - 1], descriptor.adjoint(slot, fs, g))
 
 
 # -- samplers -------------------------------------------------------------------
@@ -446,8 +468,7 @@ def extremal_tuple(
 def _lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
     """(mean of |f|**r) ** (1/r), blocks included: the float64 ``lp_norm``
     for r >= 1, a quasinorm below."""
-    rf = float(r)
-    return (_float_power_sum(f, rf) / (1 << f.depth)) ** (1.0 / rf)
+    return power_mean(f, r)
 
 
 def _weak_lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:

@@ -27,7 +27,6 @@ from .core import (
     average_table,
     coefficient_table,
     haar_sum,
-    inner_product,
     pointwise_product,
     seen,
     support_layout,
@@ -220,22 +219,17 @@ def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, support=support)
 
 
-def pi_paraproduct(
-    alpha, b: StepFunction, fs: Sequence[StepFunction], b_table: list | None = None
-) -> StepFunction:
+def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFunction:
     """Paraproduct with symbol b: b always enters through its Haar
     coefficients, i.e. this is the (0, alpha) paraproduct of (b, fs).
 
-    ``b_table`` is b's ``coefficient_table`` for a caller that keeps it
-    across calls; b itself need not vanish outside the inputs' support.
+    b itself need not vanish outside the inputs' support.
     """
     a = _as_alpha(alpha)
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     depth, mode, support = _check_tuple(fs, b)
-    if b_table is None:
-        b_table = coefficient_table(b)
-    tables = [support_layout(b_table, support), *_slot_tables(a.bits, fs)]
+    tables = [support_layout(coefficient_table(b), support), *_slot_tables(a.bits, fs)]
     return _engine((0,) + a.bits, tables, depth, mode, support=support)
 
 
@@ -249,17 +243,12 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
     depth, mode, _ = _check_tuple(fs)
-    ctabs = [coefficient_table(f) for f in fs]
-    atabs = [average_table(f) for f in fs]
     total = StepFunction.zeros(depth, mode)
     for a in admissible_alphas(m):
-        tables = [
-            ctabs[j] if bit == 0 else atabs[j] for j, bit in enumerate(a.bits)
-        ]
-        total = total + _engine(a.bits, tables, depth, mode).expand()
+        total = total + _engine(a.bits, _slot_tables(a.bits, fs), depth, mode).expand()
     corr = scalars.one(mode)
-    for at in atabs:
-        corr = corr * at[0][0]
+    for f in fs:
+        corr = corr * average_table(f)[0][0]
     return pointwise_product(fs) - total - StepFunction.constant(corr, depth, mode)
 
 
@@ -314,34 +303,3 @@ def localized_average_residual(
     for leaf in interval.leaf_span(depth):
         residual[leaf] = value
     return StepFunction._raw(depth, residual, mode)
-
-
-def adjoint_residual(f1: StepFunction, f2: StepFunction, g: StepFunction):
-    """<pi_{f1}(f2), g> - <f2, P^{(0,0)}(f1, g)>; exactly zero.
-
-    The adjoint of the symbol paraproduct in its function argument is the
-    (0,0) paraproduct against the symbol; no mean correction appears.
-    """
-    lhs = inner_product(paraproduct(AlphaVector((0, 1)), [f1, f2]), g)
-    rhs = inner_product(f2, paraproduct(AlphaVector((0, 0)), [f1, g]))
-    return lhs - rhs
-
-
-def transpose_residual(
-    alpha, b: StepFunction, g: StepFunction, fs: Sequence[StepFunction]
-):
-    """Duality between the single-Haar-slot symbol paraproduct and the
-    all-average one: <pi_b^{(0,1,...,1)}(fs), g> = <pi_b^{(1,...,1)}(g,
-    f_2, ..., f_m), f_1>.  Returns the difference, exactly zero.
-    """
-    a = _as_alpha(alpha)
-    if a.bits[0] != 0 or a.zero_count != 1:
-        raise ValueError(
-            f"transpose identity needs alpha = (0, 1, ..., 1), got {a}"
-        )
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    lhs = inner_product(pi_paraproduct(a, b, fs), g)
-    all_ones = AlphaVector((1,) * a.m)
-    rhs = inner_product(pi_paraproduct(all_ones, b, [g, *fs[1:]]), fs[0])
-    return lhs - rhs

@@ -71,6 +71,9 @@ class Exact:
             self.A, self.B, self.D = a, b, 1
             return
         a = a if type(a) is Fraction else Fraction(a)
+        if type(b) is int and not b:
+            self.A, self.B, self.D = a.numerator, 0, a.denominator
+            return
         b = b if type(b) is Fraction else Fraction(b)
         da, db = a.denominator, b.denominator
         # over the lcm of two lowest-terms denominators no factor is common
@@ -441,7 +444,11 @@ def scalar_sqrt(value, mode: str):
         root = coerce(value, RATIONAL).sqrt()
         if root is not None:
             return root
-        return math.sqrt(float(value))
+        try:
+            return math.sqrt(float(value))
+        except OverflowError:
+            # past the float range: sqrt(v) = 2**512 * sqrt(v / 2**1024)
+            return 2.0**512 * scalar_sqrt(value * root2_power(-2048, mode), mode)
     return math.sqrt(value)
 
 

@@ -103,6 +103,61 @@ def naive_paraproduct(bits, fs, eps_value=None) -> StepFunction:
     return StepFunction(depth, tuple(vals), mode)
 
 
+def _leafwise_product(f: StepFunction, g: StepFunction) -> StepFunction:
+    values = tuple(x * y for x, y in zip(f.values, g.values))
+    return StepFunction(f.depth, values, f.mode)
+
+
+def naive_operator(descriptor, fs) -> StepFunction:
+    """The descriptor's operator on full-grid inputs, through
+    ``naive_paraproduct``; the commutator from its definition, leaf by
+    leaf."""
+    bits = descriptor.alpha.bits
+    if descriptor.kind == "paraproduct":
+        return naive_paraproduct(bits, fs)
+    if descriptor.kind == "pi_paraproduct":
+        return naive_paraproduct((0, *bits), [descriptor.b, *fs])
+    mode = fs[0].mode
+
+    def eps_value(interval):
+        return scalars.coerce(descriptor.symbol.value(interval), mode)
+
+    if descriptor.kind == "multilinear_multiplier":
+        return naive_paraproduct(bits, fs, eps_value)
+    b, i = descriptor.b, descriptor.slot
+    moved = list(fs)
+    moved[i - 1] = _leafwise_product(b, fs[i - 1])
+    inside = naive_paraproduct(bits, moved, eps_value)
+    outside = naive_paraproduct(bits, fs, eps_value)
+    values = (x - c * y for x, c, y in zip(inside.values, b.values, outside.values))
+    return StepFunction(b.depth, tuple(values), mode)
+
+
+def matrix_adjoint(descriptor, slot: int, fs, g) -> StepFunction:
+    """The transpose of the slot-``slot`` operator's N x N matrix, other
+    slots fixed by fs, applied to g.
+
+    Column k is ``naive_operator`` with the indicator of leaf k in the
+    slot.  Both sides of <T f, g> = <f, T* g> carry the same 1/N, so the
+    adjoint's matrix is the plain transpose."""
+    depth, mode = g.depth, g.mode
+    n = 1 << depth
+    columns = []
+    for k in range(n):
+        unit = [scalar_zero(mode)] * n
+        unit[k] = scalar_one(mode)
+        moved = list(fs)
+        moved[slot - 1] = StepFunction(depth, tuple(unit), mode)
+        columns.append(naive_operator(descriptor, moved).values)
+    out = []
+    for column in columns:
+        acc = scalar_zero(mode)
+        for x, y in zip(column, g.values):
+            acc = acc + x * y
+        out.append(acc)
+    return StepFunction(depth, tuple(out), mode)
+
+
 def naive_maximal(f: StepFunction) -> StepFunction:
     absf = f.abs()
     vals = []

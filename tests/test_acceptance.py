@@ -45,7 +45,6 @@ from dyadicops import (
     product_decomposition_residual,
     square_function,
     synthesize,
-    transpose_residual,
 )
 from dyadicops.core import average_table, coefficient_table
 from dyadicops.normlab import _lr_quasinorm
@@ -382,12 +381,14 @@ def test_criterion_09_commutator_sanity():
     for _ in range(25):
         depth = rng.randint(2, 4)
         f1, f2, g = (random_step(rng, depth) for _ in range(3))
-        assert adjoint_residual(f1, f2, g) == Exact(0)
+        para = OperatorDescriptor("paraproduct", (0, 1))
+        assert adjoint_residual(para, 2, [f1, f2], g) == Exact(0)
         m = rng.choice((1, 2, 3))
         b = random_step(rng, depth)
         fs = [random_step(rng, depth) for _ in range(m)]
         alpha = (0,) + (1,) * (m - 1)
-        assert transpose_residual(alpha, b, g, fs) == Exact(0)
+        pi = OperatorDescriptor("pi_paraproduct", alpha, b=b)
+        assert adjoint_residual(pi, 1, fs, g) == Exact(0)
 
 
 def test_criterion_10_reproducibility():

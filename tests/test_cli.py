@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dyadicops
-from dyadicops import StepFunction, SymbolSequence, analyze
+from dyadicops import OperatorDescriptor, StepFunction, SymbolSequence, analyze
 from dyadicops.cli import main
 from dyadicops.core import MAX_DEPTH
 
@@ -46,6 +46,28 @@ class TestVerify:
         assert out["ok"] is True
         assert out["failures"] == 0
         assert out["suite"] == suite
+
+    @pytest.mark.parametrize("mode", ["rational", "float64"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("suite", ["adjoint", "transpose"])
+    def test_duality_suites_honour_m(self, suite, m, mode, capsys):
+        code = main(["verify", suite, "--m", str(m), "--depth", "3", "--trials", "6",
+                     "--mode", mode])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["failures"] == 0
+        assert (out["suite"], out["m"], out["mode"]) == (suite, m, mode)
+
+    def test_duality_suite_can_fail(self, monkeypatch, capsys):
+        def alpha_unchanged(self, slot, fs, g):
+            moved = list(fs)
+            moved[slot - 1] = g
+            return self.apply(moved)
+
+        monkeypatch.setattr(OperatorDescriptor, "adjoint", alpha_unchanged)
+        code = main(["verify", "adjoint", "--m", "2", "--depth", "3", "--trials", "8"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["failures"] > 0 and out["ok"] is False
 
     def test_float_mode_suite(self, capsys):
         code = main(
@@ -144,6 +166,17 @@ class TestNorms:
         assert main(["norms", str(path), "--p", "700"]) == 0
         norm = json.loads(capsys.readouterr().out)["lp"]["700"]
         assert norm == pytest.approx(3 * 4 ** (-1 / 700), rel=1e-12)
+
+    def test_norms_of_values_near_the_float_limit(self, tmp_path, capsys):
+        # the mean of squares, 1e600 / 2, has no exact root and no float
+        path = tmp_path / "f.json"
+        write_json(path, {"depth": 1, "mode": "rational", "values": ["1e300", "3"]})
+        assert main(["norms", str(path), "--p", "1,2,3,inf"]) == 0
+        lp = json.loads(capsys.readouterr().out)["lp"]
+        assert lp["1"] == pytest.approx(5e299, rel=1e-15)
+        assert lp["2"] == pytest.approx(1e300 / 2**0.5, rel=1e-15)
+        assert lp["3"] == pytest.approx(1e300 / 2 ** (1 / 3), rel=1e-15)
+        assert lp["inf"] == 1e300
 
     def test_bad_exponent_exits_two(self, func_file):
         assert main(["norms", str(func_file), "--p", "0.5"]) == 2
@@ -309,6 +342,23 @@ class TestBoundary:
         ]) == 2
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
+
+    def test_norms_rejects_a_value_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        write_json(path, {"depth": 1, "mode": "rational", "values": ["1e400", "1"]})
+        assert main(["norms", str(path), "--p", "1,2,3,inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: number too large for a float64 value\n"
+
+    def test_estimate_at_an_exponent_near_the_float_limit(self, tmp_path, capsys):
+        # every |f|**r overflows a float at r = 5e299; the output norm is
+        # scaled by max |f|
+        assert main([
+            "estimate", "--op", "para", "--alpha", "11", "--p", "1e300,1e300",
+            "--depth", "3", "--trials", "3",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["best_ratio"] == pytest.approx(7.0)
 
     def test_estimate_zero_denominator_exponent(self, tmp_path, capsys):
         assert main([

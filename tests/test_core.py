@@ -24,7 +24,12 @@ from dyadicops import (
     weak_lp_quasinorm,
     weak_lp_quasinorm_pow,
 )
-from dyadicops.core import average_table, coefficient_table, interval_integrals
+from dyadicops.core import (
+    average_table,
+    coefficient_table,
+    interval_integrals,
+    power_mean,
+)
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.scalars import FLOAT64, RATIONAL
 
@@ -258,6 +263,8 @@ class TestAnalysis:
         integ = interval_integrals(f)
         avgs = average_table(f)
         coeffs = coefficient_table(f)
+        # built once and kept on f
+        assert average_table(f) is avgs and coefficient_table(f) is coeffs
         for lvl in range(depth + 1):
             for pos in range(1 << lvl):
                 i = DyadicInterval(lvl, pos)
@@ -376,6 +383,14 @@ class TestNorms:
         mean = sum((abs(float(v)) / top) ** float(p) for v in values) / 4
         expect = top * mean ** (1.0 / float(p))
         assert lp_norm(f, p) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(10**300)])
+    def test_power_mean_below_one_and_past_the_float_range(self, r):
+        values = [1.0, -3.0, 2.0, 0.5]
+        f = StepFunction.from_values(values, mode="float64")
+        mean = sum((abs(v) / 3.0) ** float(r) for v in values) / 4
+        expect = 3.0 * mean ** (1 / float(r))
+        assert power_mean(f, r) == pytest.approx(expect, rel=1e-12)
 
     def test_underflowing_power_sum_is_scaled(self):
         f = StepFunction.from_values([0.5, 0.25], mode="float64")

@@ -130,6 +130,9 @@ def test_equal_values_have_equal_ints(p, q):
 @given(pairs)
 def test_hash_of_rationals_is_the_fraction_hash(pair):
     x = Exact(pair[0])
+    # the constructor's shortcut for a rational value gives the canonical ints
+    y = Exact(pair[0], Fraction(0))
+    assert (x.A, x.B, x.D) == (y.A, y.B, y.D)
     assert hash(x) == hash(pair[0])
     assert x == pair[0] and pair[0] == x
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,22 +10,24 @@ from dyadicops import (
     AlphaVector,
     DyadicInterval,
     Exact,
+    OperatorDescriptor,
     StepFunction,
+    SymbolSequence,
     admissible_alphas,
     adjoint_residual,
     inner_product,
+    interval_family,
     localized_average_residual,
     paraproduct,
     pi_paraproduct,
     pointwise_product,
     product_decomposition_residual,
-    transpose_residual,
 )
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.paraproducts import _engine
 from dyadicops.scalars import FLOAT64, RATIONAL, one, zero
 
-from oracles import naive_paraproduct, random_rationals
+from oracles import matrix_adjoint, naive_paraproduct, random_rationals
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -304,6 +306,32 @@ class TestDecompositions:
         )
 
 
+def para(bits):
+    return OperatorDescriptor("paraproduct", bits)
+
+
+def pi(bits, b):
+    return OperatorDescriptor("pi_paraproduct", bits, b=b)
+
+
+def every_descriptor(m, rng, depth):
+    """One descriptor of each kind for every alpha of arity m, a commutator
+    for every slot; the pi paraproduct also with the all-ones alpha."""
+    b, = random_tuple(rng, 1, depth)
+    entries = {
+        i: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for i in interval_family(depth)
+    }
+    eps = SymbolSequence(0, entries)
+    for bits in product((0, 1), repeat=m):
+        yield pi(bits, b)
+        if 0 not in bits:
+            continue
+        yield para(bits)
+        yield OperatorDescriptor("multilinear_multiplier", bits, symbol=eps)
+        for i in range(1, m + 1):
+            yield OperatorDescriptor("commutator", bits, b=b, symbol=eps, slot=i)
+
+
 class TestDuality:
     def test_adjoint_frozen(self):
         f1 = StepFunction.from_values([1, 0])
@@ -315,7 +343,9 @@ class TestDuality:
         assert lhs == Exact(Fraction(-3, 2))
         rhs = inner_product(f2, paraproduct((0, 0), [f1, g]))
         assert rhs == lhs
-        assert adjoint_residual(f1, f2, g) == Exact(0)
+        # sigma = 1 is odd, so slot 2 turns into a Haar slot
+        assert para((0, 1)).adjoint(2, [f1, f2], g) == paraproduct((0, 0), [f1, g])
+        assert adjoint_residual(para((0, 1)), 2, [f1, f2], g) == Exact(0)
 
     def test_adjoint_frozen_positive_pair(self):
         f1 = StepFunction.from_values([0, 1])
@@ -324,12 +354,13 @@ class TestDuality:
         lhs = inner_product(pi_paraproduct((1,), f1, [f2]), g)
         assert lhs == Exact(Fraction(3, 2))  # (1/2) * 3 * 1
         assert inner_product(f2, paraproduct((0, 0), [f1, g])) == lhs
-        assert adjoint_residual(f1, f2, g) == Exact(0)
+        assert adjoint_residual(para((0, 1)), 2, [f1, f2], g) == Exact(0)
+        assert adjoint_residual(pi((1,), f1), 1, [f2], g) == Exact(0)
 
     @settings(max_examples=20, deadline=None)
     @given(step_functions(3), step_functions(3), step_functions(3))
     def test_adjoint_zero(self, f1, f2, g):
-        assert adjoint_residual(f1, f2, g) == Exact(0)
+        assert adjoint_residual(para((0, 1)), 2, [f1, f2], g) == Exact(0)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -338,7 +369,7 @@ class TestDuality:
         m, depth = rng.choice([(1, 3), (2, 2), (3, 2)])
         b, g, *fs = random_tuple(rng, m + 2, depth)
         alpha = AlphaVector((0,) + (1,) * (m - 1)) if m > 1 else AlphaVector((0,))
-        assert transpose_residual(alpha, b, g, fs) == Exact(0)
+        assert adjoint_residual(pi(alpha, b), 1, fs, g) == Exact(0)
 
     def test_transpose_frozen(self):
         b = StepFunction.from_values([1, 0])
@@ -347,7 +378,9 @@ class TestDuality:
         lhs = inner_product(pi_paraproduct((0,), b, [f]), g)
         rhs = inner_product(pi_paraproduct((1,), b, [g]), f)
         assert lhs == rhs
-        assert transpose_residual((0,), b, g, [f]) == Exact(0)
+        # sigma = 2 with b's slot, so slot 1 turns into an average slot
+        assert pi((0,), b).adjoint(1, [f], g) == pi_paraproduct((1,), b, [g])
+        assert adjoint_residual(pi((0,), b), 1, [f], g) == Exact(0)
 
     def test_transpose_frozen_bilinear(self):
         b = StepFunction.from_values([0, 1])
@@ -357,13 +390,38 @@ class TestDuality:
         lhs = inner_product(pi_paraproduct((0, 1), b, [f1, f2]), g)
         assert lhs == Exact(Fraction(3, 2))  # (1/2) * 1 * 1 * 3
         assert inner_product(pi_paraproduct((1, 1), b, [g, f2]), f1) == lhs
-        assert transpose_residual((0, 1), b, g, [f1, f2]) == Exact(0)
+        assert adjoint_residual(pi((0, 1), b), 1, [f1, f2], g) == Exact(0)
 
     def test_transpose_validation(self):
-        b = StepFunction.from_values([1, 0])
         f = StepFunction.from_values([2, 4])
         g = StepFunction.from_values([1, 3])
-        with pytest.raises(ValueError):
-            transpose_residual((1, 0), b, g, [f, f])
-        with pytest.raises(ValueError):
-            transpose_residual((0, 0), b, g, [f, f])
+        # the all-ones paraproduct is a constant: no adjoint of its shape
+        with pytest.raises(ValueError, match="all-ones"):
+            para((1, 1)).adjoint(1, [f, f], g)
+        for slot in (0, 3):
+            with pytest.raises(ValueError, match="slot must be in 1..2"):
+                para((0, 1)).adjoint(slot, [f, f], g)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_every_kind_alpha_and_slot(self, depth):
+        rng = random.Random(depth)
+        for m in (1, 2, 3):
+            fs = random_tuple(rng, m, depth)
+            g, = random_tuple(rng, 1, depth)
+            for desc in every_descriptor(m, rng, depth):
+                for slot in range(1, m + 1):
+                    assert adjoint_residual(desc, slot, fs, g) == Exact(0), (
+                        desc.kind, str(desc.alpha), desc.slot, slot
+                    )
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_adjoint_is_the_matrix_transpose(self, depth):
+        rng = random.Random(100 + depth)
+        for m in (1, 2, 3):
+            fs = random_tuple(rng, m, depth)
+            g, = random_tuple(rng, 1, depth)
+            for desc in every_descriptor(m, rng, depth):
+                for slot in range(1, m + 1):
+                    assert desc.adjoint(slot, fs, g) == matrix_adjoint(
+                        desc, slot, fs, g
+                    ), (desc.kind, str(desc.alpha), desc.slot, slot)
