@@ -315,8 +315,9 @@ class StepFunction:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StepFunction":
         mode = check_mode(obj.get("mode", RATIONAL))
+        depth = check_depth(int(obj["depth"]))
         values = [scalars.decode_value(v, mode) for v in obj["values"]]
-        return cls(int(obj["depth"]), tuple(values), mode)
+        return cls(depth, tuple(values), mode)
 
 
 @dataclass(frozen=True)
@@ -471,15 +472,13 @@ def support_layout(table: Sequence[Sequence], support: DyadicInterval) -> list:
 
 @dataclass(frozen=True)
 class HaarSpectrum:
-    """Global mean plus one Haar coefficient per interval of the family.
-
-    Coefficients that are exactly zero may be omitted from ``coeffs``;
-    equality ignores the difference.
-    """
+    """Global mean plus the coefficient table: row ``level`` holds the
+    2**level coefficients <f, h_I> of that level in position order, zeros
+    included, the layout of ``coefficient_table``."""
 
     depth: int
     mean: object
-    coeffs: dict
+    coeffs: tuple
     mode: str = RATIONAL
 
     def __post_init__(self):
@@ -487,17 +486,15 @@ class HaarSpectrum:
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         object.__setattr__(self, "mean", scalars.coerce(self.mean, self.mode))
-        cleaned = {}
-        for interval, value in self.coeffs.items():
-            if interval.level >= self.depth:
-                raise ResolutionError(
-                    f"coefficient at level {interval.level} does not fit a "
-                    f"depth-{self.depth} grid"
-                )
-            v = scalars.coerce(value, self.mode)
-            if v:
-                cleaned[interval] = v
-        object.__setattr__(self, "coeffs", cleaned)
+        shape = [len(row) for row in self.coeffs]
+        if shape != [1 << level for level in range(self.depth)]:
+            raise ShapeError(
+                f"expected {self.depth} rows of 1, 2, 4, ... coefficients, "
+                f"got rows of {shape}"
+            )
+        object.__setattr__(
+            self, "coeffs", tuple(_coerce_values(row, self.mode) for row in self.coeffs)
+        )
 
     def coefficient(self, interval: DyadicInterval):
         if interval.level >= self.depth:
@@ -505,26 +502,14 @@ class HaarSpectrum:
                 f"no coefficient at level {interval.level} on a "
                 f"depth-{self.depth} grid"
             )
-        return self.coeffs.get(interval, scalars.zero(self.mode))
-
-    def __eq__(self, other):
-        if not isinstance(other, HaarSpectrum):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.mode == other.mode
-            and self.mean == other.mean
-            and self.coeffs == other.coeffs
-        )
+        return self.coeffs[interval.level][interval.position]
 
     def to_json_dict(self) -> dict:
         entries = [
-            {
-                "level": i.level,
-                "pos": i.position,
-                "value": scalars.encode_value(v, self.mode),
-            }
-            for i, v in sorted(self.coeffs.items())
+            {"level": level, "pos": pos, "value": scalars.encode_value(v, self.mode)}
+            for level, row in enumerate(self.coeffs)
+            for pos, v in enumerate(row)
+            if v
         ]
         return {
             "depth": self.depth,
@@ -536,13 +521,20 @@ class HaarSpectrum:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HaarSpectrum":
         mode = check_mode(obj.get("mode", RATIONAL))
-        coeffs = {
-            DyadicInterval(int(e["level"]), int(e["pos"])): scalars.decode_value(
+        depth = check_depth(int(obj["depth"]))
+        z = scalars.zero(mode)
+        rows = [[z] * (1 << level) for level in range(depth)]
+        for e in obj.get("coeffs", []):
+            interval = DyadicInterval(int(e["level"]), int(e["pos"]))
+            if interval.level >= depth:
+                raise ResolutionError(
+                    f"coefficient at level {interval.level} does not fit a "
+                    f"depth-{depth} grid"
+                )
+            rows[interval.level][interval.position] = scalars.decode_value(
                 e["value"], mode
             )
-            for e in obj.get("coeffs", [])
-        }
-        return cls(int(obj["depth"]), scalars.decode_value(obj["mean"], mode), coeffs, mode)
+        return cls(depth, scalars.decode_value(obj["mean"], mode), rows, mode)
 
 
 # -- integral tables ----------------------------------------------------------
@@ -654,27 +646,18 @@ def coefficient_table(f: StepFunction | SupportView) -> list[list]:
 def analyze(f: StepFunction) -> HaarSpectrum:
     """Haar transform: global mean plus <f, h_I> for every interval."""
     f = f.expand()
-    ints = interval_integrals(f)
-    coeffs = {}
-    for level in range(f.depth):
-        mag = scalars.root2_power(level, f.mode)
-        below = ints[level + 1]
-        for k in range(1 << level):
-            c = mag * (below[2 * k + 1] - below[2 * k])
-            if c:
-                coeffs[DyadicInterval(level, k)] = c
-    return HaarSpectrum(f.depth, ints[0][0], coeffs, f.mode)
+    mean = interval_integrals(f)[0][0]
+    return HaarSpectrum(f.depth, mean, coefficient_table(f), f.mode)
 
 
 def synthesize(spectrum: HaarSpectrum) -> StepFunction:
     """Inverse Haar transform: mean + sum of coeff * h_I, each leaf adding
     its terms from the coarsest level down."""
     depth, mode = spectrum.depth, spectrum.mode
-    z = scalars.zero(mode)
-    mags = [scalars.root2_power(level, mode) for level in range(depth)]
-    terms = [[z] * (1 << level) for level in range(depth)]
-    for interval, c in spectrum.coeffs.items():
-        terms[interval.level][interval.position] = c * mags[interval.level]
+    terms = [
+        [c * scalars.root2_power(level, mode) for c in row]
+        for level, row in enumerate(spectrum.coeffs)
+    ]
     return StepFunction._raw(depth, haar_sum(spectrum.mean, terms, True), mode)
 
 

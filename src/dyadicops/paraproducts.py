@@ -143,7 +143,9 @@ def _engine(
     intervals that neither contain ``support`` nor lie inside it, as it
     does when some slot's input vanishes outside ``support``.  The output,
     built by ``core.seen``, is then its leaf values on ``support`` plus one
-    constant on each sibling block along the ancestor chain.  Each value
+    constant on each sibling block along the ancestor chain.  ``depth``
+    may equal ``support.level``: the output is then one value on
+    ``support``, the sum of the terms of its strict ancestors.  Each value
     adds its terms from the coarsest level down, as the full-grid call
     does, so float64 results match it bit for bit.
     """
@@ -269,8 +271,6 @@ def localized_average_residual(
         raise ResolutionError(
             f"interval at level {interval.level} is finer than depth {depth}"
         )
-    m = len(fs)
-    ctabs = [coefficient_table(f) for f in fs]
     atabs = [average_table(f) for f in fs]
 
     lhs = scalars.one(mode)
@@ -279,23 +279,14 @@ def localized_average_residual(
         lhs = lhs * at[interval.level][interval.position]
         corr = corr * at[0][0]
 
-    ancestors = list(interval.ancestors())
+    # the strict ancestors of J are the intervals of the depth-level(J)
+    # grid that contain J: their paraproduct terms, seen from J, are one
+    # value on J
+    level = interval.level
     acc = scalars.zero(mode)
-    for a in admissible_alphas(m):
-        sigma = a.zero_count
-        odd = sigma % 2 == 1
-        for anc in ancestors:
-            t = scalars.one(mode)
-            for j, bit in enumerate(a.bits):
-                tab = ctabs[j] if bit == 0 else atabs[j]
-                t = t * tab[anc.level][anc.position]
-            w = scalars.root2_power(anc.level * sigma, mode)
-            # J sits inside one half of each strict ancestor
-            child_bit = (interval.position >> (interval.level - anc.level - 1)) & 1
-            if odd and child_bit == 0:
-                acc = acc - t * w
-            else:
-                acc = acc + t * w
+    for a in admissible_alphas(len(fs)):
+        tables = [support_layout(t[:level], interval) for t in _slot_tables(a.bits, fs)]
+        acc = acc + _engine(a.bits, tables, level, mode, support=interval).values[0]
 
     z = scalars.zero(mode)
     residual = [z] * (1 << depth)

@@ -178,6 +178,19 @@ class TestNorms:
         assert lp["3"] == pytest.approx(1e300 / 2 ** (1 / 3), rel=1e-15)
         assert lp["inf"] == 1e300
 
+    def test_square_function_of_values_near_the_float_limit(self, tmp_path, capsys):
+        # the squares near 1e600 have no exact root and no float: only they
+        # are scaled before the float root
+        path = tmp_path / "f.json"
+        write_json(path, {"depth": 2, "mode": "rational", "values": ["1e300", "0", "1", "7"]})
+        assert main(["norms", str(path), "--include-square"]) == 0
+        square = json.loads(capsys.readouterr().out)["square"]
+        assert square["mode"] == "float64"
+        # Sf**2 is c_U**2 + 2 c_(1,0)**2 = 1e600 * 5/16 on the left half
+        # and about c_U**2 = 1e600 / 16 on the right half
+        want = [1e300 * (5 / 16) ** 0.5] * 2 + [2.5e299] * 2
+        assert square["values"] == pytest.approx(want, rel=1e-12)
+
     def test_bad_exponent_exits_two(self, func_file):
         assert main(["norms", str(func_file), "--p", "0.5"]) == 2
 
@@ -406,6 +419,26 @@ class TestBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --m must be >= 1, got {m}\n"
+
+    @pytest.mark.parametrize(
+        "obj, argv",
+        [
+            ({"depth": 40, "mode": "float64", "mean": 0.0, "coeffs": []},
+             ["transform", "synthesize"]),
+            ({"depth": 10**12, "mode": "float64", "values": [1.0, 2.0]}, ["norms"]),
+        ],
+    )
+    def test_file_depth_checked_before_allocation(self, tmp_path, capsys, obj, argv):
+        # a file's depth is checked before any of its 2**depth rows or
+        # leaves is built
+        path = tmp_path / "deep.json"
+        write_json(path, obj)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: depth must lie in 1..{MAX_DEPTH}, got {obj['depth']}\n"
+        )
 
     def test_depth_cap_checked_before_allocation(self, tmp_path, capsys):
         # one above the cap: rejected by the check, so nothing of size

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.scalars import FLOAT64, RATIONAL
 
 from oracles import (
+    close_to_rational,
     naive_average,
     naive_coefficient,
     naive_haar,
@@ -176,7 +178,7 @@ class TestStepFunction:
                 {"depth": 1, "mode": FLOAT64, "values": [1.0, bad]}
             )
         with pytest.raises(ValueError):
-            HaarSpectrum(1, bad, {}, FLOAT64)
+            HaarSpectrum(1, bad, [[0.0]], FLOAT64)
 
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError):
@@ -256,6 +258,23 @@ class TestAnalysis:
         assert spec.mean == Exact(1)
         assert all(spec.coefficient(i) == Exact(0) for i in interval_family(2))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 10_000))
+    def test_float64_transforms_match_rational(self, depth, seed):
+        rng = random.Random(seed)
+        f = StepFunction.from_values(random_rationals(rng, 1 << depth))
+        spec, got = analyze(f), analyze(f.as_float64())
+        assert close_to_rational(
+            [got.mean, *chain(*got.coeffs)], [spec.mean, *chain(*spec.coeffs)]
+        )
+        # coefficients with an irrational part, as analyze gives at odd levels
+        rows = [[Exact(*random_rationals(rng, 2)) for _ in range(1 << k)]
+                for k in range(depth)]
+        spec = HaarSpectrum(depth, spec.mean, rows, RATIONAL)
+        floats = [[float(c) for c in row] for row in rows]
+        got = synthesize(HaarSpectrum(depth, float(spec.mean), floats, FLOAT64))
+        assert close_to_rational(got.values, synthesize(spec).values)
+
     def test_tables_match_oracle(self):
         rng = random.Random(7)
         depth = 3
@@ -288,27 +307,30 @@ class TestAnalysis:
             total = total + c * c
         assert total == lp_norm_pow(f, 2)
 
-    def test_synthesize_from_coeff_dict(self):
+    def test_synthesize_from_coeff_rows(self):
         spec = HaarSpectrum(
             depth=2,
             mode=RATIONAL,
             mean=Fraction(1, 4),
-            coeffs={
-                UNIVERSE: Fraction(-1, 4),
-                DyadicInterval(1, 0): Exact(0, Fraction(1, 4)),
-            },
+            coeffs=[[Fraction(-1, 4)], [Exact(0, Fraction(1, 4)), 0]],
         )
         assert synthesize(spec) == StepFunction.from_values([0, 1, 0, 0])
 
     def test_synthesize_trivial_spectra(self):
-        flat = HaarSpectrum(depth=2, mode=RATIONAL, mean=1, coeffs={})
+        flat = HaarSpectrum(depth=2, mode=RATIONAL, mean=1, coeffs=[[0], [0, 0]])
         assert synthesize(flat) == StepFunction.constant(1, 2)
-        root = HaarSpectrum(depth=1, mode=RATIONAL, mean=0, coeffs={UNIVERSE: 1})
+        root = HaarSpectrum(depth=1, mode=RATIONAL, mean=0, coeffs=[[1]])
         assert synthesize(root) == StepFunction.from_values([-1, 1])
 
     def test_spectrum_guards(self):
         with pytest.raises(ResolutionError):
-            HaarSpectrum(depth=1, mode=RATIONAL, mean=0, coeffs={DyadicInterval(1, 0): 1})
+            HaarSpectrum.from_json_dict(
+                {"depth": 1, "mean": "0", "coeffs": [{"level": 1, "pos": 0, "value": "1"}]}
+            )
+        # one row per level, row ``level`` holding 2**level coefficients
+        for depth, rows in [(1, [[0], [1, 0]]), (1, [[0, 0]]), (1, []), (2, [[0], [1]])]:
+            with pytest.raises(ShapeError):
+                HaarSpectrum(depth=depth, mode=RATIONAL, mean=0, coeffs=rows)
         spec = analyze(StepFunction.from_values([0, 1]))
         with pytest.raises(ResolutionError):
             spec.coefficient(DyadicInterval(1, 0))

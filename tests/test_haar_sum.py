@@ -19,7 +19,6 @@ from dyadicops import (
     OperatorDescriptor,
     SamplerSpec,
     StepFunction,
-    interval_family,
     square_function_sq,
     synthesize,
 )
@@ -80,7 +79,7 @@ def test_haar_sum_matches_definition(data):
 def test_engine_matches_leaf_loop(data, mode):
     depth = data.draw(st.integers(1, 5))
     bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
-    top = data.draw(st.integers(0, depth - 1))
+    top = data.draw(st.integers(0, depth))
     support = DyadicInterval(top, data.draw(st.integers(0, (1 << top) - 1)))
     sizes = [1 if level < top else 1 << (level - top) for level in range(depth)]
 
@@ -98,7 +97,7 @@ def test_engine_matches_leaf_loop(data, mode):
 def test_zero_terms_keep_a_signed_zero():
     # -0.0 + 0.0 is 0.0: a zero term must be skipped, not added
     assert repr(haar_sum(-0.0, [[0.0], [-0.0, 0.0]], True)) == repr([-0.0] * 4)
-    spectrum = HaarSpectrum(2, -0.0, {DyadicInterval(1, 1): 0.5}, FLOAT64)
+    spectrum = HaarSpectrum(2, -0.0, [[0.0], [0.0, 0.5]], FLOAT64)
     got = synthesize(spectrum).values
     assert repr(got) == repr(loop_synthesize(spectrum).values)
     assert repr(got[:2]) == repr((-0.0, -0.0))
@@ -109,8 +108,8 @@ def test_zero_terms_keep_a_signed_zero():
 def test_synthesize_matches_leaf_loop(data, mode):
     depth = data.draw(st.integers(1, 5))
     mean = data.draw(values(mode))
-    # level order, as analyze and the JSON reader build it
-    coeffs = {i: data.draw(values(mode)) for i in interval_family(depth)}
+    coeffs = [data.draw(st.lists(values(mode), min_size=1 << k, max_size=1 << k))
+              for k in range(depth)]
     spectrum = HaarSpectrum(depth, mean, coeffs, mode)
     got = synthesize(spectrum)
     assert same(got.values, loop_synthesize(spectrum).values, mode)

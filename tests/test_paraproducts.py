@@ -27,7 +27,12 @@ from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.paraproducts import _engine
 from dyadicops.scalars import FLOAT64, RATIONAL, one, zero
 
-from oracles import matrix_adjoint, naive_paraproduct, random_rationals
+from oracles import (
+    close_to_rational,
+    matrix_adjoint,
+    naive_paraproduct,
+    random_rationals,
+)
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -425,3 +430,22 @@ class TestDuality:
                     assert desc.adjoint(slot, fs, g) == matrix_adjoint(
                         desc, slot, fs, g
                     ), (desc.kind, str(desc.alpha), desc.slot, slot)
+
+
+class TestCrossMode:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 10_000))
+    def test_float64_matches_rational(self, depth, seed):
+        # every kind, every alpha of arity <= 3 and every commutator slot,
+        # in float64 on the float64 inputs against float() of the exact
+        # result
+        rng = random.Random(seed)
+        for m in (1, 2, 3):
+            fs = random_tuple(rng, m, depth)
+            floats = [f.as_float64() for f in fs]
+            for desc in every_descriptor(m, rng, depth):
+                got = desc.as_float64().apply(floats)
+                assert got.mode == FLOAT64
+                assert close_to_rational(got.values, desc.apply(fs).values), (
+                    desc.kind, str(desc.alpha), desc.slot
+                )
