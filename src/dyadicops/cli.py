@@ -20,6 +20,7 @@ from .core import (
     HaarSpectrum,
     StepFunction,
     analyze,
+    canonical_json,
     check_depth,
     interval_family,
     lp_norm,
@@ -84,12 +85,8 @@ SUITES = (
 )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _emit(obj, output: str | None):
-    text = _dumps(obj)
+    text = canonical_json(obj)
     if output:
         Path(output).write_text(text)
     sys.stdout.write(text)

@@ -8,6 +8,7 @@ half, with magnitude |I|**(-1/2).
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from collections import Counter
@@ -22,6 +23,14 @@ from .errors import ResolutionError, ShapeError
 from .scalars import FLOAT64, RATIONAL, check_mode
 
 
+def check_interval(level: int, position: int):
+    """Reject a (level, position) pair that names no dyadic interval."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if position < 0 or position >> level:
+        raise ValueError(f"position {position} out of range for level {level}")
+
+
 @dataclass(frozen=True, order=True)
 class DyadicInterval:
     """The dyadic interval [position * 2**-level, (position+1) * 2**-level)."""
@@ -30,12 +39,7 @@ class DyadicInterval:
     position: int
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if not 0 <= self.position < (1 << self.level):
-            raise ValueError(
-                f"position {self.position} out of range for level {self.level}"
-            )
+        check_interval(self.level, self.position)
 
     @property
     def length(self) -> Fraction:
@@ -158,6 +162,14 @@ def _coerce_values(values: Iterable, mode: str) -> tuple:
     return tuple(scalars.coerce(v, mode) for v in values)
 
 
+def _check_leaf_count(depth: int, values: Sequence):
+    n = 1 << depth
+    if len(values) != n:
+        raise ShapeError(
+            f"expected {n} leaf values for depth {depth}, got {len(values)}"
+        )
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """A function on [0, 1) constant on the 2**depth leaf cells.
@@ -177,12 +189,7 @@ class StepFunction:
         check_mode(self.mode)
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        n = 1 << self.depth
-        if len(self.values) != n:
-            raise ShapeError(
-                f"expected {n} leaf values for depth {self.depth}, "
-                f"got {len(self.values)}"
-            )
+        _check_leaf_count(self.depth, self.values)
         object.__setattr__(self, "values", _coerce_values(self.values, self.mode))
 
     @classmethod
@@ -317,7 +324,8 @@ class StepFunction:
         mode = check_mode(obj.get("mode", RATIONAL))
         depth = check_depth(int(obj["depth"]))
         values = [scalars.decode_value(v, mode) for v in obj["values"]]
-        return cls(depth, tuple(values), mode)
+        _check_leaf_count(depth, values)
+        return cls._raw(depth, values, mode)
 
 
 @dataclass(frozen=True)
@@ -496,6 +504,17 @@ class HaarSpectrum:
             self, "coeffs", tuple(_coerce_values(row, self.mode) for row in self.coeffs)
         )
 
+    @classmethod
+    def _raw(cls, depth: int, mean, rows: list, mode: str) -> "HaarSpectrum":
+        """Internal constructor: the mean and rows must already be mode
+        scalars, in the shape of a depth-``depth`` coefficient table."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "depth", depth)
+        object.__setattr__(s, "mean", mean)
+        object.__setattr__(s, "coeffs", tuple(map(tuple, rows)))
+        object.__setattr__(s, "mode", mode)
+        return s
+
     def coefficient(self, interval: DyadicInterval):
         if interval.level >= self.depth:
             raise ResolutionError(
@@ -525,16 +544,20 @@ class HaarSpectrum:
         z = scalars.zero(mode)
         rows = [[z] * (1 << level) for level in range(depth)]
         for e in obj.get("coeffs", []):
-            interval = DyadicInterval(int(e["level"]), int(e["pos"]))
-            if interval.level >= depth:
+            level, pos = int(e["level"]), int(e["pos"])
+            check_interval(level, pos)
+            if level >= depth:
                 raise ResolutionError(
-                    f"coefficient at level {interval.level} does not fit a "
-                    f"depth-{depth} grid"
+                    f"coefficient at level {level} does not fit a depth-{depth} grid"
                 )
-            rows[interval.level][interval.position] = scalars.decode_value(
-                e["value"], mode
-            )
-        return cls(depth, scalars.decode_value(obj["mean"], mode), rows, mode)
+            rows[level][pos] = scalars.decode_value(e["value"], mode)
+        return cls._raw(depth, scalars.decode_value(obj["mean"], mode), rows, mode)
+
+
+def canonical_json(obj) -> str:
+    """The canonical text of a report: one line with sorted keys, and no
+    NaN or infinity.  Without ``indent``, ``json.dumps`` runs the C encoder."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- integral tables ----------------------------------------------------------
@@ -647,7 +670,7 @@ def analyze(f: StepFunction) -> HaarSpectrum:
     """Haar transform: global mean plus <f, h_I> for every interval."""
     f = f.expand()
     mean = interval_integrals(f)[0][0]
-    return HaarSpectrum(f.depth, mean, coefficient_table(f), f.mode)
+    return HaarSpectrum._raw(f.depth, mean, coefficient_table(f), f.mode)
 
 
 def synthesize(spectrum: HaarSpectrum) -> StepFunction:
@@ -813,9 +836,11 @@ def power_mean(f: StepFunction | SupportView, q: Fraction) -> float:
     return top * (total / (1 << f.depth)) ** (1.0 / pf)
 
 
+@_kept
 def _weak_candidates(f: StepFunction | SupportView):
     """Pairs (v, measure of {|f| >= v}) for the distinct nonzero |values|,
-    largest v first; a SupportView is read from its runs."""
+    largest v first; a SupportView is read from its runs.  Kept on f, so
+    the weak quasinorms for several p sort |f| once."""
     n = 1 << f.depth
     counts = Counter(map(abs, f.values))
     for v, c in block_runs(f):

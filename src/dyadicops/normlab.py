@@ -8,7 +8,6 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -20,6 +19,7 @@ from .core import (
     StepFunction,
     SupportView,
     _weak_candidates,
+    canonical_json,
     check_depth,
     haar_sum,
     inner_product,
@@ -521,10 +521,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return (
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+        return canonical_json(self.to_json_dict())
 
     def trials_csv(self) -> str:
         lines = ["trial,ratio"]

@@ -244,6 +244,7 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     m = len(fs)
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
+    fs = [f.expand() for f in fs]
     depth, mode, _ = _check_tuple(fs)
     total = StepFunction.zeros(depth, mode)
     for a in admissible_alphas(m):
@@ -264,6 +265,7 @@ def localized_average_residual(
     to J) plus the same global-mean constant.  Returns LHS - RHS, which is
     identically zero.
     """
+    fs = [f.expand() for f in fs]
     depth, mode, _ = _check_tuple(fs)
     if interval.level < 1:
         raise ValueError("localization needs a proper subinterval of the universe")

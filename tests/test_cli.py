@@ -8,13 +8,23 @@ from pathlib import Path
 import pytest
 
 import dyadicops
-from dyadicops import OperatorDescriptor, StepFunction, SymbolSequence, analyze
+from dyadicops import (
+    AlphaVector,
+    ExponentTuple,
+    OperatorDescriptor,
+    SamplerSpec,
+    StepFunction,
+    SymbolSequence,
+    analyze,
+    estimate_operator_norm,
+)
 from dyadicops.cli import main
 from dyadicops.core import MAX_DEPTH
 
 
 def write_json(path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # the canonical form of every report
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 @pytest.fixture
@@ -505,6 +515,116 @@ class TestBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path} is not a {kind} file: ")
+
+
+class TestCanonicalOutput:
+    """Every report is one line: ``json.dumps(obj, sort_keys=True)`` and a
+    newline, the same bytes on stdout and in the ``-o`` file."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, func_file):
+        spectrum = tmp_path / "spec.json"
+        write_json(spectrum, analyze(StepFunction.from_values([2, 0, 0, 0])).to_json_dict())
+        floats = tmp_path / "g.json"
+        write_json(floats, StepFunction.from_values(
+            [0.5, -1.25, 1e-300, 3.0, 2.0, 0.0, -7.5, 17.0], mode="float64",
+        ).to_json_dict())
+        return {"f": str(func_file), "spec": str(spectrum), "g": str(floats)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "decomposition", "--depth", "2", "--trials", "2"],
+            ["verify", "localized", "--mode", "float64", "--depth", "3", "--trials", "1"],
+            ["transform", "analyze", "{f}"],
+            ["transform", "analyze", "{g}"],
+            ["transform", "synthesize", "{spec}"],
+            ["norms", "{f}", "--p", "1,2,3,inf", "--include-maximal", "--include-square"],
+            ["norms", "{g}", "--p", "1,3/2,inf", "--include-maximal", "--include-square"],
+            ["czd", "{f}", "--height", "3/2"],
+            ["czd", "{g}", "--height", "5"],
+            ["estimate", "--op", "pi", "--alpha", "01", "--b", "{f}", "--p", "2,2",
+             "--trials", "3"],
+            ["weak", "--op", "para", "--alpha", "01", "--p", "1,1", "--depth", "3",
+             "--trials", "3"],
+        ],
+    )
+    def test_one_sorted_line_on_stdout_and_in_the_file(
+        self, tmp_path, capsys, inputs, argv
+    ):
+        argv = [arg.format(**inputs) for arg in argv]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(json.loads(printed), sort_keys=True) + "\n"
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert out.read_bytes() == printed.encode()
+        assert capsys.readouterr().out == printed
+
+    def test_report_to_json_is_the_estimate_output(self, capsys):
+        assert main(["estimate", "--op", "para", "--alpha", "01", "--p", "1,2",
+                     "--depth", "3", "--trials", "4", "--seed", "5"]) == 0
+        report = estimate_operator_norm(
+            OperatorDescriptor("paraproduct", AlphaVector.from_string("01")),
+            ExponentTuple.from_string("1,2"),
+            SamplerSpec(family="random-step", depth=3, seed=5),
+            4,
+        )
+        assert report.to_json() == capsys.readouterr().out
+
+    def test_nan_reaching_the_writer_exits_two(self, tmp_path, monkeypatch, capsys, func_file):
+        monkeypatch.setattr("dyadicops.cli.bstar_seminorm", lambda f: float("nan"))
+        out = tmp_path / "n.json"
+        assert main(["norms", str(func_file), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: Out of range float values are not JSON compliant"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, obj, message",
+        [
+            (["norms"], {"depth": 2, "mode": "float64", "values": [1.0, 2.0, 3.0]},
+             "expected 4 leaf values for depth 2, got 3"),
+            (["norms"], {"depth": 1, "mode": "rational", "values": ["1", "2", "3"]},
+             "expected 2 leaf values for depth 1, got 3"),
+            (["transform", "synthesize"],
+             {"depth": 2, "mode": "float64", "mean": 0.0,
+              "coeffs": [{"level": 2, "pos": 0, "value": 1.0}]},
+             "coefficient at level 2 does not fit a depth-2 grid"),
+            (["transform", "synthesize"],
+             {"depth": 2, "mode": "float64", "mean": 0.0,
+              "coeffs": [{"level": -1, "pos": 0, "value": 1.0}]},
+             "level must be >= 0, got -1"),
+            (["transform", "synthesize"],
+             {"depth": 2, "mode": "rational", "mean": "0",
+              "coeffs": [{"level": 1, "pos": 2, "value": "1"}]},
+             "position 2 out of range for level 1"),
+            (["transform", "synthesize"],
+             {"depth": 2, "mode": "rational", "mean": "0",
+              "coeffs": [{"level": 1, "pos": -1, "value": "1"}]},
+             "position -1 out of range for level 1"),
+            (["norms"], {"depth": 1, "mode": "float64", "values": [1.0, float("inf")]},
+             "float64 values must be finite, got inf"),
+            (["transform", "synthesize"],
+             {"depth": 1, "mode": "float64", "mean": float("nan"), "coeffs": []},
+             "float64 values must be finite, got nan"),
+            (["transform", "analyze"], {"depth": 1, "mode": "weird", "values": [1, 2]},
+             "unknown mode 'weird'; expected one of ('rational', 'float64')"),
+            (["transform", "synthesize"], {"depth": 1, "mode": "weird", "mean": 0},
+             "unknown mode 'weird'; expected one of ('rational', 'float64')"),
+        ],
+    )
+    def test_reader_errors(self, tmp_path, capsys, argv, obj, message):
+        path = tmp_path / "bad.json"
+        # json.dumps writes the NaN and Infinity tokens that json.loads reads
+        path.write_text(json.dumps(obj))
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestModuleEntry:

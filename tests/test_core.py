@@ -26,6 +26,7 @@ from dyadicops import (
     weak_lp_quasinorm_pow,
 )
 from dyadicops.core import (
+    _weak_candidates,
     average_table,
     coefficient_table,
     interval_integrals,
@@ -40,6 +41,7 @@ from oracles import (
     naive_coefficient,
     naive_haar,
     naive_integral,
+    naive_weak_lr,
     random_rationals,
 )
 
@@ -447,6 +449,22 @@ class TestNorms:
         ind = StepFunction.indicator(DyadicInterval(2, 1), 3)
         assert weak_lp_quasinorm(ind, 1) == lp_norm(ind, 1) == Exact(Fraction(1, 4))
 
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_weak_candidates_kept_on_the_function(self, mode):
+        vals = random_rationals(random.Random(3), 16)
+        vals[5] = vals[9] = -vals[2]
+        f = StepFunction.from_values(vals, mode=mode)
+        assert _weak_candidates(f) is _weak_candidates(f)
+        for p in (1, 2, 3):
+            fresh = StepFunction.from_values(vals, mode=mode)
+            assert weak_lp_quasinorm(f, p) == weak_lp_quasinorm(fresh, p)
+            assert float(weak_lp_quasinorm(f, p)) == pytest.approx(
+                naive_weak_lr(f, p), rel=1e-12
+            )
+        assert weak_lp_quasinorm(f, 1) == max(
+            abs(v) * Fraction(sum(abs(w) >= abs(v) for w in vals), 16) for v in vals
+        )
+
 
 class TestJsonFormats:
     def test_function_round_trip_bytes(self):
@@ -477,3 +495,23 @@ class TestJsonFormats:
     def test_float_mode_round_trip(self):
         f = StepFunction.from_values([0.5, -1.25, 0.0, 3.0], mode=FLOAT64)
         assert StepFunction.from_json_dict(f.to_json_dict()) == f
+
+    def test_readers_build_mode_scalars(self):
+        # each value decoded once, to the type the constructor coerces to
+        f = StepFunction.from_json_dict(
+            {"depth": 2, "mode": "rational", "values": [3, "1/3", ["1", "-2"], "0"]}
+        )
+        assert f == StepFunction(2, (3, Fraction(1, 3), Exact(1, -2), 0))
+        assert type(f.values) is tuple and {type(v) for v in f.values} == {Exact}
+        g = StepFunction.from_json_dict(
+            {"depth": 1, "mode": "float64", "values": [3, "1/4"]}
+        )
+        assert g.values == (3.0, 0.25) and {type(v) for v in g.values} == {float}
+        spec = HaarSpectrum.from_json_dict({
+            "depth": 2, "mode": "rational", "mean": 2,
+            "coeffs": [{"level": 1, "pos": 1, "value": ["0", "3/2"]}],
+        })
+        assert spec == HaarSpectrum(2, 2, ((0,), (0, Exact(0, Fraction(3, 2)))))
+        assert type(spec.coeffs) is tuple
+        assert all(type(row) is tuple for row in spec.coeffs)
+        assert type(spec.mean) is Exact

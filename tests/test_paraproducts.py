@@ -23,6 +23,7 @@ from dyadicops import (
     pointwise_product,
     product_decomposition_residual,
 )
+from dyadicops.core import SupportView
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.paraproducts import _engine
 from dyadicops.scalars import FLOAT64, RATIONAL, one, zero
@@ -309,6 +310,37 @@ class TestDecompositions:
             * inner_product(f, StepFunction.constant(1, 3)),
             3,
         )
+
+    def test_residuals_of_views(self):
+        # the views from (1,1) of [0,0,1,3] and [0,0,2,5] read as their
+        # expansions
+        support = DyadicInterval(1, 1)
+        fs = [StepFunction.from_values([0, 0, 1, 3]), StepFunction.from_values([0, 0, 2, 5])]
+        views = [SupportView.restrict(f, support) for f in fs]
+        zero_fn = StepFunction.zeros(2)
+        assert product_decomposition_residual(views) == zero_fn
+        for j in (DyadicInterval(1, 0), DyadicInterval(2, 3), DyadicInterval(2, 2)):
+            assert localized_average_residual(j, views) == zero_fn
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residuals_of_views_match_their_expansions(self, mode, seed):
+        rng = random.Random(seed)
+        depth = 3
+        level = rng.randint(1, 2)
+        support = DyadicInterval(level, rng.randrange(1 << level))
+        span = support.leaf_span(depth)
+        views = []
+        for _ in range(rng.choice((2, 3))):
+            vals = [Fraction(0)] * (1 << depth)
+            vals[span.start:span.stop] = random_rationals(rng, len(span))
+            f = StepFunction.from_values(vals)
+            views.append(SupportView.restrict(f if mode == RATIONAL else f.as_float64(), support))
+        full = [v.expand() for v in views]
+        assert product_decomposition_residual(views) == product_decomposition_residual(full)
+        for level in range(1, depth + 1):
+            j = DyadicInterval(level, rng.randrange(1 << level))
+            assert localized_average_residual(j, views) == localized_average_residual(j, full)
 
 
 def para(bits):
