@@ -49,7 +49,6 @@ from .paraproducts import (
 from .scalars import (
     FLOAT64,
     RATIONAL,
-    finite_float,
     parse_finite_fraction,
     parse_fraction,
 )
@@ -206,9 +205,7 @@ def _suite_commutator_constant(args, rng) -> int:
     alphas = admissible_alphas(args.m)
     for _ in range(args.trials):
         c = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-        b = StepFunction.constant(
-            c if args.mode == RATIONAL else float(c), args.depth, args.mode
-        )
+        b = StepFunction.constant(c, args.depth, args.mode)
         eps = _random_symbol(rng, args.depth)
         alpha = rng.choice(alphas)
         slot = rng.randint(1, alpha.m)
@@ -301,10 +298,7 @@ def cmd_norms(args) -> int:
 
 def cmd_czd(args) -> int:
     f = _load(args.input, StepFunction, "step function")
-    height = parse_fraction(args.height)
-    if f.mode == FLOAT64:
-        height = finite_float(height)
-    _emit(cz_decompose(f, height).to_json_dict(), args.output)
+    _emit(cz_decompose(f, parse_fraction(args.height)).to_json_dict(), args.output)
     return 0
 
 

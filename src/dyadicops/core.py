@@ -703,9 +703,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
         total = scalars.zero(mode)
         for leaf in span:
             total = total + f.values[leaf]
-        if mode == RATIONAL:
-            return total * scalars.reciprocal(len(span), mode)
-        return total / len(span)
+        return total * scalars.reciprocal(len(span), mode)
     if interval.level >= depth:
         raise ResolutionError(
             f"no Haar pairing at level {interval.level} on a depth-{depth} grid"
@@ -715,9 +713,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
     acc = scalars.zero(mode)
     for i, leaf in enumerate(span):
         acc = (acc + f.values[leaf]) if i >= half else (acc - f.values[leaf])
-    if mode == RATIONAL:
-        return acc * scalars.root2_power(interval.level - 2 * depth, mode)
-    return acc * (2.0 ** (interval.level / 2.0 - depth))
+    return acc * scalars.root2_power(interval.level - 2 * depth, mode)
 
 
 def inner_product(f: StepFunction, g: StepFunction):
@@ -727,9 +723,7 @@ def inner_product(f: StepFunction, g: StepFunction):
     acc = scalars.zero(f.mode)
     for x, y in zip(f.values, g.values):
         acc = acc + x * y
-    if f.mode == RATIONAL:
-        return acc * scalars.reciprocal(1 << f.depth, RATIONAL)
-    return acc / (1 << f.depth)
+    return acc * scalars.reciprocal(1 << f.depth, f.mode)
 
 
 def pointwise_product(fs: Sequence[StepFunction]) -> StepFunction:
@@ -754,43 +748,42 @@ def _normalize_p(p) -> Fraction | None:
     return q
 
 
-def _magnitudes(f: StepFunction | SupportView) -> Iterator:
-    """|f| on every leaf value and block run of f."""
-    return map(abs, chain(f.values, (v for v, _ in block_runs(f))))
+def _power_mean_pow(f: StepFunction | SupportView, k, top: float = 1.0):
+    """The mean of size(v) ** k over the leaves of f, summed over its values
+    and then its block runs times their leaf counts; max |v| for k = inf.
 
-
-def _float_power_sum(f: StepFunction | SupportView, p: float) -> float:
-    """The sum of |f|**p over the leaves, in floats: the values first, then
-    the block runs, so a view that vanishes off its support sums to the
-    same float as its expansion."""
-    size = abs if f.mode == FLOAT64 else (lambda v: abs(float(v)))
-    total = sum(size(v) ** p for v in f.values)
-    return total + sum(size(v) ** p * c for v, c in block_runs(f))
+    For an int k, size(v) is |v| in f's own scalars, so the mean is exact
+    in rational mode; for a float k it is the float |v| / top.
+    """
+    runs = list(block_runs(f))
+    if k == math.inf:
+        return max(map(abs, chain(f.values, (v for v, _ in runs))))
+    n = 1 << f.depth
+    if type(k) is int:
+        total = sum([abs(v) ** k for v in f.values])
+        total += sum([abs(v) ** k * c for v, c in runs])
+        return total * scalars.reciprocal(n, f.mode)
+    total = sum([(abs(float(v)) / top) ** k for v in f.values])
+    return (total + sum([(abs(float(v)) / top) ** k * c for v, c in runs])) / n
 
 
 def lp_norm_pow(f: StepFunction | SupportView, p):
-    """||f||_p ** p with integer p (exact in rational mode); max |f| for p=inf."""
+    """||f||_p ** p, exact in rational mode for an integer p; max |f| for
+    p = inf."""
     q = _normalize_p(p)
     if q is None:
-        return max(_magnitudes(f))
-    if q.denominator != 1:
-        if f.mode == RATIONAL:
-            raise ValueError(
-                f"exact p-th powers need an integer exponent, got {q}"
-            )
-        return _float_power_sum(f, float(q)) / (1 << f.depth)
-    k = q.numerator
-    acc = scalars.zero(f.mode)
-    for v in f.values:
-        acc = acc + abs(v) ** k
-    for v, c in block_runs(f):
-        acc = acc + abs(v) ** k * c
-    if f.mode == RATIONAL:
-        return acc * scalars.reciprocal(1 << f.depth, RATIONAL)
-    return acc / (1 << f.depth)
+        return _power_mean_pow(f, math.inf)
+    if q.denominator == 1:
+        k = q.numerator
+    elif f.mode == RATIONAL:
+        raise ValueError(f"exact p-th powers need an integer exponent, got {q}")
+    else:
+        k = float(q)
+    return _power_mean_pow(f, k)
 
 
-# the largest integer p for which rational-mode lp_norm builds |f|**p exactly
+# the largest integer p for which lp_norm builds the mean of |f|**p in f's
+# own scalars, exactly in rational mode
 _MAX_EXACT_POWER = 1024
 
 
@@ -803,10 +796,8 @@ def lp_norm(f: StepFunction | SupportView, p):
     the float ``power_mean``.
     """
     q = _normalize_p(p)
-    if q is None:
-        return max(_magnitudes(f))
-    if f.mode == RATIONAL and q == 1:
-        return lp_norm_pow(f, 1)
+    if q is None or (f.mode == RATIONAL and q == 1):
+        return lp_norm_pow(f, p)
     if f.mode == RATIONAL and q == 2:
         return scalars.scalar_sqrt(lp_norm_pow(f, 2), RATIONAL)
     return power_mean(f, q)
@@ -817,23 +808,18 @@ def power_mean(f: StepFunction | SupportView, q: Fraction) -> float:
     norm for q >= 1 and a quasinorm below; M * (mean of (|f|/M)**q)**(1/q)
     with M = max |f| when the mean over- or underflows a float."""
     pf = float(q)
+    # an int k keeps the sum in f's own scalars, exact in rational mode
+    k = q.numerator if q.denominator == 1 and q <= _MAX_EXACT_POWER else pf
     try:
-        if f.mode == FLOAT64 or q.denominator != 1:
-            mean = _float_power_sum(f, pf) / (1 << f.depth)
-        else:
-            # an integer q above 1024 would make the exact mean too large
-            mean = float(lp_norm_pow(f, q)) if q <= _MAX_EXACT_POWER else math.inf
+        mean = float(_power_mean_pow(f, k))
     except OverflowError:
         mean = math.inf
     if sys.float_info.min <= mean < math.inf:
         return mean ** (1.0 / pf)
-    size = abs if f.mode == FLOAT64 else (lambda v: abs(float(v)))
-    top = max(map(size, chain(f.values, (v for v, _ in block_runs(f)))))
+    top = float(_power_mean_pow(f, math.inf))
     if not top:
         return 0.0
-    total = sum((size(v) / top) ** pf for v in f.values)
-    total += sum((size(v) / top) ** pf * c for v, c in block_runs(f))
-    return top * (total / (1 << f.depth)) ** (1.0 / pf)
+    return top * _power_mean_pow(f, pf, top) ** (1.0 / pf)
 
 
 @_kept

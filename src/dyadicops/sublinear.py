@@ -89,10 +89,7 @@ def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
             acc = scalars.zero(b.mode)
             for leaf in range(start, start + width):
                 acc = acc + abs(b.values[leaf] - m)
-            if b.mode == RATIONAL:
-                row.append(acc * scalars.reciprocal(width, RATIONAL))
-            else:
-                row.append(acc / width)
+            row.append(acc * scalars.reciprocal(width, b.mode))
         out.append(row)
     return out
 
