@@ -531,6 +531,15 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _first_largest(ratios: list) -> int | None:
+    """The index of the first largest ratio that is not None, or None."""
+    best = None
+    for index, ratio in enumerate(ratios):
+        if ratio is not None and (best is None or ratio > ratios[best]):
+            best = index
+    return best
+
+
 def _run_experiment(
     descriptor: OperatorDescriptor,
     exponents: ExponentTuple,
@@ -567,32 +576,23 @@ def _run_experiment(
         return value
 
     intervals = interval_family(sampler.depth)
-    jobs: list = [("random", trial) for trial in range(trials)]
-    jobs += [("extremal", interval) for interval in intervals]
-
-    def run_job(job) -> float | None:
-        if job[0] == "random":
-            return measure(sampler.draw_tuple(job[1], desc, exponents), lp_norm)
-        # a sharp tuple runs on its support: the inputs' norms are the same
-        # floats as on the full grid, the output's agree to rounding
-        fs = extremal_tuple(desc, exponents, job[1], sampler.depth)
-        return measure(fs, _lr_quasinorm)
-
-    results = [run_job(job) for job in jobs]
-
+    random_ratios = [
+        measure(sampler.draw_tuple(trial, desc, exponents), lp_norm)
+        for trial in range(trials)
+    ]
+    # a sharp tuple runs on its support: the inputs' norms are the same
+    # floats as on the full grid, the output's agree to rounding
+    sharp_ratios = [
+        measure(extremal_tuple(desc, exponents, interval, sampler.depth), _lr_quasinorm)
+        for interval in intervals
+    ]
+    results = random_ratios + sharp_ratios
     ratios = list(enumerate(results))
-    best_ratio = 0.0
-    best_trial: int | None = None
-    for index, ratio in ratios:
-        if ratio is not None and (best_trial is None or ratio > best_ratio):
-            best_ratio, best_trial = ratio, index
-    extremal_lower_bound = None
-    extremal_interval = None
-    for interval, ratio in zip(intervals, results[trials:]):
-        if ratio is not None and (
-            extremal_lower_bound is None or ratio > extremal_lower_bound
-        ):
-            extremal_lower_bound, extremal_interval = ratio, interval
+    best_trial = _first_largest(results)
+    best_ratio = 0.0 if best_trial is None else results[best_trial]
+    best_sharp = _first_largest(sharp_ratios)
+    extremal_lower_bound = None if best_sharp is None else sharp_ratios[best_sharp]
+    extremal_interval = None if best_sharp is None else intervals[best_sharp]
 
     b_norms = None
     if desc.b is not None:
