@@ -605,12 +605,15 @@ _F0 = Fraction(0)
 _FRACTION_EXACT_ONE = FractionExact._make(Fraction(1), _F0)
 
 
-def close_to_rational(got, want) -> bool:
+def close_to_rational(got, want, scale=None) -> bool:
     """float64 values ``got`` within 1e-12 * max |float(w)| + 1e-15 of the
     rational values ``want``, one for one.  The float path rounds each
     input, term and partial sum, which at depth <= 5 and arity <= 3 stays
     below 1e-14 of the largest value (measured: 4.8e-15 over 40 seeds of
-    every operator)."""
+    every operator).  A difference of two larger terms, such as a
+    commutator, rounds relative to them: pass their values as ``scale``,
+    and max |float(s)| over them replaces max |float(w)|."""
     want = [float(v) for v in want]
-    tol = 1e-12 * max(map(abs, want), default=0.0) + 1e-15
+    top = want if scale is None else [float(v) for v in scale]
+    tol = 1e-12 * max(map(abs, top), default=0.0) + 1e-15
     return all(abs(g - w) <= tol for g, w in zip(got, want, strict=True))
