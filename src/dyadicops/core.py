@@ -753,18 +753,21 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float = 1.0):
     and then its block runs times their leaf counts; max |v| for k = inf.
 
     For an int k, size(v) is |v| in f's own scalars, so the mean is exact
-    in rational mode; for a float k it is the float |v| / top.
+    in rational mode; for a float k it is the float |v| / top.  Floats add
+    with ``scalars.total``, correctly rounded, so the mean does not depend
+    on the interpreter, and a view's equals its expansion's: each run's
+    leaf count is a power of two.
     """
     runs = list(block_runs(f))
     if k == math.inf:
         return max(map(abs, chain(f.values, (v for v, _ in runs))))
-    n = 1 << f.depth
     if type(k) is int:
-        total = sum([abs(v) ** k for v in f.values])
-        total += sum([abs(v) ** k * c for v, c in runs])
-        return total * scalars.reciprocal(n, f.mode)
-    total = sum([(abs(float(v)) / top) ** k for v in f.values])
-    return (total + sum([(abs(float(v)) / top) ** k * c for v, c in runs])) / n
+        size, mode = abs, f.mode
+    else:
+        size, mode = (lambda v: abs(float(v)) / top), FLOAT64
+    terms = [size(v) ** k for v in f.values]
+    terms += [size(v) ** k * c for v, c in runs]
+    return scalars.total(terms, mode) * scalars.reciprocal(1 << f.depth, mode)
 
 
 def lp_norm_pow(f: StepFunction | SupportView, p):

@@ -367,6 +367,16 @@ def reciprocal(n: int, mode: str):
     return 1.0 / n
 
 
+def total(terms: list, mode: str):
+    """The sum of ``terms`` in the requested mode: exact in rational mode,
+    and correctly rounded in float64 mode (``math.fsum``; Shewchuk 1997),
+    so a float sum depends neither on the order of its terms nor on the
+    interpreter, whose builtin ``sum`` changed in CPython 3.12."""
+    if mode == RATIONAL:
+        return sum(terms, _EXACT_ZERO)
+    return math.fsum(terms)
+
+
 def parse_fraction(text) -> Fraction:
     """``Fraction(text)``, with a zero denominator ("1/0") reported as the
     ValueError of any other malformed number."""
