@@ -448,18 +448,22 @@ def to_float(value) -> float:
     return float(value)
 
 
+def float_sqrt(value) -> float:
+    """``math.sqrt`` of a nonnegative scalar of either mode, also past the
+    float range, where sqrt(v) = 2**512 * sqrt(v / 2**1024)."""
+    try:
+        return math.sqrt(value)
+    except OverflowError:
+        return 2.0**512 * float_sqrt(value * Exact.root2_power(-2048))
+
+
 def scalar_sqrt(value, mode: str):
     """Square root; exact in rational mode when one exists, else float."""
     if mode == RATIONAL:
         root = coerce(value, RATIONAL).sqrt()
         if root is not None:
             return root
-        try:
-            return math.sqrt(float(value))
-        except OverflowError:
-            # past the float range: sqrt(v) = 2**512 * sqrt(v / 2**1024)
-            return 2.0**512 * scalar_sqrt(value * root2_power(-2048, mode), mode)
-    return math.sqrt(value)
+    return float_sqrt(value)
 
 
 def encode_value(value, mode: str):

@@ -55,17 +55,9 @@ def square_function(f: StepFunction) -> StepFunction:
     roots = [v.sqrt() for v in sq.values]
     if all(r is not None for r in roots):
         return StepFunction._raw(f.depth, roots, RATIONAL)
-    return StepFunction._raw(f.depth, [_float_root(v) for v in sq.values], FLOAT64)
-
-
-def _float_root(v) -> float:
-    """The float square root of a rational ``v``, scaled only when ``v``
-    lies past the float range, as ``scalars.scalar_sqrt`` does."""
-    try:
-        return float(v) ** 0.5
-    except OverflowError:
-        # sqrt(v) = 2**512 * sqrt(v / 2**1024)
-        return 2.0**512 * _float_root(v * scalars.root2_power(-2048, RATIONAL))
+    return StepFunction._raw(
+        f.depth, [scalars.float_sqrt(v) for v in sq.values], FLOAT64
+    )
 
 
 def _oscillation_pow(b: StepFunction, r: int) -> list[list]:

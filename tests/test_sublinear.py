@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +101,18 @@ class TestSquareFunction:
         assert s.mode == FLOAT64
         expect = Fraction(5, 16) ** 0.5  # (1/4)^2 + (sqrt2/4)^2 * 2
         assert s.values[0] == pytest.approx(expect)
+
+    def test_float_fallback_rounds_as_float64_mode(self):
+        # leaf 0 of Sf**2 is 8432393/16, which has no square root in
+        # Q(sqrt 2); float(v) ** 0.5 gives 725.9645738601849, one ulp
+        # below math.sqrt(float(v)), which float64 mode takes
+        f = StepFunction.from_values([604, -700, 752, 429])
+        sq = square_function_sq(f)
+        assert sq.values[0] == Exact(Fraction(8432393, 16))
+        s = square_function(f)
+        assert s.mode == FLOAT64
+        assert s.values == tuple(math.sqrt(float(v)) for v in sq.values)
+        assert s == square_function(f.as_float64())
 
     def test_haar_input_stays_exact(self):
         h = StepFunction.haar(UNIVERSE, 2)
