@@ -75,6 +75,34 @@ def naive_pairing(f: StepFunction, interval: DyadicInterval, bit: int):
     return naive_coefficient(f, interval) if bit == 0 else naive_average(f, interval)
 
 
+def divided_pairing(f: StepFunction, interval: DyadicInterval, bit: int) -> float:
+    """Float64 ``pairing`` by the division formulas: the leaf sum over I
+    divided by its leaf count for bit 1; for bit 0 the right half's sum
+    minus the left half's, times 2.0 ** (level / 2 - depth)."""
+    span = interval.leaf_span(f.depth)
+    half = len(span) // 2
+    acc = 0.0
+    for i, leaf in enumerate(span):
+        acc = acc + f.values[leaf] if bit == 1 or i >= half else acc - f.values[leaf]
+    if bit == 1:
+        return acc / len(span)
+    return acc * (2.0 ** (interval.level / 2.0 - f.depth))
+
+
+def divided_inner_product(f: StepFunction, g: StepFunction) -> float:
+    """Float64 ``inner_product``: the leaf sum of f*g divided by 2**depth."""
+    acc = 0.0
+    for x, y in zip(f.values, g.values):
+        acc = acc + x * y
+    return acc / (1 << f.depth)
+
+
+def divided_lp_norm_pow(f: StepFunction, k: int) -> float:
+    """Float64 ``lp_norm_pow`` for an int k: the correctly rounded sum of
+    |v| ** k over the expanded leaves, divided by 2**depth."""
+    return math.fsum(abs(v) ** k for v in f.expand().values) / (1 << f.depth)
+
+
 def naive_haar_power_value(interval, leaf, sigma, depth, mode=RATIONAL):
     if sigma == 0:
         return scalar_one(mode)

@@ -37,6 +37,9 @@ from dyadicops.scalars import FLOAT64, RATIONAL
 
 from oracles import (
     close_to_rational,
+    divided_inner_product,
+    divided_lp_norm_pow,
+    divided_pairing,
     naive_average,
     naive_coefficient,
     naive_haar,
@@ -420,6 +423,34 @@ class TestNorms:
         f = StepFunction.from_values([0.5, 0.25], mode="float64")
         expect = 0.5 * ((1 + 0.5**2000) / 2) ** (1 / 2000)
         assert lp_norm(f, 2000) == pytest.approx(expect, rel=1e-12)
+
+    def test_power_mean_sums_floats_correctly_rounded(self):
+        # added left to right, 1.0 + 1e-16 + 1e-16 stays 1.0
+        values = [1.0, 1e-16, 1e-16, 0.0]
+        f = StepFunction.from_values(values, mode="float64")
+        assert power_mean(f, Fraction(1)) == math.fsum(values) / 4
+
+    def test_float64_divisions_by_powers_of_two(self):
+        # multiplying by an exact 2**-k rounds as dividing by 2**k does,
+        # subnormal results included
+        rng = random.Random(9)
+        for depth in range(1, 7):
+            for scale in (1e-310, 1e-5, 1.0, 1e5, 1e100):
+                f, g = (
+                    StepFunction.from_values(
+                        [rng.uniform(-1, 1) * scale for _ in range(1 << depth)],
+                        mode="float64",
+                    )
+                    for _ in range(2)
+                )
+                leaves = [DyadicInterval(depth, k) for k in range(1 << depth)]
+                for i in interval_family(depth) + leaves:
+                    assert pairing(f, i, 1) == divided_pairing(f, i, 1), i
+                    if i.level < depth:
+                        assert pairing(f, i, 0) == divided_pairing(f, i, 0), i
+                assert inner_product(f, g) == divided_inner_product(f, g)
+                for k in (1, 2, 3):
+                    assert lp_norm_pow(f, k) == divided_lp_norm_pow(f, k)
 
     def test_p_validation(self):
         f = StepFunction.from_values([1, 2])

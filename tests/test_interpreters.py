@@ -1,0 +1,66 @@
+"""Reports are the same bytes under every supported CPython.
+
+Float norms add with ``math.fsum``, which rounds correctly, where the
+builtin ``sum`` changed between CPython 3.11 and 3.12.  This runs three
+commands whose float sums used to differ under every CPython 3.10+ that
+pyenv has installed, and skips when it finds fewer than two.
+"""
+
+import json
+import os
+import random
+import re
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pyenv_root() -> Path:
+    if shutil.which("pyenv"):
+        done = subprocess.run(["pyenv", "root"], capture_output=True, text=True)
+        if done.returncode == 0 and done.stdout.strip():
+            return Path(done.stdout.strip())
+    return Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+
+
+def cpythons() -> list[Path]:
+    """Every pyenv CPython 3.10 or later: version directories named
+    major.minor.patch (other implementations carry a prefix)."""
+    found = []
+    for python in sorted(pyenv_root().glob("versions/*/bin/python")):
+        m = re.fullmatch(r"(\d+)\.(\d+)\.\d+", python.parents[1].name)
+        if m and (int(m[1]), int(m[2])) >= (3, 10):
+            found.append(python)
+    return found
+
+
+def test_reports_match_across_interpreters(tmp_path):
+    pythons = cpythons()
+    if len(pythons) < 2:
+        pytest.skip(f"needs two CPython 3.10+ under pyenv, found {len(pythons)}")
+    rng = random.Random(10)
+    f_path = tmp_path / "f.json"
+    values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(1 << 10)]
+    f_path.write_text(json.dumps({"depth": 10, "mode": "float64", "values": values}))
+    commands = [
+        ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
+         "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
+        ["norms", str(f_path), "--p", "1,3/2,2,3"],
+        ["verify", "adjoint", "--mode", "float64"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in commands:
+        outputs = {}
+        for python in pythons:
+            done = subprocess.run(
+                [str(python), "-m", "dyadicops.cli", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            outputs[python.parents[1].name] = (done.returncode, done.stdout, done.stderr)
+        first = outputs[pythons[0].parents[1].name]
+        assert first[0] == 0, first[2]
+        assert all(out == first for out in outputs.values()), (argv[0], outputs)

@@ -53,6 +53,7 @@ from dyadicops.core import (
     average_table,
     coefficient_table,
     interval_integrals,
+    power_mean,
     support_layout,
 )
 from dyadicops.errors import ResolutionError, ShapeError
@@ -432,12 +433,22 @@ class TestFunctionsOfViews:
         assert seen_kinds == {"paraproduct", "multiplier", "pi_paraproduct", "commutator"}
 
     def test_float_norms_of_a_view_with_blocks(self):
+        # each block run counts a power of two leaves, and float power
+        # sums are correctly rounded, so a view's norms are its
+        # expansion's floats
+        rng = random.Random(4)
         fs = extremal_pi_family(DyadicInterval(2, 1), (1,), ExponentTuple((2,)), 3)
-        b = StepFunction.from_values([1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0], mode=FLOAT64)
-        out = pi_paraproduct((1,), b, fs)
-        assert any(out.blocks)
-        for p in (1, Fraction(3, 2), 2, math.inf):
-            assert lp_norm(out, p) == pytest.approx(lp_norm(out.expand(), p), rel=REL_TOL)
+        for _ in range(30):
+            b = StepFunction.from_values(
+                [rng.uniform(-3, 3) for _ in range(8)], mode=FLOAT64
+            )
+            out = pi_paraproduct((1,), b, fs)
+            assert any(out.blocks)
+            full = out.expand()
+            for q in (Fraction(1, 3), Fraction(6, 11), 1, Fraction(3, 2), 2, 3):
+                assert power_mean(out, Fraction(q)) == power_mean(full, Fraction(q)), q
+            for p in (1, Fraction(3, 2), 2, math.inf):
+                assert lp_norm(out, p) == lp_norm(full, p), p
 
 
 class TestConstructors:
