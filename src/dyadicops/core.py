@@ -748,25 +748,27 @@ def _normalize_p(p) -> Fraction | None:
     return q
 
 
-def _power_mean_pow(f: StepFunction | SupportView, k, top: float = 1.0):
+def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
     """The mean of size(v) ** k over the leaves of f, summed over its values
     and then its block runs times their leaf counts; max |v| for k = inf.
 
-    For an int k, size(v) is |v| in f's own scalars, so the mean is exact
-    in rational mode; for a float k it is the float |v| / top.  Floats add
-    with ``scalars.total``, correctly rounded, so the mean does not depend
-    on the interpreter, and a view's equals its expansion's: each run's
-    leaf count is a power of two.
+    size(v) is |v| in f's own scalars, so the mean is exact in rational
+    mode for an integer k; with a ``top`` it is the float |v| / top.
+    Floats add with ``scalars.total``, correctly rounded, so the mean does
+    not depend on the interpreter, and a view's equals its expansion's:
+    each run's leaf count is a power of two.
     """
     runs = list(block_runs(f))
     if k == math.inf:
         return max(map(abs, chain(f.values, (v for v, _ in runs))))
-    if type(k) is int:
-        size, mode = abs, f.mode
+    if top is None:
+        mode = f.mode
+        terms = [abs(v) ** k for v in f.values]
+        terms += [abs(v) ** k * c for v, c in runs]
     else:
-        size, mode = (lambda v: abs(float(v)) / top), FLOAT64
-    terms = [size(v) ** k for v in f.values]
-    terms += [size(v) ** k * c for v, c in runs]
+        mode = FLOAT64
+        terms = [(abs(x) / top) ** k for x in map(float, f.values)]
+        terms += [(abs(float(v)) / top) ** k * c for v, c in runs]
     return scalars.total(terms, mode) * scalars.reciprocal(1 << f.depth, mode)
 
 
@@ -785,8 +787,9 @@ def lp_norm_pow(f: StepFunction | SupportView, p):
     return _power_mean_pow(f, k)
 
 
-# the largest integer p for which lp_norm builds the mean of |f|**p in f's
-# own scalars, exactly in rational mode
+# the largest integer p for which lp_norm averages |f|**p in f's own
+# scalars, exactly in rational mode; a larger power's exact mean grows
+# too large
 _MAX_EXACT_POWER = 1024
 
 
@@ -811,10 +814,9 @@ def power_mean(f: StepFunction | SupportView, q: Fraction) -> float:
     norm for q >= 1 and a quasinorm below; M * (mean of (|f|/M)**q)**(1/q)
     with M = max |f| when the mean over- or underflows a float."""
     pf = float(q)
-    # an int k keeps the sum in f's own scalars, exact in rational mode
-    k = q.numerator if q.denominator == 1 and q <= _MAX_EXACT_POWER else pf
+    own = q.denominator == 1 and q.numerator <= _MAX_EXACT_POWER
     try:
-        mean = float(_power_mean_pow(f, k))
+        mean = float(_power_mean_pow(f, pf, None if own else 1.0))
     except OverflowError:
         mean = math.inf
     if sys.float_info.min <= mean < math.inf:

@@ -154,7 +154,9 @@ class Exact:
         return _quotient(o, self)
 
     def __pow__(self, n):
-        if not isinstance(n, int):
+        if type(n) is float and n.is_integer():
+            n = int(n)  # an integer exponent that arrived as a float
+        elif not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return _quotient(_EXACT_ONE, self) ** (-n)

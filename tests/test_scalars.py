@@ -75,6 +75,12 @@ class TestExactField:
         for _ in range(n):
             expect = expect * x
         assert x**n == expect
+        # an integer exponent given as a float, as power_mean passes it
+        assert x ** float(n) == expect
+
+    def test_non_integer_float_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            Exact(2) ** 0.5
 
     @given(exacts)
     def test_sign_matches_float(self, x):
