@@ -83,7 +83,10 @@ def divided_pairing(f: StepFunction, interval: DyadicInterval, bit: int) -> floa
     half = len(span) // 2
     acc = 0.0
     for i, leaf in enumerate(span):
-        acc = acc + f.values[leaf] if bit == 1 or i >= half else acc - f.values[leaf]
+        if bit == 1 or i >= half:
+            acc = acc + f.values[leaf]
+        else:
+            acc = acc - f.values[leaf]
     if bit == 1:
         return acc / len(span)
     return acc * (2.0 ** (interval.level / 2.0 - f.depth))
