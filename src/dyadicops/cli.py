@@ -8,6 +8,7 @@ verification suite found failures, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -364,7 +365,10 @@ def cmd_weak(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing reads it
+    and keeps each call's values on a new namespace."""
     parser = argparse.ArgumentParser(
         prog="dyadicops",
         description="Multilinear dyadic operators on finite grids",

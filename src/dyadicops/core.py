@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate, chain, repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -583,7 +584,7 @@ def interval_integrals(f: StepFunction | SupportView) -> list[list]:
     level = [v * w for v in f.values]
     table = [level]
     while len(level) > 1:
-        level = [level[2 * i] + level[2 * i + 1] for i in range(len(level) // 2)]
+        level = list(map(add, level[0::2], level[1::2]))
         table.append(level)
     # every ancestor of the support holds all of f
     table += [list(level) for _ in range(top)]
@@ -599,20 +600,19 @@ def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
 
     Each child takes its parent's value plus or minus the parent's term, so
     every leaf adds its terms from the coarsest level down, and zero terms
-    are skipped, which leaves a signed zero as it is.
+    are skipped, which leaves a signed zero as it is.  A level's left and
+    right children are filled row by row.
     """
     vals = [start]
     for row in terms:
-        children = []
-        push = children.extend
-        for v, t in zip(vals, row):
-            if not t:
-                push((v, v))
-            elif odd:
-                push((v - t, v + t))
-            else:
-                v = v + t
-                push((v, v))
+        children = vals * 2
+        if odd:
+            children[0::2] = [v - t if t else v for v, t in zip(vals, row)]
+            children[1::2] = [v + t if t else v for v, t in zip(vals, row)]
+        else:
+            children[0::2] = children[1::2] = [
+                v + t if t else v for v, t in zip(vals, row)
+            ]
         vals = children
     return vals
 
@@ -657,9 +657,7 @@ def coefficient_table(f: StepFunction | SupportView) -> list[list]:
             side = below[0]
             out.append([mag * side if _right_of(f.support, level) else mag * -side])
             continue
-        out.append(
-            [mag * (below[2 * k + 1] - below[2 * k]) for k in range(len(below) // 2)]
-        )
+        out.append([mag * d for d in map(sub, below[1::2], below[0::2])])
     return out
 
 

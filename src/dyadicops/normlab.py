@@ -221,12 +221,27 @@ def adjoint_residual(descriptor: OperatorDescriptor, slot: int, fs, g):
 
 
 def random_rational_step(rng: random.Random, depth: int) -> StepFunction:
-    """A rational-mode function with small random fractions as leaf values."""
+    """A rational-mode function with small random fractions as leaf values:
+    ``Exact(Fraction(n, d))`` for n drawn from -24..24, then d from 1..12,
+    built straight from the two ints."""
+    randint, canonical = rng.randint, scalars._canonical
     vals = [
-        Fraction(rng.randint(-24, 24), rng.randint(1, 12))
-        for _ in range(1 << depth)
+        canonical(randint(-24, 24), 0, randint(1, 12)) for _ in range(1 << depth)
     ]
-    return StepFunction(depth, tuple(vals), RATIONAL)
+    return StepFunction._raw(depth, vals, RATIONAL)
+
+
+def _choices(rng: random.Random, pair: tuple, count: int) -> list:
+    """``[rng.choice(pair) for _ in range(count)]``, drawing as ``choice``
+    does: getrandbits(2) until the result is below 2, then that index."""
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(2)
+        while r > 1:
+            r = bits(2)
+        out.append(pair[r])
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,9 +287,11 @@ class SamplerSpec:
         m = descriptor.arity
         n = 1 << self.depth
         if self.family == "random-step":
+            # rng.uniform(-1.0, 1.0), which computes -1.0 + 2.0 * rng.random()
+            draw = rng.random
             return [
                 StepFunction._raw(
-                    self.depth, [rng.uniform(-1.0, 1.0) for _ in range(n)], FLOAT64
+                    self.depth, [-1.0 + 2.0 * draw() for _ in range(n)], FLOAT64
                 )
                 for _ in range(m)
             ]
@@ -284,8 +301,9 @@ class SamplerSpec:
             unused = [[0.0] * (1 << level) for level in range(cap + 1, self.depth)]
             out = []
             for _ in range(m):
+                # rng.choice((-1.0, 1.0)) * mag is one of -mag and mag
                 terms = [
-                    [rng.choice((-1.0, 1.0)) * mag for _ in range(1 << level)]
+                    _choices(rng, (-mag, mag), 1 << level)
                     for level, mag in enumerate(mags)
                 ]
                 vals = haar_sum(0.0, terms + unused, True)

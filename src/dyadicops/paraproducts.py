@@ -15,6 +15,7 @@ return the difference, which is identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from . import scalars
@@ -180,12 +181,10 @@ def _engine(
     terms = []
     for level in range(top, depth):
         w = scalars.root2_power(level * sigma, mode)
-        row = []
-        for pos, t in enumerate(tables[0][level]):
-            for tab in factors:
-                t = t * tab[level][pos]
-            row.append(t * w if t else t)
-        terms.append(row)
+        row = tables[0][level]
+        for tab in factors:
+            row = map(mul, row, tab[level])
+        terms.append([t * w if t else t for t in row])
     if sigma == 0:
         for row in terms:
             for t in row:
