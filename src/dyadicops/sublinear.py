@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from . import scalars
 from .core import (
@@ -16,6 +17,26 @@ from .core import (
 )
 from .errors import RootExceedsHeight
 from .scalars import FLOAT64, RATIONAL
+
+
+# a float64 square overflows past 2**512: where max |f| lies past
+# 2**_SQUARE_EXP, the BMO norms and the square function work on f / 2**e
+# with max |f / 2**e| < 2**_SQUARE_EXP, whose squares and their sums fit,
+# and scale their results back by 2**e
+_SQUARE_EXP = 500
+
+
+def _unit_scaled(f: StepFunction) -> tuple[StepFunction, int]:
+    """(f / 2**e, e): e = 0 unless f is float64 with max |f| past
+    2**_SQUARE_EXP.  Dividing by a power of two is exact above the
+    subnormals."""
+    if f.mode != FLOAT64:
+        return f, 0
+    top = max(map(abs, f.values))
+    if top < 2.0**_SQUARE_EXP:
+        return f, 0
+    e = math.frexp(top)[1] - _SQUARE_EXP
+    return StepFunction._raw(f.depth, [math.ldexp(v, -e) for v in f.values], FLOAT64), e
 
 
 def maximal(f: StepFunction) -> StepFunction:
@@ -49,9 +70,14 @@ def square_function(f: StepFunction) -> StepFunction:
     exact square root; otherwise the whole result is returned in float64
     mode.
     """
+    f, e = _unit_scaled(f.expand())
     sq = square_function_sq(f)
     if f.mode == FLOAT64:
-        return StepFunction._raw(f.depth, [math.sqrt(v) for v in sq.values], FLOAT64)
+        try:
+            roots = [math.ldexp(math.sqrt(v), e) for v in sq.values]
+        except OverflowError:
+            raise ValueError("the square function exceeds the float64 range") from None
+        return StepFunction._raw(f.depth, roots, FLOAT64)
     roots = [v.sqrt() for v in sq.values]
     if all(r is not None for r in roots):
         return StepFunction._raw(f.depth, roots, RATIONAL)
@@ -61,16 +87,30 @@ def square_function(f: StepFunction) -> StepFunction:
 
 
 def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
-    """table[level][pos] = average over the interval of |b - <b>_I|**r."""
+    """table[level][pos] = average over the interval of |b - <b>_I|**r.
+
+    For r = 2 the table is built bottom-up by the pairwise rule of Chan,
+    Golub & LeVeque (1979), M(I) = (M(L) + M(R))/2 + ((<b>_R - <b>_L)/2)**2
+    with M = 0 on a leaf: no large terms cancel, and it is exact in
+    rational mode.  A float64 b is first shifted by its mean, so that its
+    averages carry no digits of a common offset.
+    """
     b = b.expand()
-    avgs = average_table(b)
     if r == 2:
-        # <(b - m)^2>_I = <b^2>_I - m^2, no leaf scan needed
-        sq_avgs = average_table(b * b)
-        return [
-            [sq_avgs[lvl][k] - avgs[lvl][k] * avgs[lvl][k] for k in range(1 << lvl)]
-            for lvl in range(b.depth + 1)
-        ]
+        if b.mode == FLOAT64:
+            mean = average_table(b)[0][0]
+            b = StepFunction._raw(b.depth, [v - mean for v in b.values], FLOAT64)
+        avgs = average_table(b)
+        half = scalars.reciprocal(2, b.mode)
+        row = [scalars.zero(b.mode)] * (1 << b.depth)
+        table = [row]
+        for level in range(b.depth, 0, -1):
+            gaps = [d * half for d in map(sub, avgs[level][1::2], avgs[level][0::2])]
+            row = [(x + y) * half + d * d for x, y, d in zip(row[0::2], row[1::2], gaps)]
+            table.append(row)
+        table.reverse()
+        return table
+    avgs = average_table(b)
     out = []
     for lvl in range(b.depth + 1):
         width = 1 << (b.depth - lvl)
@@ -104,10 +144,11 @@ def bmo_norm(b: StepFunction, r: int):
     exists in the scalar field and a float otherwise; use bmo_norm_pow for
     guaranteed-exact comparisons.
     """
+    b, e = _unit_scaled(b.expand())
     top = bmo_norm_pow(b, r)
-    if r == 1:
-        return top
-    return scalars.scalar_sqrt(top, b.mode)
+    if r == 2:
+        top = scalars.scalar_sqrt(top, b.mode)
+    return math.ldexp(top, e) if e else top
 
 
 def bmo2_via_haar_sq(b: StepFunction):
@@ -137,7 +178,9 @@ def bmo2_via_haar_sq(b: StepFunction):
 
 def bmo2_via_haar(b: StepFunction):
     """Same value as bmo_norm(b, 2), computed from Haar coefficients."""
-    return scalars.scalar_sqrt(bmo2_via_haar_sq(b), b.mode)
+    b, e = _unit_scaled(b.expand())
+    root = scalars.scalar_sqrt(bmo2_via_haar_sq(b), b.mode)
+    return math.ldexp(root, e) if e else root
 
 
 def bstar_seminorm(b: StepFunction):

@@ -397,6 +397,27 @@ def loop_rademacher_haar(sampler, trial: int, m: int) -> list:
     return out
 
 
+def fraction_rational_step(rng, depth: int) -> StepFunction:
+    """The draw of ``random_rational_step``: the same two randints per
+    leaf, each value built as a Fraction and coerced by the constructor."""
+    vals = [
+        Fraction(rng.randint(-24, 24), rng.randint(1, 12))
+        for _ in range(1 << depth)
+    ]
+    return StepFunction(depth, tuple(vals), RATIONAL)
+
+
+def uniform_random_step(sampler, trial: int, m: int) -> list:
+    """The random-step draw of ``SamplerSpec.draw_tuple``: one
+    ``rng.uniform(-1.0, 1.0)`` per leaf, function by function."""
+    rng = sampler._rng(trial)
+    n = 1 << sampler.depth
+    return [
+        StepFunction(sampler.depth, [rng.uniform(-1.0, 1.0) for _ in range(n)], FLOAT64)
+        for _ in range(m)
+    ]
+
+
 _SQRT2 = math.sqrt(2.0)
 
 

@@ -204,6 +204,45 @@ class TestNorms:
     def test_bad_exponent_exits_two(self, func_file):
         assert main(["norms", str(func_file), "--p", "0.5"]) == 2
 
+    def test_float64_values_past_the_square_limit(self, tmp_path, capsys):
+        # squares of these floats overflow past 2**512; the BMO norms and
+        # the square function scale by a power of two, and give the
+        # rational file's values
+        values = ["1e200", "3e200", "-1e200", "2e200"]
+        reports = {}
+        for mode in ("float64", "rational"):
+            path = tmp_path / f"{mode}.json"
+            vals = [float(v) for v in values] if mode == "float64" else values
+            write_json(path, {"depth": 2, "mode": mode, "values": vals})
+            assert main(["norms", str(path), "--include-square"]) == 0
+            reports[mode] = json.loads(capsys.readouterr().out)
+        got, want = reports["float64"], reports["rational"]
+        assert want["bmo2"] == 1.5e200
+        for key in ("bmo1", "bmo2", "bmo2_haar", "bstar"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+        assert got["square"]["values"] == pytest.approx(
+            want["square"]["values"], rel=1e-12
+        )
+
+    def test_float64_values_near_the_float_maximum(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        values = [1.7e308, -1.7e308, 1e308, -1.5e308]
+        write_json(path, {"depth": 2, "mode": "float64", "values": values})
+        assert main(["norms", str(path), "--p", "1,2,inf"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # the two halves have means 0 and -2.5e307
+        assert out["bmo2"] == pytest.approx(1.7e308, rel=1e-12)
+        assert out["lp"]["inf"] == 1.7e308
+
+    def test_square_function_past_the_float_maximum_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        values = [1.7e308] * 3 + [-1.7e308]
+        write_json(path, {"depth": 2, "mode": "float64", "values": values})
+        assert main(["norms", str(path), "--include-square"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the square function exceeds the float64 range\n"
+
 
 class TestCzd:
     def test_decomposition_output(self, func_file, capsys):
@@ -314,6 +353,15 @@ class TestEstimate:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["weak_type"] is True
+
+    def test_b_past_the_square_limit(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        write_json(path, {"depth": 2, "mode": "float64", "values": [1e200, 3e200, -1e200, 2e200]})
+        argv = ["estimate", "--op", "pi", "--alpha", "01", "--b", str(path),
+                "--p", "2,2", "--trials", "2"]
+        assert main(argv) == 0
+        b_norms = json.loads(capsys.readouterr().out)["b_norms"]
+        assert b_norms["bmo2"] == pytest.approx(1.5e200, rel=1e-12)
 
     def test_weak_without_endpoint_exits_two(self, tmp_path, func_file):
         assert main([
@@ -649,3 +697,41 @@ class TestModuleEntry:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
+
+
+class TestParserReuse:
+    """``main`` builds the parser once per process: a call after any other,
+    a usage error and --help included, prints and exits as a fresh
+    process does."""
+
+    def test_calls_in_one_process_match_fresh_processes(
+        self, tmp_path, func_file, monkeypatch, capsys
+    ):
+        # the width of --help comes from COLUMNS, here and in the children
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["norms", str(func_file), "--p", "3"],
+            ["norms", "--include-square"],
+            ["norms", str(func_file)],
+            ["norms", "--help"],
+            ["weak", "--op", "mult", "--alpha", "01", "--p", "1,2", "--depth", "3",
+             "--trials", "3", "--seed", "2"],
+            ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2", "--depth", "3"],
+            ["--help"],
+            ["norms", str(func_file), "--include-maximal"],
+        ]
+        src = str(Path(dyadicops.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        codes = set()
+        for argv in calls:
+            code = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "dyadicops.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (code, got.out, got.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            codes.add(code)
+        assert codes == {0, 2}

@@ -1,9 +1,11 @@
 """Reports are the same bytes under every supported CPython.
 
 Float norms add with ``math.fsum``, which rounds correctly, where the
-builtin ``sum`` changed between CPython 3.11 and 3.12.  This runs three
-commands whose float sums used to differ under every CPython 3.10+ that
-pyenv has installed, and skips when it finds fewer than two.
+builtin ``sum`` changed between CPython 3.11 and 3.12.  The samplers
+draw as ``random`` does (``uniform``, ``choice``, ``randint``) without
+calling it.  This runs three commands whose float sums used to differ and
+three that draw through each sampler under every CPython 3.10+ that pyenv
+has installed, and skips when it finds fewer than two.
 """
 
 import json
@@ -51,6 +53,13 @@ def test_reports_match_across_interpreters(tmp_path):
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
         ["norms", str(f_path), "--p", "1,3/2,2,3"],
         ["verify", "adjoint", "--mode", "float64"],
+        ["estimate", "--op", "para", "--alpha", "01", "--depth", "5", "--p", "2,2",
+         "--family", "rademacher-haar", "--trials", "30", "--dump-trials",
+         str(tmp_path / "haar.csv")],
+        ["estimate", "--op", "pi", "--alpha", "01", "--b", str(f_path), "--p", "2,3",
+         "--family", "random-step", "--trials", "30", "--dump-trials",
+         str(tmp_path / "step.csv")],
+        ["verify", "decomposition", "--m", "3", "--depth", "4", "--trials", "5"],
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv in commands:
@@ -60,7 +69,10 @@ def test_reports_match_across_interpreters(tmp_path):
                 [str(python), "-m", "dyadicops.cli", *argv],
                 capture_output=True, env=env, timeout=120,
             )
-            outputs[python.parents[1].name] = (done.returncode, done.stdout, done.stderr)
+            dumped = [Path(path).read_bytes() for path in argv if path.endswith(".csv")]
+            outputs[python.parents[1].name] = (
+                done.returncode, done.stdout, done.stderr, dumped
+            )
         first = outputs[pythons[0].parents[1].name]
         assert first[0] == 0, first[2]
         assert all(out == first for out in outputs.values()), (argv[0], outputs)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from dyadicops import (
 )
 from dyadicops.core import MAX_DEPTH
 from dyadicops.errors import ShapeError
-from dyadicops.normlab import _lr_quasinorm
-from dyadicops.scalars import FLOAT64
+from dyadicops.normlab import _choices, _lr_quasinorm, random_rational_step
+from dyadicops.scalars import FLOAT64, Exact, _canonical
+
+from oracles import fraction_rational_step, uniform_random_step
 
 
 class TestExponentTuple:
@@ -170,6 +173,49 @@ class TestSampler:
             fs = spec.draw_tuple(trial, d, e)
             for f, p in zip(fs, e.p):
                 assert lp_norm(f, p) == pytest.approx(1.0)
+
+
+class TestSamplerStreams:
+    """The samplers draw into mode scalars directly, with the same rng
+    calls in the same order as the library calls they stand for."""
+
+    def test_choices_is_rng_choice(self):
+        for seed in range(1000):
+            got, want = random.Random(seed), random.Random(seed)
+            count = seed % 40
+            assert _choices(got, (-1.0, 1.0), count) == [
+                want.choice((-1.0, 1.0)) for _ in range(count)
+            ]
+            assert got.getstate() == want.getstate()
+
+    @pytest.mark.parametrize("depth,m", [(1, 1), (3, 2), (6, 3)])
+    def test_random_step_is_rng_uniform(self, depth, m):
+        spec = SamplerSpec("random-step", depth, seed=depth)
+        d = OperatorDescriptor("paraproduct", (0,) + (1,) * (m - 1))
+        e = ExponentTuple((2,) * m)
+        for trial in range(20):
+            got = spec.draw_tuple(trial, d, e)
+            want = uniform_random_step(spec, trial, m)
+            assert [f.values for f in got] == [f.values for f in want]
+
+    def test_each_leaf_is_the_fraction(self):
+        # every value a leaf can take: n in -24..24 over d in 1..12
+        for n in range(-24, 25):
+            for d in range(1, 13):
+                got, want = _canonical(n, 0, d), Exact(Fraction(n, d))
+                assert (got.A, got.B, got.D) == (want.A, want.B, want.D)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_random_rational_step_is_the_fraction_draw(self, depth):
+        for seed in range(40):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_rational_step(got_rng, depth)
+            want = fraction_rational_step(want_rng, depth)
+            assert got == want
+            assert [(v.A, v.B, v.D) for v in got.values] == [
+                (v.A, v.B, v.D) for v in want.values
+            ]
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestExtremalFamilies:

@@ -178,6 +178,49 @@ class TestBmo:
         assert bstar_seminorm(b) == bstar_seminorm(shifted)
 
 
+class TestFloatBmo:
+    """float64 BMO norms and square functions against the exact ones."""
+
+    @pytest.mark.parametrize("offset", [1e8, 1e12, -3e5, 0.0])
+    def test_bmo2_of_offset_data(self, offset):
+        # <b**2>_I - <b>_I**2 cancelled every digit here: at 1e8 it gave
+        # 2.0 for an exact 6.7e-4, at 1e12 16384
+        for seed in range(20):
+            rng = random.Random(seed)
+            vals = [offset + rng.uniform(-1e-3, 1e-3) for _ in range(64)]
+            exact = StepFunction(6, [Fraction(v) for v in vals], RATIONAL)
+            got = bmo_norm(StepFunction(6, vals, FLOAT64), 2)
+            assert got == pytest.approx(float(bmo_norm(exact, 2)), rel=1e-12), seed
+
+    def test_bmo2_table_matches_rational(self):
+        rng = random.Random(4)
+        for depth in range(1, 7):
+            vals = [rng.uniform(-5, 5) for _ in range(1 << depth)]
+            exact = StepFunction(depth, [Fraction(v) for v in vals], RATIONAL)
+            got = bmo_norm_pow(StepFunction(depth, vals, FLOAT64), 2)
+            assert got == pytest.approx(float(bmo_norm_pow(exact, 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("power", [600, 1000])
+    def test_scaling_by_a_power_of_two_is_exact(self, power):
+        # past 2**500 the squares would overflow, and the functions work on
+        # f / 2**e: the results scale with f, bit for bit
+        rng = random.Random(power)
+        f = StepFunction(4, [rng.uniform(-1, 1) for _ in range(16)], FLOAT64)
+        big = f.scale(2.0**power)
+        for r in (1, 2):
+            assert bmo_norm(big, r) == bmo_norm(f, r) * 2.0**power
+        assert bmo2_via_haar(big) == bmo2_via_haar(f) * 2.0**power
+        assert square_function(big) == square_function(f).scale(2.0**power)
+
+    def test_values_below_the_limit_keep_the_plain_roots(self):
+        rng = random.Random(8)
+        f = StepFunction(5, [rng.uniform(-1e150, 1e150) for _ in range(32)], FLOAT64)
+        assert bmo_norm(f, 2) == math.sqrt(bmo_norm_pow(f, 2))
+        assert bmo2_via_haar(f) == math.sqrt(bmo2_via_haar_sq(f))
+        roots = [math.sqrt(v) for v in square_function_sq(f).values]
+        assert square_function(f).values == tuple(roots)
+
+
 class TestCZDecomposition:
     def test_frozen_example(self):
         f = StepFunction.from_values([2, 0, 0, 0])
