@@ -605,7 +605,7 @@ def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
     """
     vals = [start]
     for row in terms:
-        children = vals * 2
+        children = [None] * (2 * len(vals))
         if odd:
             children[0::2] = [v - t if t else v for v, t in zip(vals, row)]
             children[1::2] = [v + t if t else v for v, t in zip(vals, row)]

@@ -106,7 +106,9 @@ def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
         table = [row]
         for level in range(b.depth, 0, -1):
             gaps = [d * half for d in map(sub, avgs[level][1::2], avgs[level][0::2])]
-            row = [(x + y) * half + d * d for x, y, d in zip(row[0::2], row[1::2], gaps)]
+            row = [
+                (x + y) * half + d * d for x, y, d in zip(row[0::2], row[1::2], gaps)
+            ]
             table.append(row)
         table.reverse()
         return table
