@@ -76,6 +76,8 @@ from .normlab import (
     extremal_tuple,
     necessity_case,
     random_rational_step,
+    sharp_forms,
+    sharp_ratio,
     weak_type_ratio,
 )
 
@@ -135,5 +137,7 @@ __all__ = [
     "extremal_tuple",
     "necessity_case",
     "random_rational_step",
+    "sharp_forms",
+    "sharp_ratio",
     "weak_type_ratio",
 ]

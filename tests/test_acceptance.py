@@ -43,6 +43,8 @@ from dyadicops import (
     paraproduct,
     pi_paraproduct,
     product_decomposition_residual,
+    sharp_forms,
+    sharp_ratio,
     square_function,
     synthesize,
 )
@@ -220,6 +222,81 @@ def test_criterion_04d_commutator_case_one_exact():
                                 weight * c
                             )
                 assert got == expect
+
+
+# (alpha, slot, p) per sharp family; r < 1 where every p is 1 and m > 1
+SHARP_CASES = {
+    "pi": [((0, 1), None, (2, 3)), ((0, 0, 1), None, (2, 3, 2)), ((1, 0), None, (1, 1))],
+    "multiplier": [((0, 1), None, (2, 2)), ((0, 0, 1), None, (1, 3, 2))],
+    "commutator-II": [
+        ((0, 1), 2, (2, 2)), ((0, 0), 1, (2, 4)), ((0, 0, 1), 3, (2, 2, 2)),
+        ((0, 1), 2, (1, 1)),
+    ],
+    "commutator-I": [
+        ((0, 1), 1, (2, 2)), ((1, 0), 2, (Fraction(3, 2), 3)), ((1, 0, 1), 2, (1, 1, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("weak", [False, True])
+@pytest.mark.parametrize("family", sorted(SHARP_CASES))
+def test_criterion_04e_closed_forms_rank_the_sharp_jobs(family, weak):
+    """The closed forms that rank the sharp jobs (``sharp_forms``: the
+    ratios of criteria 04a-04d, with a non-constant symbol) against each
+    job's evaluated ratio, at every interval: within FLOAT_TOL times the
+    largest closed form, at depths 1-6, for uniform and integer-valued b."""
+    rng = random.Random(f"04e:{family}:{weak}")
+    for depth in range(1, 7):
+        n = 1 << depth
+        eps = SymbolSequence(
+            default=Fraction(1, 2),
+            entries={
+                i: Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+                for i in interval_family(depth)
+                if rng.random() < 0.8
+            },
+        )
+        for b in (
+            random_float_step(rng, depth),
+            StepFunction._raw(depth, [float(rng.randint(-2, 2)) for _ in range(n)], FLOAT64),
+        ):
+            for alpha, slot, ps in SHARP_CASES[family]:
+                if family == "pi":
+                    desc = OperatorDescriptor("pi_paraproduct", alpha, b=b)
+                elif family == "multiplier":
+                    desc = OperatorDescriptor("multilinear_multiplier", alpha, symbol=eps)
+                else:
+                    desc = OperatorDescriptor("commutator", alpha, b=b, symbol=eps, slot=slot)
+                exps = ExponentTuple((1, *ps[1:]) if weak else ps)
+                forms = sharp_forms(desc, exps, depth, weak)
+                if family.startswith("commutator") and exps.r < 1 and not weak:
+                    # not Lipschitz at 0: no closed form ranks these jobs
+                    assert forms == [None] * len(forms)
+                    continue
+                top = max((form for form in forms if form is not None), default=0.0)
+                for i, form in zip(interval_family(depth), forms):
+                    ratio = sharp_ratio(desc, exps, i, depth, weak)
+                    if form is None:
+                        # case I at the universe: no tuple
+                        assert ratio is None and i == UNIVERSE and family == "commutator-I"
+                        continue
+                    assert abs(ratio - form) <= FLOAT_TOL * top, (alpha, slot, i)
+
+
+def test_criterion_04e_no_closed_form_runs_every_sharp_job():
+    """Paraproducts, whose sharp ratios are all 1, and pi with b's slot its
+    only Haar slot have no closed form: every sharp job runs."""
+    depth = 4
+    b = random_float_step(random.Random(444), depth)
+    exps = ExponentTuple((2, 2))
+    for desc in (
+        OperatorDescriptor("paraproduct", (0, 1)),
+        OperatorDescriptor("paraproduct", (1, 1)),
+        OperatorDescriptor("pi_paraproduct", (1, 1), b=b),
+    ):
+        assert sharp_forms(desc, exps, depth) == [None] * ((1 << depth) - 1)
+        report = estimate_operator_norm(desc, exps, SamplerSpec("random-step", depth), trials=1)
+        assert [k for k, _ in report.trial_ratios] == list(range(1 << depth))
 
 
 def test_criterion_05_pointwise_dominations():

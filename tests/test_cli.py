@@ -10,6 +10,7 @@ import pytest
 import dyadicops
 from dyadicops import (
     AlphaVector,
+    DyadicInterval,
     ExponentTuple,
     OperatorDescriptor,
     SamplerSpec,
@@ -336,6 +337,31 @@ class TestEstimate:
         ])
         assert code == 0
         assert csv.read_text().startswith("trial,ratio")
+
+    def test_dump_lists_the_random_trials_and_the_evaluated_sharp_jobs(
+        self, tmp_path, capsys
+    ):
+        # one interval carries the largest |eps|, so one sharp job runs; a
+        # paraproduct has no closed form, so all 2**depth - 1 of its run
+        sym = tmp_path / "sym.json"
+        write_json(sym, SymbolSequence(
+            default=Fraction(1, 2), entries={DyadicInterval(1, 1): 3},
+        ).to_json_dict())
+        for op, want in ((["mult", "--symbol", str(sym)], 1), (["para"], 7)):
+            csv = tmp_path / "trials.csv"
+            assert main([
+                "estimate", "--op", *op, "--alpha", "01", "--p", "2,2",
+                "--depth", "3", "--trials", "4", "--dump-trials", str(csv),
+            ]) == 0
+            report = json.loads(capsys.readouterr().out)
+            lines = csv.read_text().splitlines()
+            assert lines[0] == "trial,ratio"
+            assert len(lines) == 1 + 4 + want
+            if op[0] == "mult":
+                # the job after the 4 trials and the intervals (0,0), (1,0)
+                assert lines[-1] == f"6,{report['extremal_lower_bound']!r}"
+                assert report["extremal_lower_bound"] == pytest.approx(3.0)
+                assert report["extremal_interval"] == {"level": 1, "pos": 1}
 
     def test_missing_b_exits_two(self, tmp_path):
         assert main([

@@ -5,9 +5,12 @@ harness builds and evaluates it on that interval (``SupportView``) instead
 of the full grid.  These tests hold that path to the dense one: exactly (``==``) in
 rational mode, and within 1e-12 relative for the float64 ratios that the
 experiment reports, against the dense ``measure(extremal_tuple(...))`` in
-``tests/oracles.py``.
+``tests/oracles.py``.  The experiment runs only the sharp jobs whose closed
+forms rank at the top; its report must equal (``==``) the full sweep's, the
+first largest of every interval's ``sharp_ratio``.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -44,6 +47,7 @@ from dyadicops import (
     pairing,
     paraproduct,
     pi_paraproduct,
+    sharp_ratio,
     square_function_sq,
     weak_lp_quasinorm,
     weak_type_ratio,
@@ -65,10 +69,22 @@ from oracles import dense_sharp_ratio, naive_haar, naive_indicator, random_ratio
 
 REL_TOL = 1e-12
 EXPONENTS = (1, Fraction(3, 2), 2, 3)
+# b of the sharp experiments: uniform, integer-valued (many ties), constant
+# (every closed form is 0) and offset (1e8 + uniform(-1e-3, 1e-3))
+B_KINDS = ("uniform", "integer", "constant", "offset")
 
 
-def float_function(rng, depth):
-    return StepFunction(depth, tuple(rng.uniform(-1.0, 1.0) for _ in range(1 << depth)), FLOAT64)
+def float_function(rng, depth, kind="uniform"):
+    n = 1 << depth
+    if kind == "integer":
+        vals = [float(rng.randint(-2, 2)) for _ in range(n)]
+    elif kind == "constant":
+        vals = [rng.uniform(-1.0, 1.0)] * n
+    elif kind == "offset":
+        vals = [1e8 + rng.uniform(-1e-3, 1e-3) for _ in range(n)]
+    else:
+        vals = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    return StepFunction(depth, tuple(vals), FLOAT64)
 
 
 def random_symbol(rng, depth):
@@ -80,37 +96,52 @@ def random_symbol(rng, depth):
     return SymbolSequence(default=Fraction(rng.randint(-3, 3), 2), entries=entries)
 
 
-def make_descriptor(kind, bits, slot, rng, depth):
+def make_descriptor(kind, bits, slot, rng, depth, b_kind="uniform"):
     alpha = AlphaVector(bits)
     if kind == "paraproduct":
         return OperatorDescriptor(kind, alpha)
     if kind == "pi_paraproduct":
-        return OperatorDescriptor(kind, alpha, b=float_function(rng, depth))
+        return OperatorDescriptor(kind, alpha, b=float_function(rng, depth, b_kind))
     if kind == "multilinear_multiplier":
         return OperatorDescriptor(kind, alpha, symbol=random_symbol(rng, depth))
     return OperatorDescriptor(
-        kind, alpha, b=float_function(rng, depth), symbol=random_symbol(rng, depth), slot=slot
+        kind, alpha, b=float_function(rng, depth, b_kind),
+        symbol=random_symbol(rng, depth), slot=slot,
     )
 
 
 def assert_matches_dense(desc, exps, depth, weak, seed):
+    """Each interval's sharp ratio against the dense oracle, and the report,
+    which runs only the jobs whose closed forms rank near the top, against
+    the full sweep: the first largest of those ratios."""
     runner = weak_type_ratio if weak else estimate_operator_norm
     report = runner(desc, exps, SamplerSpec("random-step", depth, seed=seed), trials=1)
-    got = dict(report.trial_ratios)
-    wants = []
-    for k, interval in enumerate(interval_family(depth)):
+    intervals = interval_family(depth)
+    ratios = []
+    for interval in intervals:
         want = dense_sharp_ratio(desc, exps, interval, depth, weak)
-        ratio = got[1 + k]
+        ratio = sharp_ratio(desc, exps, interval, depth, weak)
         if want is None:
             assert ratio is None, (interval, ratio)
-            continue
-        assert ratio == pytest.approx(want, rel=REL_TOL, abs=1e-300), interval
-        wants.append(want)
-    if wants:
-        assert report.extremal_lower_bound == pytest.approx(max(wants), rel=REL_TOL)
+        else:
+            assert ratio == pytest.approx(want, rel=REL_TOL, abs=1e-300), interval
+        ratios.append(ratio)
+    got = dict(report.trial_ratios)
+    for k, ratio in enumerate(ratios):
+        # every evaluated job gives its sharp ratio; a job with no tuple is
+        # listed, as None
+        if ratio is None or 1 + k in got:
+            assert got[1 + k] == ratio, intervals[k]
+    assert report.skipped_jobs == sum(r is None for r in got.values())
+    found = [k for k, ratio in enumerate(ratios) if ratio is not None]
+    if found:
+        best = max(found, key=lambda k: (ratios[k], -k))
+        assert report.extremal_lower_bound == ratios[best]
+        assert report.extremal_interval == intervals[best]
         assert report.best_ratio >= report.extremal_lower_bound
     else:
         assert report.extremal_lower_bound is None
+        assert report.extremal_interval is None
 
 
 @st.composite
@@ -126,8 +157,9 @@ def sharp_experiments(draw):
     weak = draw(st.booleans())
     if weak and 1 not in ps:
         ps[draw(st.integers(0, m - 1))] = 1
+    b_kind = draw(st.sampled_from(B_KINDS))
     seed = draw(st.integers(0, 10_000))
-    desc = make_descriptor(kind, bits, slot, random.Random(seed), depth)
+    desc = make_descriptor(kind, bits, slot, random.Random(seed), depth, b_kind)
     return desc, ExponentTuple(tuple(ps)), depth, weak, seed
 
 
@@ -141,21 +173,22 @@ class TestSharpRatios:
     @pytest.mark.parametrize("weak", [False, True])
     def test_every_alpha_and_slot(self, kind, weak):
         """Every alpha with m <= 3 and every commutator slot, so case I and
-        case II both run, at depths 1, 3 and 5."""
+        case II both run, at depths 1, 3 and 5, b taking each of B_KINDS in
+        turn; drawn p, then every p = 1, so that r = 1/m."""
         rng = random.Random(f"{kind}:{weak}")
-        for depth in (1, 3, 5):
-            for m in (1, 2, 3):
-                for code in range(1 << m):
-                    bits = tuple((code >> j) & 1 for j in range(m))
-                    if kind in ("multilinear_multiplier", "commutator") and 0 not in bits:
-                        continue
-                    slots = range(1, m + 1) if kind == "commutator" else [None]
-                    for slot in slots:
-                        desc = make_descriptor(kind, bits, slot, rng, depth)
-                        ps = [rng.choice(EXPONENTS) for _ in range(m)]
-                        if weak:
-                            ps[0] = 1
-                        assert_matches_dense(desc, ExponentTuple(tuple(ps)), depth, weak, 0)
+        b_kinds = itertools.cycle(B_KINDS)
+        for ones, depth, m in itertools.product((False, True), (1, 3, 5), (1, 2, 3)):
+            for code in range(1 << m):
+                bits = tuple((code >> j) & 1 for j in range(m))
+                if kind in ("multilinear_multiplier", "commutator") and 0 not in bits:
+                    continue
+                slots = range(1, m + 1) if kind == "commutator" else [None]
+                for slot in slots:
+                    desc = make_descriptor(kind, bits, slot, rng, depth, next(b_kinds))
+                    ps = [1 if ones else rng.choice(EXPONENTS) for _ in range(m)]
+                    if weak:
+                        ps[0] = 1
+                    assert_matches_dense(desc, ExponentTuple(tuple(ps)), depth, weak, 0)
 
     def test_support_is_the_parent_for_case_one(self):
         b = StepFunction.from_values([1.0, 0.0, 2.0, 0.5, 0.0, 1.0, 3.0, 2.0], mode=FLOAT64)
