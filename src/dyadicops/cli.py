@@ -75,16 +75,6 @@ OP_ALIASES = {
     "commutator": "commutator",
 }
 
-SUITES = (
-    "decomposition",
-    "localized",
-    "adjoint",
-    "transpose",
-    "multiplier-coeff",
-    "commutator-constant",
-)
-
-
 def _emit(obj, output: str | None):
     text = canonical_json(obj)
     if output:
@@ -109,14 +99,13 @@ def _load(path: str, cls, kind: str):
         raise ValueError(f"{path} is not a {kind} file: {exc}") from None
 
 
-def _scalar_is_small(value, mode: str) -> bool:
+def _is_small(residual, mode: str) -> bool:
+    """Whether a residual, a scalar or a StepFunction, is zero in rational
+    mode, or has every value within FLOAT_TOL in float64."""
+    values = residual.values if isinstance(residual, StepFunction) else (residual,)
     if mode == RATIONAL:
-        return not value
-    return abs(value) <= FLOAT_TOL
-
-
-def _function_is_small(f: StepFunction) -> bool:
-    return all(_scalar_is_small(v, f.mode) for v in f.values)
+        return not any(values)
+    return all(abs(v) <= FLOAT_TOL for v in values)
 
 
 def _random_function(rng: random.Random, depth: int, mode: str) -> StepFunction:
@@ -125,40 +114,35 @@ def _random_function(rng: random.Random, depth: int, mode: str) -> StepFunction:
 
 
 # -- verify suites -----------------------------------------------------------
+# each yields the residuals it checks, every one zero when the identity holds
 
 
-def _suite_decomposition(args, rng) -> int:
-    if args.m < 2:
-        raise ValueError("the decomposition suite needs --m >= 2")
-    if args.depth < 2:
-        raise ValueError("the decomposition suite needs --depth >= 2")
-    failures = 0
+def _check_m_and_depth(args):
+    """The decomposition suites need --m >= 2 and --depth >= 2."""
+    for flag in ("m", "depth"):
+        if getattr(args, flag) < 2:
+            raise ValueError(f"the {args.suite} suite needs --{flag} >= 2")
+
+
+def _suite_decomposition(args, rng):
+    _check_m_and_depth(args)
     for _ in range(args.trials):
         fs = [_random_function(rng, args.depth, args.mode) for _ in range(args.m)]
-        if not _function_is_small(product_decomposition_residual(fs)):
-            failures += 1
-    return failures
+        yield product_decomposition_residual(fs)
 
 
-def _suite_localized(args, rng) -> int:
-    if args.m < 2:
-        raise ValueError("the localized suite needs --m >= 2")
-    if args.depth < 2:
-        raise ValueError("the localized suite needs --depth >= 2")
-    failures = 0
+def _suite_localized(args, rng):
+    _check_m_and_depth(args)
     for _ in range(args.trials):
         fs = [_random_function(rng, args.depth, args.mode) for _ in range(args.m)]
         for level in range(1, args.depth + 1):
             interval = DyadicInterval(level, rng.randrange(1 << level))
-            if not _function_is_small(localized_average_residual(interval, fs)):
-                failures += 1
-    return failures
+            yield localized_average_residual(interval, fs)
 
 
-def _suite_duality(args, rng) -> int:
+def _suite_duality(args, rng):
     # <T(fs), g> = <f_j, T*j(fs; g)> for random kinds, alphas of arity --m, slots
     alphas = admissible_alphas(args.m)
-    failures = 0
     for _ in range(args.trials):
         kind = rng.choice(KINDS)
         alpha = rng.choice(alphas)
@@ -173,9 +157,7 @@ def _suite_duality(args, rng) -> int:
         descriptor = OperatorDescriptor(kind, alpha, b, symbol, i)
         fs = [_random_function(rng, args.depth, args.mode) for _ in range(alpha.m)]
         g = _random_function(rng, args.depth, args.mode)
-        if not _scalar_is_small(adjoint_residual(descriptor, slot, fs, g), args.mode):
-            failures += 1
-    return failures
+        yield adjoint_residual(descriptor, slot, fs, g)
 
 
 def _random_symbol(rng, depth: int) -> SymbolSequence:
@@ -186,8 +168,7 @@ def _random_symbol(rng, depth: int) -> SymbolSequence:
     return SymbolSequence(default=0, entries=entries)
 
 
-def _suite_multiplier_coeff(args, rng) -> int:
-    failures = 0
+def _suite_multiplier_coeff(args, rng):
     for _ in range(args.trials):
         eps = _random_symbol(rng, args.depth)
         f = _random_function(rng, args.depth, args.mode)
@@ -195,14 +176,10 @@ def _suite_multiplier_coeff(args, rng) -> int:
         table = eps.table(args.depth, args.mode)
         for interval in interval_family(args.depth):
             want = table[interval.level][interval.position] * pairing(f, interval, 0)
-            got = pairing(out, interval, 0)
-            if not _scalar_is_small(got - want, args.mode):
-                failures += 1
-    return failures
+            yield pairing(out, interval, 0) - want
 
 
-def _suite_commutator_constant(args, rng) -> int:
-    failures = 0
+def _suite_commutator_constant(args, rng):
     alphas = admissible_alphas(args.m)
     for _ in range(args.trials):
         c = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
@@ -211,12 +188,10 @@ def _suite_commutator_constant(args, rng) -> int:
         alpha = rng.choice(alphas)
         slot = rng.randint(1, alpha.m)
         fs = [_random_function(rng, args.depth, args.mode) for _ in range(alpha.m)]
-        if not _function_is_small(commutator(slot, b, eps, alpha, fs)):
-            failures += 1
-    return failures
+        yield commutator(slot, b, eps, alpha, fs)
 
 
-_SUITE_RUNNERS = {
+SUITES = {
     "decomposition": _suite_decomposition,
     "localized": _suite_localized,
     # "transpose" is the same suite, kept for existing scripts
@@ -228,13 +203,16 @@ _SUITE_RUNNERS = {
 
 
 def cmd_verify(args) -> int:
+    """Run a suite; each residual it yields that is not small is one
+    failure."""
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.m < 1:
         raise ValueError(f"--m must be >= 1, got {args.m}")
     check_depth(args.depth)
     rng = random.Random(f"verify:{args.suite}:{args.seed}")
-    failures = _SUITE_RUNNERS[args.suite](args, rng)
+    residuals = SUITES[args.suite](args, rng)
+    failures = sum(not _is_small(r, args.mode) for r in residuals)
     _emit(
         {
             "suite": args.suite,
@@ -323,13 +301,10 @@ def _build_descriptor(args) -> OperatorDescriptor:
         symbol = SymbolSequence.constant(parse_fraction(args.symbol_const))
     elif kind in ("multilinear_multiplier", "commutator"):
         symbol = SymbolSequence.constant(1)
-    slot = args.slot if kind == "commutator" else None
-    if kind == "commutator" and slot is None:
+    if kind == "commutator" and args.slot is None:
         raise ValueError("commutator experiments need --slot")
-    if kind in ("paraproduct",):
-        b = None
-        symbol = None
-    return OperatorDescriptor(kind=kind, alpha=alpha, b=b, symbol=symbol, slot=slot)
+    # the descriptor refuses an option its kind does not take
+    return OperatorDescriptor(kind, alpha, b, symbol, args.slot)
 
 
 def _run_experiment_cmd(args, weak: bool) -> int:

@@ -496,7 +496,8 @@ def _oscillations(values: list, width: int, r: float, weak: bool) -> list[float]
             mags.sort(reverse=True)
             out.append(max(map(mul, mags, steps)))
         else:
-            out.append(top * (sum([(v / top) ** r for v in mags]) / width) ** inv)
+            powers = [(v / top) ** r for v in mags]
+            out.append(top * (scalars.total(powers, FLOAT64) / width) ** inv)
     return out
 
 

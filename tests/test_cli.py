@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,13 +13,16 @@ from dyadicops import (
     AlphaVector,
     DyadicInterval,
     ExponentTuple,
+    HaarSpectrum,
     OperatorDescriptor,
     SamplerSpec,
     StepFunction,
     SymbolSequence,
     analyze,
     estimate_operator_norm,
+    synthesize,
 )
+from dyadicops import cli, paraproducts
 from dyadicops.cli import main
 from dyadicops.core import MAX_DEPTH
 
@@ -36,18 +40,47 @@ def func_file(tmp_path):
     return path
 
 
+SUITES = (
+    "decomposition",
+    "localized",
+    "adjoint",
+    "transpose",
+    "multiplier-coeff",
+    "commutator-constant",
+)
+
+# what the verify suites call with their random inputs
+CHECKED = (
+    "product_decomposition_residual",
+    "localized_average_residual",
+    "adjoint_residual",
+    "multilinear_multiplier",
+    "commutator",
+)
+
+# sha256 prefixes of those inputs at --m 3 --depth 3 --trials 4 --seed 5
+FROZEN_INPUTS = {
+    ("decomposition", "rational"): "0e492acd87382bb7",
+    ("decomposition", "float64"): "44f4a63020bf162c",
+    ("localized", "rational"): "852a475fdb6a460c",
+    ("localized", "float64"): "be4a4a5fa6b63cf9",
+    ("adjoint", "rational"): "e7d6f7ef71ef32e6",
+    ("adjoint", "float64"): "e351705d749b8d30",
+    ("transpose", "rational"): "710e6288bc9bb6c5",
+    ("transpose", "float64"): "e37cbcbce8f81cd1",
+    ("multiplier-coeff", "rational"): "1c0514b8ee164479",
+    ("multiplier-coeff", "float64"): "db812e1dec59152b",
+    ("commutator-constant", "rational"): "4e83afb7c05b340a",
+    ("commutator-constant", "float64"): "2049b55edc7b0aeb",
+}
+
+# the adjoint with its alpha left unflipped is right on a few trials:
+# failures out of 8 at --m 2 --depth 3, the same in both modes
+FROZEN_FAILURES = {"adjoint": 7, "transpose": 6}
+
+
 class TestVerify:
-    @pytest.mark.parametrize(
-        "suite",
-        [
-            "decomposition",
-            "localized",
-            "adjoint",
-            "transpose",
-            "multiplier-coeff",
-            "commutator-constant",
-        ],
-    )
+    @pytest.mark.parametrize("suite", SUITES)
     def test_suites_pass(self, suite, capsys):
         code = main(
             ["verify", suite, "--m", "2", "--depth", "3", "--trials", "5", "--seed", "1"]
@@ -68,17 +101,66 @@ class TestVerify:
         assert code == 0 and out["failures"] == 0
         assert (out["suite"], out["m"], out["mode"]) == (suite, m, mode)
 
+    @pytest.mark.parametrize("mode", ["rational", "float64"])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suites_draw_the_frozen_inputs(self, suite, mode, monkeypatch, capsys):
+        # every input each suite hands to what it checks, as drawn from the
+        # seeded rng: a changed stream or order changes the digest
+        seen = hashlib.sha256()
+        for name in CHECKED:
+            def record(*args, real=getattr(cli, name), name=name):
+                seen.update(repr((name, args)).encode())
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, record)
+        code = main(["verify", suite, "--m", "3", "--depth", "3", "--trials", "4",
+                     "--seed", "5", "--mode", mode])
+        assert code == 0 and json.loads(capsys.readouterr().out)["failures"] == 0
+        assert seen.hexdigest()[:16] == FROZEN_INPUTS[suite, mode]
+
     def test_duality_suite_can_fail(self, monkeypatch, capsys):
+        # every suite against an operator that is wrong on purpose; where
+        # the mutation breaks every residual, each one is a failure
         def alpha_unchanged(self, slot, fs, g):
             moved = list(fs)
             moved[slot - 1] = g
             return self.apply(moved)
 
+        def plus_every_haar_function(eps, alpha, fs):
+            depth, mode = fs[0].depth, fs[0].mode
+            ones = [[1] * (1 << level) for level in range(depth)]
+            return real_multiplier(eps, alpha, fs) + synthesize(
+                HaarSpectrum(depth, 0, ones, mode)
+            )
+
+        def plus_one(i, b, eps, alpha, fs):
+            out = real_commutator(i, b, eps, alpha, fs)
+            return out + StepFunction.constant(1, out.depth, out.mode)
+
+        real_alphas = paraproducts.admissible_alphas
+        real_multiplier, real_commutator = cli.multilinear_multiplier, cli.commutator
+        # the decomposition without its last paraproduct
+        monkeypatch.setattr(
+            paraproducts, "admissible_alphas", lambda m: real_alphas(m)[:-1]
+        )
         monkeypatch.setattr(OperatorDescriptor, "adjoint", alpha_unchanged)
-        code = main(["verify", "adjoint", "--m", "2", "--depth", "3", "--trials", "8"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert out["failures"] > 0 and out["ok"] is False
+        monkeypatch.setattr(cli, "multilinear_multiplier", plus_every_haar_function)
+        monkeypatch.setattr(cli, "commutator", plus_one)
+        depth, trials = 3, 8
+        for mode in ("rational", "float64"):
+            want = {
+                "decomposition": trials,
+                "localized": trials * depth,
+                **FROZEN_FAILURES,
+                "multiplier-coeff": trials * ((1 << depth) - 1),
+                "commutator-constant": trials,
+            }
+            for suite in SUITES:
+                code = main(["verify", suite, "--m", "2", "--depth", str(depth),
+                             "--trials", str(trials), "--mode", mode])
+                out = json.loads(capsys.readouterr().out)
+                assert (code, out["ok"]) == (1, False)
+                assert out["failures"] == want[suite], (suite, mode)
 
     def test_float_mode_suite(self, capsys):
         code = main(
@@ -369,6 +451,27 @@ class TestEstimate:
             "--depth", "2", "--trials", "2",
             "-o", str(tmp_path / "r.json"),
         ]) == 2
+
+    @pytest.mark.parametrize("command", ["estimate", "weak"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--op", "para", "--b", "FILE"], "paraproduct descriptors take only alpha"),
+            (["--op", "para", "--symbol-const", "3", "--depth", "2"],
+             "paraproduct descriptors take only alpha"),
+            (["--op", "mult", "--slot", "2", "--depth", "2"],
+             "multiplier descriptors take no b/slot"),
+            (["--op", "pi", "--b", "FILE", "--slot", "1"],
+             "pi_paraproduct descriptors take no symbol/slot"),
+        ],
+    )
+    def test_option_the_kind_does_not_take_exits_two(
+        self, func_file, capsys, command, options, message
+    ):
+        options = [str(func_file) if o == "FILE" else o for o in options]
+        argv = [command, "--alpha", "01", "--p", "2,2", "--trials", "2", *options]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_weak_subcommand(self, tmp_path, func_file, capsys):
         out = tmp_path / "w.json"

@@ -5,7 +5,8 @@ builtin ``sum`` changed between CPython 3.11 and 3.12.  The samplers
 draw as ``random`` does (``uniform``, ``choice``, ``randint``) without
 calling it.  This runs three commands whose float sums used to differ and
 three that draw through each sampler under every CPython 3.10+ that pyenv
-has installed, and skips when it finds fewer than two.
+has installed, and skips when it finds fewer than two; the closed forms
+that rank the sharp jobs are checked the same way.
 """
 
 import json
@@ -40,10 +41,29 @@ def cpythons() -> list[Path]:
     return found
 
 
-def test_reports_match_across_interpreters(tmp_path):
+def run_everywhere(argv: list[str], dumped=()) -> dict:
+    """The exit code, stdout, stderr and the bytes of the ``dumped`` files
+    of ``python argv`` under each CPython, keyed by its version; fails
+    unless the first one exits 0."""
     pythons = cpythons()
     if len(pythons) < 2:
         pytest.skip(f"needs two CPython 3.10+ under pyenv, found {len(pythons)}")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    outputs = {}
+    for python in pythons:
+        done = subprocess.run(
+            [str(python), *argv], capture_output=True, env=env, timeout=120
+        )
+        files = [Path(path).read_bytes() for path in dumped]
+        outputs[python.parents[1].name] = (
+            done.returncode, done.stdout, done.stderr, files
+        )
+    first = outputs[pythons[0].parents[1].name]
+    assert first[0] == 0, first[2]
+    return outputs
+
+
+def test_reports_match_across_interpreters(tmp_path):
     rng = random.Random(10)
     f_path = tmp_path / "f.json"
     values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(1 << 10)]
@@ -61,18 +81,41 @@ def test_reports_match_across_interpreters(tmp_path):
          str(tmp_path / "step.csv")],
         ["verify", "decomposition", "--m", "3", "--depth", "4", "--trials", "5"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv in commands:
-        outputs = {}
-        for python in pythons:
-            done = subprocess.run(
-                [str(python), "-m", "dyadicops.cli", *argv],
-                capture_output=True, env=env, timeout=120,
-            )
-            dumped = [Path(path).read_bytes() for path in argv if path.endswith(".csv")]
-            outputs[python.parents[1].name] = (
-                done.returncode, done.stdout, done.stderr, dumped
-            )
-        first = outputs[pythons[0].parents[1].name]
-        assert first[0] == 0, first[2]
+        dumped = [path for path in argv if path.endswith(".csv")]
+        outputs = run_everywhere(["-m", "dyadicops.cli", *argv], dumped)
+        first = next(iter(outputs.values()))
         assert all(out == first for out in outputs.values()), (argv[0], outputs)
+
+
+# the closed forms that rank the sharp jobs: the strong ones add float powers
+SHARP_FORMS = """
+import random
+from fractions import Fraction
+from dyadicops import (
+    AlphaVector, ExponentTuple, OperatorDescriptor, StepFunction, SymbolSequence,
+    interval_family, necessity_case, sharp_forms,
+)
+for depth in (6, 9):
+    rng = random.Random(depth)
+    values = [rng.uniform(-1, 1) for _ in range(1 << depth)]
+    b = StepFunction.from_values(values, "float64")
+    eps = SymbolSequence(0, {
+        i: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        for i in interval_family(depth)
+    })
+    for alpha, slot, p in (
+        ("01", 2, "2,2"), ("00", 1, "4,4"), ("01", 1, "3,3/2"), ("10", 2, "2,3")
+    ):
+        d = OperatorDescriptor("commutator", AlphaVector.from_string(alpha), b, eps, slot)
+        for weak in (False, True):
+            forms = sharp_forms(d, ExponentTuple.from_string(p), depth, weak)
+            print(necessity_case(alpha, slot), weak, forms)
+"""
+
+
+def test_sharp_forms_match_across_interpreters():
+    outputs = run_everywhere(["-c", SHARP_FORMS])
+    first = next(iter(outputs.values()))
+    assert b"\nI False" in first[1] and b"II False" in first[1]
+    assert all(out == first for out in outputs.values()), outputs
