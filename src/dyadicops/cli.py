@@ -295,6 +295,8 @@ def _build_descriptor(args) -> OperatorDescriptor:
     if args.b is not None:
         b = _load(args.b, StepFunction, "step function")
     symbol = None
+    if args.symbol is not None and args.symbol_const is not None:
+        raise ValueError("give --symbol or --symbol-const, not both")
     if args.symbol is not None:
         symbol = _load(args.symbol, SymbolSequence, "symbol sequence")
     elif args.symbol_const is not None:

@@ -54,12 +54,6 @@ class SymbolSequence:
     def value(self, interval: DyadicInterval):
         return self.entries.get(interval, self.default)
 
-    def sup_norm(self) -> float:
-        best = abs(float(self.default))
-        for v in self.entries.values():
-            best = max(best, abs(float(v)))
-        return best
-
     def table(self, depth: int, mode: str) -> tuple[tuple, ...]:
         """Per-(level, pos) coerced values for a depth-``depth`` grid,
         built on the first call for each (depth, mode)."""

@@ -22,10 +22,8 @@ from .core import (
     StepFunction,
     SupportView,
     _weak_candidates,
-    average_table,
     canonical_json,
     check_depth,
-    coefficient_table,
     haar_sum,
     inner_product,
     interval_family,
@@ -36,7 +34,7 @@ from .errors import ResolutionError, ShapeError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
 from .paraproducts import AlphaVector, _as_alpha, paraproduct, pi_paraproduct
 from .scalars import FLOAT64, RATIONAL
-from .sublinear import bmo_norm, bstar_seminorm
+from .sublinear import _bstar_table, _centered_rows, bmo_norm, bstar_seminorm
 
 KINDS = ("paraproduct", "pi_paraproduct", "multilinear_multiplier", "commutator")
 FAMILIES = ("random-step", "rademacher-haar", "indicator", "extremal")
@@ -68,25 +66,6 @@ class ExponentTuple:
     @cached_property
     def r(self) -> Fraction:
         return 1 / sum(Fraction(1, 1) / x for x in self.p)
-
-    def q_chain(self) -> list[Fraction | None]:
-        """q_k with 1/q_k = (k-1) + sum over j > k of 1/p_j; None is
-        infinity."""
-        out = []
-        for k in range(1, self.m + 1):
-            inv = Fraction(k - 1) + sum(
-                (Fraction(1, 1) / x for x in self.p[k:]), Fraction(0)
-            )
-            out.append(None if inv == 0 else 1 / inv)
-        return out
-
-    def weak_target(self, k: int) -> Fraction:
-        """q_k / (q_k + 1): the weak output exponent when the first k
-        inputs sit in L^1."""
-        q = self.q_chain()[k - 1]
-        if q is None:
-            return Fraction(1)
-        return q / (q + 1)
 
     def to_json_dict(self) -> dict:
         return {"p": [str(x) for x in self.p], "r": str(self.r)}
@@ -411,13 +390,9 @@ def extremal_pi_family(
 def pi_sharp_forms(b: StepFunction) -> list[float]:
     """|<b, h_I>| / sqrt(|I|) at each interval of ``interval_family``, in its
     order: the ratio of the pi family there, strong and weak alike, when
-    alpha has a zero bit.  Read from b's kept coefficient table, the one
-    the operator reads."""
-    return [
-        abs(c) * 2.0 ** (level / 2.0)
-        for level, row in enumerate(coefficient_table(b))
-        for c in row
-    ]
+    alpha has a zero bit: the b* table of ``bstar_seminorm``, read from b's
+    kept coefficient table, the one the operator reads."""
+    return [v for row in _bstar_table(b) for v in row]
 
 
 def necessity_case(alpha, slot: int) -> str:
@@ -533,14 +508,8 @@ def commutator_sharp_forms(
         # the universe has no parent, so no case-I tuple
         weights = [None] + [2.0 ** -float(others)] * (n - 2)
     forms = []
-    for level, avgs in enumerate(average_table(f)[:depth]):
-        width = n >> level
-        osc = [
-            v - avg
-            for pos, avg in enumerate(avgs)
-            for v in f.values[pos * width:(pos + 1) * width]
-        ]
-        forms += _oscillations(osc, width, r, weak)
+    for level, row in zip(range(depth), _centered_rows(f)):
+        forms += _oscillations(list(row), n >> level, r, weak)
     return [None if w is None else w * o for w, o in zip(weights, forms)]
 
 
@@ -685,12 +654,12 @@ def _first_largest(jobs: list) -> tuple | None:
 RANK_WINDOW = 1e-9
 
 
-def _measure(desc, exponents, fs, norm, weak: bool) -> float | None:
-    """||T(fs)|| / prod ||f_j||_{p_j}, inputs in ``norm``, the output in
-    L^r or weak L^r; None without a tuple or with a zero-norm input."""
+def _measure(desc, exponents, fs, weak: bool) -> float | None:
+    """||T(fs)|| / prod ||f_j||_{p_j}, the output in L^r or weak L^r; None
+    without a tuple or with a zero-norm input."""
     if fs is None:
         return None
-    norms = [norm(f, p) for f, p in zip(fs, exponents.p)]
+    norms = [lp_norm(f, p) for f, p in zip(fs, exponents.p)]
     if any(n == 0.0 for n in norms):
         return None
     out_norm = _weak_lr_quasinorm if weak else _lr_quasinorm
@@ -712,7 +681,7 @@ def sharp_ratio(
     support: the inputs' norms are the same floats as on the full grid, the
     output's agree to rounding."""
     fs = extremal_tuple(descriptor, exponents, interval, depth)
-    return _measure(descriptor, exponents, fs, _lr_quasinorm, weak)
+    return _measure(descriptor, exponents, fs, weak)
 
 
 def _run_experiment(
@@ -740,7 +709,7 @@ def _run_experiment(
     random_jobs = []
     for trial in range(trials):
         fs = sampler.draw_tuple(trial, desc, exponents)
-        random_jobs.append((trial, _measure(desc, exponents, fs, lp_norm, weak)))
+        random_jobs.append((trial, _measure(desc, exponents, fs, weak)))
     intervals = interval_family(depth)
     forms = sharp_forms(desc, exponents, depth, weak)
 
@@ -812,5 +781,8 @@ def weak_type_ratio(
     sampler: SamplerSpec,
     trials: int,
 ) -> ExperimentReport:
-    """Same search against the weak-L^r quasinorm; needs some p_j = 1."""
+    """Same search against the weak-L^r quasinorm; needs some p_j = 1.
+
+    With p_1 = ... = p_k = 1, the paper's weak endpoint q_k / (q_k + 1),
+    where 1/q_k = (k - 1) + sum over j > k of 1/p_j, equals r."""
     return _run_experiment(descriptor, exponents, sampler, trials, True)

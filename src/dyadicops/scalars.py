@@ -446,10 +446,6 @@ def coerce(value, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def to_float(value) -> float:
-    return float(value)
-
-
 def float_sqrt(value) -> float:
     """``math.sqrt`` of a nonnegative scalar of either mode, also past the
     float range, where sqrt(v) = 2**512 * sqrt(v / 2**1024)."""

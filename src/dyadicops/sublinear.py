@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from operator import sub
 
 from . import scalars
@@ -39,6 +40,11 @@ def _unit_scaled(f: StepFunction) -> tuple[StepFunction, int]:
     return StepFunction._raw(f.depth, [math.ldexp(v, -e) for v in f.values], FLOAT64), e
 
 
+def _sup(table: list[list], mode: str):
+    """The largest entry of a table of nonnegative values, zero if none."""
+    return max((v for row in table for v in row), default=scalars.zero(mode))
+
+
 def maximal(f: StepFunction) -> StepFunction:
     """Dyadic maximal function: at each point, the largest average of |f|
     over the containing intervals (universe through leaf)."""
@@ -51,15 +57,21 @@ def maximal(f: StepFunction) -> StepFunction:
     return StepFunction._raw(f.depth, best, f.mode)
 
 
-def square_function_sq(f: StepFunction) -> StepFunction:
-    """Pointwise square of the Haar square function; exact in rational mode."""
-    f = f.expand()
-    terms = [
+def _square_terms(f: StepFunction) -> list[list]:
+    """terms[level][pos] = c_I**2 / |I| with c_I = <f, h_I>, read from f's
+    kept coefficient table: the terms of the square function and of the
+    Haar route to BMO2."""
+    return [
         [c * c * (1 << level) for c in row]  # 1/|I| = 2**level
         for level, row in enumerate(coefficient_table(f))
     ]
+
+
+def square_function_sq(f: StepFunction) -> StepFunction:
+    """Pointwise square of the Haar square function; exact in rational mode."""
+    f = f.expand()
     return StepFunction._raw(
-        f.depth, haar_sum(scalars.zero(f.mode), terms, False), f.mode
+        f.depth, haar_sum(scalars.zero(f.mode), _square_terms(f), False), f.mode
     )
 
 
@@ -86,46 +98,60 @@ def square_function(f: StepFunction) -> StepFunction:
     )
 
 
+def _centered_rows(f: StepFunction):
+    """For each level 0..depth, an iterator over the leaf values of
+    f - <f>_I, I the interval of that level holding the leaf, read from f's
+    kept average table: no row is kept."""
+    n = 1 << f.depth
+    for level, avgs in enumerate(average_table(f)):
+        spread = chain.from_iterable(map(repeat, avgs, repeat(n >> level)))
+        yield map(sub, f.values, spread)
+
+
+def _pairwise_means(terms: list[list], mode: str) -> list[list]:
+    """table[level][pos] = M(I), levels 0..len(terms), built bottom-up by
+    M(I) = (M(L) + M(R))/2 + terms[level][pos] with M = 0 on a leaf."""
+    half = scalars.reciprocal(2, mode)
+    row = [scalars.zero(mode)] * (1 << len(terms))
+    table = [row]
+    for t in reversed(terms):
+        row = [(x + y) * half + d for x, y, d in zip(row[0::2], row[1::2], t)]
+        table.append(row)
+    table.reverse()
+    return table
+
+
 def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
     """table[level][pos] = average over the interval of |b - <b>_I|**r.
 
-    For r = 2 the table is built bottom-up by the pairwise rule of Chan,
-    Golub & LeVeque (1979), M(I) = (M(L) + M(R))/2 + ((<b>_R - <b>_L)/2)**2
-    with M = 0 on a leaf: no large terms cancel, and it is exact in
-    rational mode.  A float64 b is first shifted by its mean, so that its
-    averages carry no digits of a common offset.
+    For r = 1 each interval adds |b - <b>_I| over its leaves
+    (``_centered_rows``) with ``scalars.total``.  For r = 2 the table
+    follows the pairwise rule of Chan, Golub & LeVeque (1979),
+    M(I) = (M(L) + M(R))/2 + ((<b>_R - <b>_L)/2)**2: no large terms cancel,
+    and it is exact in rational mode.  A float64 b is first shifted by its
+    mean, so that its averages carry no digits of a common offset.
     """
     b = b.expand()
     if r == 2:
         if b.mode == FLOAT64:
             mean = average_table(b)[0][0]
             b = StepFunction._raw(b.depth, [v - mean for v in b.values], FLOAT64)
-        avgs = average_table(b)
         half = scalars.reciprocal(2, b.mode)
-        row = [scalars.zero(b.mode)] * (1 << b.depth)
-        table = [row]
-        for level in range(b.depth, 0, -1):
-            gaps = [d * half for d in map(sub, avgs[level][1::2], avgs[level][0::2])]
-            row = [
-                (x + y) * half + d * d for x, y, d in zip(row[0::2], row[1::2], gaps)
-            ]
-            table.append(row)
-        table.reverse()
-        return table
-    avgs = average_table(b)
-    out = []
-    for lvl in range(b.depth + 1):
-        width = 1 << (b.depth - lvl)
-        row = []
-        for k in range(1 << lvl):
-            m = avgs[lvl][k]
-            start = k * width
-            acc = scalars.zero(b.mode)
-            for leaf in range(start, start + width):
-                acc = acc + abs(b.values[leaf] - m)
-            row.append(acc * scalars.reciprocal(width, b.mode))
-        out.append(row)
-    return out
+        terms = []
+        for avgs in average_table(b)[1:]:
+            gaps = [d * half for d in map(sub, avgs[1::2], avgs[0::2])]
+            terms.append([d * d for d in gaps])
+        return _pairwise_means(terms, b.mode)
+    table = []
+    for level, row in enumerate(_centered_rows(b)):
+        width = 1 << (b.depth - level)
+        scale = scalars.reciprocal(width, b.mode)
+        mags = map(abs, row)  # each interval takes the next width leaves
+        table.append([
+            scalars.total(islice(mags, width), b.mode) * scale
+            for _ in range(1 << level)
+        ])
+    return table
 
 
 def bmo_norm_pow(b: StepFunction, r: int):
@@ -135,8 +161,7 @@ def bmo_norm_pow(b: StepFunction, r: int):
     """
     if r not in (1, 2):
         raise ValueError(f"BMO exponent must be 1 or 2, got {r}")
-    table = _oscillation_pow(b, r)
-    return max(v for row in table for v in row)
+    return _sup(_oscillation_pow(b, r), b.mode)
 
 
 def bmo_norm(b: StepFunction, r: int):
@@ -157,25 +182,7 @@ def bmo2_via_haar_sq(b: StepFunction):
     """sup over intervals I of |I|**-1 * sum of squared Haar coefficients of
     the subintervals of I; exact in rational mode."""
     b = b.expand()
-    coeffs = coefficient_table(b)
-    # bottom-up subtree sums of squared coefficients
-    subtree = [c * c for c in coeffs[b.depth - 1]]
-    best = max(
-        (s * (1 << (b.depth - 1)) for s in subtree),
-        default=scalars.zero(b.mode),
-    )
-    for level in range(b.depth - 2, -1, -1):
-        row = coeffs[level]
-        subtree = [
-            row[k] * row[k] + subtree[2 * k] + subtree[2 * k + 1]
-            for k in range(1 << level)
-        ]
-        scale = 1 << level
-        for s in subtree:
-            cand = s * scale
-            if cand > best:
-                best = cand
-    return best
+    return _sup(_pairwise_means(_square_terms(b), b.mode), b.mode)
 
 
 def bmo2_via_haar(b: StepFunction):
@@ -185,18 +192,20 @@ def bmo2_via_haar(b: StepFunction):
     return math.ldexp(root, e) if e else root
 
 
+def _bstar_table(b: StepFunction) -> list[list]:
+    """table[level][pos] = |<b, h_I>| / sqrt(|I|), read from b's kept
+    coefficient table."""
+    table = []
+    for level, row in enumerate(coefficient_table(b)):
+        mag = scalars.root2_power(level, b.mode)
+        table.append([abs(c) * mag for c in row])
+    return table
+
+
 def bstar_seminorm(b: StepFunction):
     """sup over intervals of |<b, h_I>| / sqrt(|I|); exact in rational mode."""
     b = b.expand()
-    coeffs = coefficient_table(b)
-    best = scalars.zero(b.mode)
-    for level in range(b.depth):
-        mag = scalars.root2_power(level, b.mode)
-        for c in coeffs[level]:
-            cand = abs(c) * mag
-            if cand > best:
-                best = cand
-    return best
+    return _sup(_bstar_table(b), b.mode)
 
 
 @dataclass(frozen=True)

@@ -210,20 +210,22 @@ def naive_square_sq(f: StepFunction) -> StepFunction:
     return StepFunction(f.depth, tuple(vals), f.mode)
 
 
+def naive_oscillation_pow(b: StepFunction, interval: DyadicInterval, r: int):
+    """The average over the interval of |b - <b>_I|**r, leaf by leaf."""
+    m = naive_average(b, interval)
+    acc = scalar_zero(b.mode)
+    for leaf in interval.leaf_span(b.depth):
+        d = abs(b.values[leaf] - m)
+        acc = acc + (d if r == 1 else d * d)
+    width = len(interval.leaf_span(b.depth))
+    return acc * Fraction(1, width) if b.mode == RATIONAL else acc / width
+
+
 def naive_bmo_pow(b: StepFunction, r: int):
     best = scalar_zero(b.mode)
     for lvl in range(b.depth + 1):
         for pos in range(1 << lvl):
-            i = DyadicInterval(lvl, pos)
-            m = naive_average(b, i)
-            acc = scalar_zero(b.mode)
-            for leaf in i.leaf_span(b.depth):
-                d = abs(b.values[leaf] - m)
-                acc = acc + (d if r == 1 else d * d)
-            if b.mode == RATIONAL:
-                val = acc * Fraction(1, len(i.leaf_span(b.depth)))
-            else:
-                val = acc / len(i.leaf_span(b.depth))
+            val = naive_oscillation_pow(b, DyadicInterval(lvl, pos), r)
             if val > best:
                 best = val
     return best

@@ -389,6 +389,24 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out.read_text())["extremal_lower_bound"] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("command", ["estimate", "weak"])
+    def test_symbol_and_symbol_const_together_exit_two(
+        self, tmp_path, capsys, command
+    ):
+        # one would silently win over the other
+        sym = tmp_path / "s.json"
+        write_json(sym, SymbolSequence(default=2).to_json_dict())
+        out = tmp_path / "r.json"
+        assert main([
+            command, "--op", "mult", "--alpha", "01", "--symbol", str(sym),
+            "--symbol-const", "3", "--p", "1,2", "--depth", "2", "--trials", "2",
+            "-o", str(out),
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", "error: give --symbol or --symbol-const, not both\n"
+        )
+        assert not out.exists()
+
     def test_paraproduct_alias(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main([

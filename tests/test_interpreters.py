@@ -71,7 +71,8 @@ def test_reports_match_across_interpreters(tmp_path):
     commands = [
         ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
-        ["norms", str(f_path), "--p", "1,3/2,2,3"],
+        # the square function and bmo2_haar add the same c_I**2 / |I| terms
+        ["norms", str(f_path), "--p", "1,3/2,2,3", "--include-square"],
         ["verify", "adjoint", "--mode", "float64"],
         ["estimate", "--op", "para", "--alpha", "01", "--depth", "5", "--p", "2,2",
          "--family", "rademacher-haar", "--trials", "30", "--dump-trials",

@@ -57,13 +57,11 @@ class TestSymbolSequence:
         eps = SymbolSequence.constant(Fraction(1, 2))
         assert eps.value(UNIVERSE) == Fraction(1, 2)
         assert eps.value(DyadicInterval(3, 5)) == Fraction(1, 2)
-        assert eps.sup_norm() == 0.5
 
     def test_entries_override_default(self):
         eps = SymbolSequence(default=1, entries={DyadicInterval(1, 0): Fraction(-3, 2)})
         assert eps.value(DyadicInterval(1, 0)) == Fraction(-3, 2)
         assert eps.value(DyadicInterval(1, 1)) == 1
-        assert eps.sup_norm() == 1.5
 
     def test_table(self):
         eps = SymbolSequence(default=2, entries={DyadicInterval(1, 1): -1})

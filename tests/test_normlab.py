@@ -52,24 +52,6 @@ class TestExponentTuple:
         with pytest.raises(ValueError):
             ExponentTuple(())
 
-    def test_q_chain(self):
-        # 1/q_k = (k-1) + sum_{j>k} 1/p_j
-        e = ExponentTuple((1, 2))
-        assert e.q_chain() == [Fraction(2), Fraction(1)]
-        one = ExponentTuple((2,))
-        assert one.q_chain() == [None]  # 1/q_1 = 0
-        pair = ExponentTuple((1, 1))
-        assert pair.q_chain() == [Fraction(1), Fraction(1)]
-
-    def test_weak_target_matches_r_for_leading_ones(self):
-        # with p_1 = ... = p_k = 1 the weak endpoint q_k/(q_k+1) equals r
-        e = ExponentTuple((1, 1, 2))
-        q = e.q_chain()
-        for k in (1, 2):
-            target = e.weak_target(k)
-            assert target == q[k - 1] / (q[k - 1] + 1)
-        assert e.weak_target(2) == e.r
-
     def test_json(self):
         e = ExponentTuple((1, Fraction(3, 2)))
         assert e.to_json_dict() == {"p": ["1", "3/2"], "r": "3/5"}

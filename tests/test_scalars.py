@@ -15,7 +15,6 @@ from dyadicops.scalars import (
     one,
     root2_power,
     scalar_sqrt,
-    to_float,
     zero,
 )
 
@@ -162,11 +161,6 @@ class TestModeHelpers:
         assert coerce(0.25, FLOAT64) == 0.25
         with pytest.raises(TypeError):
             coerce(0.25, RATIONAL)
-
-    def test_to_float(self):
-        assert to_float(Exact(1, 1)) == pytest.approx(1 + math.sqrt(2))
-        assert to_float(Fraction(1, 4)) == 0.25
-        assert to_float(1.5) == 1.5
 
     def test_scalar_sqrt_exact_and_fallback(self):
         assert scalar_sqrt(Exact(Fraction(9, 4)), RATIONAL) == Exact(Fraction(3, 2))

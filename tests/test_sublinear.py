@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from dyadicops import (
     UNIVERSE,
+    AlphaVector,
     CZDecomposition,
     DyadicInterval,
     Exact,
+    ExponentTuple,
+    OperatorDescriptor,
     StepFunction,
+    SymbolSequence,
     bmo2_via_haar,
     bmo2_via_haar_sq,
     bmo_norm,
@@ -21,13 +25,28 @@ from dyadicops import (
     inner_product,
     lp_norm_pow,
     maximal,
+    sharp_forms,
     square_function,
     square_function_sq,
 )
 from dyadicops.errors import RootExceedsHeight
+from dyadicops.normlab import pi_sharp_forms
 from dyadicops.scalars import FLOAT64, RATIONAL
+from dyadicops.sublinear import (
+    _bstar_table,
+    _oscillation_pow,
+    _pairwise_means,
+    _square_terms,
+)
 
-from oracles import naive_bmo_pow, naive_maximal, naive_square_sq, random_rationals
+from oracles import (
+    naive_bmo_pow,
+    naive_coefficient,
+    naive_maximal,
+    naive_oscillation_pow,
+    naive_square_sq,
+    random_rationals,
+)
 
 small_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -219,6 +238,64 @@ class TestFloatBmo:
         assert bmo2_via_haar(f) == math.sqrt(bmo2_via_haar_sq(f))
         roots = [math.sqrt(v) for v in square_function_sq(f).values]
         assert square_function(f).values == tuple(roots)
+
+
+class TestSharedTables:
+    """The per-interval BMO tables that the norms, the square function and
+    the sharp forms all read."""
+
+    @pytest.mark.parametrize("depth", range(1, 6))
+    def test_tables_match_the_oracles_exactly(self, depth):
+        rng = random.Random(depth)
+        for _ in range(3):
+            b = StepFunction.from_values(random_rationals(rng, 1 << depth))
+            tables = {
+                1: _oscillation_pow(b, 1),
+                2: _oscillation_pow(b, 2),
+                "haar": _pairwise_means(_square_terms(b), RATIONAL),
+            }
+            star = _bstar_table(b)
+            for level in range(depth + 1):
+                for pos in range(1 << level):
+                    i = DyadicInterval(level, pos)
+                    two = naive_oscillation_pow(b, i, 2)
+                    assert tables[1][level][pos] == naive_oscillation_pow(b, i, 1)
+                    assert tables[2][level][pos] == two
+                    assert tables["haar"][level][pos] == two
+                    if level < depth:
+                        # |c_I| / sqrt(|I|), sqrt(|I|) = 2**(-level/2)
+                        root = Exact.root2_power(-level)
+                        assert star[level][pos] == abs(naive_coefficient(b, i)) / root
+
+    @pytest.mark.parametrize(
+        "alpha, slot, p, r", [("01", 2, "2,2", 1), ("00", 1, "4,4", 2)]
+    )
+    def test_case_two_commutator_forms_reach_the_bmo_norm(self, alpha, slot, p, r):
+        # with eps = 1, the case-II form at I is the L^r oscillation of b
+        # on I, so the largest form is the BMO_r norm
+        exponents = ExponentTuple.from_string(p)
+        assert exponents.r == r
+        eps = SymbolSequence.constant(1)
+        for depth in range(1, 9):
+            rng = random.Random(depth)
+            b = StepFunction(
+                depth, [rng.uniform(-1, 1) for _ in range(1 << depth)], FLOAT64
+            )
+            d = OperatorDescriptor(
+                "commutator", AlphaVector.from_string(alpha), b, eps, slot
+            )
+            top = max(sharp_forms(d, exponents, depth))
+            assert top == pytest.approx(bmo_norm(b, r), rel=1e-12), depth
+
+    def test_pi_forms_are_the_bstar_table(self):
+        rng = random.Random(13)
+        for depth in range(1, 7):
+            b = StepFunction(
+                depth, [rng.uniform(-1, 1) for _ in range(1 << depth)], FLOAT64
+            )
+            forms = pi_sharp_forms(b)
+            assert forms == [v for row in _bstar_table(b) for v in row]
+            assert bstar_seminorm(b) == max(forms)
 
 
 class TestCZDecomposition:
