@@ -393,7 +393,6 @@ class TestEstimate:
     def test_symbol_and_symbol_const_together_exit_two(
         self, tmp_path, capsys, command
     ):
-        # one would silently win over the other
         sym = tmp_path / "s.json"
         write_json(sym, SymbolSequence(default=2).to_json_dict())
         out = tmp_path / "r.json"

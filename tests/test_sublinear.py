@@ -249,19 +249,15 @@ class TestSharedTables:
         rng = random.Random(depth)
         for _ in range(3):
             b = StepFunction.from_values(random_rationals(rng, 1 << depth))
-            tables = {
-                1: _oscillation_pow(b, 1),
-                2: _oscillation_pow(b, 2),
-                "haar": _pairwise_means(_square_terms(b), RATIONAL),
-            }
+            one, two = _oscillation_pow(b, 1), _oscillation_pow(b, 2)
+            haar = _pairwise_means(_square_terms(b), RATIONAL)
             star = _bstar_table(b)
             for level in range(depth + 1):
                 for pos in range(1 << level):
                     i = DyadicInterval(level, pos)
-                    two = naive_oscillation_pow(b, i, 2)
-                    assert tables[1][level][pos] == naive_oscillation_pow(b, i, 1)
-                    assert tables[2][level][pos] == two
-                    assert tables["haar"][level][pos] == two
+                    assert one[level][pos] == naive_oscillation_pow(b, i, 1)
+                    assert two[level][pos] == naive_oscillation_pow(b, i, 2)
+                    assert haar[level][pos] == two[level][pos]
                     if level < depth:
                         # |c_I| / sqrt(|I|), sqrt(|I|) = 2**(-level/2)
                         root = Exact.root2_power(-level)
