@@ -69,10 +69,7 @@ from .normlab import (
     OperatorDescriptor,
     SamplerSpec,
     adjoint_residual,
-    commutator_necessity_family,
     estimate_operator_norm,
-    extremal_multiplier_family,
-    extremal_pi_family,
     extremal_tuple,
     necessity_case,
     random_rational_step,
@@ -130,10 +127,7 @@ __all__ = [
     "OperatorDescriptor",
     "SamplerSpec",
     "adjoint_residual",
-    "commutator_necessity_family",
     "estimate_operator_norm",
-    "extremal_multiplier_family",
-    "extremal_pi_family",
     "extremal_tuple",
     "necessity_case",
     "random_rational_step",

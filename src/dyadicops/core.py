@@ -323,7 +323,7 @@ class StepFunction:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StepFunction":
         mode = check_mode(obj.get("mode", RATIONAL))
-        depth = check_depth(int(obj["depth"]))
+        depth = check_depth(scalars._json_int(obj, "depth"))
         values = [scalars.decode_value(v, mode) for v in obj["values"]]
         _check_leaf_count(depth, values)
         return cls._raw(depth, values, mode)
@@ -541,11 +541,11 @@ class HaarSpectrum:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HaarSpectrum":
         mode = check_mode(obj.get("mode", RATIONAL))
-        depth = check_depth(int(obj["depth"]))
+        depth = check_depth(scalars._json_int(obj, "depth"))
         z = scalars.zero(mode)
         rows = [[z] * (1 << level) for level in range(depth)]
         for e in obj.get("coeffs", []):
-            level, pos = int(e["level"]), int(e["pos"])
+            level, pos = scalars._json_int(e, "level"), scalars._json_int(e, "pos")
             check_interval(level, pos)
             if level >= depth:
                 raise ResolutionError(

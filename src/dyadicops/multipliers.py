@@ -87,14 +87,14 @@ class SymbolSequence:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SymbolSequence":
         def dec(v):
-            if isinstance(v, float):
-                return v
-            if isinstance(v, int):
+            # a JSON boolean goes to decode_value, which refuses it
+            if type(v) in (float, int):
                 return v
             return scalars.decode_value(v, RATIONAL)
 
+        json_int = scalars._json_int
         entries = {
-            DyadicInterval(int(e["level"]), int(e["pos"])): dec(e["value"])
+            DyadicInterval(json_int(e, "level"), json_int(e, "pos")): dec(e["value"])
             for e in obj.get("entries", [])
         }
         return cls(dec(obj.get("default", 0)), entries)

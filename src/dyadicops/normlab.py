@@ -326,18 +326,6 @@ def _sharp_tuple(bits, interval: DyadicInterval, depth: int, mode: str) -> list:
     return [h if bit == 0 else ind for bit in bits]
 
 
-def extremal_multiplier_family(
-    interval: DyadicInterval, alpha, depth: int, mode: str = FLOAT64
-) -> list:
-    """Haar function in the zero slots, plain indicator in the others; the
-    measured ratio for the eps-multiplier is exactly |eps_I|.
-
-    The family vanishes outside the interval and is seen from it; call
-    ``.expand()`` for the full grid.
-    """
-    return _sharp_tuple(_as_alpha(alpha).bits, interval, depth, mode)
-
-
 def multiplier_sharp_forms(symbol: SymbolSequence, depth: int) -> list[float]:
     """|eps_I| at each interval of ``interval_family(depth)``, in its order:
     the ratio of the multiplier family there, strong and weak alike."""
@@ -354,37 +342,6 @@ def _scale_pow2(exponent: Fraction, mode: str):
             f"2**{exponent} is not exactly representable in rational mode"
         )
     return scalars.root2_power(doubled.numerator, RATIONAL)
-
-
-def extremal_pi_family(
-    interval: DyadicInterval,
-    alpha,
-    exponents: ExponentTuple,
-    depth: int,
-    mode: str = FLOAT64,
-) -> list:
-    """L^p-normalized sharp family for the symbol paraproduct: scaled Haar
-    functions in the zero slots, scaled indicators in the others.
-
-    When alpha has more than one zero bit the measured L^r ratio equals
-    |<b, h_J>| / sqrt(|J|) exactly.  The family vanishes outside the
-    interval and is seen from it; call ``.expand()`` for the full grid.
-    """
-    a = _as_alpha(alpha)
-    if len(exponents.p) != a.m:
-        raise ShapeError(
-            f"alpha has {a.m} slots but got {len(exponents.p)} exponents"
-        )
-    level = interval.level
-    views = _sharp_tuple(a.bits, interval, depth, mode)
-    out = []
-    for f, bit, p in zip(views, a.bits, exponents.p):
-        if bit == 0:
-            scale = _scale_pow2(-level * (Fraction(1, 2) - 1 / p), mode)
-        else:
-            scale = _scale_pow2(Fraction(level) / p, mode)
-        out.append(f.scale(scale))
-    return out
 
 
 def pi_sharp_forms(b: StepFunction) -> list[float]:
@@ -404,53 +361,6 @@ def necessity_case(alpha, slot: int) -> str:
     if a.bits[slot - 1] == 0 and a.zero_count == 1:
         return "I"
     return "II"
-
-
-def commutator_necessity_family(
-    case: str,
-    interval: DyadicInterval,
-    alpha,
-    slot: int,
-    depth: int,
-    mode: str = FLOAT64,
-) -> list:
-    """The sharp input tuple for the slot commutator at one interval.
-
-    Case II (slot is an average slot, or there are other Haar slots): Haar
-    function / indicator of the interval by slot type; the measured ratio
-    is |I|**(-1/r) times the L^r oscillation of b on I.  Case I (the slot
-    is the unique Haar slot): indicator of the interval in that slot and
-    the Haar function of the parent elsewhere; the plain operator then
-    vanishes and the commutator reduces to the Haar sum of b inside the
-    interval.
-
-    The tuple vanishes outside the interval in case II and outside its
-    parent in case I, and is seen from that interval; call ``.expand()``
-    for the full grid.
-    """
-    a = _as_alpha(alpha)
-    expected = necessity_case(a, slot)
-    if case not in ("I", "II"):
-        raise ValueError(f"case must be 'I' or 'II', got {case!r}")
-    if case != expected:
-        raise ValueError(
-            f"alpha {a} with slot {slot} admits case {expected}, not {case}"
-        )
-    if case == "II":
-        return _sharp_tuple(a.bits, interval, depth, mode)
-    if a.m < 2:
-        raise ValueError("case I needs at least two slots")
-    if interval.level < 1:
-        raise ValueError("case I needs an interval with a parent")
-    if interval.level >= depth:
-        raise ResolutionError(
-            f"interval at level {interval.level} leaves no Haar sum on a "
-            f"depth-{depth} grid"
-        )
-    parent = interval.parent()
-    out = [SupportView.haar(parent, parent, depth, mode)] * a.m
-    out[slot - 1] = SupportView.indicator(interval, parent, depth, mode)
-    return out
 
 
 def _oscillations(values: list, width: int, r: float, weak: bool) -> list[float]:
@@ -513,29 +423,64 @@ def commutator_sharp_forms(
     return [None if w is None else w * o for w, o in zip(weights, forms)]
 
 
+def _check_arity(descriptor: OperatorDescriptor, exponents: ExponentTuple) -> None:
+    if exponents.m != descriptor.arity:
+        raise ShapeError(
+            f"descriptor arity {descriptor.arity} vs {exponents.m} exponents"
+        )
+
+
 def extremal_tuple(
     descriptor: OperatorDescriptor,
     exponents: ExponentTuple,
     interval: DyadicInterval,
     depth: int,
+    mode: str = FLOAT64,
 ) -> list | None:
-    """The sharp family for the descriptor at one interval, or None when
-    the interval does not support it.
+    """The sharp input tuple for the descriptor at interval I, built in
+    ``mode``; None where I has no tuple.  The tuple never reads b.
 
-    Every input vanishes outside one interval, the family's support, and
-    is seen from it, so that ``descriptor.apply`` and the norms work on the
-    support alone; call ``.expand()`` for the full grid.
+    Paraproduct and multiplier: h_I in the zero slots of alpha and 1_I in
+    the others; the multiplier's measured ratio is exactly |eps_I|.  Pi:
+    that tuple scaled to unit L^{p_j} norm in slot j; when alpha has a zero
+    bit, the measured L^r ratio is exactly |<b, h_I>| / sqrt(|I|).
+
+    Commutator, case II of ``necessity_case`` (the slot is an average slot,
+    or there are other Haar slots): the paraproduct's tuple; the ratio is
+    |eps_I| times the oscillation of b on I.  Case I (the slot is the only
+    Haar slot): 1_I in the slot and h of I's parent elsewhere, so I needs a
+    parent and alpha two slots; the plain operator then vanishes and the
+    commutator reduces to the Haar sum of b inside I, whose ratio
+    ``commutator_sharp_forms`` states.
+
+    Every input vanishes outside one interval, the tuple's support (I, or
+    its parent in case I), and is seen from it, so that
+    ``descriptor.apply`` and the norms work on the support alone; call
+    ``.expand()`` for the full grid.
     """
-    kind = descriptor.kind
-    alpha = descriptor.alpha
-    if kind in ("paraproduct", "multilinear_multiplier"):
-        return extremal_multiplier_family(interval, alpha, depth)
-    if kind == "pi_paraproduct":
-        return extremal_pi_family(interval, alpha, exponents, depth)
-    case = necessity_case(alpha, descriptor.slot)
-    if case == "I" and (interval.level < 1 or alpha.m < 2):
+    _check_arity(descriptor, exponents)
+    alpha, slot = descriptor.alpha, descriptor.slot
+    if descriptor.kind != "commutator" or necessity_case(alpha, slot) == "II":
+        fs = _sharp_tuple(alpha.bits, interval, depth, mode)
+        if descriptor.kind != "pi_paraproduct":
+            return fs
+        level = interval.level
+        powers = [
+            -level * (Fraction(1, 2) - 1 / p) if bit == 0 else Fraction(level) / p
+            for bit, p in zip(alpha.bits, exponents.p)
+        ]
+        return [f.scale(_scale_pow2(e, mode)) for f, e in zip(fs, powers)]
+    if interval.level < 1 or alpha.m < 2:
         return None
-    return commutator_necessity_family(case, interval, alpha, descriptor.slot, depth)
+    if interval.level >= depth:
+        raise ResolutionError(
+            f"interval at level {interval.level} leaves no Haar sum on a "
+            f"depth-{depth} grid"
+        )
+    parent = interval.parent()
+    out = [SupportView.haar(parent, parent, depth, mode)] * alpha.m
+    out[slot - 1] = SupportView.indicator(interval, parent, depth, mode)
+    return out
 
 
 def sharp_forms(
@@ -693,10 +638,7 @@ def _run_experiment(
 ) -> ExperimentReport:
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if exponents.m != descriptor.arity:
-        raise ShapeError(
-            f"descriptor arity {descriptor.arity} vs {exponents.m} exponents"
-        )
+    _check_arity(descriptor, exponents)
     if weak and all(p != 1 for p in exponents.p):
         raise ValueError("weak-type experiments need some exponent equal to 1")
     desc = descriptor.as_float64()

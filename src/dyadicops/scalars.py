@@ -474,10 +474,22 @@ def encode_value(value, mode: str):
     return [str(v.a), str(v.b)]
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a float, a string or a
+    boolean there is refused, not rounded or read as 0 or 1."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def decode_value(obj, mode: str):
+    """A scalar of ``mode`` from its JSON form; JSON booleans are refused."""
+    if type(obj) is float and mode == FLOAT64 and math.isfinite(obj):
+        return obj
+    if isinstance(obj, bool):
+        raise TypeError("bool is not a scalar")
     if mode == FLOAT64:
-        if type(obj) is float and math.isfinite(obj):
-            return obj
         if isinstance(obj, str):
             return finite_float(parse_fraction(obj))
         if isinstance(obj, list):

@@ -20,21 +20,23 @@ from .errors import RootExceedsHeight
 from .scalars import FLOAT64, RATIONAL
 
 
-# a float64 square overflows past 2**512: where max |f| lies past
-# 2**_SQUARE_EXP, the BMO norms and the square function work on f / 2**e
-# with max |f / 2**e| < 2**_SQUARE_EXP, whose squares and their sums fit,
-# and scale their results back by 2**e
+# a float64 square overflows past 2**512 and underflows below 2**-512:
+# where max |f| lies past 2**_SQUARE_EXP or below 2**-_SQUARE_EXP, the BMO
+# norms and the square function work on f / 2**e with max |f / 2**e| just
+# below 2**_SQUARE_EXP, whose squares and their sums fit, and scale their
+# results back by 2**e
 _SQUARE_EXP = 500
 
 
 def _unit_scaled(f: StepFunction) -> tuple[StepFunction, int]:
     """(f / 2**e, e): e = 0 unless f is float64 with max |f| past
-    2**_SQUARE_EXP.  Dividing by a power of two is exact above the
-    subnormals."""
+    2**_SQUARE_EXP or below 2**-_SQUARE_EXP.  Scaling by a power of two is
+    exact unless it makes a value subnormal, so scaling small data up
+    always is."""
     if f.mode != FLOAT64:
         return f, 0
     top = max(map(abs, f.values))
-    if top < 2.0**_SQUARE_EXP:
+    if not top or 2.0**-_SQUARE_EXP <= top < 2.0**_SQUARE_EXP:
         return f, 0
     e = math.frexp(top)[1] - _SQUARE_EXP
     return StepFunction._raw(f.depth, [math.ldexp(v, -e) for v in f.values], FLOAT64), e

@@ -27,11 +27,9 @@ from dyadicops import (
     bmo_norm_pow,
     bstar_seminorm,
     commutator,
-    commutator_necessity_family,
     cz_decompose,
     estimate_operator_norm,
-    extremal_multiplier_family,
-    extremal_pi_family,
+    extremal_tuple,
     inner_product,
     interval_family,
     localized_average_residual,
@@ -137,8 +135,9 @@ def test_criterion_04a_pi_extremal_ratio():
     b = random_float_step(rng, depth)
     alpha = (0, 0, 1)  # two Haar slots: sigma(alpha) > 1
     exps = ExponentTuple((2, 3, 2))
+    desc = OperatorDescriptor("pi_paraproduct", alpha, b=b)
     for j in interval_family(depth):
-        fs = extremal_pi_family(j, alpha, exps, depth)
+        fs = extremal_tuple(desc, exps, j, depth)
         out = pi_paraproduct(alpha, b, fs)
         got = _lr_quasinorm(out, exps.r)
         expect = abs(pairing(b, j, 0)) * math.sqrt(float(1 << j.level))
@@ -159,8 +158,9 @@ def test_criterion_04b_multiplier_extremal_ratio():
         ((0, 1), ExponentTuple((2, 2))),
         ((0, 0, 1), ExponentTuple((1, 3, 2))),
     ]:
+        desc = OperatorDescriptor("multilinear_multiplier", alpha, symbol=eps)
         for i in interval_family(depth):
-            fs = extremal_multiplier_family(i, alpha, depth)
+            fs = extremal_tuple(desc, exps, i, depth)
             out = multilinear_multiplier(eps, alpha, fs)
             ratio = _lr_quasinorm(out, exps.r)
             for f, p in zip(fs, exps.p):
@@ -180,8 +180,9 @@ def test_criterion_04c_commutator_case_two_ratio():
     ]
     for alpha, slot, exps in cases:
         r = exps.r
+        desc = OperatorDescriptor("commutator", alpha, b=b, symbol=ones, slot=slot)
         for i in interval_family(depth):
-            fs = commutator_necessity_family("II", i, alpha, slot, depth)
+            fs = extremal_tuple(desc, exps, i, depth)
             out = commutator(slot, b, ones, alpha, fs)
             ratio = _lr_quasinorm(out, r)
             for f, p in zip(fs, exps.p):

@@ -698,11 +698,42 @@ class TestBoundary:
                 {"depth": 2, "values": 5},
                 ["norms"],
             ),
+            ("step function", {"depth": 1, "mode": "float64", "values": [True, 2.5]},
+             ["norms"]),
+            ("step function", {"depth": 1, "mode": "rational", "values": ["1", False]},
+             ["norms"]),
+            ("step function", {"depth": 1.9, "mode": "float64", "values": [1.0, 2.5]},
+             ["norms"]),
+            ("step function", {"depth": "1", "mode": "float64", "values": [1.0, 2.5]},
+             ["norms"]),
+            ("step function", {"depth": True, "mode": "float64", "values": [1.0, 2.5]},
+             ["norms"]),
+            ("Haar spectrum",
+             {"depth": 2, "mode": "float64", "mean": 0.0,
+              "coeffs": [{"level": 0.7, "pos": 0, "value": 1.0}]},
+             ["transform", "synthesize"]),
+            ("Haar spectrum",
+             {"depth": 2, "mode": "rational", "mean": "0",
+              "coeffs": [{"level": 1, "pos": "1", "value": "1"}]},
+             ["transform", "synthesize"]),
+            ("Haar spectrum", {"depth": 2, "mode": "float64", "mean": True, "coeffs": []},
+             ["transform", "synthesize"]),
+            ("symbol sequence", {"default": 1, "entries": [{"level": 1.5, "pos": 1, "value": 2}]},
+             ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+              "--depth", "2", "--trials", "2", "--symbol"]),
+            ("symbol sequence", {"default": 1, "entries": [{"level": 1, "pos": "1", "value": 2}]},
+             ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+              "--depth", "2", "--trials", "2", "--symbol"]),
+            ("symbol sequence", {"default": True, "entries": []},
+             ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+              "--depth", "2", "--trials", "2", "--symbol"]),
         ],
     )
     def test_entry_that_is_not_an_object_names_the_file(
         self, tmp_path, capsys, kind, obj, argv
     ):
+        # also a depth, level or pos that is not a JSON integer, and a value
+        # that is a JSON boolean: none of them is rounded or read as 0 or 1
         path = tmp_path / "bad.json"
         write_json(path, obj)
         assert main([*argv, str(path)]) == 2

@@ -14,20 +14,18 @@ from dyadicops import (
     SamplerSpec,
     StepFunction,
     SymbolSequence,
-    commutator_necessity_family,
     estimate_operator_norm,
-    extremal_multiplier_family,
-    extremal_pi_family,
     extremal_tuple,
     interval_family,
     lp_norm,
     necessity_case,
     pairing,
+    sharp_ratio,
     weak_type_ratio,
 )
 from dyadicops.core import MAX_DEPTH
-from dyadicops.errors import ShapeError
-from dyadicops.normlab import _choices, _lr_quasinorm, random_rational_step
+from dyadicops.errors import ResolutionError, ShapeError
+from dyadicops.normlab import KINDS, _choices, _lr_quasinorm, random_rational_step
 from dyadicops.scalars import FLOAT64, Exact, _canonical
 
 from oracles import fraction_rational_step, uniform_random_step
@@ -200,18 +198,40 @@ class TestSamplerStreams:
             assert got_rng.getstate() == want_rng.getstate()
 
 
+# a sharp tuple never reads b, so any b will do
+ANY_B = StepFunction.zeros(4, FLOAT64)
+
+
+def descriptors_of(kind, bits):
+    """A float64 descriptor of ``kind`` with alpha ``bits``, one per slot
+    for a commutator."""
+    if kind == "paraproduct":
+        return [OperatorDescriptor(kind, bits)]
+    if kind == "pi_paraproduct":
+        return [OperatorDescriptor(kind, bits, b=ANY_B)]
+    eps = SymbolSequence.constant(1)
+    if kind == "multilinear_multiplier":
+        return [OperatorDescriptor(kind, bits, symbol=eps)]
+    return [
+        OperatorDescriptor(kind, bits, b=ANY_B, symbol=eps, slot=slot)
+        for slot in range(1, len(bits) + 1)
+    ]
+
+
 class TestExtremalFamilies:
     def test_multiplier_family_layout(self):
         i = DyadicInterval(2, 1)
-        fs = extremal_multiplier_family(i, (0, 1, 0), 4)
+        (d,) = descriptors_of("multilinear_multiplier", (0, 1, 0))
+        fs = extremal_tuple(d, ExponentTuple((2, 2, 2)), i, 4)
         assert fs[0].expand() == StepFunction.haar(i, 4, FLOAT64)
         assert fs[1].expand() == StepFunction.indicator(i, 4, FLOAT64)
         assert fs[2] == fs[0]
 
     def test_pi_family_normalized(self):
         e = ExponentTuple((2, 3, Fraction(3, 2)))
+        (d,) = descriptors_of("pi_paraproduct", (0, 0, 1))
         for i in [UNIVERSE, DyadicInterval(1, 1), DyadicInterval(3, 5)]:
-            fs = extremal_pi_family(i, (0, 0, 1), e, 4)
+            fs = extremal_tuple(d, e, i, 4)
             for f, p in zip(fs, e.p):
                 assert lp_norm(f, p) == pytest.approx(1.0)
 
@@ -221,17 +241,34 @@ class TestExtremalFamilies:
         assert necessity_case((0, 0), 1) == "II"
         assert necessity_case((1, 0), 2) == "I"
 
-    def test_case_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            commutator_necessity_family("II", DyadicInterval(1, 0), (0, 1), 1, 3)
-        with pytest.raises(ValueError):
-            commutator_necessity_family("I", DyadicInterval(1, 0), (0, 0), 1, 3)
-
     def test_case_one_layout(self):
         i = DyadicInterval(2, 2)
-        fs = commutator_necessity_family("I", i, (1, 0), 2, 4)
+        d = descriptors_of("commutator", (1, 0))[1]
+        fs = extremal_tuple(d, ExponentTuple((2, 2)), i, 4)
         assert fs[0].expand() == StepFunction.haar(i.parent(), 4, FLOAT64)
         assert fs[1].expand() == StepFunction.indicator(i, 4, FLOAT64)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exponents_must_match_the_arity(self, kind):
+        # an extra exponent would silently change r, and a missing one the
+        # input norms
+        for d in descriptors_of(kind, (0, 1)):
+            for ps in ((2,), (2, 2, 2)):
+                with pytest.raises(
+                    ShapeError, match=rf"^descriptor arity 2 vs {len(ps)} exponents$"
+                ):
+                    sharp_ratio(d, ExponentTuple(ps), DyadicInterval(1, 0), 4)
+            assert sharp_ratio(d, ExponentTuple((2, 2)), DyadicInterval(1, 0), 4) is not None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_leaf_interval_has_no_tuple(self, kind):
+        # a leaf carries no Haar function, and in case I (alpha 01, slot 1)
+        # no Haar sum of b
+        for d in descriptors_of(kind, (0, 1)):
+            case_one = kind == "commutator" and d.slot == 1
+            message = "leaves no Haar sum" if case_one else "no Haar function"
+            with pytest.raises(ResolutionError, match=message):
+                sharp_ratio(d, ExponentTuple((2, 2)), DyadicInterval(4, 3), 4)
 
     def test_case_one_needs_parent(self):
         assert extremal_tuple(
@@ -401,7 +438,7 @@ class TestClosedFormRatios:
         d = OperatorDescriptor("pi_paraproduct", (0, 1), b=b)
         e = ExponentTuple((2, 2))
         for i in interval_family(depth):
-            fs = extremal_pi_family(i, (0, 1), e, depth)
+            fs = extremal_tuple(d, e, i, depth)
             out = d.apply(fs)
             ratio = _lr_quasinorm(out, e.r)
             expect = abs(float(pairing(b, i, 0))) * math.sqrt(float(1 << i.level))

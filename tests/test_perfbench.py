@@ -1,10 +1,15 @@
 """The benchmark's self-test: its output checkers read ``Exact`` values
 through ``verify``, ``transform`` and ``norms``, and must accept the
-program's real output and reject corrupted copies of it."""
+program's real output and reject corrupted copies of it.  Its tracer must
+still find a callable in every layer it times."""
 
+import importlib.util
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import dyadicops
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,3 +21,26 @@ def test_benchmark_selftest_passes():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "all cases behave" in done.stdout
+
+
+def test_every_traced_layer_keeps_a_target():
+    """Each group of the benchmark's tracer wraps at least one callable that
+    still exists, found by the tracer's own lookup: a change that deletes a
+    layer's last traced name fails here, not only in a traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module in pkgutil.iter_modules(dyadicops.__path__):
+        importlib.import_module(f"dyadicops.{module.name}")
+    lookup = tracing.Tracer()
+    empty = [
+        group
+        for group, targets in tracing.SPAN_TARGETS.items()
+        if not any(
+            callable(lookup._resolve(f"dyadicops.{module}", path))
+            for module, path in targets
+        )
+    ]
+    assert not empty, f"traced layers with no callable left: {empty}"

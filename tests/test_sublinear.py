@@ -219,10 +219,11 @@ class TestFloatBmo:
             got = bmo_norm_pow(StepFunction(depth, vals, FLOAT64), 2)
             assert got == pytest.approx(float(bmo_norm_pow(exact, 2)), rel=1e-12)
 
-    @pytest.mark.parametrize("power", [600, 1000])
+    @pytest.mark.parametrize("power", [600, 1000, -550, -600, -1000])
     def test_scaling_by_a_power_of_two_is_exact(self, power):
-        # past 2**500 the squares would overflow, and the functions work on
-        # f / 2**e: the results scale with f, bit for bit
+        # past 2**500 the squares would overflow, and below 2**-500 they
+        # would underflow, so the functions work on f / 2**e: the results
+        # scale with f, bit for bit
         rng = random.Random(power)
         f = StepFunction(4, [rng.uniform(-1, 1) for _ in range(16)], FLOAT64)
         big = f.scale(2.0**power)

@@ -32,10 +32,7 @@ from dyadicops import (
     bmo_norm_pow,
     bstar_seminorm,
     commutator,
-    commutator_necessity_family,
     estimate_operator_norm,
-    extremal_multiplier_family,
-    extremal_pi_family,
     extremal_tuple,
     inner_product,
     interval_family,
@@ -43,7 +40,6 @@ from dyadicops import (
     lp_norm_pow,
     maximal,
     multilinear_multiplier,
-    necessity_case,
     pairing,
     paraproduct,
     pi_paraproduct,
@@ -418,18 +414,23 @@ def rational_sharp_outputs(depth, rng):
     exps = ExponentTuple((1, 2, 2))
     for bits in ((0,), (0, 1), (1, 0), (0, 0, 1)):
         m = len(bits)
+        ps = ExponentTuple(exps.p[:m])
+        para = OperatorDescriptor("paraproduct", bits)
+        pi = OperatorDescriptor("pi_paraproduct", bits, b=b)
+        comms = [
+            OperatorDescriptor("commutator", bits, b=b, symbol=eps, slot=slot)
+            for slot in range(1, m + 1)
+        ]
         for i in interval_family(depth):
-            fam = extremal_multiplier_family(i, bits, depth, RATIONAL)
+            fam = extremal_tuple(para, ps, i, depth, RATIONAL)
             yield "paraproduct", paraproduct(bits, fam)
             yield "multiplier", multilinear_multiplier(eps, bits, fam)
-            pi_fam = extremal_pi_family(i, bits, ExponentTuple(exps.p[:m]), depth, RATIONAL)
+            pi_fam = extremal_tuple(pi, ps, i, depth, RATIONAL)
             yield "pi_paraproduct", pi_paraproduct(bits, b, pi_fam)
-            for slot in range(1, m + 1):
-                case = necessity_case(bits, slot)
-                if case == "I" and (i.level < 1 or m < 2):
-                    continue
-                fs = commutator_necessity_family(case, i, bits, slot, depth, RATIONAL)
-                yield "commutator", commutator(slot, b, eps, bits, fs)
+            for comm in comms:
+                fs = extremal_tuple(comm, ps, i, depth, RATIONAL)
+                if fs is not None:
+                    yield "commutator", commutator(comm.slot, b, eps, bits, fs)
 
 
 class TestFunctionsOfViews:
@@ -470,7 +471,9 @@ class TestFunctionsOfViews:
         # sums are correctly rounded, so a view's norms are its
         # expansion's floats
         rng = random.Random(4)
-        fs = extremal_pi_family(DyadicInterval(2, 1), (1,), ExponentTuple((2,)), 3)
+        # the tuple never reads the descriptor's b
+        desc = OperatorDescriptor("pi_paraproduct", (1,), b=StepFunction.zeros(3, FLOAT64))
+        fs = extremal_tuple(desc, ExponentTuple((2,)), DyadicInterval(2, 1), 3)
         for _ in range(30):
             b = StepFunction.from_values(
                 [rng.uniform(-3, 3) for _ in range(8)], mode=FLOAT64
