@@ -440,6 +440,32 @@ def seen(depth: int, support: DyadicInterval, values, blocks, mode: str):
     return SupportView(depth, support, tuple(values), tuple(blocks), mode)
 
 
+def tree_count(f: StepFunction | SupportView) -> int:
+    """How many grids f lays side by side: 1 for every function built
+    through a public constructor.  A forest of K trees is a StepFunction
+    whose ``values`` hold K grids of leaves one after another, so that one
+    pass of the tables, the operators and the float64 norms serves K
+    functions; each tree is read as a function of its own."""
+    return len(f.values) >> (f.depth - f.support.level)
+
+
+def forest(fs: Sequence[StepFunction]) -> StepFunction:
+    """The StepFunctions fs, of one depth and mode, side by side as one
+    forest; fs[0] itself when it is alone."""
+    if len(fs) == 1:
+        return fs[0]
+    values = list(chain.from_iterable(f.values for f in fs))
+    return StepFunction._raw(fs[0].depth, values, fs[0].mode)
+
+
+def tree(f: StepFunction | SupportView, k: int) -> StepFunction | SupportView:
+    """Tree k of f as a function of its own; f itself when it has one."""
+    if tree_count(f) == 1:
+        return f
+    n = 1 << f.depth
+    return StepFunction._raw(f.depth, f.values[k * n:(k + 1) * n], f.mode)
+
+
 def block_runs(f: StepFunction | SupportView) -> Iterator[tuple]:
     """The (value, leaf count) pairs of f outside ``f.values``: a view's
     blocks, nothing for a StepFunction.  With ``f.values`` (one leaf each)
@@ -576,14 +602,16 @@ def interval_integrals(f: StepFunction | SupportView) -> list[list]:
     """table[level][pos] = integral of f over that interval, levels 0..depth.
 
     A SupportView, which must vanish outside its support, gets its table in
-    the support layout, computed from its leaves on the support alone.
+    the support layout, computed from its leaves on the support alone.  A
+    forest's rows hold its trees' rows one after another, as do the tables
+    built on this one.
     """
     top = _support_level(f)
     n = 1 << f.depth
     w = scalars.reciprocal(n, f.mode)
     level = [v * w for v in f.values]
     table = [level]
-    while len(level) > 1:
+    for _ in range(f.depth - top):
         level = list(map(add, level[0::2], level[1::2]))
         table.append(level)
     # every ancestor of the support holds all of f
@@ -597,13 +625,15 @@ def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
     top-down pass, I being the interval (level, pos) of a grid of depth
     ``len(terms)``.  s_I is the sign pattern of h_I (-1 on the left half of
     I, +1 on the right half) when ``odd`` and the indicator of I otherwise.
+    The pass starts from one root per entry of the first row, so a forest's
+    terms give its trees' leaves one after another.
 
     Each child takes its parent's value plus or minus the parent's term, so
     every leaf adds its terms from the coarsest level down, and zero terms
     are skipped, which leaves a signed zero as it is.  A level's left and
     right children are filled row by row.
     """
-    vals = [start]
+    vals = [start] * len(terms[0]) if terms else [start]
     for row in terms:
         children = [None] * (2 * len(vals))
         if odd:
@@ -746,9 +776,16 @@ def _normalize_p(p) -> Fraction | None:
     return q
 
 
+def _peak(f: StepFunction | SupportView):
+    """max |v| over the values and blocks of f."""
+    return max(map(abs, chain(f.values, (v for v, _ in block_runs(f)))))
+
+
 def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
-    """The mean of size(v) ** k over the leaves of f, summed over its values
-    and then its block runs times their leaf counts; max |v| for k = inf.
+    """The mean of size(v) ** k over the leaves of each tree of f, summed
+    over its values and then its block runs times their leaf counts, as a
+    list with one mean per tree (``tree_count``); the powers are taken in
+    one pass over all of f.
 
     size(v) is |v| in f's own scalars, so the mean is exact in rational
     mode for an integer k; with a ``top`` it is the float |v| / top.
@@ -757,8 +794,6 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
     each run's leaf count is a power of two.
     """
     runs = list(block_runs(f))
-    if k == math.inf:
-        return max(map(abs, chain(f.values, (v for v, _ in runs))))
     if top is None:
         mode = f.mode
         terms = [abs(v) ** k for v in f.values]
@@ -767,7 +802,16 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
         mode = FLOAT64
         terms = [(abs(x) / top) ** k for x in map(float, f.values)]
         terms += [(abs(float(v)) / top) ** k * c for v, c in runs]
-    return scalars.total(terms, mode) * scalars.reciprocal(1 << f.depth, mode)
+    w = scalars.reciprocal(1 << f.depth, mode)
+    trees = tree_count(f)
+    if trees == 1:
+        return [scalars.total(terms, mode) * w]
+    # a forest has no block runs
+    width = len(terms) // trees
+    return [
+        scalars.total(terms[start:start + width], mode) * w
+        for start in range(0, len(terms), width)
+    ]
 
 
 def lp_norm_pow(f: StepFunction | SupportView, p):
@@ -775,14 +819,15 @@ def lp_norm_pow(f: StepFunction | SupportView, p):
     p = inf."""
     q = _normalize_p(p)
     if q is None:
-        return _power_mean_pow(f, math.inf)
+        return _peak(f)
     if q.denominator == 1:
         k = q.numerator
     elif f.mode == RATIONAL:
         raise ValueError(f"exact p-th powers need an integer exponent, got {q}")
     else:
         k = float(q)
-    return _power_mean_pow(f, k)
+    (mean,) = _power_mean_pow(f, k)
+    return mean
 
 
 # the largest integer p for which lp_norm averages |f|**p in f's own
@@ -797,7 +842,8 @@ def lp_norm(f: StepFunction | SupportView, p):
     Float mode always returns a float.  Rational mode is exact for p = 1
     and p = inf, exact for p = 2 whenever the square root exists in the
     scalar field, and falls back to a float otherwise.  Every other p takes
-    the float ``power_mean``.
+    the float ``power_mean``, which gives a float64 forest of several trees
+    the list of their norms.
     """
     q = _normalize_p(p)
     if q is None or (f.mode == RATIONAL and q == 1):
@@ -807,22 +853,34 @@ def lp_norm(f: StepFunction | SupportView, p):
     return power_mean(f, q)
 
 
-def power_mean(f: StepFunction | SupportView, q: Fraction) -> float:
+def power_mean(f: StepFunction | SupportView, q: Fraction):
     """(mean of |f|**q) ** (1/q) as a float, for a finite q > 0: the L^q
     norm for q >= 1 and a quasinorm below; M * (mean of (|f|/M)**q)**(1/q)
-    with M = max |f| when the mean over- or underflows a float."""
+    with M = max |f| when the mean over- or underflows a float.
+
+    A forest of several trees (``tree_count``) gets the list of its trees'
+    values, from one pass of powers over all of it.  Each tree takes the
+    fallback on its own: a tree whose mean over- or underflows, and every
+    tree, one at a time, when a power or the sum overflows.
+    """
     pf = float(q)
     own = q.denominator == 1 and q.numerator <= _MAX_EXACT_POWER
+    trees = tree_count(f)
     try:
-        mean = float(_power_mean_pow(f, pf, None if own else 1.0))
+        means = [float(m) for m in _power_mean_pow(f, pf, None if own else 1.0)]
     except OverflowError:
-        mean = math.inf
-    if sys.float_info.min <= mean < math.inf:
-        return mean ** (1.0 / pf)
-    top = float(_power_mean_pow(f, math.inf))
-    if not top:
-        return 0.0
-    return top * _power_mean_pow(f, pf, top) ** (1.0 / pf)
+        if trees > 1:
+            return [power_mean(tree(f, k), q) for k in range(trees)]
+        means = [math.inf]
+    out = []
+    for k, mean in enumerate(means):
+        if sys.float_info.min <= mean < math.inf:
+            out.append(mean ** (1.0 / pf))
+            continue
+        t = tree(f, k)
+        top = float(_peak(t))
+        out.append(top * _power_mean_pow(t, pf, top)[0] ** (1.0 / pf) if top else 0.0)
+    return out if trees > 1 else out[0]
 
 
 @_kept

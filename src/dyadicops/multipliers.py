@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import scalars
-from .core import DyadicInterval, StepFunction, seen, support_layout
+from .core import DyadicInterval, StepFunction, seen, support_layout, tree_count
 from .errors import ShapeError
-from .paraproducts import _as_alpha, _check_tuple, _engine, _slot_tables
+from .paraproducts import _as_alpha, _check_tuple, _engine, _slot_tables, _tiled
 from .scalars import RATIONAL
 
 COMMUTATOR_CONVENTION = "T(f_1,...,b*f_i,...,f_m) - b*T(f_1,...,f_m)"
@@ -118,7 +118,7 @@ def multilinear_multiplier(
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     depth, mode, support = _check_tuple(fs)
-    symbol = support_layout(eps.table(depth, mode), support)
+    symbol = _tiled(support_layout(eps.table(depth, mode), support), tree_count(fs[0]))
     return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, symbol, support)
 
 
@@ -144,7 +144,7 @@ def commutator(
     depth, mode, support = _check_tuple(fs, b)
     f = fs[slot - 1]
     span = support.leaf_span(depth)
-    b_on = b.values[span.start:span.stop]
+    b_on = b.values[span.start:span.stop] * tree_count(f)
     modified = list(fs)
     modified[slot - 1] = seen(
         depth, support, [x * y for x, y in zip(b_on, f.values)], f.blocks, mode

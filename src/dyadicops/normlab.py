@@ -3,7 +3,12 @@ families from the boundedness proofs appended as dedicated trials.
 
 Experiments run in float64 mode.  Every trial is seeded independently from
 (seed, trial index), so reports are byte-identical across runs and
-independent of evaluation order.
+independent of evaluation order.  The random trials are measured in blocks
+of ``BLOCK_LEAVES`` leaves per slot: the tuples of a block lie side by side
+as one forest per slot (``core.forest``), which takes one operator pass and
+one norm pass per function.  Every tree gets the floats it would get alone,
+so reports do not depend on the block size; from depth 10 on a block is one
+trial.
 """
 
 from __future__ import annotations
@@ -24,11 +29,14 @@ from .core import (
     _weak_candidates,
     canonical_json,
     check_depth,
+    forest,
     haar_sum,
     inner_product,
     interval_family,
     lp_norm,
     power_mean,
+    tree,
+    tree_count,
 )
 from .errors import ResolutionError, ShapeError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
@@ -510,13 +518,17 @@ def sharp_forms(
 # -- experiments -----------------------------------------------------------------
 
 
-def _lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
+def _lr_quasinorm(f: StepFunction | SupportView, r: Fraction):
     """(mean of |f|**r) ** (1/r), blocks included: the float64 ``lp_norm``
-    for r >= 1, a quasinorm below."""
+    for r >= 1, a quasinorm below; a forest's come as a list."""
     return power_mean(f, r)
 
 
-def _weak_lr_quasinorm(f: StepFunction | SupportView, r: Fraction) -> float:
+def _weak_lr_quasinorm(f: StepFunction | SupportView, r: Fraction):
+    """The weak-L^r quasinorm; a forest's come as a list, one per tree."""
+    trees = tree_count(f)
+    if trees > 1:
+        return [_weak_lr_quasinorm(tree(f, k), r) for k in range(trees)]
     rf = float(r)
     candidates = _weak_candidates(f)
     if not candidates:
@@ -599,19 +611,52 @@ def _first_largest(jobs: list) -> tuple | None:
 RANK_WINDOW = 1e-9
 
 
-def _measure(desc, exponents, fs, weak: bool) -> float | None:
-    """||T(fs)|| / prod ||f_j||_{p_j}, the output in L^r or weak L^r; None
-    without a tuple or with a zero-norm input."""
-    if fs is None:
-        return None
-    norms = [lp_norm(f, p) for f, p in zip(fs, exponents.p)]
-    if any(n == 0.0 for n in norms):
-        return None
+# The random trials of an experiment are measured in blocks of this many
+# leaves per slot: 8 trials at depth 7, 2 at depth 9 and one from depth 10
+# on, where a pass's per-call and per-level setup is small beside its
+# leaves.  Reports do not depend on it.
+BLOCK_LEAVES = 1 << 10
+
+
+def _measure(desc, exponents, fs, weak: bool) -> list:
+    """||T(f)|| / prod ||f_j||_{p_j} for each tree f of the forests fs, one
+    per slot, the output in L^r or weak L^r; None for a tree with a
+    zero-norm input.  The inputs' norms are divided out in slot order."""
+    trees = tree_count(fs[0])
+
+    def per_tree(value) -> list:
+        return value if trees > 1 else [value]
+
+    slot_norms = [per_tree(lp_norm(f, p)) for f, p in zip(fs, exponents.p)]
+    norms = [None if 0.0 in ns else ns for ns in zip(*slot_norms)]
+    if all(ns is None for ns in norms):
+        return norms
     out_norm = _weak_lr_quasinorm if weak else _lr_quasinorm
-    value = out_norm(desc.apply(fs), exponents.r)
-    for n in norms:
-        value /= n
-    return value
+    ratios = []
+    for value, ns in zip(per_tree(out_norm(desc.apply(fs), exponents.r)), norms):
+        if ns is None:
+            value = None
+        else:
+            for n in ns:
+                value /= n
+        ratios.append(value)
+    return ratios
+
+
+def _random_jobs(desc, exponents, sampler: SamplerSpec, trials: int, weak: bool):
+    """(trial, ratio) of each random trial, drawn one by one and measured a
+    block at a time: the tuples of the block's trials, those that have one,
+    side by side as one forest per slot."""
+    size = max(1, BLOCK_LEAVES >> sampler.depth)
+    jobs = []
+    for start in range(0, trials, size):
+        block = range(start, min(start + size, trials))
+        drawn = [sampler.draw_tuple(trial, desc, exponents) for trial in block]
+        tuples = [fs for fs in drawn if fs is not None]
+        forests = [forest(slot) for slot in zip(*tuples)]
+        ratios = iter(_measure(desc, exponents, forests, weak) if tuples else ())
+        jobs += [(t, None if fs is None else next(ratios)) for t, fs in zip(block, drawn)]
+    return jobs
 
 
 def sharp_ratio(
@@ -626,7 +671,10 @@ def sharp_ratio(
     support: the inputs' norms are the same floats as on the full grid, the
     output's agree to rounding."""
     fs = extremal_tuple(descriptor, exponents, interval, depth)
-    return _measure(descriptor, exponents, fs, weak)
+    if fs is None:
+        return None
+    (ratio,) = _measure(descriptor, exponents, fs, weak)
+    return ratio
 
 
 def _run_experiment(
@@ -648,10 +696,7 @@ def _run_experiment(
             f"b lives on depth {desc.b.depth} but the sampler uses "
             f"depth {depth}"
         )
-    random_jobs = []
-    for trial in range(trials):
-        fs = sampler.draw_tuple(trial, desc, exponents)
-        random_jobs.append((trial, _measure(desc, exponents, fs, weak)))
+    random_jobs = _random_jobs(desc, exponents, sampler, trials, weak)
     intervals = interval_family(depth)
     forms = sharp_forms(desc, exponents, depth, weak)
 

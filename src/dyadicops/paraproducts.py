@@ -31,6 +31,7 @@ from .core import (
     pointwise_product,
     seen,
     support_layout,
+    tree_count,
 )
 from .errors import ResolutionError, ShapeError
 
@@ -111,7 +112,7 @@ def _check_tuple(
 ) -> tuple[int, str, DyadicInterval]:
     """The depth, mode and support that the inputs share, a StepFunction
     being seen from the universe; ``b``, on the full grid, must match
-    their depth and mode only."""
+    their depth and mode only.  Forests must hold equally many trees."""
     if len(fs) < 1:
         raise ShapeError("need at least one input function")
     first = fs[0] if b is None else b
@@ -125,7 +126,17 @@ def _check_tuple(
                 f"inputs are seen from different supports: "
                 f"{fs[0].support} vs {f.support}"
             )
+        if tree_count(f) != tree_count(fs[0]):
+            raise ShapeError(
+                f"inputs are forests of {tree_count(fs[0])} and {tree_count(f)} trees"
+            )
     return first.depth, first.mode, fs[0].support
+
+
+def _tiled(table, trees: int):
+    """Each row of ``table`` repeated ``trees`` times: the table of one
+    grid read by every tree of a forest."""
+    return table if trees == 1 else [row * trees for row in table]
 
 
 def _engine(
@@ -148,7 +159,8 @@ def _engine(
     may equal ``support.level``: the output is then one value on
     ``support``, the sum of the terms of its strict ancestors.  Each value
     adds its terms from the coarsest level down, as the full-grid call
-    does, so float64 results match it bit for bit.
+    does, so float64 results match it bit for bit.  Forest tables give the
+    forest of their trees' outputs: each tree sums its own terms.
     """
     sigma = bits.count(0)
     top = support.level
@@ -186,12 +198,16 @@ def _engine(
             row = map(mul, row, tab[level])
         terms.append([t * w if t else t for t in row])
     if sigma == 0:
-        for row in terms:
-            for t in row:
-                if t:
-                    const = const + t
-        values = (const,) * (1 << (depth - top))
-        return seen(depth, support, values, (const,) * top, mode)
+        width = 1 << (depth - top)
+        values = []
+        for k in range(len(terms[0]) if terms else 1):
+            total = const
+            for i, row in enumerate(terms):
+                for t in row[k << i:(k + 1) << i]:
+                    if t:
+                        total = total + t
+            values += [total] * width
+        return seen(depth, support, values, (total,) * top, mode)
     return seen(depth, support, haar_sum(above, terms, odd), blocks, mode)
 
 
@@ -211,7 +227,9 @@ def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     theory speaks about have sigma >= 1.
 
     Every operator takes StepFunctions or SupportViews of one support
-    (``SupportView.restrict``) and returns the output seen from it.
+    (``SupportView.restrict``) and returns the output seen from it; given
+    forests of equally many trees (``core.forest``), it returns the forest
+    of each tree's output.
     """
     a = _as_alpha(alpha)
     if len(fs) != a.m:
@@ -230,7 +248,8 @@ def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFu
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     depth, mode, support = _check_tuple(fs, b)
-    tables = [support_layout(coefficient_table(b), support), *_slot_tables(a.bits, fs)]
+    b_table = _tiled(support_layout(coefficient_table(b), support), tree_count(fs[0]))
+    tables = [b_table, *_slot_tables(a.bits, fs)]
     return _engine((0,) + a.bits, tables, depth, mode, support=support)
 
 

@@ -483,8 +483,16 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
+def _pair(obj: list) -> list:
+    """The entries a, b of a value a + b*sqrt(2) written as a list."""
+    if len(obj) != 2:
+        raise TypeError(f"a value written as a list needs 2 entries, got {len(obj)}")
+    return obj
+
+
 def decode_value(obj, mode: str):
-    """A scalar of ``mode`` from its JSON form; JSON booleans are refused."""
+    """A scalar of ``mode`` from its JSON form; JSON booleans and lists
+    that are not pairs are refused."""
     if type(obj) is float and mode == FLOAT64 and math.isfinite(obj):
         return obj
     if isinstance(obj, bool):
@@ -493,14 +501,14 @@ def decode_value(obj, mode: str):
         if isinstance(obj, str):
             return finite_float(parse_fraction(obj))
         if isinstance(obj, list):
-            a, b = obj
+            a, b = _pair(obj)
             return finite_float(
                 finite_float(parse_fraction(a))
                 + finite_float(parse_fraction(b)) * _SQRT2
             )
         return finite_float(obj)
     if isinstance(obj, list):
-        a, b = obj
+        a, b = _pair(obj)
         return Exact(parse_fraction(a), parse_fraction(b))
     if isinstance(obj, str):
         return Exact(parse_fraction(obj))

@@ -727,13 +727,31 @@ class TestBoundary:
             ("symbol sequence", {"default": True, "entries": []},
              ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
               "--depth", "2", "--trials", "2", "--symbol"]),
+            # a value a + b*sqrt(2) written as a list of other than 2 entries
+            *[
+                ("step function", {"depth": 1, "mode": mode, "values": [pair, "1"]},
+                 ["norms"])
+                for mode in ("float64", "rational")
+                for pair in (["1", "2", "3"], ["1"])
+            ],
+            *[
+                ("symbol sequence", symbol,
+                 ["estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+                  "--depth", "2", "--trials", "2", "--symbol"])
+                for symbol in (
+                    {"default": ["1", "2", "3"], "entries": []},
+                    {"default": 1, "entries": [{"level": 1, "pos": 1, "value": ["1"]}]},
+                )
+            ],
         ],
     )
     def test_entry_that_is_not_an_object_names_the_file(
         self, tmp_path, capsys, kind, obj, argv
     ):
-        # also a depth, level or pos that is not a JSON integer, and a value
-        # that is a JSON boolean: none of them is rounded or read as 0 or 1
+        # also a depth, level or pos that is not a JSON integer, a value
+        # that is a JSON boolean, and a value written as a list of other
+        # than two entries: none of them is rounded, truncated or read as 0
+        # or 1
         path = tmp_path / "bad.json"
         write_json(path, obj)
         assert main([*argv, str(path)]) == 2

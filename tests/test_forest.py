@@ -1,0 +1,178 @@
+"""Forests: several functions of one grid laid side by side.
+
+An experiment measures its random trials a block at a time: the inputs of
+the block's trials, slot by slot, form one forest (``core.forest``), which
+the tables, the operators and the float64 norms take in one pass.  These
+tests hold that pass to the one-function path: each operator's output on a
+forest of K functions is the forest of its outputs on each of them, ``==``
+in rational mode and the same bits in float64, and a forest's power means
+are its trees' power means, the over- and underflow fallbacks included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dyadicops import (
+    StepFunction,
+    SymbolSequence,
+    commutator,
+    interval_family,
+    lp_norm,
+    multilinear_multiplier,
+    paraproduct,
+    pi_paraproduct,
+)
+from dyadicops.core import (
+    average_table,
+    coefficient_table,
+    forest,
+    power_mean,
+    tree,
+    tree_count,
+)
+from dyadicops.errors import ShapeError
+from dyadicops.normlab import _weak_lr_quasinorm
+from dyadicops.scalars import FLOAT64, RATIONAL
+
+from oracles import random_rationals
+
+
+def random_function(rng, depth, mode):
+    n = 1 << depth
+    if mode == RATIONAL:
+        return StepFunction.from_values(random_rationals(rng, n, numer=6, denom=4))
+    return StepFunction.from_values([rng.uniform(-1.0, 1.0) for _ in range(n)], FLOAT64)
+
+
+def random_symbol(rng, depth):
+    entries = {
+        i: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for i in interval_family(depth)
+        if rng.random() < 0.7
+    }
+    return SymbolSequence(default=Fraction(rng.randint(-3, 3), 2), entries=entries)
+
+
+def random_operators(rng, depth, mode):
+    """The arity and (name, operator) of the four kinds, with a random
+    alpha, slot, b and symbol; the all-ones alpha of the paraproduct (a
+    constant) comes up too."""
+    m = rng.randint(1, 3)
+    bits = tuple(rng.randint(0, 1) for _ in range(m))
+    haar_bits = bits if 0 in bits else bits[:-1] + (0,)
+    slot = rng.randint(1, m)
+    b = random_function(rng, depth, mode)
+    eps = random_symbol(rng, depth)
+    return m, [
+        ("paraproduct", lambda fs: paraproduct(bits, fs)),
+        ("pi_paraproduct", lambda fs: pi_paraproduct(bits, b, fs)),
+        ("multilinear_multiplier", lambda fs: multilinear_multiplier(eps, haar_bits, fs)),
+        ("commutator", lambda fs: commutator(slot, b, eps, haar_bits, fs)),
+    ]
+
+
+def same(got: list, want: list, mode: str) -> bool:
+    """== in rational mode; the same bits, signed zeros included, in float64."""
+    if mode == RATIONAL:
+        return got == want
+    return [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestOperatorsOnForests:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_output_is_the_outputs_side_by_side(self, mode, seed):
+        rng = random.Random(seed)
+        depth = rng.randint(1, 6)
+        m, operators = random_operators(rng, depth, mode)
+        k = rng.randint(1, 5)
+        tuples = [[random_function(rng, depth, mode) for _ in range(m)] for _ in range(k)]
+        forests = [forest(slot) for slot in zip(*tuples)]
+        assert {tree_count(f) for f in forests} == {k}
+        for name, op in operators:
+            got = op(forests)
+            want = [v for fs in tuples for v in op(fs).values]
+            assert tree_count(got) == k, name
+            assert same(list(got.values), want, mode), name
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_all_ones_paraproduct_sums_each_tree_alone(self, mode):
+        # sigma = 0: each tree's output is one constant, its own terms' sum
+        rng = random.Random(11)
+        for depth in range(1, 7):
+            for bits in ((1,), (1, 1), (1, 1, 1)):
+                tuples = [
+                    [random_function(rng, depth, mode) for _ in bits] for _ in range(4)
+                ]
+                got = paraproduct(bits, [forest(slot) for slot in zip(*tuples)])
+                want = [v for fs in tuples for v in paraproduct(bits, fs).values]
+                assert same(list(got.values), want, mode), (depth, bits)
+
+    def test_tables_are_the_trees_tables_side_by_side(self):
+        rng = random.Random(5)
+        for depth in range(1, 7):
+            fs = [random_function(rng, depth, RATIONAL) for _ in range(3)]
+            f = forest(fs)
+            for table in (average_table, coefficient_table):
+                assert table(f) == [
+                    [v for row in rows for v in row] for rows in zip(*map(table, fs))
+                ]
+            assert [tree(f, k) for k in range(3)] == fs
+
+    def test_a_forest_of_one_is_the_function(self):
+        f = random_function(random.Random(1), 3, FLOAT64)
+        assert forest([f]) is f and tree(f, 0) is f and tree_count(f) == 1
+
+    def test_forests_of_different_sizes_are_refused(self):
+        rng = random.Random(2)
+        two = forest([random_function(rng, 2, FLOAT64) for _ in range(2)])
+        three = forest([random_function(rng, 2, FLOAT64) for _ in range(3)])
+        with pytest.raises(ShapeError):
+            paraproduct((0, 1), [two, three])
+
+
+def scaled_function(rng, depth, scale):
+    return StepFunction.from_values(
+        [scale * rng.uniform(-1.0, 1.0) for _ in range(1 << depth)], FLOAT64
+    )
+
+
+EXPONENTS = (Fraction(1, 3), Fraction(2, 3), 1, Fraction(3, 2), 2, 3, 4)
+
+
+class TestNormsOfForests:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_power_means_are_the_trees_power_means(self, seed):
+        """Trees of every size from 1e-200 to 1e200, zero trees among them:
+        a power or the mean of one tree may overflow or underflow, and each
+        tree still gets the bits it gets alone."""
+        rng = random.Random(seed)
+        depth = rng.randint(1, 6)
+        scales = [
+            rng.choice((0.0, 1e-200, 1e-20, 1.0, 1e20, 1e200))
+            for _ in range(rng.randint(2, 5))
+        ]
+        trees = [scaled_function(rng, depth, s) for s in scales]
+        f = forest(trees)
+        for q in EXPONENTS:
+            want = [power_mean(t, q) for t in trees]
+            assert same(power_mean(f, q), want, FLOAT64), (scales, q)
+            weak = [_weak_lr_quasinorm(t, q) for t in trees]
+            assert same(_weak_lr_quasinorm(f, q), weak, FLOAT64)
+            if q >= 1:
+                assert same(lp_norm(f, q), [lp_norm(t, q) for t in trees], FLOAT64)
+
+    def test_one_overflowing_tree_leaves_the_others_their_plain_means(self):
+        rng = random.Random(3)
+        small = scaled_function(rng, 5, 1.0)
+        huge = scaled_function(rng, 5, 1e200)
+        for q in (2, 4, Fraction(5, 2)):
+            with pytest.raises(OverflowError):
+                [abs(v) ** float(q) for v in huge.values]
+            got = power_mean(forest([small, huge, small]), q)
+            assert same(got, [power_mean(t, q) for t in (small, huge, small)], FLOAT64)

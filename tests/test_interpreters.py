@@ -3,10 +3,12 @@
 Float norms add with ``math.fsum``, which rounds correctly, where the
 builtin ``sum`` changed between CPython 3.11 and 3.12.  The samplers
 draw as ``random`` does (``uniform``, ``choice``, ``randint``) without
-calling it.  This runs three commands whose float sums used to differ and
-three that draw through each sampler under every CPython 3.10+ that pyenv
-has installed, and skips when it finds fewer than two; the closed forms
-that rank the sharp jobs are checked the same way.
+calling it.  This runs three commands whose float sums used to differ,
+three that draw through each sampler, and a strong run with r < 1 and a
+weak commutator run whose trials are measured in blocks of 16, all under
+every CPython 3.10+ that pyenv has installed, and skips when it finds
+fewer than two; the closed forms that rank the sharp jobs are checked the
+same way.
 """
 
 import json
@@ -68,6 +70,9 @@ def test_reports_match_across_interpreters(tmp_path):
     f_path = tmp_path / "f.json"
     values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(1 << 10)]
     f_path.write_text(json.dumps({"depth": 10, "mode": "float64", "values": values}))
+    b_path = tmp_path / "b.json"
+    b_values = [rng.uniform(-1, 1) for _ in range(1 << 6)]
+    b_path.write_text(json.dumps({"depth": 6, "mode": "float64", "values": b_values}))
     commands = [
         ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
@@ -81,6 +86,14 @@ def test_reports_match_across_interpreters(tmp_path):
          "--family", "random-step", "--trials", "30", "--dump-trials",
          str(tmp_path / "step.csv")],
         ["verify", "decomposition", "--m", "3", "--depth", "4", "--trials", "5"],
+        # blocks of 16 trials at depth 6, the last one partial; r = 6/11
+        ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
+         "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "40",
+         "--seed", "2", "--dump-trials", str(tmp_path / "indicator.csv")],
+        ["weak", "--op", "commutator", "--alpha", "01", "--slot", "1",
+         "--b", str(b_path), "--symbol-const", "3/2", "--p", "1,2",
+         "--family", "random-step", "--trials", "40", "--seed", "3",
+         "--dump-trials", str(tmp_path / "weak.csv")],
     ]
     for argv in commands:
         dumped = [path for path in argv if path.endswith(".csv")]

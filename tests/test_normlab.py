@@ -23,9 +23,10 @@ from dyadicops import (
     sharp_ratio,
     weak_type_ratio,
 )
+from dyadicops import normlab
 from dyadicops.core import MAX_DEPTH
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.normlab import KINDS, _choices, _lr_quasinorm, random_rational_step
+from dyadicops.normlab import FAMILIES, KINDS, _choices, _lr_quasinorm, random_rational_step
 from dyadicops.scalars import FLOAT64, Exact, _canonical
 
 from oracles import fraction_rational_step, uniform_random_step
@@ -443,3 +444,84 @@ class TestClosedFormRatios:
             ratio = _lr_quasinorm(out, e.r)
             expect = abs(float(pairing(b, i, 0))) * math.sqrt(float(1 << i.level))
             assert ratio == pytest.approx(expect, abs=1e-9)
+
+
+def block_sizes_agree(monkeypatch, desc, exps, sampler, trials, weak):
+    """The report, its trials CSV and its skipped jobs with blocks of one
+    trial, of three and of the default ``BLOCK_LEAVES``."""
+    default = normlab.BLOCK_LEAVES
+    outs = []
+    for leaves in (1 << sampler.depth, 3 << sampler.depth, default):
+        monkeypatch.setattr(normlab, "BLOCK_LEAVES", leaves)
+        report = normlab._run_experiment(desc, exps, sampler, trials, weak)
+        outs.append((report.to_json(), report.trials_csv(), report.skipped_jobs))
+    assert outs[0] == outs[1] == outs[2]
+    return report
+
+
+class TestBlocks:
+    """The random trials are measured a block of ``BLOCK_LEAVES`` leaves per
+    slot at a time; the report does not depend on the block size.  At depth
+    4 the default block holds 64 trials, so 10 trials are one block of it
+    and blocks of 1, 3, 3, 3 of the others."""
+
+    DEPTH = 4
+    TRIALS = 10
+
+    def descriptor(self, kind, bits, b_scale=1.0):
+        rng = random.Random(kind)
+        n = 1 << self.DEPTH
+        b = StepFunction.from_values(
+            [b_scale * rng.uniform(-1.0, 1.0) for _ in range(n)], FLOAT64
+        )
+        eps = SymbolSequence(
+            default=Fraction(1, 2),
+            entries={i: Fraction(rng.randint(-9, 9), 4) for i in interval_family(self.DEPTH)},
+        )
+        if kind == "paraproduct":
+            return OperatorDescriptor(kind, bits)
+        if kind == "pi_paraproduct":
+            return OperatorDescriptor(kind, bits, b=b)
+        if kind == "multilinear_multiplier":
+            return OperatorDescriptor(kind, bits, symbol=eps)
+        # slot 1 is the only Haar slot: case I, so the extremal family has
+        # no tuple at the universe
+        return OperatorDescriptor(kind, bits, b=b, symbol=eps, slot=1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_every_kind_and_family(self, monkeypatch, kind, family, weak):
+        desc = self.descriptor(kind, (0, 1))
+        exps = ExponentTuple((1, 2) if weak else (2, 3))
+        sampler = SamplerSpec(family, self.DEPTH, seed=5)
+        report = block_sizes_agree(monkeypatch, desc, exps, sampler, self.TRIALS, weak)
+        if family == "extremal" and kind == "commutator":
+            assert any(ratio is None for _, ratio in report.trial_ratios[: self.TRIALS])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_strong_quasinorm_below_one(self, monkeypatch, family):
+        desc = self.descriptor("multilinear_multiplier", (0, 0, 1))
+        exps = ExponentTuple((1, 3, 2))
+        assert exps.r < 1
+        sampler = SamplerSpec(family, self.DEPTH, seed=6)
+        block_sizes_agree(monkeypatch, desc, exps, sampler, 7, False)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_all_ones_paraproduct(self, monkeypatch, family, weak):
+        # sigma = 0: each trial's output is one constant
+        desc = self.descriptor("paraproduct", (1, 1))
+        exps = ExponentTuple((1, 2) if weak else (2, 2))
+        sampler = SamplerSpec(family, self.DEPTH, seed=7)
+        block_sizes_agree(monkeypatch, desc, exps, sampler, self.TRIALS, weak)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_output_powers_past_the_float_range(self, monkeypatch, family):
+        # |b| near 1e200 at p = 4,4: the fourth powers of the output
+        # overflow, so each tree takes the scaled power mean on its own
+        desc = self.descriptor("pi_paraproduct", (0, 1), b_scale=1e200)
+        exps = ExponentTuple((4, 4))
+        sampler = SamplerSpec(family, self.DEPTH, seed=8)
+        report = block_sizes_agree(monkeypatch, desc, exps, sampler, self.TRIALS, False)
+        assert math.isfinite(report.best_ratio) and report.best_ratio > 1e150
