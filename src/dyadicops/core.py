@@ -238,6 +238,11 @@ class StepFunction:
             raise ShapeError(f"depth mismatch: {self.depth} vs {other.depth}")
         if self.mode != other.mode:
             raise ShapeError(f"mode mismatch: {self.mode} vs {other.mode}")
+        if len(self.values) != len(other.values):
+            raise ShapeError(
+                f"inputs are forests of {tree_count(self)} and "
+                f"{tree_count(other)} trees"
+            )
 
     def __add__(self, other):
         if not isinstance(other, StepFunction):
@@ -451,7 +456,13 @@ def tree_count(f: StepFunction | SupportView) -> int:
 
 def forest(fs: Sequence[StepFunction]) -> StepFunction:
     """The StepFunctions fs, of one depth and mode, side by side as one
-    forest; fs[0] itself when it is alone."""
+    forest; fs[0] itself when it is alone.
+
+    The pointwise algebra (``+``, ``-``, ``*`` and ``inner_product``) takes
+    two functions of as many trees and refuses any other pair with a
+    ShapeError: a one-tree function is not tiled against a forest.  The
+    operators tile b and their tables themselves.
+    """
     if len(fs) == 1:
         return fs[0]
     values = list(chain.from_iterable(f.values for f in fs))
@@ -789,6 +800,9 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
 
     size(v) is |v| in f's own scalars, so the mean is exact in rational
     mode for an integer k; with a ``top`` it is the float |v| / top.
+    Without a ``top``, a float64 power with k = 1 is |v| and with k = 2 it
+    is v * v, correctly rounded, which overflows to inf rather than raise;
+    every other power is ``**``, a libm ``pow``.
     Floats add with ``scalars.total``, correctly rounded, so the mean does
     not depend on the interpreter, and a view's equals its expansion's:
     each run's leaf count is a power of two.
@@ -796,8 +810,15 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
     runs = list(block_runs(f))
     if top is None:
         mode = f.mode
-        terms = [abs(v) ** k for v in f.values]
-        terms += [abs(v) ** k * c for v, c in runs]
+        if mode == FLOAT64 and k == 1:
+            terms = list(map(abs, f.values))
+            terms += [abs(v) * c for v, c in runs]
+        elif mode == FLOAT64 and k == 2:
+            terms = [v * v for v in f.values]
+            terms += [v * v * c for v, c in runs]
+        else:
+            terms = [abs(v) ** k for v in f.values]
+            terms += [abs(v) ** k * c for v, c in runs]
     else:
         mode = FLOAT64
         terms = [(abs(x) / top) ** k for x in map(float, f.values)]
@@ -827,6 +848,9 @@ def lp_norm_pow(f: StepFunction | SupportView, p):
     else:
         k = float(q)
     (mean,) = _power_mean_pow(f, k)
+    if f.mode == FLOAT64 and mean == math.inf:
+        # v * v overflows to inf, where the libm pow of other powers raises
+        raise OverflowError(f"|f| ** {k} exceeds the float64 range")
     return mean
 
 
@@ -866,8 +890,10 @@ def power_mean(f: StepFunction | SupportView, q: Fraction):
     pf = float(q)
     own = q.denominator == 1 and q.numerator <= _MAX_EXACT_POWER
     trees = tree_count(f)
+    # a float64 f needs no top: (|x| / 1.0) ** k is |x| ** k
+    plain = own or f.mode == FLOAT64
     try:
-        means = [float(m) for m in _power_mean_pow(f, pf, None if own else 1.0)]
+        means = [float(m) for m in _power_mean_pow(f, pf, None if plain else 1.0)]
     except OverflowError:
         if trees > 1:
             return [power_mean(tree(f, k), q) for k in range(trees)]

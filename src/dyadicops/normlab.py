@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from operator import mul
 from typing import Sequence
 
@@ -223,17 +224,30 @@ def random_rational_step(rng: random.Random, depth: int) -> StepFunction:
     return StepFunction._raw(depth, vals, RATIONAL)
 
 
-def _choices(rng: random.Random, pair: tuple, count: int) -> list:
-    """``[rng.choice(pair) for _ in range(count)]``, drawing as ``choice``
-    does: getrandbits(2) until the result is below 2, then that index."""
-    bits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = bits(2)
-        while r > 1:
-            r = bits(2)
-        out.append(pair[r])
-    return out
+# random.choice over two entries takes getrandbits(2), the top two bits of
+# one 32-bit word, until it is below 2: the word's top byte is then below
+# 0x80 and its bit 6 is the index
+_SIGN_INDEX = bytes((byte >> 6) & 1 for byte in range(256))
+_REDRAWN = bytes(range(0x80, 0x100))
+
+
+def _sign_indices(rng: random.Random, count: int) -> bytes:
+    """The indices, 0 or 1, of ``[rng.choice(pair) for _ in range(count)]``
+    for any two-entry pair, from one ``randbytes`` call as a rule.
+
+    ``randbytes(4 * w)`` holds the next w words in the order drawn, each
+    little end first, so every fourth byte from byte 3 is a word's top
+    byte; ``translate`` deletes the top bytes of the words that ``choice``
+    redraws and maps the others to their index.  A call draws about twice
+    the words that ``count`` needs, and a short draw draws again, where the
+    stream goes on exactly.  The rng is thus left past where ``choice``
+    would leave it: the caller must read nothing more from it.
+    """
+    out = b""
+    while len(out) < count:
+        words = 2 * (count - len(out)) + 64
+        out += rng.randbytes(4 * words)[3::4].translate(_SIGN_INDEX, _REDRAWN)
+    return out[:count]
 
 
 @dataclass(frozen=True)
@@ -290,25 +304,29 @@ class SamplerSpec:
         if self.family == "rademacher-haar":
             cap = self.level_cap if self.level_cap is not None else self.depth - 1
             mags = [2.0 ** (level / 2.0) for level in range(cap + 1)]
-            unused = [[0.0] * (1 << level) for level in range(cap + 1, self.depth)]
-            out = []
+            # rng.choice((-1.0, 1.0)) * mag is one of -mag and mag
+            pairs = [(-mag, mag) for mag in mags]
+            # every sign of the trial, slot by slot and level by level, from
+            # one draw that over-draws: this trial's rng is not read again
+            signs = iter(_sign_indices(rng, m * ((2 << cap) - 1)))
+            rows = [[] for _ in pairs]
             for _ in range(m):
-                # rng.choice((-1.0, 1.0)) * mag is one of -mag and mag
-                terms = [
-                    _choices(rng, (-mag, mag), 1 << level)
-                    for level, mag in enumerate(mags)
-                ]
-                vals = haar_sum(0.0, terms + unused, True)
-                out.append(StepFunction._raw(self.depth, vals, FLOAT64))
-            return out
+                for level, (row, pair) in enumerate(zip(rows, pairs)):
+                    row += [pair[i] for i in islice(signs, 1 << level)]
+            rows += [[0.0] * (m << level) for level in range(cap + 1, self.depth)]
+            # the m functions as one forest: one haar_sum pass
+            f = StepFunction._raw(self.depth, haar_sum(0.0, rows, True), FLOAT64)
+            return [tree(f, k) for k in range(m)]
         if self.family == "indicator":
             out = []
             for j in range(m):
                 interval = self._random_interval(rng)
                 scale = 2.0 ** (interval.level / float(exponents.p[j]))
-                out.append(
-                    StepFunction.indicator(interval, self.depth, FLOAT64).scale(scale)
-                )
+                span = interval.leaf_span(self.depth)
+                # the indicator times scale > 0, whose scale * 0.0 is 0.0
+                vals = [0.0] * n
+                vals[span.start:span.stop] = [scale] * len(span)
+                out.append(StepFunction._raw(self.depth, vals, FLOAT64))
             return out
         # extremal: the sharp family at a random interval, on the full grid
         interval = self._random_interval(rng)

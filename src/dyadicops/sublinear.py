@@ -127,8 +127,9 @@ def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
     """table[level][pos] = average over the interval of |b - <b>_I|**r.
 
     For r = 1 each interval adds |b - <b>_I| over its leaves
-    (``_centered_rows``) with ``scalars.total``.  For r = 2 the table
-    follows the pairwise rule of Chan, Golub & LeVeque (1979),
+    (``_centered_rows``) with ``scalars.total``, and the leaf row, where
+    <b>_I is b, is zero.  For r = 2 the table follows the pairwise rule of
+    Chan, Golub & LeVeque (1979),
     M(I) = (M(L) + M(R))/2 + ((<b>_R - <b>_L)/2)**2: no large terms cancel,
     and it is exact in rational mode.  A float64 b is first shifted by its
     mean, so that its averages carry no digits of a common offset.
@@ -145,7 +146,8 @@ def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
             terms.append([d * d for d in gaps])
         return _pairwise_means(terms, b.mode)
     table = []
-    for level, row in enumerate(_centered_rows(b)):
+    # zip stops before the leaf row, which is not built
+    for level, row in zip(range(b.depth), _centered_rows(b)):
         width = 1 << (b.depth - level)
         scale = scalars.reciprocal(width, b.mode)
         mags = map(abs, row)  # each interval takes the next width leaves
@@ -153,6 +155,7 @@ def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
             scalars.total(islice(mags, width), b.mode) * scale
             for _ in range(1 << level)
         ])
+    table.append([scalars.zero(b.mode)] * (1 << b.depth))
     return table
 
 

@@ -6,6 +6,7 @@ the package uses, so agreement is meaningful.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from dyadicops import (
@@ -17,7 +18,7 @@ from dyadicops import (
     interval_family,
 )
 from dyadicops import scalars
-from dyadicops.core import SupportView, coefficient_table
+from dyadicops.core import SupportView, block_runs, coefficient_table
 from dyadicops.scalars import FLOAT64, RATIONAL, frac_sqrt
 from dyadicops.scalars import one as scalar_one, zero as scalar_zero
 
@@ -104,6 +105,28 @@ def divided_lp_norm_pow(f: StepFunction, k: int) -> float:
     """Float64 ``lp_norm_pow`` for an int k: the correctly rounded sum of
     |v| ** k over the expanded leaves, divided by 2**depth."""
     return math.fsum(abs(v) ** k for v in f.expand().values) / (1 << f.depth)
+
+
+def pow_power_mean(f, q) -> float:
+    """Float64 ``power_mean`` of one tree with a libm ``pow`` for every
+    power: the correctly rounded mean of |v| ** q over the leaves and the
+    block runs of f, to the power 1/q, and M * (mean of (|v| / M) ** q)
+    ** (1/q) with M = max |f| when a power overflows or the mean leaves
+    the normal floats."""
+    pf = float(q)
+    sizes = [(abs(v), 1) for v in f.values] + [(abs(v), c) for v, c in block_runs(f)]
+
+    def mean(top):
+        return math.fsum((v / top) ** pf * c for v, c in sizes) / (1 << f.depth)
+
+    try:
+        plain = mean(1.0)
+    except OverflowError:
+        plain = math.inf
+    if sys.float_info.min <= plain < math.inf:
+        return plain ** (1.0 / pf)
+    top = max(v for v, _ in sizes)
+    return top * mean(top) ** (1.0 / pf) if top else 0.0
 
 
 def naive_haar_power_value(interval, leaf, sigma, depth, mode=RATIONAL):
@@ -375,8 +398,9 @@ def loop_square_sq(f: StepFunction) -> StepFunction:
 
 
 def loop_rademacher_haar(sampler, trial: int, m: int) -> list:
-    """The rademacher-haar draw of ``SamplerSpec.draw_tuple``: the same rng
-    calls in (function, level, pos) order, each +-1 Haar term added leaf by
+    """The rademacher-haar draw of ``SamplerSpec.draw_tuple`` one sign at a
+    time: an ``rng.choice`` per +-1 Haar term in (function, level, pos)
+    order, the stream that the batched draw keeps, each term added leaf by
     leaf."""
     rng = sampler._rng(trial)
     depth = sampler.depth
@@ -396,6 +420,22 @@ def loop_rademacher_haar(sampler, trial: int, m: int) -> list:
                 for leaf in range(start + half, start + width):
                     vals[leaf] += c
         out.append(StepFunction._raw(depth, vals, FLOAT64))
+    return out
+
+
+def scaled_indicator_draw(sampler, trial: int, exponents) -> list:
+    """The indicator draw of ``SamplerSpec.draw_tuple`` as it was built: a
+    random interval per slot, its indicator scaled to unit L^p norm with
+    ``StepFunction.indicator(...).scale(...)``."""
+    rng = sampler._rng(trial)
+    out = []
+    for p in exponents.p:
+        level = rng.randrange(sampler.depth)
+        interval = DyadicInterval(level, rng.randrange(1 << level))
+        scale = 2.0 ** (interval.level / float(p))
+        out.append(
+            StepFunction.indicator(interval, sampler.depth, FLOAT64).scale(scale)
+        )
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -26,11 +27,16 @@ from dyadicops import (
     weak_lp_quasinorm_pow,
 )
 from dyadicops.core import (
+    SupportView,
     _weak_candidates,
     average_table,
+    block_runs,
     coefficient_table,
+    forest,
     interval_integrals,
     power_mean,
+    tree,
+    tree_count,
 )
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.scalars import FLOAT64, RATIONAL
@@ -45,6 +51,7 @@ from oracles import (
     naive_haar,
     naive_integral,
     naive_weak_lr,
+    pow_power_mean,
     random_rationals,
 )
 
@@ -495,6 +502,134 @@ class TestNorms:
         assert weak_lp_quasinorm(f, 1) == max(
             abs(v) * Fraction(sum(abs(w) >= abs(v) for w in vals), 16) for v in vals
         )
+
+
+def hexes(got) -> list:
+    """The bits of a float or of a forest's list of floats."""
+    return [v.hex() for v in (got if isinstance(got, list) else [got])]
+
+
+# a magnitude of each kind of size; "zeros" gives +0.0 and -0.0
+SIZES = {
+    "plain": lambda rng: rng.random(),
+    "random": lambda rng: rng.random() * 10.0 ** rng.randint(-300, 300),
+    "subnormal": lambda rng: rng.random() * sys.float_info.min,
+    "zeros": lambda rng: 0.0,
+    "huge": lambda rng: rng.uniform(0.5, 1.5) * 1e300,
+    "tiny": lambda rng: rng.uniform(0.5, 1.5) * 1e-300,
+    "past-square": lambda rng: rng.uniform(0.5, 1.5) * 1e160,  # v * v is inf
+    "below-square": lambda rng: rng.uniform(0.5, 1.5) * 1e-170,  # v * v is 0
+}
+
+
+def sized_values(rng, n, kind):
+    """n float64 leaf values of one kind of size, with random signs."""
+    size = SIZES[kind]
+    return [rng.choice((-1.0, 1.0)) * size(rng) for _ in range(n)]
+
+
+def random_view(rng, depth, kind):
+    """A float64 SupportView on a random interval below the universe whose
+    blocks mix constants and leaf tuples."""
+    level = rng.randint(1, depth)
+    support = DyadicInterval(level, rng.randrange(1 << level))
+    blocks = []
+    for k in range(level):
+        width = 1 << (depth - k - 1)
+        if rng.random() < 0.5:
+            blocks.append(sized_values(rng, 1, kind)[0])
+        else:
+            blocks.append(tuple(sized_values(rng, width, kind)))
+    values = sized_values(rng, 1 << (depth - level), kind)
+    return SupportView(depth, support, tuple(values), tuple(blocks), FLOAT64)
+
+
+KINDS_OF_SIZE = ("plain", "random", "subnormal", "zeros", "huge", "tiny")
+
+
+class TestFloatPowerSums:
+    """At p = 1 a float64 power is |v| and at p = 2 it is v * v; the
+    oracle takes a libm pow for every power."""
+
+    @pytest.mark.parametrize("kind", KINDS_OF_SIZE)
+    def test_l1_keeps_the_pow_bits(self, kind):
+        rng = random.Random(kind)
+        for depth in range(1, 8):
+            trees = [
+                StepFunction.from_values(sized_values(rng, 1 << depth, kind), FLOAT64)
+                for _ in range(rng.randint(1, 4))
+            ]
+            functions = [*trees, forest(trees), random_view(rng, depth, kind)]
+            for f in functions:
+                want = [pow_power_mean(tree(f, k), 1) for k in range(tree_count(f))]
+                for got in (lp_norm(f, 1), power_mean(f, Fraction(1))):
+                    assert hexes(got) == hexes(want), (kind, depth)
+
+    @pytest.mark.parametrize("kind", ("plain", "random", "huge", "tiny"))
+    def test_l2_sums_the_products(self, kind):
+        rng = random.Random(kind)
+        for depth in range(1, 8):
+            for f in (
+                StepFunction.from_values(sized_values(rng, 1 << depth, kind), FLOAT64),
+                random_view(rng, depth, kind),
+            ):
+                got = lp_norm(f, 2)
+                terms = [v * v for v in f.values]
+                terms += [v * v * c for v, c in block_runs(f)]
+                mean = math.fsum(terms) / (1 << depth)
+                if sys.float_info.min <= mean < math.inf:
+                    assert got.hex() == (mean ** 0.5).hex()
+                want = pow_power_mean(f, 2)
+                assert abs(got - want) <= math.ulp(want), (kind, depth)
+
+    def test_squares_are_the_products(self):
+        # each draw whose libm pow(|v|, 2.0) is not v * v, where this
+        # platform's pow rounds so, alone among zeros, then plain draws
+        rng = random.Random(2)
+        draws = [rng.uniform(-1.0, 1.0) for _ in range(20_000)]
+        odd = [v for v in draws if v * v != abs(v) ** 2.0]
+        for depth in range(1, 5):
+            n = 1 << depth
+            rows = [[v] + [0.0] * (n - 1) for v in odd]
+            rows += [draws[start:start + n] for start in range(0, 40 * n, n)]
+            for row in rows:
+                f = StepFunction.from_values(row, FLOAT64)
+                want = math.fsum(v * v for v in row) / n
+                assert lp_norm_pow(f, 2).hex() == want.hex()
+                assert power_mean(f, Fraction(2)).hex() == (want ** 0.5).hex()
+
+    @pytest.mark.parametrize("kind", ("past-square", "below-square"))
+    def test_squares_past_the_float_range_take_the_fallback(self, kind):
+        rng = random.Random(kind)
+        for depth in range(1, 8):
+            f = StepFunction.from_values(sized_values(rng, 1 << depth, kind), FLOAT64)
+            mean = math.fsum(v * v for v in f.values) / (1 << depth)
+            assert mean == math.inf or mean < sys.float_info.min
+            for q in (2, 3, 4):
+                assert lp_norm(f, q).hex() == pow_power_mean(f, q).hex(), (depth, q)
+            view = random_view(rng, depth, kind)
+            assert lp_norm(view, 2).hex() == pow_power_mean(view, 2).hex()
+
+    @pytest.mark.parametrize("kind", ("past-square", "below-square"))
+    def test_one_tree_past_the_range_among_plain_ones(self, kind):
+        rng = random.Random(kind)
+        for depth in range(1, 7):
+            trees = [
+                StepFunction.from_values(sized_values(rng, 1 << depth, size), FLOAT64)
+                for size in ("plain", kind, "plain", "zeros")
+            ]
+            for q in (1, 2, Fraction(5, 2), 3):
+                got = power_mean(forest(trees), q)
+                assert hexes(got) == hexes([power_mean(t, q) for t in trees])
+            assert power_mean(trees[1], 2).hex() == pow_power_mean(trees[1], 2).hex()
+
+    def test_lp_norm_pow_refuses_squares_past_the_float_range(self):
+        f = StepFunction.from_values([1e160, -2e160], FLOAT64)
+        with pytest.raises(OverflowError):
+            lp_norm_pow(f, 2)
+        with pytest.raises(OverflowError):
+            lp_norm_pow(f, 3)
+        assert lp_norm_pow(f, 1) == 1.5e160
 
 
 class TestJsonFormats:

@@ -19,6 +19,7 @@ from dyadicops import (
     StepFunction,
     SymbolSequence,
     commutator,
+    inner_product,
     interval_family,
     lp_norm,
     multilinear_multiplier,
@@ -133,6 +134,39 @@ class TestOperatorsOnForests:
         three = forest([random_function(rng, 2, FLOAT64) for _ in range(3)])
         with pytest.raises(ShapeError):
             paraproduct((0, 1), [two, three])
+
+
+class TestPointwiseAlgebraOfForests:
+    """``+``, ``-``, ``*`` and ``inner_product`` take two functions of as
+    many trees, and refuse a one-tree function against a forest."""
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_one_tree_against_a_forest_is_refused(self, mode):
+        rng = random.Random(6)
+        for depth in range(1, 5):
+            b = random_function(rng, depth, mode)
+            f = forest([random_function(rng, depth, mode) for _ in range(3)])
+            for op in (
+                lambda: b * f, lambda: f * b, lambda: f + b, lambda: b + f,
+                lambda: f - b, lambda: b - f,
+                lambda: inner_product(f, b), lambda: inner_product(b, f),
+            ):
+                with pytest.raises(ShapeError, match="forests of"):
+                    op()
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_forests_of_as_many_trees_combine_tree_by_tree(self, mode):
+        rng = random.Random(7)
+        for depth in range(1, 5):
+            fs = [random_function(rng, depth, mode) for _ in range(3)]
+            gs = [random_function(rng, depth, mode) for _ in range(3)]
+            f, g = forest(fs), forest(gs)
+            for got, want in (
+                (f * g, [x * y for x, y in zip(fs, gs)]),
+                (f + g, [x + y for x, y in zip(fs, gs)]),
+                (f - g, [x - y for x, y in zip(fs, gs)]),
+            ):
+                assert got == forest(want)
 
 
 def scaled_function(rng, depth, scale):

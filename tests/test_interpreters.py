@@ -8,7 +8,9 @@ three that draw through each sampler, and a strong run with r < 1 and a
 weak commutator run whose trials are measured in blocks of 16, all under
 every CPython 3.10+ that pyenv has installed, and skips when it finds
 fewer than two; the closed forms that rank the sharp jobs are checked the
-same way.
+same way.  The rademacher-haar runs pin the word order of ``randbytes``,
+whose bytes give the signs, and a ``norms`` run on data whose squares
+overflow pins the fallback of the L^2 and L^3 means.
 """
 
 import json
@@ -73,6 +75,10 @@ def test_reports_match_across_interpreters(tmp_path):
     b_path = tmp_path / "b.json"
     b_values = [rng.uniform(-1, 1) for _ in range(1 << 6)]
     b_path.write_text(json.dumps({"depth": 6, "mode": "float64", "values": b_values}))
+    # squares past the float range: the L^2 and L^3 means take the fallback
+    big_path = tmp_path / "big.json"
+    big = [rng.uniform(-1.5, 1.5) * 1e160 for _ in range(1 << 8)]
+    big_path.write_text(json.dumps({"depth": 8, "mode": "float64", "values": big}))
     commands = [
         ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
@@ -94,6 +100,14 @@ def test_reports_match_across_interpreters(tmp_path):
          "--b", str(b_path), "--symbol-const", "3/2", "--p", "1,2",
          "--family", "random-step", "--trials", "40", "--seed", "3",
          "--dump-trials", str(tmp_path / "weak.csv")],
+        # the signs of a trial come from one randbytes call
+        ["estimate", "--op", "para", "--alpha", "011", "--depth", "6",
+         "--p", "2,3,6", "--family", "rademacher-haar", "--level-cap", "3",
+         "--trials", "30", "--seed", "4", "--dump-trials", str(tmp_path / "capped.csv")],
+        ["estimate", "--op", "pi", "--alpha", "01", "--b", str(b_path), "--p", "1,2",
+         "--family", "indicator", "--trials", "30", "--seed", "5",
+         "--dump-trials", str(tmp_path / "pi-indicator.csv")],
+        ["norms", str(big_path), "--p", "1,2,3"],
     ]
     for argv in commands:
         dumped = [path for path in argv if path.endswith(".csv")]

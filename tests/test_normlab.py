@@ -26,10 +26,21 @@ from dyadicops import (
 from dyadicops import normlab
 from dyadicops.core import MAX_DEPTH
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.normlab import FAMILIES, KINDS, _choices, _lr_quasinorm, random_rational_step
+from dyadicops.normlab import (
+    FAMILIES,
+    KINDS,
+    _lr_quasinorm,
+    _sign_indices,
+    random_rational_step,
+)
 from dyadicops.scalars import FLOAT64, Exact, _canonical
 
-from oracles import fraction_rational_step, uniform_random_step
+from oracles import (
+    fraction_rational_step,
+    loop_rademacher_haar,
+    scaled_indicator_draw,
+    uniform_random_step,
+)
 
 
 class TestExponentTuple:
@@ -157,17 +168,44 @@ class TestSampler:
 
 
 class TestSamplerStreams:
-    """The samplers draw into mode scalars directly, with the same rng
-    calls in the same order as the library calls they stand for."""
+    """The samplers draw into mode scalars directly, the same values from
+    the same rng stream as the library calls they stand for; the
+    rademacher-haar signs take the stream's words in one batch."""
 
-    def test_choices_is_rng_choice(self):
-        for seed in range(1000):
-            got, want = random.Random(seed), random.Random(seed)
-            count = seed % 40
-            assert _choices(got, (-1.0, 1.0), count) == [
-                want.choice((-1.0, 1.0)) for _ in range(count)
-            ]
-            assert got.getstate() == want.getstate()
+    def test_sign_indices_are_rng_choice(self):
+        # 892 of these 50,000 draws come up short and draw again
+        for seed in range(50):
+            rng = random.Random(seed)
+            want = [rng.choice((0, 1)) for _ in range(1000)]
+            for count in range(1, 1001):
+                got = _sign_indices(random.Random(seed), count)
+                assert list(got) == want[:count], (seed, count)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_rademacher_haar_is_the_choice_draw(self, depth):
+        # 200 trials for each m, which take every level cap in turn
+        caps = (None, *range(depth))
+        specs = [SamplerSpec("rademacher-haar", depth, depth, cap) for cap in caps]
+        for m in (1, 2, 3):
+            d = OperatorDescriptor("paraproduct", (0,) + (1,) * (m - 1))
+            e = ExponentTuple((3,) * m)
+            for trial in range(200):
+                spec = specs[trial % len(specs)]
+                got = spec.draw_tuple(trial, d, e)
+                want = loop_rademacher_haar(spec, trial, m)
+                assert got == want, (spec.level_cap, m, trial)
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_indicator_is_the_scaled_indicator(self, depth):
+        spec = SamplerSpec("indicator", depth, seed=depth)
+        for p in ("1", "3/2,2", "1,3,7/3"):
+            e = ExponentTuple.from_string(p)
+            d = OperatorDescriptor("paraproduct", (0,) + (1,) * (e.m - 1))
+            for trial in range(200):
+                got = spec.draw_tuple(trial, d, e)
+                want = scaled_indicator_draw(spec, trial, e)
+                assert got == want and repr(got) == repr(want), (p, trial)
 
     @pytest.mark.parametrize("depth,m", [(1, 1), (3, 2), (6, 3)])
     def test_random_step_is_rng_uniform(self, depth, m):
