@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate, chain, repeat
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -800,9 +800,9 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
 
     size(v) is |v| in f's own scalars, so the mean is exact in rational
     mode for an integer k; with a ``top`` it is the float |v| / top.
-    Without a ``top``, a float64 power with k = 1 is |v| and with k = 2 it
-    is v * v, correctly rounded, which overflows to inf rather than raise;
-    every other power is ``**``, a libm ``pow``.
+    Without a ``top``, a power with k = 1 is |v|, and a float64 power with
+    k = 2 is v * v, correctly rounded, which overflows to inf rather than
+    raise; every other power is ``**``, a libm ``pow`` for a float.
     Floats add with ``scalars.total``, correctly rounded, so the mean does
     not depend on the interpreter, and a view's equals its expansion's:
     each run's leaf count is a power of two.
@@ -810,7 +810,7 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
     runs = list(block_runs(f))
     if top is None:
         mode = f.mode
-        if mode == FLOAT64 and k == 1:
+        if k == 1:
             terms = list(map(abs, f.values))
             terms += [abs(v) * c for v, c in runs]
         elif mode == FLOAT64 and k == 2:
@@ -909,11 +909,37 @@ def power_mean(f: StepFunction | SupportView, q: Fraction):
     return out if trees > 1 else out[0]
 
 
+def weak_power_mean(f: StepFunction | SupportView, q):
+    """The weak-L^q quasinorm of each tree of f, max over t > 0 of
+    t * |{|f| >= t}| ** (1/q), as a float for a finite q > 0; a forest of
+    several trees (``tree_count``) gets the list of its trees' values.
+
+    Each tree's |values|, in floats, sorted largest first, give v * (k / n)
+    ** (1/q) at rank k of n leaves, the last of a run of ties counting them
+    all; the trees of a StepFunction share one table of these steps, and a
+    view's block runs count their leaves.
+    """
+    inv = 1.0 / float(q)
+    n = 1 << f.depth
+    values = f.values if f.mode == FLOAT64 else list(map(float, f.values))
+    if f.blocks:
+        blocks = [(abs(float(v)), c) for v, c in block_runs(f)]
+        runs = sorted(chain(zip(map(abs, values), repeat(1)), blocks), reverse=True)
+        ranks = accumulate(c for _, c in runs)
+        return max(v * (k / n) ** inv for (v, _), k in zip(runs, ranks))
+    steps = [(k / n) ** inv for k in range(1, n + 1)]
+    out = [
+        max(map(mul, sorted(map(abs, values[start:start + n]), reverse=True), steps))
+        for start in range(0, len(values), n)
+    ]
+    return out if len(out) > 1 else out[0]
+
+
 @_kept
 def _weak_candidates(f: StepFunction | SupportView):
-    """Pairs (v, measure of {|f| >= v}) for the distinct nonzero |values|,
-    largest v first; a SupportView is read from its runs.  Kept on f, so
-    the weak quasinorms for several p sort |f| once."""
+    """Pairs (v, Fraction measure of {|f| >= v}) for the distinct nonzero
+    |values|, largest v first; a SupportView is read from its runs.  Kept
+    on f, so the exact weak quasinorms for several p sort |f| once."""
     n = 1 << f.depth
     counts = Counter(map(abs, f.values))
     for v, c in block_runs(f):
@@ -921,26 +947,24 @@ def _weak_candidates(f: StepFunction | SupportView):
     counts.pop(scalars.zero(f.mode), None)
     mags = sorted(counts, reverse=True)
     totals = accumulate(map(counts.__getitem__, mags))
-    if f.mode == RATIONAL:
-        return [(v, Fraction(t, n)) for v, t in zip(mags, totals)]
-    return [(v, t / n) for v, t in zip(mags, totals)]
+    return [(v, Fraction(t, n)) for v, t in zip(mags, totals)]
 
 
 def weak_lp_quasinorm(f: StepFunction, p):
     """sup over t > 0 of t * |{|f| > t}|**(1/p), attained at value jumps.
 
-    Exact in rational mode for p = 1; computed in floats otherwise.
+    Exact in rational mode for p = 1; otherwise the float
+    ``weak_power_mean``, which gives a forest of several trees the list of
+    their quasinorms.
     """
     q = _normalize_p(p)
     if q is None:
         raise ValueError("weak quasinorm needs a finite exponent")
-    candidates = _weak_candidates(f)
-    if not candidates:
-        return scalars.zero(f.mode)
     if f.mode == RATIONAL and q == 1:
-        return max(v * m for v, m in candidates)
-    pf = float(q)
-    return max(float(v) * float(m) ** (1.0 / pf) for v, m in candidates)
+        return max(
+            (v * m for v, m in _weak_candidates(f)), default=scalars.zero(RATIONAL)
+        )
+    return weak_power_mean(f, q)
 
 
 def weak_lp_quasinorm_pow(f: StepFunction, p):
@@ -949,7 +973,6 @@ def weak_lp_quasinorm_pow(f: StepFunction, p):
     if q is None or q.denominator != 1:
         raise ValueError(f"exact weak quasinorm powers need an integer p, got {p}")
     k = q.numerator
-    candidates = _weak_candidates(f)
-    if not candidates:
-        return scalars.zero(f.mode)
-    return max((v ** k) * m for v, m in candidates)
+    return max(
+        ((v ** k) * m for v, m in _weak_candidates(f)), default=scalars.zero(f.mode)
+    )

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import mul
 from typing import Sequence
 
 from . import __version__, scalars
@@ -27,7 +26,6 @@ from .core import (
     DyadicInterval,
     StepFunction,
     SupportView,
-    _weak_candidates,
     canonical_json,
     check_depth,
     forest,
@@ -38,6 +36,7 @@ from .core import (
     power_mean,
     tree,
     tree_count,
+    weak_power_mean,
 )
 from .errors import ResolutionError, ShapeError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
@@ -164,7 +163,8 @@ class OperatorDescriptor:
             raise ShapeError(f"alpha has {m} slots but got {len(fs)} functions")
         if self.kind == "commutator":
             t = replace(self, kind="multilinear_multiplier", b=None, slot=None)
-            b, i = self.b, self.slot
+            # b once per tree of a forest, as ``commutator`` tiles it
+            b, i = forest([self.b] * tree_count(g)), self.slot
             t_bg = t.adjoint(slot, fs, b * g)
             if slot == i:
                 return b * t.adjoint(slot, fs, g) - t_bg
@@ -303,7 +303,7 @@ class SamplerSpec:
             ]
         if self.family == "rademacher-haar":
             cap = self.level_cap if self.level_cap is not None else self.depth - 1
-            mags = [2.0 ** (level / 2.0) for level in range(cap + 1)]
+            mags = [scalars.root2_power(level, FLOAT64) for level in range(cap + 1)]
             # rng.choice((-1.0, 1.0)) * mag is one of -mag and mag
             pairs = [(-mag, mag) for mag in mags]
             # every sign of the trial, slot by slot and level by level, from
@@ -389,29 +389,6 @@ def necessity_case(alpha, slot: int) -> str:
     return "II"
 
 
-def _oscillations(values: list, width: int, r: float, weak: bool) -> list[float]:
-    """For each interval I of ``width`` leaves, in leaf order: |I|**(-1/r)
-    times the L^r quasinorm of the function with the values of I on I and
-    zero elsewhere, or its weak-L^r quasinorm when ``weak``.  The largest
-    |value| on I scales the power mean, which thus neither overflows nor
-    underflows."""
-    inv = 1.0 / r
-    steps = [(k / width) ** inv for k in range(1, width + 1)]
-    out = []
-    for start in range(0, len(values), width):
-        mags = list(map(abs, values[start:start + width]))
-        top = max(mags)
-        if not top:
-            out.append(0.0)
-        elif weak:
-            mags.sort(reverse=True)
-            out.append(max(map(mul, mags, steps)))
-        else:
-            powers = [(v / top) ** r for v in mags]
-            out.append(top * (scalars.total(powers, FLOAT64) / width) ** inv)
-    return out
-
-
 def commutator_sharp_forms(
     descriptor: "OperatorDescriptor", exponents: ExponentTuple, weak: bool
 ) -> list:
@@ -423,14 +400,17 @@ def commutator_sharp_forms(
     is +-2**((level - 1)(m - 1)/2) (B - <B>_I) 1_I with B = T_eps b, the
     one-slot multiplier, so the ratio is 2**(-sum of 1/p_j over the slots
     j other than i) times the oscillation of B on I.  The oscillation of f
-    on I is |I|**(-1/r) times the (weak) L^r quasinorm of (f - <f>_I) 1_I.
+    on I is |I|**(-1/r) times the (weak) L^r quasinorm of (f - <f>_I) 1_I,
+    the ``power_mean`` (``weak_power_mean``) of f - <f>_I over I's leaves:
+    a level's centered row (``_centered_rows``) is one forest of 2**level
+    such trees of depth ``depth - level``.
 
     The L^r quasinorm with r < 1 is not Lipschitz at 0: where the operator
     leaves a rounding error in place of a zero, its ratio moved by up to
     1.8e-6 of the largest closed form (r = 1/3, integer-valued b), far past
     ``RANK_WINDOW``, so those runs keep every job.
     """
-    b, slot, r = descriptor.b, descriptor.slot, float(exponents.r)
+    b, slot, r = descriptor.b, descriptor.slot, exponents.r
     depth = b.depth
     n = 1 << depth
     case = necessity_case(descriptor.alpha, slot)
@@ -443,9 +423,11 @@ def commutator_sharp_forms(
         others = sum(1 / p for j, p in enumerate(exponents.p) if j != slot - 1)
         # the universe has no parent, so no case-I tuple
         weights = [None] + [2.0 ** -float(others)] * (n - 2)
+    measure = weak_power_mean if weak else power_mean
     forms = []
     for level, row in zip(range(depth), _centered_rows(f)):
-        forms += _oscillations(list(row), n >> level, r, weak)
+        value = measure(StepFunction._raw(depth - level, list(row), f.mode), r)
+        forms += value if level else [value]
     return [None if w is None else w * o for w, o in zip(weights, forms)]
 
 
@@ -543,15 +525,8 @@ def _lr_quasinorm(f: StepFunction | SupportView, r: Fraction):
 
 
 def _weak_lr_quasinorm(f: StepFunction | SupportView, r: Fraction):
-    """The weak-L^r quasinorm; a forest's come as a list, one per tree."""
-    trees = tree_count(f)
-    if trees > 1:
-        return [_weak_lr_quasinorm(tree(f, k), r) for k in range(trees)]
-    rf = float(r)
-    candidates = _weak_candidates(f)
-    if not candidates:
-        return 0.0
-    return max(float(v) * float(m) ** (1.0 / rf) for v, m in candidates)
+    """The weak-L^r quasinorm, r > 0; a forest's come as a list."""
+    return weak_power_mean(f, r)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ the package uses, so agreement is meaningful.
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from dyadicops import (
     UNIVERSE,
@@ -16,9 +18,13 @@ from dyadicops import (
     StepFunction,
     extremal_tuple,
     interval_family,
+    multilinear_multiplier,
+    necessity_case,
 )
 from dyadicops import scalars
 from dyadicops.core import SupportView, block_runs, coefficient_table
+from dyadicops.normlab import multiplier_sharp_forms
+from dyadicops.sublinear import _centered_rows
 from dyadicops.scalars import FLOAT64, RATIONAL, frac_sqrt
 from dyadicops.scalars import one as scalar_one, zero as scalar_zero
 
@@ -278,6 +284,64 @@ def naive_weak_lr(f: StepFunction, r) -> float:
             share = sum(1 for w in mags if w >= v) / len(mags)
             best = max(best, v * share ** (1.0 / rf))
     return best
+
+
+def candidate_weak_lr(f, r) -> float:
+    """The weak-L^r quasinorm of one tree from the distinct nonzero |values|
+    of f, in its own scalars: the largest float(v) times (t / n) ** (1/r),
+    t counting the leaves of the values and block runs where |f| >= v."""
+    n = 1 << f.depth
+    counts = Counter(map(abs, f.values))
+    for v, c in block_runs(f):
+        counts[abs(v)] += c
+    counts.pop(scalar_zero(f.mode), None)
+    mags = sorted(counts, reverse=True)
+    totals = accumulate(map(counts.__getitem__, mags))
+    inv = 1.0 / float(r)
+    return max((float(v) * (t / n) ** inv for v, t in zip(mags, totals)), default=0.0)
+
+
+def scaled_oscillations(values: list, width: int, r: float, weak: bool) -> list:
+    """For each run of ``width`` values, in order: their L^r power mean
+    scaled by the largest |value| M, M * (mean of (|v| / M) ** r) ** (1/r),
+    or, when ``weak``, the largest of their |values| sorted largest first
+    times the steps (k / width) ** (1/r); 0.0 for a run of zeros."""
+    inv = 1.0 / r
+    steps = [(k / width) ** inv for k in range(1, width + 1)]
+    out = []
+    for start in range(0, len(values), width):
+        mags = [abs(v) for v in values[start:start + width]]
+        top = max(mags)
+        if not top:
+            out.append(0.0)
+        elif weak:
+            mags.sort(reverse=True)
+            out.append(max(v * step for v, step in zip(mags, steps)))
+        else:
+            powers = [(v / top) ** r for v in mags]
+            out.append(top * (math.fsum(powers) / width) ** inv)
+    return out
+
+
+def oscillation_forms(descriptor, exponents, weak: bool) -> list:
+    """``commutator_sharp_forms`` with each interval's oscillation taken by
+    ``scaled_oscillations`` from the same centered rows and weights."""
+    b, slot, r = descriptor.b, descriptor.slot, float(exponents.r)
+    depth = b.depth
+    n = 1 << depth
+    case = necessity_case(descriptor.alpha, slot)
+    if (r < 1 and not weak) or (case == "I" and descriptor.arity < 2):
+        return [None] * (n - 1)
+    if case == "II":
+        f, weights = b, multiplier_sharp_forms(descriptor.symbol, depth)
+    else:
+        f = multilinear_multiplier(descriptor.symbol, (0,), [b])
+        others = sum(1 / p for j, p in enumerate(exponents.p) if j != slot - 1)
+        weights = [None] + [2.0 ** -float(others)] * (n - 2)
+    forms = []
+    for level, row in zip(range(depth), _centered_rows(f)):
+        forms += scaled_oscillations(list(row), n >> level, r, weak)
+    return [None if w is None else w * o for w, o in zip(weights, forms)]
 
 
 def dense_sharp_ratio(descriptor, exponents, interval, depth, weak=False):

@@ -37,11 +37,13 @@ from dyadicops.core import (
     power_mean,
     tree,
     tree_count,
+    weak_power_mean,
 )
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.scalars import FLOAT64, RATIONAL
+from dyadicops.scalars import FLOAT64, RATIONAL, coerce
 
 from oracles import (
+    candidate_weak_lr,
     close_to_rational,
     divided_inner_product,
     divided_lp_norm_pow,
@@ -519,6 +521,7 @@ SIZES = {
     "tiny": lambda rng: rng.uniform(0.5, 1.5) * 1e-300,
     "past-square": lambda rng: rng.uniform(0.5, 1.5) * 1e160,  # v * v is inf
     "below-square": lambda rng: rng.uniform(0.5, 1.5) * 1e-170,  # v * v is 0
+    "tied": lambda rng: rng.choice((0.0, 0.5, 1.0, 2.0)),  # ties and zeros
 }
 
 
@@ -630,6 +633,70 @@ class TestFloatPowerSums:
         with pytest.raises(OverflowError):
             lp_norm_pow(f, 3)
         assert lp_norm_pow(f, 1) == 1.5e160
+
+
+WEAK_EXPONENTS = (Fraction(2, 3), 1, Fraction(3, 2), 2, 3)
+
+
+class TestWeakPowerMean:
+    """``weak_power_mean`` sorts each tree's |values| and multiplies them by
+    the steps (k / n) ** (1/q); the oracle counts the leaves at or above
+    each distinct |value|.  They give the same bits."""
+
+    @pytest.mark.parametrize("kind", (*KINDS_OF_SIZE, "tied"))
+    def test_forests_and_views_match_the_distinct_values(self, kind):
+        rng = random.Random(f"weak:{kind}")
+        for depth in range(1, 8):
+            trees = [
+                StepFunction.from_values(sized_values(rng, 1 << depth, kind), FLOAT64)
+                for _ in range(rng.randint(1, 4))
+            ]
+            trees.insert(rng.randint(0, len(trees)), StepFunction.zeros(depth, FLOAT64))
+            view = random_view(rng, depth, kind)
+            for q in WEAK_EXPONENTS:
+                for f in (*trees, forest(trees), view):
+                    want = [candidate_weak_lr(tree(f, k), q) for k in range(tree_count(f))]
+                    assert hexes(weak_power_mean(f, q)) == hexes(want), (kind, depth, q)
+                    if q >= 1:
+                        assert hexes(weak_lp_quasinorm(f, q)) == hexes(want)
+                got = weak_power_mean(view, q)
+                assert got.hex() == weak_power_mean(view.expand(), q).hex()
+
+    def test_signed_zeros_and_ties(self):
+        f = StepFunction.from_values([-0.0, 0.0, 2.0, -2.0, 1.0, -0.0, 2.0, 0.5], FLOAT64)
+        for q in WEAK_EXPONENTS:
+            # 2 on 3/8 of the leaves, 1 on 1/2 and 0.5 on 5/8
+            want = max(2.0 * (3 / 8) ** (1 / float(q)), 1.0 * 0.5 ** (1 / float(q)),
+                       0.5 * (5 / 8) ** (1 / float(q)))
+            assert weak_power_mean(f, q) == want
+        zeros = forest([StepFunction.from_values([-0.0, 0.0], FLOAT64)] * 3)
+        assert hexes(weak_power_mean(zeros, 2)) == [(0.0).hex()] * 3
+
+    def test_rational_functions_go_through_their_floats(self):
+        rng = random.Random(18)
+        for depth in range(1, 7):
+            n = 1 << depth
+            trees = [
+                StepFunction.from_values(random_rationals(rng, n, numer=3, denom=2))
+                for _ in range(3)
+            ]
+            level = rng.randint(1, depth)
+            view = SupportView(
+                depth,
+                DyadicInterval(level, rng.randrange(1 << level)),
+                tuple(coerce(v, RATIONAL) for v in random_rationals(rng, n >> level, 3, 2)),
+                tuple(coerce(Fraction(rng.randint(-3, 3), 2), RATIONAL) for _ in range(level)),
+                RATIONAL,
+            )
+            floats = forest([t.as_float64() for t in trees])
+            for q in WEAK_EXPONENTS:
+                for f in (*trees, forest(trees), view):
+                    want = [candidate_weak_lr(tree(f, k), q) for k in range(tree_count(f))]
+                    assert hexes(weak_power_mean(f, q)) == hexes(want), (depth, q)
+                    if q > 1:
+                        assert hexes(weak_lp_quasinorm(f, q)) == hexes(want)
+                got = weak_power_mean(forest(trees), q)
+                assert hexes(weak_power_mean(floats, q)) == hexes(got)
 
 
 class TestJsonFormats:

@@ -3,10 +3,11 @@
 An experiment measures its random trials a block at a time: the inputs of
 the block's trials, slot by slot, form one forest (``core.forest``), which
 the tables, the operators and the float64 norms take in one pass.  These
-tests hold that pass to the one-function path: each operator's output on a
-forest of K functions is the forest of its outputs on each of them, ``==``
-in rational mode and the same bits in float64, and a forest's power means
-are its trees' power means, the over- and underflow fallbacks included.
+tests hold that pass to the one-function path: each operator's output and
+each adjoint on a forest of K functions is the forest of its outputs on
+each of them, ``==`` in rational mode and the same bits in float64, and a
+forest's power means are its trees' power means, the over- and underflow
+fallbacks included.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadicops import (
+    OperatorDescriptor,
     StepFunction,
     SymbolSequence,
     commutator,
@@ -134,6 +136,44 @@ class TestOperatorsOnForests:
         three = forest([random_function(rng, 2, FLOAT64) for _ in range(3)])
         with pytest.raises(ShapeError):
             paraproduct((0, 1), [two, three])
+
+
+class TestAdjointsOnForests:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_adjoint_is_the_adjoints_side_by_side(self, mode):
+        """Each kind's adjoint in each slot, a commutator's for each of its
+        slots, with g and the fixed slots forests of K trees: b is tiled
+        once per tree, as the commutator itself tiles it."""
+        rng = random.Random(f"adjoint:{mode}")
+        for k in range(1, 6):
+            for _ in range(3):
+                depth = rng.randint(1, 4)
+                m = rng.randint(1, 3)
+                bits = tuple(rng.randint(0, 1) for _ in range(m))
+                haar_bits = bits if 0 in bits else bits[:-1] + (0,)
+                b = random_function(rng, depth, mode)
+                eps = random_symbol(rng, depth)
+                descriptors = [
+                    OperatorDescriptor("paraproduct", haar_bits),
+                    OperatorDescriptor("pi_paraproduct", bits, b=b),
+                    OperatorDescriptor("multilinear_multiplier", haar_bits, symbol=eps),
+                ] + [
+                    OperatorDescriptor("commutator", haar_bits, b=b, symbol=eps, slot=i)
+                    for i in range(1, m + 1)
+                ]
+                tuples = [[random_function(rng, depth, mode) for _ in range(m)]
+                          for _ in range(k)]
+                gs = [random_function(rng, depth, mode) for _ in range(k)]
+                fs, g = [forest(slot) for slot in zip(*tuples)], forest(gs)
+                for d in descriptors:
+                    for slot in range(1, m + 1):
+                        got = d.adjoint(slot, fs, g)
+                        want = [
+                            v for ts, h in zip(tuples, gs)
+                            for v in d.adjoint(slot, ts, h).values
+                        ]
+                        assert tree_count(got) == k, (d.kind, slot)
+                        assert same(list(got.values), want, mode), (d.kind, d.slot, slot)
 
 
 class TestPointwiseAlgebraOfForests:

@@ -10,7 +10,10 @@ every CPython 3.10+ that pyenv has installed, and skips when it finds
 fewer than two; the closed forms that rank the sharp jobs are checked the
 same way.  The rademacher-haar runs pin the word order of ``randbytes``,
 whose bytes give the signs, and a ``norms`` run on data whose squares
-overflow pins the fallback of the L^2 and L^3 means.
+overflow pins the fallback of the L^2 and L^3 means.  A weak commutator
+run on integer-valued b, whose forms sort ties, and a ``norms`` run on a
+rational file pin the one float weak rule, sorted |values| times
+(rank / n) ** (1/p).
 """
 
 import json
@@ -19,6 +22,7 @@ import random
 import re
 import shutil
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +83,12 @@ def test_reports_match_across_interpreters(tmp_path):
     big_path = tmp_path / "big.json"
     big = [rng.uniform(-1.5, 1.5) * 1e160 for _ in range(1 << 8)]
     big_path.write_text(json.dumps({"depth": 8, "mode": "float64", "values": big}))
+    ties_path = tmp_path / "ties.json"
+    ties = [float(rng.randint(-3, 3)) for _ in range(1 << 7)]
+    ties_path.write_text(json.dumps({"depth": 7, "mode": "float64", "values": ties}))
+    exact_path = tmp_path / "exact.json"
+    exact = [str(Fraction(rng.randint(-40, 40), rng.randint(1, 12))) for _ in range(1 << 8)]
+    exact_path.write_text(json.dumps({"depth": 8, "mode": "rational", "values": exact}))
     commands = [
         ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
@@ -108,6 +118,11 @@ def test_reports_match_across_interpreters(tmp_path):
          "--family", "indicator", "--trials", "30", "--seed", "5",
          "--dump-trials", str(tmp_path / "pi-indicator.csv")],
         ["norms", str(big_path), "--p", "1,2,3"],
+        ["weak", "--op", "commutator", "--alpha", "01", "--slot", "1",
+         "--b", str(ties_path), "--symbol-const", "1", "--p", "1,2",
+         "--family", "rademacher-haar", "--trials", "20", "--seed", "6",
+         "--dump-trials", str(tmp_path / "weak-ties.csv")],
+        ["norms", str(exact_path), "--p", "1,3/2,3"],
     ]
     for argv in commands:
         dumped = [path for path in argv if path.endswith(".csv")]

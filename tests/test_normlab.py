@@ -7,6 +7,7 @@ import pytest
 
 from dyadicops import (
     UNIVERSE,
+    AlphaVector,
     DyadicInterval,
     ExperimentReport,
     ExponentTuple,
@@ -20,6 +21,7 @@ from dyadicops import (
     lp_norm,
     necessity_case,
     pairing,
+    sharp_forms,
     sharp_ratio,
     weak_type_ratio,
 )
@@ -37,6 +39,7 @@ from dyadicops.scalars import FLOAT64, Exact, _canonical
 
 from oracles import (
     fraction_rational_step,
+    oscillation_forms,
     loop_rademacher_haar,
     scaled_indicator_draw,
     uniform_random_step,
@@ -482,6 +485,60 @@ class TestClosedFormRatios:
             ratio = _lr_quasinorm(out, e.r)
             expect = abs(float(pairing(b, i, 0))) * math.sqrt(float(1 << i.level))
             assert ratio == pytest.approx(expect, abs=1e-9)
+
+
+# alpha, slot and exponents of commutators in case II and in case I; the
+# strong forms at r < 1 are None
+COMMUTATOR_FORMS = (
+    ("01", 2, "2,2"), ("00", 1, "4,4"), ("011", 3, "3,3,3"),
+    ("01", 1, "3,3/2"), ("10", 2, "2,3"), ("011", 1, "2,4,4"), ("01", 1, "1,2"),
+)
+
+# b's leaf values: uniform, integer-valued (ties and zeros on intervals),
+# and sizes whose squares overflow or underflow
+B_VALUES = {
+    "uniform": lambda rng: rng.uniform(-1, 1),
+    "integer": lambda rng: float(rng.randint(-3, 3)),
+    "huge": lambda rng: rng.uniform(-1, 1) * 1e200,
+    "tiny": lambda rng: rng.uniform(-1, 1) * 1e-170,
+}
+
+
+class TestCommutatorForms:
+    """The commutator's closed forms are the power means and weak
+    quasinorms of forests of centered rows; ``oscillation_forms`` takes
+    each interval's oscillation scaled by its largest |value|."""
+
+    @pytest.mark.parametrize("data", sorted(B_VALUES))
+    def test_forms_match_the_scaled_oscillations(self, data):
+        rng = random.Random(f"forms:{data}")
+        for depth in range(1, 10):
+            b = StepFunction._raw(
+                depth, [B_VALUES[data](rng) for _ in range(1 << depth)], FLOAT64
+            )
+            eps = SymbolSequence(Fraction(1, 2), {
+                i: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                for i in interval_family(depth)
+                if rng.random() < 0.8
+            })
+            for alpha, slot, p in COMMUTATOR_FORMS:
+                d = OperatorDescriptor(
+                    "commutator", AlphaVector.from_string(alpha), b, eps, slot
+                )
+                exps = ExponentTuple.from_string(p)
+                weak = sharp_forms(d, exps, depth, True)
+                assert weak == oscillation_forms(d, exps, True), (depth, alpha, slot)
+                got, want = sharp_forms(d, exps, depth), oscillation_forms(d, exps, False)
+                assert [g is None for g in got] == [w is None for w in want]
+                top = max((w for w in want if w is not None), default=0.0)
+                # a plain power mean raises its mean to the float 1/r, whose
+                # rounding error grows with |ln mean| for a fractional r:
+                # 3.5e-15 of the form at r = 6/5 and |b| near 1e200
+                plain = exps.r.denominator == 1 or data in ("uniform", "integer")
+                tol = (1e-15 if plain else 1e-14) * top
+                for g, w in zip(got, want):
+                    if w is not None:
+                        assert math.isfinite(g) and abs(g - w) <= tol, (depth, p)
 
 
 def block_sizes_agree(monkeypatch, desc, exps, sampler, trials, weak):

@@ -1,17 +1,23 @@
 """The benchmark's self-test: its output checkers read ``Exact`` values
 through ``verify``, ``transform`` and ``norms``, and must accept the
 program's real output and reject corrupted copies of it.  Its tracer must
-still find a callable in every layer it times."""
+still find a callable in every layer it times, and one traced cycle of
+each workload must pass its checks and move every layer it guards."""
 
 import importlib.util
+import json
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dyadicops
 
 ROOT = Path(__file__).resolve().parents[1]
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def test_benchmark_selftest_passes():
@@ -44,3 +50,18 @@ def test_every_traced_layer_keeps_a_target():
         )
     ]
     assert not empty, f"traced layers with no callable left: {empty}"
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_one_traced_cycle_is_correct(workload):
+    """One traced cycle checks every output of the workload and fails when
+    a layer the workload must move records no call, as a rerouted norm
+    call would."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stderr

@@ -23,6 +23,7 @@ from dyadicops import (
     bstar_seminorm,
     cz_decompose,
     inner_product,
+    interval_family,
     lp_norm_pow,
     maximal,
     sharp_forms,
@@ -30,7 +31,7 @@ from dyadicops import (
     square_function_sq,
 )
 from dyadicops.errors import RootExceedsHeight
-from dyadicops.normlab import pi_sharp_forms
+from dyadicops.normlab import multiplier_sharp_forms, pi_sharp_forms
 from dyadicops.scalars import FLOAT64, RATIONAL
 from dyadicops.sublinear import (
     _bstar_table,
@@ -281,8 +282,14 @@ class TestSharedTables:
             d = OperatorDescriptor(
                 "commutator", AlphaVector.from_string(alpha), b, eps, slot
             )
-            top = max(sharp_forms(d, exponents, depth))
-            assert top == pytest.approx(bmo_norm(b, r), rel=1e-12), depth
+            forms = sharp_forms(d, exponents, depth)
+            assert max(forms) == pytest.approx(bmo_norm(b, r), rel=1e-12), depth
+            if r == 1:
+                # both add the same |b - <b>_I| with fsum over each interval
+                one = _oscillation_pow(b, 1)
+                weights = multiplier_sharp_forms(eps, depth)
+                for k, i in enumerate(interval_family(depth)):
+                    assert forms[k] == weights[k] * one[i.level][i.position], (depth, i)
 
     def test_pi_forms_are_the_bstar_table(self):
         rng = random.Random(13)
