@@ -138,6 +138,13 @@ def interval_family(depth: int) -> list[DyadicInterval]:
     ]
 
 
+def interval_at(k: int) -> DyadicInterval:
+    """The interval at index k of ``interval_family(depth)`` for any depth
+    above its level: 2**level - 1 intervals come before level ``level``."""
+    level = (k + 1).bit_length() - 1
+    return DyadicInterval(level, k + 1 - (1 << level))
+
+
 def haar_eval(interval: DyadicInterval, leaf: int, depth: int, mode: str = RATIONAL):
     """Value of the Haar function of ``interval`` on one leaf.
 
@@ -909,29 +916,41 @@ def power_mean(f: StepFunction | SupportView, q: Fraction):
     return out if trees > 1 else out[0]
 
 
+@_kept
+def _sorted_magnitudes(f: StepFunction | SupportView) -> list:
+    """|f| in floats, largest first: a list per tree, or a view's
+    (magnitude, leaf count) runs when it has blocks.  Kept on f, so the
+    weak quasinorms for several q sort |f| once."""
+    values = f.values if f.mode == FLOAT64 else list(map(float, f.values))
+    if f.blocks:
+        blocks = [(abs(float(v)), c) for v, c in block_runs(f)]
+        return sorted(chain(zip(map(abs, values), repeat(1)), blocks), reverse=True)
+    n = 1 << f.depth
+    return [
+        sorted(map(abs, values[start:start + n]), reverse=True)
+        for start in range(0, len(values), n)
+    ]
+
+
 def weak_power_mean(f: StepFunction | SupportView, q):
     """The weak-L^q quasinorm of each tree of f, max over t > 0 of
     t * |{|f| >= t}| ** (1/q), as a float for a finite q > 0; a forest of
     several trees (``tree_count``) gets the list of its trees' values.
 
-    Each tree's |values|, in floats, sorted largest first, give v * (k / n)
-    ** (1/q) at rank k of n leaves, the last of a run of ties counting them
-    all; the trees of a StepFunction share one table of these steps, and a
-    view's block runs count their leaves.
+    Each tree's |values|, in floats, sorted largest first
+    (``_sorted_magnitudes``), give v * (k / n) ** (1/q) at rank k of n
+    leaves, the last of a run of ties counting them all; the trees of a
+    StepFunction share one table of these steps, and a view's block runs
+    count their leaves.
     """
     inv = 1.0 / float(q)
     n = 1 << f.depth
-    values = f.values if f.mode == FLOAT64 else list(map(float, f.values))
+    mags = _sorted_magnitudes(f)
     if f.blocks:
-        blocks = [(abs(float(v)), c) for v, c in block_runs(f)]
-        runs = sorted(chain(zip(map(abs, values), repeat(1)), blocks), reverse=True)
-        ranks = accumulate(c for _, c in runs)
-        return max(v * (k / n) ** inv for (v, _), k in zip(runs, ranks))
+        ranks = accumulate(c for _, c in mags)
+        return max(v * (k / n) ** inv for (v, _), k in zip(mags, ranks))
     steps = [(k / n) ** inv for k in range(1, n + 1)]
-    out = [
-        max(map(mul, sorted(map(abs, values[start:start + n]), reverse=True), steps))
-        for start in range(0, len(values), n)
-    ]
+    out = [max(map(mul, tree, steps)) for tree in mags]
     return out if len(out) > 1 else out[0]
 
 

@@ -29,11 +29,12 @@ COMMUTATOR_CONVENTION = "T(f_1,...,b*f_i,...,f_m) - b*T(f_1,...,f_m)"
 class SymbolSequence:
     """A bounded family of numbers indexed by dyadic intervals.
 
-    ``entries`` overrides ``default`` on the listed intervals.  Values are
-    stored as given (int, Fraction, Exact, or finite float) and coerced to
-    the computation mode when the symbol is applied.  The coerced table is
-    built once per (depth, mode) and kept, so ``entries`` must not change
-    after the first ``table`` call; equality ignores the kept tables.
+    ``entries`` overrides ``default`` on the listed intervals, its keys
+    ``DyadicInterval``s.  Values are stored as given (int, Fraction, Exact,
+    or finite float; not bool) and coerced to the computation mode when
+    the symbol is applied.  The coerced table is built once per (depth,
+    mode) and kept, so ``entries`` must not change after the first
+    ``table`` call; equality ignores the kept tables.
     """
 
     default: object = 0
@@ -43,7 +44,14 @@ class SymbolSequence:
     )
 
     def __post_init__(self):
+        for interval in self.entries:
+            if not isinstance(interval, DyadicInterval):
+                raise TypeError(
+                    f"symbol entries are keyed by DyadicInterval, got {interval!r}"
+                )
         for v in (self.default, *self.entries.values()):
+            if isinstance(v, bool):
+                raise TypeError("bool is not a scalar")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"symbol values must be finite, got {v!r}")
 
@@ -56,17 +64,18 @@ class SymbolSequence:
 
     def table(self, depth: int, mode: str) -> tuple[tuple, ...]:
         """Per-(level, pos) coerced values for a depth-``depth`` grid,
-        built on the first call for each (depth, mode)."""
+        built on the first call for each (depth, mode): each level's row
+        starts as the coerced default, and each entry of a level below
+        ``depth`` is then written at its position."""
         key = (depth, mode)
         table = self._tables.get(key)
         if table is None:
-            table = tuple(
-                tuple(
-                    scalars.coerce(self.value(DyadicInterval(level, pos)), mode)
-                    for pos in range(1 << level)
-                )
-                for level in range(depth)
-            )
+            default = scalars.coerce(self.default, mode)
+            rows = [[default] * (1 << level) for level in range(depth)]
+            for interval, v in self.entries.items():
+                if interval.level < depth:
+                    rows[interval.level][interval.position] = scalars.coerce(v, mode)
+            table = tuple(map(tuple, rows))
             self._tables[key] = table
         return table
 
@@ -74,23 +83,33 @@ class SymbolSequence:
         def enc(v):
             if isinstance(v, float):
                 return v
-            return scalars.encode_value(scalars.coerce(v, RATIONAL), RATIONAL)
+            return scalars.encode_value(v, RATIONAL)
 
         return {
             "default": enc(self.default),
             "entries": [
                 {"level": i.level, "pos": i.position, "value": enc(v)}
-                for i, v in sorted(self.entries.items())
+                for i, v in sorted(
+                    self.entries.items(),
+                    key=lambda item: (item[0].level, item[0].position),
+                )
             ],
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SymbolSequence":
+        # each distinct value text is decoded once; Exact is immutable, so
+        # the entries that share a text share its value
+        decoded = {}
+
         def dec(v):
             # a JSON boolean goes to decode_value, which refuses it
             if type(v) in (float, int):
                 return v
-            return scalars.decode_value(v, RATIONAL)
+            key = repr(v)
+            if key not in decoded:
+                decoded[key] = scalars.decode_value(v, RATIONAL)
+            return decoded[key]
 
         json_int = scalars._json_int
         entries = {

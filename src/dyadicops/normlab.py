@@ -31,7 +31,7 @@ from .core import (
     forest,
     haar_sum,
     inner_product,
-    interval_family,
+    interval_at,
     lp_norm,
     power_mean,
     tree,
@@ -690,13 +690,12 @@ def _run_experiment(
             f"depth {depth}"
         )
     random_jobs = _random_jobs(desc, exponents, sampler, trials, weak)
-    intervals = interval_family(depth)
     forms = sharp_forms(desc, exponents, depth, weak)
 
     def sweep(runs) -> list:
         return [
-            (trials + k, sharp_ratio(desc, exponents, interval, depth, weak))
-            for k, (interval, form) in enumerate(zip(intervals, forms))
+            (trials + k, sharp_ratio(desc, exponents, interval_at(k), depth, weak))
+            for k, form in enumerate(forms)
             if runs(form)
         ]
 
@@ -738,7 +737,7 @@ def _run_experiment(
         skipped_jobs=sum(ratio is None for _, ratio in jobs),
         extremal_interval=None
         if best_sharp is None
-        else intervals[best_sharp[0] - trials],
+        else interval_at(best_sharp[0] - trials),
     )
 
 

@@ -469,9 +469,10 @@ def encode_value(value, mode: str):
     if mode == FLOAT64:
         return float(value)
     v = coerce(value, RATIONAL)
-    if v.is_rational:
-        return str(v.a)
-    return [str(v.a), str(v.b)]
+    if v.B:
+        return [str(v.a), str(v.b)]
+    # gcd(A, D) = 1 and D > 0: the text of str(Fraction(A, D))
+    return str(v.A) if v.D == 1 else f"{v.A}/{v.D}"
 
 
 def _json_int(obj: dict, key: str) -> int:

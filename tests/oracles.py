@@ -260,6 +260,18 @@ def naive_bmo_pow(b: StepFunction, r: int):
     return best
 
 
+def cell_symbol_table(symbol, depth: int, mode: str) -> tuple:
+    """The symbol's coerced value at every (level, pos) cell of a
+    depth-``depth`` grid, one interval at a time."""
+    return tuple(
+        tuple(
+            scalars.coerce(symbol.value(DyadicInterval(level, pos)), mode)
+            for pos in range(1 << level)
+        )
+        for level in range(depth)
+    )
+
+
 def random_rationals(rng, count, numer=16, denom=8):
     return [Fraction(rng.randint(-numer, numer), rng.randint(1, denom)) for _ in range(count)]
 

@@ -759,6 +759,32 @@ class TestBoundary:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path} is not a {kind} file: ")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1/0", "zero denominator in '1/0'"),
+            (True, "{path} is not a symbol sequence file: bool is not a scalar"),
+            (["1", "2", "3"], "{path} is not a symbol sequence file: "
+             "a value written as a list needs 2 entries, got 3"),
+        ],
+    )
+    def test_bad_symbol_value_after_repeated_texts_exits_two(
+        self, tmp_path, capsys, bad, message
+    ):
+        # each value text is decoded once per file: a bad one is still
+        # refused after good texts were, and when it repeats
+        path = tmp_path / "eps.json"
+        entries = [{"level": 2, "pos": pos, "value": "1/2"} for pos in range(4)]
+        entries += [{"level": 1, "pos": pos, "value": bad} for pos in range(2)]
+        write_json(path, {"default": "1/2", "entries": entries})
+        assert main([
+            "estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+            "--depth", "3", "--trials", "2", "--symbol", str(path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
 
 class TestCanonicalOutput:
     """Every report is one line: ``json.dumps(obj, sort_keys=True)`` and a

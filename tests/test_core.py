@@ -26,6 +26,7 @@ from dyadicops import (
     weak_lp_quasinorm,
     weak_lp_quasinorm_pow,
 )
+from dyadicops import core
 from dyadicops.core import (
     SupportView,
     _weak_candidates,
@@ -33,6 +34,7 @@ from dyadicops.core import (
     block_runs,
     coefficient_table,
     forest,
+    interval_at,
     interval_integrals,
     power_mean,
     tree,
@@ -127,6 +129,12 @@ class TestDyadicInterval:
         assert fam[0] == UNIVERSE
         assert fam[1:3] == [DyadicInterval(1, 0), DyadicInterval(1, 1)]
         assert fam == sorted(fam)
+
+    def test_interval_at_indexes_the_family(self):
+        for depth in range(1, 13):
+            assert [interval_at(k) for k in range((1 << depth) - 1)] == interval_family(depth)
+        with pytest.raises(ValueError):
+            interval_at(-1)
 
     def test_ordering(self):
         assert DyadicInterval(1, 0) < DyadicInterval(1, 1) < DyadicInterval(2, 0)
@@ -697,6 +705,43 @@ class TestWeakPowerMean:
                         assert hexes(weak_lp_quasinorm(f, q)) == hexes(want)
                 got = weak_power_mean(forest(trees), q)
                 assert hexes(weak_power_mean(floats, q)) == hexes(got)
+
+    def test_a_second_exponent_reads_the_kept_magnitudes(self, monkeypatch):
+        """|f| is sorted on the first call and kept on f: the next exponents
+        sort nothing and give the bits of a fresh f."""
+        rng = random.Random(19)
+        depth = 6
+        floats = [
+            StepFunction.from_values(sized_values(rng, 1 << depth, "random"), FLOAT64)
+            for _ in range(3)
+        ]
+        # a rational file, read the way ``norms`` reads it
+        text = json.dumps({
+            "depth": depth, "mode": "rational",
+            "values": [str(v) for v in random_rationals(rng, 1 << depth, numer=3, denom=2)],
+        })
+        cases = [
+            (lambda: forest(floats), weak_power_mean),
+            (lambda: random_view(random.Random(5), depth, "random"), weak_power_mean),
+            (lambda: StepFunction.from_json_dict(json.loads(text)), weak_lp_quasinorm),
+        ]
+        sorts = []
+        monkeypatch.setattr(core, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k),
+                            raising=False)
+        for build, measure in cases:
+            f = build()
+            kept = None
+            for q in (1, Fraction(3, 2), 2, 3):
+                if measure is weak_lp_quasinorm and q == 1:
+                    continue  # the exact rational p = 1 rule
+                sorts.clear()
+                got = measure(f, q)
+                assert bool(sorts) == (kept is None)
+                kept = kept or f.__dict__["_sorted_magnitudes"]
+                assert f.__dict__["_sorted_magnitudes"] is kept
+                assert hexes(got) == hexes(measure(build(), q)), q
+                want = [candidate_weak_lr(tree(f, k), q) for k in range(tree_count(f))]
+                assert hexes(got) == hexes(want), q
 
 
 class TestJsonFormats:

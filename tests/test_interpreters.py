@@ -13,7 +13,9 @@ whose bytes give the signs, and a ``norms`` run on data whose squares
 overflow pins the fallback of the L^2 and L^3 means.  A weak commutator
 run on integer-valued b, whose forms sort ties, and a ``norms`` run on a
 rational file pin the one float weak rule, sorted |values| times
-(rank / n) ** (1/p).
+(rank / n) ** (1/p).  A multiplier run on a symbol file with repeated
+value texts, a sqrt(2) pair and an entry below the grid pins the
+row-built symbol table.
 """
 
 import json
@@ -89,6 +91,17 @@ def test_reports_match_across_interpreters(tmp_path):
     exact_path = tmp_path / "exact.json"
     exact = [str(Fraction(rng.randint(-40, 40), rng.randint(1, 12))) for _ in range(1 << 8)]
     exact_path.write_text(json.dumps({"depth": 8, "mode": "rational", "values": exact}))
+    # value texts that repeat, a + b*sqrt(2) as a pair, and an entry at
+    # level 7, below the depth-6 grid
+    texts = ["3/2", "-1", ["1", "-1/2"], "5/7", "3/2", "-2/3"]
+    symbol_path = tmp_path / "symbol.json"
+    symbol_path.write_text(json.dumps({
+        "default": "1/2",
+        "entries": [
+            {"level": level, "pos": pos, "value": texts[rng.randrange(len(texts))]}
+            for level in range(6) for pos in range(1 << level) if rng.random() < 0.6
+        ] + [{"level": 7, "pos": 5, "value": "9"}],
+    }))
     commands = [
         ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
@@ -123,6 +136,9 @@ def test_reports_match_across_interpreters(tmp_path):
          "--family", "rademacher-haar", "--trials", "20", "--seed", "6",
          "--dump-trials", str(tmp_path / "weak-ties.csv")],
         ["norms", str(exact_path), "--p", "1,3/2,3"],
+        ["estimate", "--op", "mult", "--alpha", "01", "--symbol", str(symbol_path),
+         "--depth", "6", "--p", "2,3", "--family", "random-step", "--trials", "20",
+         "--seed", "7", "--dump-trials", str(tmp_path / "symbol.csv")],
     ]
     for argv in commands:
         dumped = [path for path in argv if path.endswith(".csv")]

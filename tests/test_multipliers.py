@@ -22,9 +22,9 @@ from dyadicops import (
     paraproduct,
 )
 from dyadicops.errors import ShapeError
-from dyadicops.scalars import FLOAT64
+from dyadicops.scalars import FLOAT64, RATIONAL, decode_value
 
-from oracles import naive_paraproduct, random_rationals
+from oracles import cell_symbol_table, naive_paraproduct, random_rationals
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -82,8 +82,9 @@ class TestSymbolSequence:
         monkeypatch.setattr(SymbolSequence, "value", lambda self, i: calls.append(i) or 0)
         assert eps.table(3, "rational") is first
         assert calls == []
-        # another (depth, mode) gets its own table
-        assert eps.table(3, "float64") is not first and len(calls) == 7
+        # another (depth, mode) gets its own table, and the first is kept
+        assert eps.table(3, "float64") == ((2.0,), (2.0, -1.0), (2.0,) * 4)
+        assert eps.table(3, "rational") is first
 
     def test_kept_tables_do_not_change_equality_or_json(self):
         fresh = SymbolSequence(default=Fraction(1, 3), entries={DyadicInterval(2, 3): 5})
@@ -95,6 +96,67 @@ class TestSymbolSequence:
         back = SymbolSequence.from_json_dict(json.loads(json.dumps(used.to_json_dict())))
         assert back == used
         assert "_tables" not in repr(used)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_table_matches_the_cell_rule(self, mode):
+        """Rows of the coerced default with the entries written in give the
+        values and scalar types of coercing each cell's value."""
+        rng = random.Random(f"table:{mode}")
+        values = [3, -2, 0, Fraction(-5, 3), Fraction(4, 2), Exact(Fraction(7, 2)),
+                  Exact(1, -1), Exact(0, Fraction(1, 2))]
+        if mode == FLOAT64:
+            values += [0.25, -1.5e-3, 2.0]
+        for depth in range(1, 11):
+            symbols = [SymbolSequence.constant(v) for v in values]
+            for density in (0.05, 0.5, 1.0):
+                # entries as deep as depth + 1, one level past the grid
+                entries = {
+                    i: rng.choice(values)
+                    for i in interval_family(depth + 2)
+                    if rng.random() < density
+                }
+                symbols.append(SymbolSequence(rng.choice(values), entries))
+            for eps in symbols:
+                got, want = eps.table(depth, mode), cell_symbol_table(eps, depth, mode)
+                assert got == want
+                assert [list(map(type, row)) for row in got] == [
+                    list(map(type, row)) for row in want
+                ]
+                assert type(got) is tuple and all(type(row) is tuple for row in got)
+
+    def test_entries_it_cannot_use_are_refused(self):
+        with pytest.raises(TypeError, match="DyadicInterval"):
+            SymbolSequence(default=1, entries={(1, 0): 5})
+        with pytest.raises(TypeError, match="bool"):
+            SymbolSequence(default=True)
+        with pytest.raises(TypeError, match="bool"):
+            SymbolSequence(entries={DyadicInterval(1, 0): False})
+
+    def test_repeated_value_texts_decode_to_equal_values(self):
+        texts = ["1/3", "-2", ["1", "1/2"], "2/6", 4, 0.5, ["1", "1/2"], "-2"]
+        family = interval_family(4)
+        obj = {
+            "default": "1/3",
+            "entries": [
+                {"level": i.level, "pos": i.position, "value": texts[k % len(texts)]}
+                for k, i in reversed(list(enumerate(family)))
+            ],
+        }
+        eps = SymbolSequence.from_json_dict(json.loads(json.dumps(obj)))
+        for k, i in enumerate(family):
+            text = texts[k % len(texts)]
+            want = text if type(text) in (int, float) else decode_value(text, RATIONAL)
+            assert eps.value(i) == want and type(eps.value(i)) is type(want)
+        assert eps.default == Exact(Fraction(1, 3))
+        # written back in (level, position) order, each value in its lowest terms
+        back = eps.to_json_dict()
+        assert [(e["level"], e["pos"]) for e in back["entries"]] == [
+            (i.level, i.position) for i in family
+        ]
+        assert [e["value"] for e in back["entries"][:8]] == [
+            "1/3", "-2", ["1", "1/2"], "1/3", "4", 0.5, ["1", "1/2"], "-2"
+        ]
+        assert SymbolSequence.from_json_dict(back) == eps
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError):

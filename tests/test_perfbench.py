@@ -2,7 +2,9 @@
 through ``verify``, ``transform`` and ``norms``, and must accept the
 program's real output and reject corrupted copies of it.  Its tracer must
 still find a callable in every layer it times, and one traced cycle of
-each workload must pass its checks and move every layer it guards."""
+each workload must pass its checks and move every layer it guards, and
+``scripts/same_outputs.py`` must find the same bytes in a checkout run
+against itself."""
 
 import importlib.util
 import json
@@ -65,3 +67,16 @@ def test_one_traced_cycle_is_correct(workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, done.stderr
+
+
+def test_same_outputs_finds_no_difference_against_itself():
+    """``scripts/same_outputs.py`` runs every op of a workload in both
+    checkouts and exits 0 when none differs."""
+    done = subprocess.run(
+        [sys.executable, "scripts/same_outputs.py", str(ROOT), str(ROOT),
+         "--workloads", "verify-exact", "--seeds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("verify-exact seed 0: ")
+    assert done.stdout.endswith(" ops, all the same\n")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,22 @@ class TestValueCodec:
         assert decode_value(enc, RATIONAL) == x
         if b != 0:
             assert isinstance(enc, list) and len(enc) == 2
+
+    def test_rational_text_is_the_fraction_text(self):
+        # written from the canonical ints, with no Fraction built
+        rng = random.Random(20)
+        values = [Exact(0), Exact(-7), Exact(Fraction(-3, 4)), Exact(10**30 + 1)]
+        for _ in range(500):
+            num = rng.randint(-10**rng.randint(1, 25), 10**rng.randint(1, 25))
+            x = Exact(Fraction(num, rng.choice((1, 2, 3, 7, 12, 10**9 + 7))))
+            # and values that come out of arithmetic, where gcds cancel
+            values += [x, x * Exact(Fraction(rng.randint(1, 9), rng.randint(1, 9))) - 1]
+        assert any(x.D == 1 for x in values) and any(x.D > 1 for x in values)
+        for x in values:
+            assert encode_value(x, RATIONAL) == str(x.a), x
+        assert encode_value(Exact(0), RATIONAL) == "0"
+        assert encode_value(Fraction(-6, 4), RATIONAL) == "-3/2"
+        assert encode_value(Exact(Fraction(1, 3), -2), RATIONAL) == ["1/3", "-2"]
 
     def test_float_round_trip(self):
         assert decode_value(encode_value(0.375, FLOAT64), FLOAT64) == 0.375
