@@ -251,37 +251,26 @@ class StepFunction:
                 f"{tree_count(other)} trees"
             )
 
+    def _leafwise(self, op, other: "StepFunction") -> "StepFunction":
+        self._check_compatible(other)
+        return self._raw(self.depth, map(op, self.values, other.values), self.mode)
+
     def __add__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        self._check_compatible(other)
-        return StepFunction._raw(
-            self.depth,
-            [x + y for x, y in zip(self.values, other.values)],
-            self.mode,
-        )
+        return self._leafwise(add, other)
 
     def __sub__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        self._check_compatible(other)
-        return StepFunction._raw(
-            self.depth,
-            [x - y for x, y in zip(self.values, other.values)],
-            self.mode,
-        )
+        return self._leafwise(sub, other)
 
     def __neg__(self):
         return StepFunction._raw(self.depth, [-x for x in self.values], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            self._check_compatible(other)
-            return StepFunction._raw(
-                self.depth,
-                [x * y for x, y in zip(self.values, other.values)],
-                self.mode,
-            )
+            return self._leafwise(mul, other)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -794,9 +783,26 @@ def _normalize_p(p) -> Fraction | None:
     return q
 
 
+def _by_tree(seq: Sequence, f: StepFunction | SupportView) -> list:
+    """seq, laid out as f's values, cut into one run per tree of f; a
+    forest has no blocks, so a view's block runs go with its one tree."""
+    trees = tree_count(f)
+    if trees == 1:
+        return [seq]
+    width = len(seq) // trees
+    return [seq[start:start + width] for start in range(0, len(seq), width)]
+
+
+def _per_tree(values: list):
+    """A norm of f from its list of one value per tree: the value itself
+    for one tree, the list for a forest (``tree_count``)."""
+    return values if len(values) > 1 else values[0]
+
+
 def _peak(f: StepFunction | SupportView):
-    """max |v| over the values and blocks of f."""
-    return max(map(abs, chain(f.values, (v for v, _ in block_runs(f)))))
+    """max |v| over the values and blocks of each tree of f (``_per_tree``)."""
+    blocks = [v for v, _ in block_runs(f)]
+    return _per_tree([max(map(abs, chain(t, blocks))) for t in _by_tree(f.values, f)])
 
 
 def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
@@ -831,20 +837,12 @@ def _power_mean_pow(f: StepFunction | SupportView, k, top: float | None = None):
         terms = [(abs(x) / top) ** k for x in map(float, f.values)]
         terms += [(abs(float(v)) / top) ** k * c for v, c in runs]
     w = scalars.reciprocal(1 << f.depth, mode)
-    trees = tree_count(f)
-    if trees == 1:
-        return [scalars.total(terms, mode) * w]
-    # a forest has no block runs
-    width = len(terms) // trees
-    return [
-        scalars.total(terms[start:start + width], mode) * w
-        for start in range(0, len(terms), width)
-    ]
+    return [scalars.total(t, mode) * w for t in _by_tree(terms, f)]
 
 
 def lp_norm_pow(f: StepFunction | SupportView, p):
     """||f||_p ** p, exact in rational mode for an integer p; max |f| for
-    p = inf."""
+    p = inf.  A forest gets the list of its trees' values."""
     q = _normalize_p(p)
     if q is None:
         return _peak(f)
@@ -854,11 +852,11 @@ def lp_norm_pow(f: StepFunction | SupportView, p):
         raise ValueError(f"exact p-th powers need an integer exponent, got {q}")
     else:
         k = float(q)
-    (mean,) = _power_mean_pow(f, k)
-    if f.mode == FLOAT64 and mean == math.inf:
+    means = _power_mean_pow(f, k)
+    if f.mode == FLOAT64 and math.inf in means:
         # v * v overflows to inf, where the libm pow of other powers raises
         raise OverflowError(f"|f| ** {k} exceeds the float64 range")
-    return mean
+    return _per_tree(means)
 
 
 # the largest integer p for which lp_norm averages |f|**p in f's own
@@ -873,14 +871,14 @@ def lp_norm(f: StepFunction | SupportView, p):
     Float mode always returns a float.  Rational mode is exact for p = 1
     and p = inf, exact for p = 2 whenever the square root exists in the
     scalar field, and falls back to a float otherwise.  Every other p takes
-    the float ``power_mean``, which gives a float64 forest of several trees
-    the list of their norms.
+    the float ``power_mean``.  A forest of several trees gets the list of
+    their norms.
     """
     q = _normalize_p(p)
     if q is None or (f.mode == RATIONAL and q == 1):
         return lp_norm_pow(f, p)
     if f.mode == RATIONAL and q == 2:
-        return scalars.scalar_sqrt(lp_norm_pow(f, 2), RATIONAL)
+        return _per_tree([scalars.scalar_sqrt(m, f.mode) for m in _power_mean_pow(f, 2)])
     return power_mean(f, q)
 
 
@@ -913,7 +911,7 @@ def power_mean(f: StepFunction | SupportView, q: Fraction):
         t = tree(f, k)
         top = float(_peak(t))
         out.append(top * _power_mean_pow(t, pf, top)[0] ** (1.0 / pf) if top else 0.0)
-    return out if trees > 1 else out[0]
+    return _per_tree(out)
 
 
 @_kept
@@ -925,11 +923,7 @@ def _sorted_magnitudes(f: StepFunction | SupportView) -> list:
     if f.blocks:
         blocks = [(abs(float(v)), c) for v, c in block_runs(f)]
         return sorted(chain(zip(map(abs, values), repeat(1)), blocks), reverse=True)
-    n = 1 << f.depth
-    return [
-        sorted(map(abs, values[start:start + n]), reverse=True)
-        for start in range(0, len(values), n)
-    ]
+    return [sorted(map(abs, t), reverse=True) for t in _by_tree(values, f)]
 
 
 def weak_power_mean(f: StepFunction | SupportView, q):
@@ -950,48 +944,49 @@ def weak_power_mean(f: StepFunction | SupportView, q):
         ranks = accumulate(c for _, c in mags)
         return max(v * (k / n) ** inv for (v, _), k in zip(mags, ranks))
     steps = [(k / n) ** inv for k in range(1, n + 1)]
-    out = [max(map(mul, tree, steps)) for tree in mags]
-    return out if len(out) > 1 else out[0]
+    return _per_tree([max(map(mul, tree, steps)) for tree in mags])
 
 
 @_kept
-def _weak_candidates(f: StepFunction | SupportView):
-    """Pairs (v, Fraction measure of {|f| >= v}) for the distinct nonzero
-    |values|, largest v first; a SupportView is read from its runs.  Kept
-    on f, so the exact weak quasinorms for several p sort |f| once."""
+def _weak_candidates(f: StepFunction | SupportView) -> list[list]:
+    """For each tree of f, pairs (v, Fraction measure of {|f| >= v}) for
+    its distinct nonzero |values|, largest v first; a SupportView is read
+    from its runs.  Kept on f, so the exact weak quasinorms for several p
+    sort |f| once."""
     n = 1 << f.depth
-    counts = Counter(map(abs, f.values))
-    for v, c in block_runs(f):
-        counts[abs(v)] += c
-    counts.pop(scalars.zero(f.mode), None)
-    mags = sorted(counts, reverse=True)
-    totals = accumulate(map(counts.__getitem__, mags))
-    return [(v, Fraction(t, n)) for v, t in zip(mags, totals)]
+    out = []
+    for values in _by_tree(f.values, f):
+        counts = Counter(map(abs, values))
+        for v, c in block_runs(f):
+            counts[abs(v)] += c
+        counts.pop(scalars.zero(f.mode), None)
+        mags = sorted(counts, reverse=True)
+        totals = accumulate(map(counts.__getitem__, mags))
+        out.append([(v, Fraction(t, n)) for v, t in zip(mags, totals)])
+    return out
 
 
 def weak_lp_quasinorm(f: StepFunction, p):
     """sup over t > 0 of t * |{|f| > t}|**(1/p), attained at value jumps.
 
     Exact in rational mode for p = 1; otherwise the float
-    ``weak_power_mean``, which gives a forest of several trees the list of
-    their quasinorms.
+    ``weak_power_mean``.  A forest of several trees gets the list of their
+    quasinorms.
     """
     q = _normalize_p(p)
     if q is None:
         raise ValueError("weak quasinorm needs a finite exponent")
     if f.mode == RATIONAL and q == 1:
-        return max(
-            (v * m for v, m in _weak_candidates(f)), default=scalars.zero(RATIONAL)
-        )
+        return weak_lp_quasinorm_pow(f, 1)
     return weak_power_mean(f, q)
 
 
 def weak_lp_quasinorm_pow(f: StepFunction, p):
-    """max over value jumps of v**p * |{|f| >= v}|, exact for integer p."""
+    """max over value jumps of v**p * |{|f| >= v}|, exact for integer p;
+    a forest gets the list of its trees' values."""
     q = _normalize_p(p)
     if q is None or q.denominator != 1:
         raise ValueError(f"exact weak quasinorm powers need an integer p, got {p}")
-    k = q.numerator
-    return max(
-        ((v ** k) * m for v, m in _weak_candidates(f)), default=scalars.zero(f.mode)
-    )
+    k, z = q.numerator, scalars.zero(f.mode)
+    tops = [max((v ** k * m for v, m in c), default=z) for c in _weak_candidates(f)]
+    return _per_tree(tops)

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import scalars
-from .core import DyadicInterval, StepFunction, seen, support_layout, tree_count
-from .errors import ShapeError
-from .paraproducts import _as_alpha, _check_tuple, _engine, _slot_tables, _tiled
+from .core import DyadicInterval, StepFunction, seen
+from .paraproducts import (
+    _as_alpha, _check_call, _check_slot, _engine, _grid_rows, _slot_tables,
+)
 from .scalars import RATIONAL
 
 COMMUTATOR_CONVENTION = "T(f_1,...,b*f_i,...,f_m) - b*T(f_1,...,f_m)"
@@ -134,11 +135,10 @@ def multilinear_multiplier(
             "alpha must have at least one Haar slot (the all-ones vector "
             "gives no multiplier)"
         )
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode, support = _check_tuple(fs)
-    symbol = _tiled(support_layout(eps.table(depth, mode), support), tree_count(fs[0]))
-    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, symbol, support)
+    _, depth, mode, support, trees = _check_call(a, fs)
+    symbol = _grid_rows(eps.table(depth, mode), support, trees)
+    tables = [*_slot_tables(a.bits, fs), symbol]
+    return _engine(a.zero_count, tables, depth, mode, support)
 
 
 def commutator(
@@ -156,14 +156,11 @@ def commutator(
     such a block is expanded leaf by leaf.
     """
     a = _as_alpha(alpha)
-    if not 1 <= slot <= a.m:
-        raise ValueError(f"slot must be in 1..{a.m}, got {slot}")
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode, support = _check_tuple(fs, b)
+    _check_slot(slot, a.m)
+    _, depth, mode, support, trees = _check_call(a, fs, b)
     f = fs[slot - 1]
     span = support.leaf_span(depth)
-    b_on = b.values[span.start:span.stop] * tree_count(f)
+    b_on = b.values[span.start:span.stop] * trees
     modified = list(fs)
     modified[slot - 1] = seen(
         depth, support, [x * y for x, y in zip(b_on, f.values)], f.blocks, mode

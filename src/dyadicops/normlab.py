@@ -40,7 +40,9 @@ from .core import (
 )
 from .errors import ResolutionError, ShapeError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
-from .paraproducts import AlphaVector, _as_alpha, paraproduct, pi_paraproduct
+from .paraproducts import (
+    AlphaVector, _as_alpha, _check_slot, paraproduct, pi_paraproduct,
+)
 from .scalars import FLOAT64, RATIONAL
 from .sublinear import _bstar_table, _centered_rows, bmo_norm, bstar_seminorm
 
@@ -119,10 +121,7 @@ class OperatorDescriptor:
                 raise ValueError("commutator descriptors need b, symbol, and slot")
             if not self.alpha.is_admissible:
                 raise ValueError("commutator alpha must contain a zero bit")
-            if not 1 <= self.slot <= self.alpha.m:
-                raise ValueError(
-                    f"slot must be in 1..{self.alpha.m}, got {self.slot}"
-                )
+            _check_slot(self.slot, self.alpha.m)
 
     @property
     def arity(self) -> int:
@@ -157,8 +156,8 @@ class OperatorDescriptor:
         T*j(fs with b f_i in slot i; g) - T*j(fs; b g).
         """
         m = self.arity
-        if not 1 <= slot <= m:
-            raise ValueError(f"slot must be in 1..{m}, got {slot}")
+        _check_slot(slot, m)
+        # the commutator's branch reads fs before any operator checks it
         if len(fs) != m:
             raise ShapeError(f"alpha has {m} slots but got {len(fs)} functions")
         if self.kind == "commutator":
@@ -269,6 +268,11 @@ class SamplerSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         check_depth(self.depth)
+        if self.level_cap is not None and self.family != "rademacher-haar":
+            raise ValueError(
+                f"level_cap applies to the rademacher-haar family only, "
+                f"not to {self.family}"
+            )
         if self.level_cap is not None and not 0 <= self.level_cap < self.depth:
             raise ValueError(
                 f"level_cap must lie in 0..{self.depth - 1}, got {self.level_cap}"
@@ -382,11 +386,8 @@ def necessity_case(alpha, slot: int) -> str:
     """Which sharp commutator family applies: "I" when the slot is a Haar
     slot and it is the only one, else "II"."""
     a = _as_alpha(alpha)
-    if not 1 <= slot <= a.m:
-        raise ValueError(f"slot must be in 1..{a.m}, got {slot}")
-    if a.bits[slot - 1] == 0 and a.zero_count == 1:
-        return "I"
-    return "II"
+    _check_slot(slot, a.m)
+    return "I" if a.bits[slot - 1] == 0 and a.zero_count == 1 else "II"
 
 
 def commutator_sharp_forms(

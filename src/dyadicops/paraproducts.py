@@ -43,13 +43,14 @@ class AlphaVector:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.bits, (list, str)):
-            object.__setattr__(
-                self, "bits", tuple(int(b) for b in self.bits)
-            )
+        if isinstance(self.bits, str):
+            object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        elif isinstance(self.bits, list):
+            object.__setattr__(self, "bits", tuple(self.bits))
         if len(self.bits) < 1:
             raise ValueError("alpha needs at least one slot")
-        if any(b not in (0, 1) for b in self.bits):
+        # not a bool or a float: str(alpha) must read back by from_string
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
             raise ValueError(f"alpha bits must be 0 or 1, got {self.bits}")
 
     @classmethod
@@ -107,15 +108,16 @@ def admissible_alphas(m: int) -> list[AlphaVector]:
     return out
 
 
-def _check_tuple(
-    fs: Sequence[StepFunction], b: StepFunction | None = None
-) -> tuple[int, str, DyadicInterval]:
-    """The depth, mode and support that the inputs share, a StepFunction
-    being seen from the universe; ``b``, on the full grid, must match
+def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None):
+    """The operator-call contract: alpha as an AlphaVector, then the depth,
+    mode, support and tree count that its m inputs share, a StepFunction
+    being seen from the universe.  ``b``, on the full grid, must match
     their depth and mode only.  Forests must hold equally many trees."""
-    if len(fs) < 1:
-        raise ShapeError("need at least one input function")
+    a = _as_alpha(alpha)
+    if len(fs) != a.m:
+        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
     first = fs[0] if b is None else b
+    trees = tree_count(fs[0])
     for f in fs:
         if f.depth != first.depth:
             raise ShapeError(f"depth mismatch: {first.depth} vs {f.depth}")
@@ -126,30 +128,37 @@ def _check_tuple(
                 f"inputs are seen from different supports: "
                 f"{fs[0].support} vs {f.support}"
             )
-        if tree_count(f) != tree_count(fs[0]):
-            raise ShapeError(
-                f"inputs are forests of {tree_count(fs[0])} and {tree_count(f)} trees"
-            )
-    return first.depth, first.mode, fs[0].support
+        if tree_count(f) != trees:
+            raise ShapeError(f"inputs are forests of {trees} and {tree_count(f)} trees")
+    return a, first.depth, first.mode, fs[0].support, trees
 
 
-def _tiled(table, trees: int):
-    """Each row of ``table`` repeated ``trees`` times: the table of one
-    grid read by every tree of a forest."""
-    return table if trees == 1 else [row * trees for row in table]
+def _check_slot(slot, m: int):
+    """A 1-based slot of an m-linear operator: an int, not a bool."""
+    if type(slot) is not int:
+        raise TypeError(f"slot must be an integer, got {slot!r}")
+    if not 1 <= slot <= m:
+        raise ValueError(f"slot must be in 1..{m}, got {slot}")
+
+
+def _grid_rows(table, support: DyadicInterval, trees: int) -> list:
+    """A full-grid table cut to the support layout, each row repeated once
+    per tree: the table of one grid read by every tree of a forest."""
+    rows = support_layout(table, support)
+    return rows if trees == 1 else [row * trees for row in rows]
 
 
 def _engine(
-    bits: tuple[int, ...],
+    sigma: int,
     tables: list,
     depth: int,
     mode: str,
-    symbol_table: list | None = None,
     support: DyadicInterval = UNIVERSE,
 ) -> StepFunction | SupportView:
-    """Accumulate sum over intervals of (symbol *) slot products * h_I^sigma.
+    """Accumulate sum over intervals of the factor tables' product * h_I^sigma.
 
-    Every table, the symbol's included, comes in the support layout of
+    The product is taken in the order of ``tables``.  Every table, b's and
+    the symbol's included, comes in the support layout of
     ``support`` (``core.support_layout``), which on the universe is the
     full layout.  The sum is exact when each product vanishes at the
     intervals that neither contain ``support`` nor lie inside it, as it
@@ -162,10 +171,9 @@ def _engine(
     does, so float64 results match it bit for bit.  Forest tables give the
     forest of their trees' outputs: each tree sums its own terms.
     """
-    sigma = bits.count(0)
     top = support.level
     z = scalars.zero(mode)
-    factors = tables[1:] if symbol_table is None else [*tables[1:], symbol_table]
+    first, *factors = tables
     # h_I**0 is 1 on the whole universe: for sigma = 0 the sum is one
     # constant
     const = z
@@ -175,7 +183,7 @@ def _engine(
     above = z
     blocks = []
     for level in range(top):
-        t = tables[0][level][0]
+        t = first[level][0]
         for tab in factors:
             t = t * tab[level][0]
         if t and sigma == 0:
@@ -193,7 +201,7 @@ def _engine(
     terms = []
     for level in range(top, depth):
         w = scalars.root2_power(level * sigma, mode)
-        row = tables[0][level]
+        row = first[level]
         for tab in factors:
             row = map(mul, row, tab[level])
         terms.append([t * w if t else t for t in row])
@@ -231,11 +239,8 @@ def paraproduct(alpha, fs: Sequence[StepFunction]) -> StepFunction:
     forests of equally many trees (``core.forest``), it returns the forest
     of each tree's output.
     """
-    a = _as_alpha(alpha)
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode, support = _check_tuple(fs)
-    return _engine(a.bits, _slot_tables(a.bits, fs), depth, mode, support=support)
+    a, depth, mode, support, _ = _check_call(alpha, fs)
+    return _engine(a.zero_count, _slot_tables(a.bits, fs), depth, mode, support)
 
 
 def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFunction:
@@ -244,13 +249,10 @@ def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFu
 
     b itself need not vanish outside the inputs' support.
     """
-    a = _as_alpha(alpha)
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
-    depth, mode, support = _check_tuple(fs, b)
-    b_table = _tiled(support_layout(coefficient_table(b), support), tree_count(fs[0]))
-    tables = [b_table, *_slot_tables(a.bits, fs)]
-    return _engine((0,) + a.bits, tables, depth, mode, support=support)
+    a, depth, mode, support, trees = _check_call(alpha, fs, b)
+    b_rows = _grid_rows(coefficient_table(b), support, trees)
+    tables = [b_rows, *_slot_tables(a.bits, fs)]
+    return _engine(a.zero_count + 1, tables, depth, mode, support)
 
 
 # -- identities ---------------------------------------------------------------
@@ -263,14 +265,17 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
     fs = [f.expand() for f in fs]
-    depth, mode, _ = _check_tuple(fs)
+    # the product checks the tuple as the pointwise algebra does
+    product = pointwise_product(fs)
+    depth, mode = product.depth, product.mode
     total = StepFunction.zeros(depth, mode)
     for a in admissible_alphas(m):
-        total = total + _engine(a.bits, _slot_tables(a.bits, fs), depth, mode).expand()
+        tables = _slot_tables(a.bits, fs)
+        total = total + _engine(a.zero_count, tables, depth, mode).expand()
     corr = scalars.one(mode)
     for f in fs:
         corr = corr * average_table(f)[0][0]
-    return pointwise_product(fs) - total - StepFunction.constant(corr, depth, mode)
+    return product - total - StepFunction.constant(corr, depth, mode)
 
 
 def localized_average_residual(
@@ -284,7 +289,11 @@ def localized_average_residual(
     identically zero.
     """
     fs = [f.expand() for f in fs]
-    depth, mode, _ = _check_tuple(fs)
+    if not fs:
+        raise ShapeError("need at least one input function")
+    for f in fs[1:]:
+        fs[0]._check_compatible(f)
+    depth, mode = fs[0].depth, fs[0].mode
     if interval.level < 1:
         raise ValueError("localization needs a proper subinterval of the universe")
     if interval.level > depth:
@@ -306,11 +315,6 @@ def localized_average_residual(
     acc = scalars.zero(mode)
     for a in admissible_alphas(len(fs)):
         tables = [support_layout(t[:level], interval) for t in _slot_tables(a.bits, fs)]
-        acc = acc + _engine(a.bits, tables, level, mode, support=interval).values[0]
+        acc = acc + _engine(a.zero_count, tables, level, mode, interval).values[0]
 
-    z = scalars.zero(mode)
-    residual = [z] * (1 << depth)
-    value = lhs - acc - corr
-    for leaf in interval.leaf_span(depth):
-        residual[leaf] = value
-    return StepFunction._raw(depth, residual, mode)
+    return StepFunction.constant(lhs - acc - corr, depth, mode).restrict(interval)

@@ -254,14 +254,16 @@ class CZDecomposition:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CZDecomposition":
         good = StepFunction.from_json_dict(obj["good"])
-        parts = tuple(
-            (
-                DyadicInterval(int(p["interval"]["level"]), int(p["interval"]["pos"])),
-                StepFunction.from_json_dict(p["b"]),
-            )
-            for p in obj.get("parts", [])
-        )
-        return cls(scalars.decode_value(obj["height"], good.mode), good, parts)
+        json_int = scalars._json_int
+        parts = []
+        for p in obj.get("parts", []):
+            i = p["interval"]
+            interval = DyadicInterval(json_int(i, "level"), json_int(i, "pos"))
+            b = StepFunction.from_json_dict(p["b"])
+            # a part of another depth or mode would not add to good
+            good._check_compatible(b)
+            parts.append((interval, b))
+        return cls(scalars.decode_value(obj["height"], good.mode), good, tuple(parts))
 
 
 def cz_decompose(f: StepFunction, height) -> CZDecomposition:

@@ -337,6 +337,18 @@ class TestCzd:
         good = StepFunction.from_json_dict(obj["good"])
         assert good == StepFunction.from_values([2, 0, 0, 0])
 
+    @pytest.mark.parametrize("mode", ["rational", "float64"])
+    def test_czd_file_reads_back(self, tmp_path, mode):
+        f = StepFunction.from_values([4, -2, 0, 1, 6, 0, 0, 0], mode)
+        path, out = tmp_path / "f.json", tmp_path / "czd.json"
+        write_json(path, f.to_json_dict())
+        assert main(["czd", str(path), "--height", "2", "-o", str(out)]) == 0
+        back = dyadicops.CZDecomposition.from_json_dict(json.loads(out.read_text()))
+        want = dyadicops.cz_decompose(f, 2)
+        assert back.intervals == want.intervals and len(back.intervals) == 2
+        assert (back.height, back.good, back.parts) == (want.height, want.good, want.parts)
+        assert back.reconstruct() == f
+
     def test_root_exceeds_height_exits_two(self, func_file, capsys):
         assert main(["czd", str(func_file), "--height", "1/4"]) == 2
         assert "exceeds" in capsys.readouterr().err
@@ -609,6 +621,24 @@ class TestBoundary:
     def test_czd_zero_denominator_height(self, func_file, capsys):
         assert main(["czd", str(func_file), "--height", "1/0"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("family", ["random-step", "indicator", "extremal"])
+    @pytest.mark.parametrize("command", ["estimate", "weak"])
+    def test_level_cap_of_another_family_exits_two(self, tmp_path, capsys, family, command):
+        # only rademacher-haar draws by level: a cap elsewhere would be
+        # written into the report without ever applying
+        out = tmp_path / "r.json"
+        assert main([
+            command, "--op", "para", "--alpha", "01", "--p", "1,2", "--depth", "3",
+            "--trials", "2", "--family", family, "--level-cap", "1", "-o", str(out),
+        ]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: level_cap applies to the rademacher-haar family only, "
+            f"not to {family}\n"
+        )
 
     def test_verify_rejects_negative_trials(self, capsys):
         assert main(["verify", "decomposition", "--trials", "-3"]) == 2

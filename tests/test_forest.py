@@ -6,10 +6,11 @@ the tables, the operators and the float64 norms take in one pass.  These
 tests hold that pass to the one-function path: each operator's output and
 each adjoint on a forest of K functions is the forest of its outputs on
 each of them, ``==`` in rational mode and the same bits in float64, and a
-forest's power means are its trees' power means, the over- and underflow
-fallbacks included.
+forest's norms are its trees' norms, the over- and underflow fallbacks
+included.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,9 +25,12 @@ from dyadicops import (
     inner_product,
     interval_family,
     lp_norm,
+    lp_norm_pow,
     multilinear_multiplier,
     paraproduct,
     pi_paraproduct,
+    weak_lp_quasinorm,
+    weak_lp_quasinorm_pow,
 )
 from dyadicops.core import (
     average_table,
@@ -250,3 +254,31 @@ class TestNormsOfForests:
                 [abs(v) ** float(q) for v in huge.values]
             got = power_mean(forest([small, huge, small]), q)
             assert same(got, [power_mean(t, q) for t in (small, huge, small)], FLOAT64)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_every_norm_reads_a_forest_tree_by_tree(self, mode):
+        """Strong p in {1, 2, 3, inf} and weak p in {1, 2}, exact routes
+        included: each tree's value is its value alone."""
+        rng = random.Random(f"norms:{mode}")
+        for _ in range(20):
+            depth = rng.randint(1, 4)
+            trees = [random_function(rng, depth, mode) for _ in range(rng.randint(2, 4))]
+            f = forest(trees)
+            norms = [
+                (lp_norm, p) for p in (1, 2, 3, math.inf)
+            ] + [
+                (lp_norm_pow, p) for p in (1, 2, 3, math.inf)
+            ] + [
+                (norm, p)
+                for norm in (weak_lp_quasinorm, weak_lp_quasinorm_pow) for p in (1, 2)
+            ]
+            for norm, p in norms:
+                want = [norm(t, p) for t in trees]
+                assert same(norm(f, p), want, mode), (norm.__name__, p)
+
+    def test_two_trees_are_measured_apart(self):
+        f = forest([StepFunction.from_values([1, 2]), StepFunction.from_values([3, -5])])
+        assert lp_norm(f, math.inf) == [2, 5]
+        assert lp_norm(f, 1) == [Fraction(3, 2), 4]
+        assert weak_lp_quasinorm(f, 1) == [1, 3]
+        assert weak_lp_quasinorm_pow(f, 1) == [1, 3]

@@ -89,7 +89,8 @@ def test_engine_matches_leaf_loop(data, mode):
 
     tables = [table() for _ in bits]
     symbol = table() if data.draw(st.booleans()) else None
-    got = _engine(bits, tables, depth, mode, symbol, support)
+    factors = tables if symbol is None else [*tables, symbol]
+    got = _engine(bits.count(0), factors, depth, mode, support)
     want = loop_engine(bits, tables, depth, mode, symbol, support)
     assert same((got.values, got.blocks), (want.values, want.blocks), mode)
 

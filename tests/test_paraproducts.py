@@ -105,7 +105,7 @@ def haar_power(interval, sigma, depth):
     ones = [[one(RATIONAL)] * (1 << level) for level in range(depth)]
     bits = (0,) * sigma or (1,)
     tables = [unit] + [ones] * (len(bits) - 1)
-    return _engine(bits, tables, depth, RATIONAL).expand()
+    return _engine(sigma, tables, depth, RATIONAL).expand()
 
 
 class TestHaarPower:

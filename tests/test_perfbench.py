@@ -71,12 +71,16 @@ def test_one_traced_cycle_is_correct(workload):
 
 def test_same_outputs_finds_no_difference_against_itself():
     """``scripts/same_outputs.py`` runs every op of a workload in both
-    checkouts and exits 0 when none differs."""
+    checkouts and exits 0 when none differs.  ``estimate-sweep`` takes its
+    ``--dump-trials`` branch and the operators on support views."""
     done = subprocess.run(
         [sys.executable, "scripts/same_outputs.py", str(ROOT), str(ROOT),
-         "--workloads", "verify-exact", "--seeds", "0"],
+         "--workloads", "verify-exact,estimate-sweep", "--seeds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.startswith("verify-exact seed 0: ")
-    assert done.stdout.endswith(" ops, all the same\n")
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "verify-exact seed 0", "estimate-sweep seed 0",
+    ]
+    assert all(line.endswith(" ops, all the same") for line in lines)

@@ -30,7 +30,7 @@ from dyadicops import (
     square_function,
     square_function_sq,
 )
-from dyadicops.errors import RootExceedsHeight
+from dyadicops.errors import RootExceedsHeight, ShapeError
 from dyadicops.normlab import multiplier_sharp_forms, pi_sharp_forms
 from dyadicops.scalars import FLOAT64, RATIONAL
 from dyadicops.sublinear import (
@@ -392,3 +392,26 @@ class TestCZDecomposition:
         assert back.height == d.height
         assert back.good == d.good
         assert back.parts == d.parts
+
+    @pytest.mark.parametrize("key", ["level", "pos"])
+    @pytest.mark.parametrize("value", [1.9, "1", True, None])
+    def test_json_interval_is_read_strictly(self, key, value):
+        obj = cz_decompose(StepFunction.from_values([4, 2, 0, 0]), 2).to_json_dict()
+        obj["parts"][0]["interval"][key] = value
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            CZDecomposition.from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            (StepFunction.from_values([1, -1] + [0] * 6), "depth mismatch: 2 vs 3"),
+            (StepFunction.from_values([1, -1, 0, 0], "float64"),
+             "mode mismatch: rational vs float64"),
+        ],
+    )
+    def test_json_part_of_another_grid_is_refused(self, b, message):
+        obj = cz_decompose(StepFunction.from_values([4, 2, 0, 0]), 2).to_json_dict()
+        obj["parts"][0]["b"] = b.to_json_dict()
+        with pytest.raises(ShapeError) as info:
+            CZDecomposition.from_json_dict(obj)
+        assert str(info.value) == message

@@ -275,14 +275,14 @@ class TestExactOnSupport:
         support = random_support(rng, depth)
         fs = [vanishing_outside(rng, support, depth) for _ in range(m)]
         symbol = random_symbol(rng, depth).table(depth, RATIONAL) if rng.random() < 0.5 else None
-        dense = _engine(bits, _slot_tables(bits, fs), depth, RATIONAL, symbol)
+        extra = [] if symbol is None else [symbol]
+        dense = _engine(bits.count(0), _slot_tables(bits, fs) + extra, depth, RATIONAL)
         views = [SupportView.restrict(f, support) for f in fs]
         local = _engine(
-            bits,
-            _slot_tables(bits, views),
+            bits.count(0),
+            _slot_tables(bits, views) + [support_layout(t, support) for t in extra],
             depth,
             RATIONAL,
-            None if symbol is None else support_layout(symbol, support),
             support,
         )
         assert len(local.values) == len(support.leaf_span(depth))
@@ -304,11 +304,11 @@ class TestExactOnSupport:
             vals[span.start:span.stop] = [rng.uniform(-1.0, 1.0) for _ in span]
             fs.append(StepFunction(depth, tuple(vals), FLOAT64))
         symbol = random_symbol(rng, depth).table(depth, FLOAT64)
-        dense = _engine(bits, _slot_tables(bits, fs), depth, FLOAT64, symbol)
+        dense = _engine(bits.count(0), [*_slot_tables(bits, fs), symbol], depth, FLOAT64)
         views = [SupportView.restrict(f, support) for f in fs]
         local = _engine(
-            bits, _slot_tables(bits, views), depth, FLOAT64,
-            support_layout(symbol, support), support,
+            bits.count(0), [*_slot_tables(bits, views), support_layout(symbol, support)],
+            depth, FLOAT64, support,
         )
         assert local.expand().values == dense.expand().values
 
