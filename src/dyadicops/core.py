@@ -102,11 +102,7 @@ class DyadicInterval:
     def contains_leaf(self, leaf: int, depth: int) -> bool:
         if not 0 <= leaf < (1 << depth):
             raise ValueError(f"leaf {leaf} out of range for depth {depth}")
-        if self.level > depth:
-            raise ResolutionError(
-                f"interval at level {self.level} is finer than depth {depth}"
-            )
-        return (leaf >> (depth - self.level)) == self.position
+        return leaf in self.leaf_span(depth)
 
     def __str__(self):
         return f"({self.level},{self.position})"
@@ -114,23 +110,32 @@ class DyadicInterval:
 
 UNIVERSE = DyadicInterval(0, 0)
 
-# The finest grid that samplers and verify suites accept: 2**20 leaves.
+# The finest grid of any function, spectrum, interval family, sampler or
+# verify suite: 2**20 leaves.
 MAX_DEPTH = 20
 
 
 def check_depth(depth: int) -> int:
-    """Reject a grid depth outside 1..MAX_DEPTH before anything is
-    allocated for it."""
-    if not 1 <= depth <= MAX_DEPTH:
+    """Reject a grid depth that is not an int in 1..MAX_DEPTH before
+    anything is allocated for it."""
+    if not 1 <= scalars.check_int(depth, "depth") <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}, got {depth}")
     return depth
+
+
+def check_haar_level(level: int, depth: int):
+    """Reject a level that carries no Haar function on a depth-``depth``
+    grid: only levels 0..depth-1 do, a leaf has no halves."""
+    if level >= depth:
+        raise ResolutionError(
+            f"no Haar function at level {level} on a depth-{depth} grid"
+        )
 
 
 def interval_family(depth: int) -> list[DyadicInterval]:
     """All intervals of levels 0..depth-1, i.e. those carrying a Haar
     function on a depth-``depth`` grid, in (level, position) order."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_depth(depth)
     return [
         DyadicInterval(level, pos)
         for level in range(depth)
@@ -152,10 +157,7 @@ def haar_eval(interval: DyadicInterval, leaf: int, depth: int, mode: str = RATIO
     zero outside.
     """
     check_mode(mode)
-    if interval.level >= depth:
-        raise ResolutionError(
-            f"no Haar function at level {interval.level} on a depth-{depth} grid"
-        )
+    check_haar_level(interval.level, depth)
     if not 0 <= leaf < (1 << depth):
         raise ValueError(f"leaf {leaf} out of range for depth {depth}")
     shift = depth - interval.level
@@ -195,8 +197,7 @@ class StepFunction:
 
     def __post_init__(self):
         check_mode(self.mode)
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        check_depth(self.depth)
         _check_leaf_count(self.depth, self.values)
         object.__setattr__(self, "values", _coerce_values(self.values, self.mode))
 
@@ -240,19 +241,8 @@ class StepFunction:
 
     # -- pointwise algebra --------------------------------------------------
 
-    def _check_compatible(self, other: "StepFunction"):
-        if self.depth != other.depth:
-            raise ShapeError(f"depth mismatch: {self.depth} vs {other.depth}")
-        if self.mode != other.mode:
-            raise ShapeError(f"mode mismatch: {self.mode} vs {other.mode}")
-        if len(self.values) != len(other.values):
-            raise ShapeError(
-                f"inputs are forests of {tree_count(self)} and "
-                f"{tree_count(other)} trees"
-            )
-
     def _leafwise(self, op, other: "StepFunction") -> "StepFunction":
-        self._check_compatible(other)
+        check_grid(other, self.depth, self.mode, trees=tree_count(self))
         return self._raw(self.depth, map(op, self.values, other.values), self.mode)
 
     def __add__(self, other):
@@ -324,7 +314,7 @@ class StepFunction:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StepFunction":
         mode = check_mode(obj.get("mode", RATIONAL))
-        depth = check_depth(scalars._json_int(obj, "depth"))
+        depth = check_depth(obj["depth"])
         values = [scalars.decode_value(v, mode) for v in obj["values"]]
         _check_leaf_count(depth, values)
         return cls._raw(depth, values, mode)
@@ -396,11 +386,7 @@ class SupportView:
     ):
         """The Haar function of ``interval`` seen from ``support``, which
         must contain it."""
-        if interval.level >= depth:
-            raise ResolutionError(
-                f"no Haar function at level {interval.level} on a "
-                f"depth-{depth} grid"
-            )
+        check_haar_level(interval.level, depth)
         mag = scalars.root2_power(interval.level, mode)
         return cls._halves(interval, support, depth, mode, -mag, mag)
 
@@ -448,6 +434,25 @@ def tree_count(f: StepFunction | SupportView) -> int:
     pass of the tables, the operators and the float64 norms serves K
     functions; each tree is read as a function of its own."""
     return len(f.values) >> (f.depth - f.support.level)
+
+
+def check_grid(
+    f: StepFunction | SupportView, depth: int, mode: str,
+    support: DyadicInterval = UNIVERSE, trees: int = 1,
+):
+    """Refuse f with a ShapeError unless it has this depth, mode, support
+    and tree count, checked in that order: the one rule for functions that
+    meet in the pointwise algebra, an inner product or an operator call."""
+    if f.depth != depth:
+        raise ShapeError(f"depth mismatch: {depth} vs {f.depth}")
+    if f.mode != mode:
+        raise ShapeError(f"mode mismatch: {mode} vs {f.mode}")
+    if f.support != support:
+        raise ShapeError(
+            f"inputs are seen from different supports: {support} vs {f.support}"
+        )
+    if tree_count(f) != trees:
+        raise ShapeError(f"inputs are forests of {trees} and {tree_count(f)} trees")
 
 
 def forest(fs: Sequence[StepFunction]) -> StepFunction:
@@ -525,8 +530,7 @@ class HaarSpectrum:
 
     def __post_init__(self):
         check_mode(self.mode)
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        check_depth(self.depth)
         object.__setattr__(self, "mean", scalars.coerce(self.mean, self.mode))
         shape = [len(row) for row in self.coeffs]
         if shape != [1 << level for level in range(self.depth)]:
@@ -550,11 +554,7 @@ class HaarSpectrum:
         return s
 
     def coefficient(self, interval: DyadicInterval):
-        if interval.level >= self.depth:
-            raise ResolutionError(
-                f"no coefficient at level {interval.level} on a "
-                f"depth-{self.depth} grid"
-            )
+        check_haar_level(interval.level, self.depth)
         return self.coeffs[interval.level][interval.position]
 
     def to_json_dict(self) -> dict:
@@ -574,7 +574,7 @@ class HaarSpectrum:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HaarSpectrum":
         mode = check_mode(obj.get("mode", RATIONAL))
-        depth = check_depth(scalars._json_int(obj, "depth"))
+        depth = check_depth(obj["depth"])
         z = scalars.zero(mode)
         rows = [[z] * (1 << level) for level in range(depth)]
         for e in obj.get("coeffs", []):
@@ -729,21 +729,14 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
         raise ValueError(f"alpha bit must be 0 or 1, got {alpha}")
     f = f.expand()
     depth, mode = f.depth, f.mode
+    if alpha == 0:
+        check_haar_level(interval.level, depth)
+    span = interval.leaf_span(depth)
     if alpha == 1:
-        if interval.level > depth:
-            raise ResolutionError(
-                f"interval at level {interval.level} is finer than depth {depth}"
-            )
-        span = interval.leaf_span(depth)
         total = scalars.zero(mode)
         for leaf in span:
             total = total + f.values[leaf]
         return total * scalars.reciprocal(len(span), mode)
-    if interval.level >= depth:
-        raise ResolutionError(
-            f"no Haar pairing at level {interval.level} on a depth-{depth} grid"
-        )
-    span = interval.leaf_span(depth)
     half = len(span) // 2
     acc = scalars.zero(mode)
     for i, leaf in enumerate(span):
@@ -754,7 +747,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
 def inner_product(f: StepFunction, g: StepFunction):
     """Integral of f*g over [0, 1)."""
     f, g = f.expand(), g.expand()
-    f._check_compatible(g)
+    check_grid(g, f.depth, f.mode, trees=tree_count(f))
     acc = scalars.zero(f.mode)
     for x, y in zip(f.values, g.values):
         acc = acc + x * y

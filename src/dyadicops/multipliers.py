@@ -12,7 +12,6 @@ is unaffected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,10 +50,7 @@ class SymbolSequence:
                     f"symbol entries are keyed by DyadicInterval, got {interval!r}"
                 )
         for v in (self.default, *self.entries.values()):
-            if isinstance(v, bool):
-                raise TypeError("bool is not a scalar")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"symbol values must be finite, got {v!r}")
+            scalars.check_scalar(v)
 
     @classmethod
     def constant(cls, value) -> "SymbolSequence":

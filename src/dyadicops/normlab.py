@@ -28,6 +28,7 @@ from .core import (
     SupportView,
     canonical_json,
     check_depth,
+    check_grid,
     forest,
     haar_sum,
     inner_product,
@@ -122,6 +123,8 @@ class OperatorDescriptor:
             if not self.alpha.is_admissible:
                 raise ValueError("commutator alpha must contain a zero bit")
             _check_slot(self.slot, self.alpha.m)
+        if self.b is not None:
+            check_grid(self.b, self.b.depth, self.b.mode)
 
     @property
     def arity(self) -> int:
@@ -268,12 +271,15 @@ class SamplerSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         check_depth(self.depth)
-        if self.level_cap is not None and self.family != "rademacher-haar":
+        scalars.check_int(self.seed, "seed")
+        if self.level_cap is None:
+            return
+        if self.family != "rademacher-haar":
             raise ValueError(
                 f"level_cap applies to the rademacher-haar family only, "
                 f"not to {self.family}"
             )
-        if self.level_cap is not None and not 0 <= self.level_cap < self.depth:
+        if not 0 <= scalars.check_int(self.level_cap, "level_cap") < self.depth:
             raise ValueError(
                 f"level_cap must lie in 0..{self.depth - 1}, got {self.level_cap}"
             )
@@ -678,7 +684,7 @@ def _run_experiment(
     trials: int,
     weak: bool,
 ) -> ExperimentReport:
-    if trials < 1:
+    if scalars.check_int(trials, "trials") < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     _check_arity(descriptor, exponents)
     if weak and all(p != 1 for p in exponents.p):

@@ -26,6 +26,7 @@ from .core import (
     SupportView,
     _right_of,
     average_table,
+    check_grid,
     coefficient_table,
     haar_sum,
     pointwise_product,
@@ -33,20 +34,28 @@ from .core import (
     support_layout,
     tree_count,
 )
-from .errors import ResolutionError, ShapeError
+from .errors import ShapeError
 
 
 @dataclass(frozen=True)
 class AlphaVector:
-    """A vector of 0/1 slot markers: 0 = Haar pairing, 1 = average."""
+    """A vector of 0/1 slot markers: 0 = Haar pairing, 1 = average.
+
+    ``bits`` is given as a string over 0/1, such as "011", or as any
+    iterable of the ints 0 and 1; ``__post_init__`` is the one alpha parser.
+    """
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.bits, str):
-            object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        elif isinstance(self.bits, list):
-            object.__setattr__(self, "bits", tuple(self.bits))
+        bits = self.bits
+        if isinstance(bits, str):
+            if not bits or any(ch not in "01" for ch in bits):
+                raise ValueError(
+                    f"alpha string must be nonempty over 0/1, got {bits!r}"
+                )
+            bits = map(int, bits)
+        object.__setattr__(self, "bits", tuple(bits))
         if len(self.bits) < 1:
             raise ValueError("alpha needs at least one slot")
         # not a bool or a float: str(alpha) must read back by from_string
@@ -55,9 +64,7 @@ class AlphaVector:
 
     @classmethod
     def from_string(cls, s: str) -> "AlphaVector":
-        if not s or any(ch not in "01" for ch in s):
-            raise ValueError(f"alpha string must be nonempty over 0/1, got {s!r}")
-        return cls(tuple(int(ch) for ch in s))
+        return cls(s)
 
     @property
     def m(self) -> int:
@@ -86,11 +93,7 @@ class AlphaVector:
 
 
 def _as_alpha(alpha) -> AlphaVector:
-    if isinstance(alpha, AlphaVector):
-        return alpha
-    if isinstance(alpha, str):
-        return AlphaVector.from_string(alpha)
-    return AlphaVector(tuple(alpha))
+    return alpha if isinstance(alpha, AlphaVector) else AlphaVector(alpha)
 
 
 def admissible_alphas(m: int) -> list[AlphaVector]:
@@ -110,34 +113,25 @@ def admissible_alphas(m: int) -> list[AlphaVector]:
 
 def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None):
     """The operator-call contract: alpha as an AlphaVector, then the depth,
-    mode, support and tree count that its m inputs share, a StepFunction
-    being seen from the universe.  ``b``, on the full grid, must match
-    their depth and mode only.  Forests must hold equally many trees."""
+    mode, support and tree count that its m inputs share (``check_grid``),
+    a StepFunction being seen from the universe.  ``b`` must be one tree
+    seen from the universe, and the inputs must match its depth and mode.
+    Forests must hold equally many trees."""
     a = _as_alpha(alpha)
     if len(fs) != a.m:
         raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
+    if b is not None:
+        check_grid(b, b.depth, b.mode)
     first = fs[0] if b is None else b
-    trees = tree_count(fs[0])
+    support, trees = fs[0].support, tree_count(fs[0])
     for f in fs:
-        if f.depth != first.depth:
-            raise ShapeError(f"depth mismatch: {first.depth} vs {f.depth}")
-        if f.mode != first.mode:
-            raise ShapeError(f"mode mismatch: {first.mode} vs {f.mode}")
-        if f.support != fs[0].support:
-            raise ShapeError(
-                f"inputs are seen from different supports: "
-                f"{fs[0].support} vs {f.support}"
-            )
-        if tree_count(f) != trees:
-            raise ShapeError(f"inputs are forests of {trees} and {tree_count(f)} trees")
-    return a, first.depth, first.mode, fs[0].support, trees
+        check_grid(f, first.depth, first.mode, support, trees)
+    return a, first.depth, first.mode, support, trees
 
 
 def _check_slot(slot, m: int):
     """A 1-based slot of an m-linear operator: an int, not a bool."""
-    if type(slot) is not int:
-        raise TypeError(f"slot must be an integer, got {slot!r}")
-    if not 1 <= slot <= m:
+    if not 1 <= scalars.check_int(slot, "slot") <= m:
         raise ValueError(f"slot must be in 1..{m}, got {slot}")
 
 
@@ -291,15 +285,12 @@ def localized_average_residual(
     fs = [f.expand() for f in fs]
     if not fs:
         raise ShapeError("need at least one input function")
-    for f in fs[1:]:
-        fs[0]._check_compatible(f)
     depth, mode = fs[0].depth, fs[0].mode
+    for f in fs[1:]:
+        check_grid(f, depth, mode, trees=tree_count(fs[0]))
     if interval.level < 1:
         raise ValueError("localization needs a proper subinterval of the universe")
-    if interval.level > depth:
-        raise ResolutionError(
-            f"interval at level {interval.level} is finer than depth {depth}"
-        )
+    interval.leaf_span(depth)  # refuses an interval finer than the grid
     atabs = [average_table(f) for f in fs]
 
     lhs = scalars.one(mode)

@@ -399,17 +399,33 @@ def parse_finite_fraction(text) -> Fraction:
     return q
 
 
+def check_int(value, name: str) -> int:
+    """value, which must be an int: a float, a string or a bool is refused,
+    not rounded or read as 0 or 1.  The one integer rule of slots, seeds,
+    counts, depths and the integers of every JSON reader."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_scalar(value):
+    """value, refused if it is a bool or a float that is not finite: the
+    one scalar rule of ``coerce``, ``decode_value`` and ``SymbolSequence``."""
+    if isinstance(value, bool):
+        raise TypeError("bool is not a scalar")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"float64 values must be finite, got {value!r}")
+    return value
+
+
 def finite_float(value) -> float:
     """``float(value)``, rejecting NaN, the infinities, and numbers too
-    large for a float.  ``coerce`` and ``decode_value`` repeat this inline:
-    they run once per leaf of every float64 file."""
+    large for a float."""
     try:
         x = float(value)
     except OverflowError:
         raise ValueError("number too large for a float64 value") from None
-    if math.isfinite(x):
-        return x
-    raise ValueError(f"float64 values must be finite, got {x!r}")
+    return check_scalar(x)
 
 
 def coerce(value, mode: str):
@@ -417,32 +433,30 @@ def coerce(value, mode: str):
 
     Rational mode accepts int, Fraction, Exact, and fraction strings but
     rejects floats; float64 mode accepts anything numeric and finite.
+    Neither accepts a bool (``check_scalar``).
     """
     if mode == RATIONAL:
         if type(value) is Exact:
-            return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(value, (int, Fraction)):
-            return Exact(value)
-        if isinstance(value, str):
-            return Exact(parse_fraction(value))
-        if isinstance(value, Exact):
             return value
         if isinstance(value, float):
             raise TypeError(
                 "float values are not allowed in rational mode; "
                 "pass Fraction or Exact instead"
             )
+        check_scalar(value)
+        if isinstance(value, (int, Fraction)):
+            return Exact(value)
+        if isinstance(value, str):
+            return Exact(parse_fraction(value))
+        if isinstance(value, Exact):
+            return value
         raise TypeError(f"cannot use {type(value).__name__} in rational mode")
     if mode == FLOAT64:
-        if type(value) is not float:
-            return finite_float(
-                parse_fraction(value) if isinstance(value, str) else value
-            )
-        if math.isfinite(value):
+        if type(value) is float and math.isfinite(value):
             return value
-        raise ValueError(f"float64 values must be finite, got {value!r}")
+        if isinstance(value, str):
+            return finite_float(parse_fraction(value))
+        return finite_float(check_scalar(value))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -476,12 +490,8 @@ def encode_value(value, mode: str):
 
 
 def _json_int(obj: dict, key: str) -> int:
-    """``obj[key]``, which must be a JSON integer: a float, a string or a
-    boolean there is refused, not rounded or read as 0 or 1."""
-    value = obj[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
+    """``obj[key]``, which must be a JSON integer (``check_int``)."""
+    return check_int(obj[key], key)
 
 
 def _pair(obj: list) -> list:
@@ -492,12 +502,11 @@ def _pair(obj: list) -> list:
 
 
 def decode_value(obj, mode: str):
-    """A scalar of ``mode`` from its JSON form; JSON booleans and lists
-    that are not pairs are refused."""
+    """A scalar of ``mode`` from its JSON form; JSON booleans, NaN, the
+    infinities (``check_scalar``) and lists that are not pairs are refused."""
     if type(obj) is float and mode == FLOAT64 and math.isfinite(obj):
         return obj
-    if isinstance(obj, bool):
-        raise TypeError("bool is not a scalar")
+    check_scalar(obj)
     if mode == FLOAT64:
         if isinstance(obj, str):
             return finite_float(parse_fraction(obj))

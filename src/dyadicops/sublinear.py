@@ -13,6 +13,7 @@ from .core import (
     DyadicInterval,
     StepFunction,
     average_table,
+    check_grid,
     coefficient_table,
     haar_sum,
 )
@@ -261,7 +262,7 @@ class CZDecomposition:
             interval = DyadicInterval(json_int(i, "level"), json_int(i, "pos"))
             b = StepFunction.from_json_dict(p["b"])
             # a part of another depth or mode would not add to good
-            good._check_compatible(b)
+            check_grid(b, good.depth, good.mode)
             parts.append((interval, b))
         return cls(scalars.decode_value(obj["height"], good.mode), good, tuple(parts))
 

@@ -5,22 +5,36 @@ refuses a tuple of the wrong arity, inputs of other depths, modes or
 supports, forests of different tree counts and a b of another depth, with
 the same exception type and message.  Slots and alpha bits are ints:
 a bool or a float is refused before it can reach a report.
+
+Each input rule is stated by one function (``core.check_grid``,
+``scalars.check_int``, ``scalars.check_scalar``, ``core.check_depth``,
+``DyadicInterval.leaf_span`` with ``core.check_haar_level``, and
+``AlphaVector.__post_init__``), and every caller reuses it.
 """
+
+from pathlib import Path
 
 import pytest
 
+import dyadicops
 from dyadicops import (
     AlphaVector,
     DyadicInterval,
+    ExponentTuple,
+    HaarSpectrum,
     OperatorDescriptor,
+    SamplerSpec,
     StepFunction,
     SymbolSequence,
     commutator,
+    core,
+    estimate_operator_norm,
+    interval_family,
     multilinear_multiplier,
     paraproduct,
     pi_paraproduct,
 )
-from dyadicops.core import SupportView, forest
+from dyadicops.core import MAX_DEPTH, SupportView, forest
 from dyadicops.errors import ShapeError
 from dyadicops.normlab import necessity_case
 
@@ -107,3 +121,120 @@ def test_alpha_bits_are_ints(bits):
     with pytest.raises(ValueError, match="alpha bits must be 0 or 1"):
         OperatorDescriptor("paraproduct", bits)
 
+
+
+# b must be one tree seen from the universe: a view of b, or a forest of
+# b, is refused by the same rule as the inputs
+B_CASES = {
+    "view": (
+        SupportView.restrict(StepFunction.from_values([0, 0, 1, 2]), DyadicInterval(1, 1)),
+        "inputs are seen from different supports: (0,0) vs (1,1)",
+    ),
+    "forest": (forest([B, B]), "inputs are forests of 1 and 2 trees"),
+}
+
+B_CALLS = {
+    "pi_paraproduct": lambda b: pi_paraproduct(ALPHA, b, [F, F]),
+    "commutator": lambda b: commutator(1, b, EPS, ALPHA, [F, F]),
+    "pi descriptor": lambda b: OperatorDescriptor("pi_paraproduct", ALPHA, b=b),
+    "commutator descriptor": lambda b: OperatorDescriptor(
+        "commutator", ALPHA, b=b, symbol=EPS, slot=1
+    ),
+}
+
+
+@pytest.mark.parametrize("call", B_CALLS)
+@pytest.mark.parametrize("case", B_CASES)
+def test_b_is_one_tree_seen_from_the_universe(call, case):
+    b, message = B_CASES[case]
+    with pytest.raises(ShapeError) as info:
+        B_CALLS[call](b)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: SamplerSpec("random-step", 3, seed=v), "seed"),
+        (lambda v: SamplerSpec("rademacher-haar", 3, level_cap=v), "level_cap"),
+        (
+            lambda v: estimate_operator_norm(
+                OperatorDescriptor("paraproduct", ALPHA),
+                ExponentTuple.from_string("2,2"),
+                SamplerSpec("random-step", 2),
+                v,
+            ),
+            "trials",
+        ),
+    ],
+)
+@pytest.mark.parametrize("value", [True, 2.5])
+def test_seeds_caps_and_trial_counts_are_ints(build, name, value):
+    with pytest.raises(TypeError) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StepFunction(1, (True, False), "float64"),
+        lambda: StepFunction.constant(True, 2, "float64"),
+    ],
+)
+def test_a_bool_is_not_a_float64_scalar(build):
+    # as it is not a rational one
+    with pytest.raises(TypeError, match="^bool is not a scalar$"):
+        build()
+
+
+@pytest.mark.parametrize("text", ["0x", "", "012"])
+def test_an_alpha_string_has_one_rule(text):
+    message = f"alpha string must be nonempty over 0/1, got {text!r}"
+    for build in (AlphaVector, AlphaVector.from_string):
+        with pytest.raises(ValueError) as info:
+            build(text)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        OperatorDescriptor("paraproduct", text)
+    assert str(info.value) == message
+
+
+def _refuse_allocation(*args):
+    raise AssertionError("an interval was built before the depth was checked")
+
+
+@pytest.mark.parametrize("depth", [0, MAX_DEPTH + 1])
+def test_every_grid_checks_its_depth_first(depth, monkeypatch):
+    message = f"depth must lie in 1..{MAX_DEPTH}, got {depth}"
+    monkeypatch.setattr(core, "DyadicInterval", _refuse_allocation)
+    for build in (
+        lambda: StepFunction(depth, ()),
+        lambda: HaarSpectrum(depth, 0, ()),
+        lambda: interval_family(depth),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+# each boundary message is written once, in the function that states the
+# rule: a caller that copies a rule would copy its message too
+RULE_MESSAGES = [
+    "depth mismatch",
+    "mode mismatch",
+    "inputs are forests of",
+    "must be an integer",
+    "is finer than depth",
+    "no Haar function at level",
+    "bool is not a scalar",
+    "alpha string must be",
+    "depth must lie in",
+]
+
+
+@pytest.mark.parametrize("message", RULE_MESSAGES)
+def test_each_input_rule_is_stated_once(message):
+    package = Path(dyadicops.__file__).parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    assert sum(text.count(message) for text in sources) == 1
