@@ -33,6 +33,7 @@ from .errors import DyadicOpsError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
 from .normlab import (
     KINDS,
+    OPERATOR_KINDS,
     ExponentTuple,
     OperatorDescriptor,
     SamplerSpec,
@@ -65,14 +66,11 @@ from .sublinear import (
 FLOAT_TOL = 1e-9
 
 OP_ALIASES = {
+    **{kind: kind for kind in KINDS},
     "para": "paraproduct",
-    "paraproduct": "paraproduct",
     "pi": "pi_paraproduct",
-    "pi_paraproduct": "pi_paraproduct",
     "mult": "multilinear_multiplier",
     "multiplier": "multilinear_multiplier",
-    "multilinear_multiplier": "multilinear_multiplier",
-    "commutator": "commutator",
 }
 
 def _emit(obj, output: str | None):
@@ -147,14 +145,14 @@ def _suite_duality(args, rng):
         kind = rng.choice(KINDS)
         alpha = rng.choice(alphas)
         slot = rng.randint(1, alpha.m)
-        b = symbol = i = None
-        if kind in ("pi_paraproduct", "commutator"):
-            b = _random_function(rng, args.depth, args.mode)
-        if kind in ("multilinear_multiplier", "commutator"):
-            symbol = _random_symbol(rng, args.depth)
-        if kind == "commutator":
-            i = rng.randint(1, alpha.m)
-        descriptor = OperatorDescriptor(kind, alpha, b, symbol, i)
+        draws = {
+            "b": lambda: _random_function(rng, args.depth, args.mode),
+            "symbol": lambda: _random_symbol(rng, args.depth),
+            "slot": lambda: rng.randint(1, alpha.m),
+        }
+        # the kind's fields, drawn in the order b, symbol, slot
+        fields = {name: draws[name]() for name in OPERATOR_KINDS[kind][1]}
+        descriptor = OperatorDescriptor(kind, alpha, **fields)
         fs = [_random_function(rng, args.depth, args.mode) for _ in range(alpha.m)]
         g = _random_function(rng, args.depth, args.mode)
         yield adjoint_residual(descriptor, slot, fs, g)
@@ -301,11 +299,9 @@ def _build_descriptor(args) -> OperatorDescriptor:
         symbol = _load(args.symbol, SymbolSequence, "symbol sequence")
     elif args.symbol_const is not None:
         symbol = SymbolSequence.constant(parse_fraction(args.symbol_const))
-    elif kind in ("multilinear_multiplier", "commutator"):
+    elif "symbol" in OPERATOR_KINDS[kind][1]:
         symbol = SymbolSequence.constant(1)
-    if kind == "commutator" and args.slot is None:
-        raise ValueError("commutator experiments need --slot")
-    # the descriptor refuses an option its kind does not take
+    # the descriptor refuses a missing field and one its kind does not read
     return OperatorDescriptor(kind, alpha, b, symbol, args.slot)
 
 

@@ -158,13 +158,10 @@ def haar_eval(interval: DyadicInterval, leaf: int, depth: int, mode: str = RATIO
     """
     check_mode(mode)
     check_haar_level(interval.level, depth)
-    if not 0 <= leaf < (1 << depth):
-        raise ValueError(f"leaf {leaf} out of range for depth {depth}")
-    shift = depth - interval.level
-    if (leaf >> shift) != interval.position:
+    if not interval.contains_leaf(leaf, depth):
         return scalars.zero(mode)
     magnitude = scalars.root2_power(interval.level, mode)
-    right = (leaf >> (shift - 1)) & 1
+    right = (leaf >> (depth - interval.level - 1)) & 1
     return magnitude if right else -magnitude
 
 

@@ -126,11 +126,7 @@ def multilinear_multiplier(
     from it, and the kept symbol table is cut down to it.
     """
     a = _as_alpha(alpha)
-    if not a.is_admissible:
-        raise ValueError(
-            "alpha must have at least one Haar slot (the all-ones vector "
-            "gives no multiplier)"
-        )
+    a.check_haar_slot()
     _, depth, mode, support, trees = _check_call(a, fs)
     symbol = _grid_rows(eps.table(depth, mode), support, trees)
     tables = [*_slot_tables(a.bits, fs), symbol]

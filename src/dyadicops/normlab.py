@@ -47,7 +47,17 @@ from .paraproducts import (
 from .scalars import FLOAT64, RATIONAL
 from .sublinear import _bstar_table, _centered_rows, bmo_norm, bstar_seminorm
 
-KINDS = ("paraproduct", "pi_paraproduct", "multilinear_multiplier", "commutator")
+# Each operator kind: the noun of its descriptor messages and the fields it
+# reads besides alpha, in the order of FIELDS.  A kind that reads a symbol
+# is a Haar multiplier, whose alpha must have a zero bit.
+OPERATOR_KINDS = {
+    "paraproduct": ("paraproduct", ()),
+    "pi_paraproduct": ("pi_paraproduct", ("b",)),
+    "multilinear_multiplier": ("multiplier", ("symbol",)),
+    "commutator": ("commutator", ("b", "symbol", "slot")),
+}
+KINDS = tuple(OPERATOR_KINDS)
+FIELDS = ("b", "symbol", "slot")
 FAMILIES = ("random-step", "rademacher-haar", "indicator", "extremal")
 
 
@@ -86,10 +96,10 @@ class ExponentTuple:
 class OperatorDescriptor:
     """Which operator a norm experiment drives.
 
-    kind is one of {paraproduct, pi_paraproduct, multilinear_multiplier,
-    commutator}; b is the symbol function (pi, commutator), symbol the
-    multiplier sequence (multiplier, commutator), slot the 1-based
-    commutator slot.
+    kind is a key of ``OPERATOR_KINDS``, whose row names the fields it
+    reads besides alpha, the others being None: b is the symbol function
+    (pi, commutator), symbol the multiplier sequence (multiplier,
+    commutator), slot the 1-based commutator slot.
     """
 
     kind: str
@@ -99,29 +109,20 @@ class OperatorDescriptor:
     slot: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "alpha", _as_alpha(self.alpha))
-        if self.kind == "paraproduct":
-            if self.b is not None or self.symbol is not None or self.slot is not None:
-                raise ValueError("paraproduct descriptors take only alpha")
-        elif self.kind == "pi_paraproduct":
-            if self.b is None:
-                raise ValueError("pi_paraproduct descriptors need b")
-            if self.symbol is not None or self.slot is not None:
-                raise ValueError("pi_paraproduct descriptors take no symbol/slot")
-        elif self.kind == "multilinear_multiplier":
-            if self.symbol is None:
-                raise ValueError("multiplier descriptors need a symbol sequence")
-            if not self.alpha.is_admissible:
-                raise ValueError("multiplier alpha must contain a zero bit")
-            if self.b is not None or self.slot is not None:
-                raise ValueError("multiplier descriptors take no b/slot")
-        elif self.kind == "commutator":
-            if self.b is None or self.symbol is None or self.slot is None:
-                raise ValueError("commutator descriptors need b, symbol, and slot")
-            if not self.alpha.is_admissible:
-                raise ValueError("commutator alpha must contain a zero bit")
+        noun, fields = OPERATOR_KINDS[self.kind]
+        missing = [name for name in fields if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{noun} descriptors need {' and '.join(missing)}")
+        if "symbol" in fields:
+            self.alpha.check_haar_slot()
+        others = [name for name in FIELDS if name not in fields]
+        if any(getattr(self, name) is not None for name in others):
+            takes = f"no {'/'.join(others)}" if fields else "only alpha"
+            raise ValueError(f"{noun} descriptors take {takes}")
+        if self.slot is not None:
             _check_slot(self.slot, self.alpha.m)
         if self.b is not None:
             check_grid(self.b, self.b.depth, self.b.mode)

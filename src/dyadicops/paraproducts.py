@@ -79,6 +79,11 @@ class AlphaVector:
         """True when at least one slot is a Haar pairing (not all ones)."""
         return 0 in self.bits
 
+    def check_haar_slot(self):
+        """Refuse an alpha with no Haar slot, which gives no Haar multiplier."""
+        if not self.is_admissible:
+            raise ValueError(f"alpha needs a Haar slot (a zero bit), got {self}")
+
     def __iter__(self):
         return iter(self.bits)
 
@@ -280,14 +285,14 @@ def localized_average_residual(
     The product of the averages over J, viewed on J, equals the sum over
     the strict ancestors I of J of the paraproduct terms of I (restricted
     to J) plus the same global-mean constant.  Returns LHS - RHS, which is
-    identically zero.
+    identically zero.  Each input is one tree (``check_grid``).
     """
     fs = [f.expand() for f in fs]
     if not fs:
         raise ShapeError("need at least one input function")
     depth, mode = fs[0].depth, fs[0].mode
-    for f in fs[1:]:
-        check_grid(f, depth, mode, trees=tree_count(fs[0]))
+    for f in fs:
+        check_grid(f, depth, mode)
     if interval.level < 1:
         raise ValueError("localization needs a proper subinterval of the universe")
     interval.leaf_span(depth)  # refuses an interval finer than the grid

@@ -30,9 +30,11 @@ from dyadicops import (
     core,
     estimate_operator_norm,
     interval_family,
+    localized_average_residual,
     multilinear_multiplier,
     paraproduct,
     pi_paraproduct,
+    product_decomposition_residual,
 )
 from dyadicops.core import MAX_DEPTH, SupportView, forest
 from dyadicops.errors import ShapeError
@@ -200,6 +202,44 @@ def test_an_alpha_string_has_one_rule(text):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("forests", [(2, 2), (1, 2), (2, 1)])
+def test_an_identity_residual_takes_one_tree(forests):
+    # the residual reads each input's tables at one (level, position): a
+    # forest would have only its first tree's identity checked
+    fs = [forest([F] * k) for k in forests]
+    with pytest.raises(ShapeError) as info:
+        localized_average_residual(DyadicInterval(1, 1), fs)
+    assert str(info.value) == "inputs are forests of 1 and 2 trees"
+    with pytest.raises(ShapeError, match="^inputs are forests of [12] and [12] "):
+        product_decomposition_residual(fs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: multilinear_multiplier(EPS, "11", [F, F]),
+        lambda: OperatorDescriptor("multilinear_multiplier", "11", symbol=EPS),
+        lambda: OperatorDescriptor("commutator", "11", b=B, symbol=EPS, slot=1),
+    ],
+)
+def test_a_haar_multiplier_needs_a_haar_slot(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "alpha needs a Haar slot (a zero bit), got 11"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core.haar_eval(dyadicops.UNIVERSE, 4, 2),
+        lambda: DyadicInterval(1, 0).contains_leaf(-1, 2),
+    ],
+)
+def test_a_leaf_past_the_grid_is_refused_alike(call):
+    with pytest.raises(ValueError, match="^leaf -?[0-9]+ out of range for depth 2$"):
+        call()
+
+
 def _refuse_allocation(*args):
     raise AssertionError("an interval was built before the depth was checked")
 
@@ -230,6 +270,8 @@ RULE_MESSAGES = [
     "bool is not a scalar",
     "alpha string must be",
     "depth must lie in",
+    "out of range for depth",
+    "needs a Haar slot",
 ]
 
 

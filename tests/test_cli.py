@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from dyadicops import (
 from dyadicops import cli, paraproducts
 from dyadicops.cli import main
 from dyadicops.core import MAX_DEPTH
+from dyadicops.normlab import FIELDS, KINDS, OPERATOR_KINDS
 
 
 def write_json(path, obj):
@@ -77,6 +79,17 @@ FROZEN_INPUTS = {
 # the adjoint with its alpha left unflipped is right on a few trials:
 # failures out of 8 at --m 2 --depth 3, the same in both modes
 FROZEN_FAILURES = {"adjoint": 7, "transpose": 6}
+
+
+def test_kind_rules_live_in_one_table():
+    # what differs between operator kinds is a field of the kind's row:
+    # the command line compares no kind names
+    source = Path(cli.__file__).read_text()
+    assert not re.findall(r'kind (==|!=) "|kind in \(', source)
+    assert list(OPERATOR_KINDS) == list(KINDS)
+    assert len(set(KINDS)) == len(KINDS)
+    for _, fields in OPERATOR_KINDS.values():
+        assert list(fields) == [name for name in FIELDS if name in fields]
 
 
 class TestVerify:
@@ -495,6 +508,22 @@ class TestEstimate:
         ],
     )
     def test_option_the_kind_does_not_take_exits_two(
+        self, func_file, capsys, command, options, message
+    ):
+        options = [str(func_file) if o == "FILE" else o for o in options]
+        argv = [command, "--alpha", "01", "--p", "2,2", "--trials", "2", *options]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["estimate", "weak"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--op", "para"], "--depth is required when no --b file sets the grid"),
+            (["--op", "commutator", "--b", "FILE"], "commutator descriptors need slot"),
+        ],
+    )
+    def test_missing_option_exits_two(
         self, func_file, capsys, command, options, message
     ):
         options = [str(func_file) if o == "FILE" else o for o in options]

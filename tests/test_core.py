@@ -476,6 +476,27 @@ class TestNorms:
         with pytest.raises(ValueError):
             lp_norm_pow(f, 0)
 
+    def test_fractional_p(self):
+        # float64: the correctly rounded mean of the libm powers; rational
+        # mode has no exact fractional power
+        vals = [0.25, -1.5, 3.0, -0.75, 1e-3, 2.5, -0.5, 7.0]
+        f = StepFunction.from_values(vals, mode=FLOAT64)
+        want = math.fsum(abs(v) ** 1.5 for v in vals) * (1.0 / 8)
+        assert lp_norm_pow(f, Fraction(3, 2)).hex() == want.hex()
+        with pytest.raises(
+            ValueError, match="^exact p-th powers need an integer exponent, got 3/2$"
+        ):
+            lp_norm_pow(StepFunction.from_values([1, 2]), Fraction(3, 2))
+
+    def test_weak_p_validation(self):
+        f = StepFunction.from_values([1, 2])
+        with pytest.raises(ValueError, match="^weak quasinorm needs a finite exponent$"):
+            weak_lp_quasinorm(f, math.inf)
+        with pytest.raises(
+            ValueError, match="^exact weak quasinorm powers need an integer p, got 3/2$"
+        ):
+            weak_lp_quasinorm_pow(f, Fraction(3, 2))
+
     def test_weak_frozen(self):
         # distribution of |f|: value 4 on 1/4, value 2 on 1/2, value 1 on 3/4
         f = StepFunction.from_values([1, 2, -2, 4])

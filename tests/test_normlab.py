@@ -35,7 +35,7 @@ from dyadicops.normlab import (
     _sign_indices,
     random_rational_step,
 )
-from dyadicops.scalars import FLOAT64, Exact, _canonical
+from dyadicops.scalars import FLOAT64, RATIONAL, Exact, _canonical
 
 from oracles import (
     fraction_rational_step,
@@ -70,6 +70,11 @@ class TestExponentTuple:
         assert e.to_json_dict() == {"p": ["1", "3/2"], "r": "3/5"}
 
 
+# a sharp tuple never reads b, so any b will do
+ANY_B = StepFunction.zeros(4, FLOAT64)
+EPS = SymbolSequence.constant(1)
+
+
 class TestOperatorDescriptor:
     def test_paraproduct_rejects_extras(self):
         with pytest.raises(ValueError):
@@ -97,6 +102,20 @@ class TestOperatorDescriptor:
             OperatorDescriptor("commutator", (0, 1), b=b, symbol=eps, slot=3)
         d = OperatorDescriptor("commutator", (0, 1), b=b, symbol=eps, slot=1)
         assert d.arity == 2
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("pi_paraproduct", {}, "pi_paraproduct descriptors need b"),
+            ("multilinear_multiplier", {}, "multiplier descriptors need symbol"),
+            ("commutator", {"b": ANY_B, "symbol": EPS}, "commutator descriptors need slot"),
+            ("commutator", {"symbol": EPS}, "commutator descriptors need b and slot"),
+        ],
+    )
+    def test_a_missing_field_is_named(self, kind, fields, message):
+        with pytest.raises(ValueError) as info:
+            OperatorDescriptor(kind, (0, 1), **fields)
+        assert str(info.value) == message
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -240,10 +259,6 @@ class TestSamplerStreams:
             assert got_rng.getstate() == want_rng.getstate()
 
 
-# a sharp tuple never reads b, so any b will do
-ANY_B = StepFunction.zeros(4, FLOAT64)
-
-
 def descriptors_of(kind, bits):
     """A float64 descriptor of ``kind`` with alpha ``bits``, one per slot
     for a commutator."""
@@ -312,6 +327,18 @@ class TestExtremalFamilies:
             with pytest.raises(ResolutionError, match=message):
                 sharp_ratio(d, ExponentTuple((2, 2)), DyadicInterval(4, 3), 4)
 
+    def test_rational_pi_family_needs_half_integer_powers(self):
+        # the scales 2**(level (1/2 - 1/p)) and 2**(level / p) are exact
+        # in Q(sqrt 2) only where twice the power is an integer
+        (d,) = descriptors_of("pi_paraproduct", (0, 1))
+        i = DyadicInterval(1, 0)
+        fs = extremal_tuple(d, ExponentTuple((2, 2)), i, 4, RATIONAL)
+        assert fs[1].expand() == StepFunction.indicator(i, 4).scale(Exact(0, 1))
+        with pytest.raises(
+            ValueError, match=r"^2\*\*-1/6 is not exactly representable in rational mode$"
+        ):
+            extremal_tuple(d, ExponentTuple((3, 3)), i, 4, RATIONAL)
+
     def test_case_one_needs_parent(self):
         assert extremal_tuple(
             OperatorDescriptor(
@@ -344,6 +371,29 @@ class TestExperiments:
         assert report.trials == 20
         # extremal jobs land after the random trials
         assert report.best_trial >= 20
+
+    def test_a_form_past_the_float_range_runs_every_sharp_job(self, monkeypatch):
+        # a closed form of inf ranks nothing, so each of the 2^depth - 1
+        # sharp jobs runs, as with no closed form at all
+        d, e, depth, trials = self.make_multiplier(), ExponentTuple((2, 2)), 3, 2
+        sampler = SamplerSpec("random-step", depth)
+        ranked = estimate_operator_norm(d, e, sampler, trials)
+        assert len(ranked.trial_ratios) == trials + 1
+        real = normlab.sharp_forms
+
+        def one_infinite(*args):
+            forms = real(*args)
+            forms[3] = math.inf
+            return forms
+
+        monkeypatch.setattr(normlab, "sharp_forms", one_infinite)
+        report = estimate_operator_norm(d, e, sampler, trials)
+        assert report.trial_ratios[:trials] == ranked.trial_ratios[:trials]
+        assert report.trial_ratios[trials:] == tuple(
+            (trials + k, sharp_ratio(d.as_float64(), e, interval, depth))
+            for k, interval in enumerate(interval_family(depth))
+        )
+        assert report.extremal_lower_bound == ranked.extremal_lower_bound
 
     def test_report_names_the_extremal_interval(self):
         d = self.make_multiplier()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dyadicops import StepFunction
 from dyadicops.scalars import (
     FLOAT64,
     RATIONAL,
@@ -205,6 +206,13 @@ class TestValueCodec:
 
     def test_float_round_trip(self):
         assert decode_value(encode_value(0.375, FLOAT64), FLOAT64) == 0.375
+
+    def test_float64_file_reads_a_root2_pair(self):
+        # a + b sqrt(2), each entry a fraction text, rounded as float64
+        want = 0.5 + -3.0 * math.sqrt(2.0)
+        assert decode_value(["1/2", "-3"], FLOAT64) == want
+        obj = {"depth": 1, "mode": "float64", "values": [["1/2", "-3"], 2.0]}
+        assert StepFunction.from_json_dict(obj).values == (want, 2.0)
 
     def test_decode_rejects_garbage(self):
         with pytest.raises((ValueError, TypeError)):
