@@ -608,9 +608,22 @@ def interval_integrals(f: StepFunction | SupportView) -> list[list]:
     A SupportView, which must vanish outside its support, gets its table in
     the support layout, computed from its leaves on the support alone.  A
     forest's rows hold its trees' rows one after another, as do the tables
-    built on this one.
+    built on this one.  In rational mode the rows are ``ExactRow``s: the
+    leaves are put over the lcm of their denominators once, and every
+    level adds ints.
     """
     top = _support_level(f)
+    if f.mode == RATIONAL:
+        leaves = scalars.ExactRow.of(f.values)
+        level = scalars.row_root2_scaled(leaves, -2 * f.depth)
+        table = [level]
+        for _ in range(f.depth - top):
+            level = scalars.row_pair_sums(level)
+            table.append(level)
+        # every ancestor of the support holds all of f
+        table += [level] * top
+        table.reverse()
+        return table
     n = 1 << f.depth
     w = scalars.reciprocal(n, f.mode)
     level = [v * w for v in f.values]
@@ -651,6 +664,14 @@ def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
     return vals
 
 
+def exact_haar_sum(start, terms: Sequence, odd: bool):
+    """``haar_sum`` in rational mode: ``start`` an ``Exact``, ``terms``
+    ``ExactRow``s.  The rows are put over one common denominator and each
+    part makes one int pass; returns the leaves as one ``ExactRow``."""
+    d, (sa, *As), (sb, *Bs) = scalars.aligned([scalars.ExactRow.of([start]), *terms])
+    return scalars.ExactRow(haar_sum(sa[0], As, odd), haar_sum(sb[0], Bs, odd), d)
+
+
 def _kept(build):
     """The table ``build(f)``, built on the first call and kept on f: the
     values of f never change, and callers only read its tables."""
@@ -669,6 +690,8 @@ def _kept(build):
 def average_table(f: StepFunction | SupportView) -> list[list]:
     """table[level][pos] = average of f over that interval, levels 0..depth."""
     ints = interval_integrals(f)
+    if f.mode == RATIONAL:
+        return [scalars.row_root2_scaled(row, 2 * level) for level, row in enumerate(ints)]
     out = []
     for level, row in enumerate(ints):
         scale = 1 << level
@@ -682,6 +705,18 @@ def coefficient_table(f: StepFunction | SupportView) -> list[list]:
     (in the support layout for a SupportView)."""
     ints = interval_integrals(f)
     top = _support_level(f)
+    if f.mode == RATIONAL:
+        out = []
+        for level in range(f.depth):
+            below = ints[level + 1]
+            if level < top:
+                # an ancestor of the support: f lives in one half of it
+                side = below[0:1]
+                row = side if _right_of(f.support, level) else scalars.row_negated(side)
+            else:
+                row = scalars.row_pair_differences(below)
+            out.append(scalars.row_root2_scaled(row, level))
+        return out
     out = []
     for level in range(f.depth):
         mag = scalars.root2_power(level, f.mode)
@@ -709,6 +744,13 @@ def synthesize(spectrum: HaarSpectrum) -> StepFunction:
     """Inverse Haar transform: mean + sum of coeff * h_I, each leaf adding
     its terms from the coarsest level down."""
     depth, mode = spectrum.depth, spectrum.mode
+    if mode == RATIONAL:
+        terms = [
+            scalars.row_root2_scaled(row, level)
+            for level, row in enumerate(scalars.exact_rows(spectrum.coeffs))
+        ]
+        leaves = exact_haar_sum(spectrum.mean, terms, True)
+        return StepFunction._raw(depth, leaves.exacts(), mode)
     terms = [
         [c * scalars.root2_power(level, mode) for c in row]
         for level, row in enumerate(spectrum.coeffs)

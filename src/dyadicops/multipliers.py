@@ -42,6 +42,9 @@ class SymbolSequence:
     _tables: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _rows: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for interval in self.entries:
@@ -75,6 +78,18 @@ class SymbolSequence:
             table = tuple(map(tuple, rows))
             self._tables[key] = table
         return table
+
+    def factor_rows(self, depth: int, mode: str) -> list:
+        """The table as the engine's factor rows: in rational mode one
+        ``ExactRow`` per level, built on the first call for each depth and
+        kept; in float64 the table itself."""
+        table = self.table(depth, mode)
+        if mode != RATIONAL:
+            return table
+        rows = self._rows.get(depth)
+        if rows is None:
+            rows = self._rows[depth] = scalars.exact_rows(table)
+        return rows
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -128,7 +143,7 @@ def multilinear_multiplier(
     a = _as_alpha(alpha)
     a.check_haar_slot()
     _, depth, mode, support, trees = _check_call(a, fs)
-    symbol = _grid_rows(eps.table(depth, mode), support, trees)
+    symbol = _grid_rows(eps.factor_rows(depth, mode), support, trees)
     tables = [*_slot_tables(a.bits, fs), symbol]
     return _engine(a.zero_count, tables, depth, mode, support)
 

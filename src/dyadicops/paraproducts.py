@@ -15,6 +15,8 @@ return the difference, which is identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -28,6 +30,7 @@ from .core import (
     average_table,
     check_grid,
     coefficient_table,
+    exact_haar_sum,
     haar_sum,
     pointwise_product,
     seen,
@@ -35,6 +38,18 @@ from .core import (
     tree_count,
 )
 from .errors import ShapeError
+from .scalars import (
+    ExactRow,
+    _canonical,
+    aligned,
+    column,
+    exact_rows,
+    row_negated,
+    row_product,
+    row_root2_scaled,
+    row_sum,
+    row_total,
+)
 
 
 @dataclass(frozen=True)
@@ -169,7 +184,13 @@ def _engine(
     adds its terms from the coarsest level down, as the full-grid call
     does, so float64 results match it bit for bit.  Forest tables give the
     forest of their trees' outputs: each tree sums its own terms.
+
+    In rational mode the pass runs on integer rows (``_exact_pass``), and
+    each output value is canonicalised once.
     """
+    if mode == scalars.RATIONAL:
+        values, blocks = _exact_pass(sigma, tables, depth, support)
+        return seen(depth, support, values.exacts(), blocks, mode)
     top = support.level
     z = scalars.zero(mode)
     first, *factors = tables
@@ -218,6 +239,66 @@ def _engine(
     return seen(depth, support, haar_sum(above, terms, odd), blocks, mode)
 
 
+def _ancestor_terms(sigma: int, columns: list, support: DyadicInterval) -> ExactRow:
+    """The terms of the strict ancestors I of ``support``, one entry per
+    level: the product of the slots' entries at I, one ``column`` per
+    slot, times h_I**sigma on the half of I that holds ``support``, which
+    is 2**(level*sigma/2), negative on a left half when sigma is odd."""
+    top = support.level
+    A, B = [0] * top, [0] * top
+    for level in range(top):
+        q, r = divmod(level * sigma, 2)
+        sign = -1 if sigma % 2 and not _right_of(support, level) else 1
+        (B if r else A)[level] = sign << q
+    return reduce(row_product, columns, ExactRow(A, B if any(B) else None, 1))
+
+
+def _exact_pass(sigma: int, tables: list, depth: int, support: DyadicInterval):
+    """``_engine`` in rational mode on integer rows (``scalars.ExactRow``):
+    the output's leaf values on ``support`` as one row, and its blocks as
+    ``Exact`` values.  The slot products and the top-down sum
+    (``core.exact_haar_sum``) are int list operations, and so is the sum
+    of the ancestors' terms (``_ancestor_terms``)."""
+    top = support.level
+    tables = [exact_rows(tab) for tab in tables]
+    terms = [
+        row_root2_scaled(reduce(row_product, [tab[level] for tab in tables]), level * sigma)
+        for level in range(top, depth)
+    ]
+    # in the support layout each ancestor's row holds its one entry
+    columns = [column(tab[:top], [0] * top) for tab in tables]
+    ancestors = _ancestor_terms(sigma, columns, support)
+    if sigma == 0:
+        # one constant per tree: its ancestors' terms and its own
+        d, As, Bs = aligned([ancestors, *terms])
+        roots, width = len(terms[0]) if terms else 1, 1 << (depth - top)
+        A = [v for v in _tree_sums(As, roots) for _ in range(width)]
+        B = [v for v in _tree_sums(Bs, roots) for _ in range(width)]
+        values = ExactRow(A, B, d)
+        return values, [values[-1]] * top
+    # each sibling block takes the terms above it and its own term, the
+    # latter negated when sigma is odd
+    odd = sigma % 2 == 1
+    d, (sa,), (sb,) = aligned([ancestors])
+    blocks = [
+        _canonical(pa - a if odd else pa + a, pb - b if odd else pb + b, d)
+        for pa, a, pb, b in zip(accumulate(sa, initial=0), sa, accumulate(sb, initial=0), sb)
+    ]
+    above = _canonical(sum(sa), sum(sb), d)
+    return exact_haar_sum(above, terms, odd), blocks
+
+
+def _tree_sums(parts: list, roots: int) -> list:
+    """For each of ``roots`` trees, the sum of the first part (the
+    ancestors' terms) and of the tree's entries in every later part, the
+    part i after the first holding 2**i entries per tree."""
+    first, *rows = parts
+    return [
+        sum(first) + sum(sum(row[k << i:(k + 1) << i]) for i, row in enumerate(rows))
+        for k in range(roots)
+    ]
+
+
 def _slot_tables(bits, fs):
     return [
         coefficient_table(f) if bit == 0 else average_table(f)
@@ -259,21 +340,34 @@ def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFu
 
 def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     """prod(fs) minus the sum of all admissible paraproducts minus the
-    global-mean constant; identically zero (exactly so in rational mode)."""
+    global-mean constant; identically zero (exactly so in rational mode,
+    where the product, the paraproducts' leaf rows and the constant are
+    summed as integer rows and each leaf is canonicalised once).  Each
+    input is one tree (``check_grid``)."""
     m = len(fs)
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
     fs = [f.expand() for f in fs]
-    # the product checks the tuple as the pointwise algebra does
+    depth, mode = fs[0].depth, fs[0].mode
+    for f in fs:
+        check_grid(f, depth, mode)
+    corr = scalars.one(mode)
+    for f in fs:
+        corr = corr * average_table(f)[0][0]
+    if mode == scalars.RATIONAL:
+        outputs = [
+            _exact_pass(a.zero_count, _slot_tables(a.bits, fs), depth, UNIVERSE)[0]
+            for a in admissible_alphas(m)
+        ]
+        product = reduce(row_product, [ExactRow.of(f.values) for f in fs])
+        total = row_sum([*outputs, ExactRow.of([corr]) * (1 << depth)])
+        residual = row_sum([product, row_negated(total)])
+        return StepFunction._raw(depth, residual.exacts(), mode)
     product = pointwise_product(fs)
-    depth, mode = product.depth, product.mode
     total = StepFunction.zeros(depth, mode)
     for a in admissible_alphas(m):
         tables = _slot_tables(a.bits, fs)
         total = total + _engine(a.zero_count, tables, depth, mode).expand()
-    corr = scalars.one(mode)
-    for f in fs:
-        corr = corr * average_table(f)[0][0]
     return product - total - StepFunction.constant(corr, depth, mode)
 
 
@@ -307,10 +401,27 @@ def localized_average_residual(
     # the strict ancestors of J are the intervals of the depth-level(J)
     # grid that contain J: their paraproduct terms, seen from J, are one
     # value on J
-    level = interval.level
-    acc = scalars.zero(mode)
-    for a in admissible_alphas(len(fs)):
-        tables = [support_layout(t[:level], interval) for t in _slot_tables(a.bits, fs)]
-        acc = acc + _engine(a.zero_count, tables, level, mode, interval).values[0]
+    level, pos = interval.level, interval.position
+    alphas = admissible_alphas(len(fs))
+    if mode == scalars.RATIONAL:
+        # each slot table's entries at J's ancestors, gathered once; then
+        # one row of ancestor terms per alpha, all summed as ints
+        chain = [pos >> (level - k) for k in range(level)]
+        columns = [
+            [column(table(f)[:level], chain) for table in (coefficient_table, average_table)]
+            for f in fs
+        ]
+        rows = [
+            _ancestor_terms(
+                a.zero_count, [columns[j][bit] for j, bit in enumerate(a.bits)], interval
+            )
+            for a in alphas
+        ]
+        acc = row_total(row_sum(rows))
+    else:
+        acc = scalars.zero(mode)
+        for a in alphas:
+            tables = [support_layout(t[:level], interval) for t in _slot_tables(a.bits, fs)]
+            acc = acc + _engine(a.zero_count, tables, level, mode, interval).values[0]
 
     return StepFunction.constant(lhs - acc - corr, depth, mode).restrict(interval)

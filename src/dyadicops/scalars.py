@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, mul, sub
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
@@ -275,8 +277,19 @@ class Exact:
         return None
 
     def __float__(self):
-        # int true division rounds A/D exactly as float(Fraction(A, D)) does
-        return self.A / self.D + self.B / self.D * _SQRT2
+        A, B, D = self.A, self.B, self.D
+        if not B:
+            # int true division rounds A/D exactly as float(Fraction(A, D)) does
+            return A / D
+        if not A or (A < 0) == (B < 0):
+            # two terms of one sign cannot cancel
+            try:
+                x = A / D + B / D * _SQRT2
+            except OverflowError:
+                x = math.inf
+            if math.isfinite(x):
+                return x
+        return _rounded(A, B, D)
 
     def __str__(self):
         a, b = self.a, self.b
@@ -318,6 +331,35 @@ def _canonical(A: int, B: int, D: int) -> Exact:
     return x
 
 
+def _rounded(A: int, B: int, D: int) -> float:
+    """(A + B*sqrt(2)) / D for B != 0, correctly rounded to a float; an
+    OverflowError past the float range.
+
+    With A and B of opposite signs the value is
+    (A*A - 2*B*B) / (D * (A - B*sqrt(2))), whose denominator adds two
+    terms of one sign, so nothing cancels.  |A| + |B|*sqrt(2) is bracketed
+    by isqrt at growing precision until both ends of the bracket round to
+    the same float, which the value, being irrational, then rounds to.
+    """
+    sign = -1 if A < 0 or (not A and B < 0) else 1
+    mixed = A and (A < 0) != (B < 0)
+    num = sign * (A * A - 2 * B * B)
+    s = max(0, 80 - max(abs(A), abs(B)).bit_length())
+    while True:
+        lo = (abs(A) << s) + math.isqrt((2 * B * B) << (2 * s))
+        ends = []
+        for m in (lo, lo + 1):
+            try:
+                ends.append((num << s) / (D * m) if mixed else sign * m / (D << s))
+            except OverflowError:
+                ends.append(None)
+        if ends[0] == ends[1]:
+            if ends[0] is None:
+                raise OverflowError("Exact value exceeds the float range")
+            return ends[0]
+        s += 64
+
+
 def _quotient(x: Exact, y: Exact) -> Exact:
     """x / y, multiplying through by y's conjugate:
     1 / ((c + d*sqrt2)/e) = e * (c - d*sqrt2) / (c*c - 2*d*d)."""
@@ -345,6 +387,174 @@ def _lift(other) -> Exact | None:
 
 _EXACT_ZERO = _exact(0, 0, 1)
 _EXACT_ONE = _exact(1, 0, 1)
+
+
+class ExactRow:
+    """One row of a rational table as integers: entry k is
+    ``(A[k] + B[k]*sqrt(2)) / D``, every entry over the one denominator
+    ``D > 0``, which need not be the lowest.  ``A`` or ``B`` (never both)
+    is None where that part of every entry is zero.
+
+    The table passes add, subtract and multiply these int lists; a value
+    becomes an ``Exact``, with one gcd, only where a reader takes it:
+    ``row[k]`` and iteration give canonical ``Exact`` values (iteration
+    builds them once and keeps them), and ``==`` compares them with any
+    list, tuple or row.  A slice is a row, and ``row * n`` repeats the row
+    n times, as a tuple does.
+    """
+
+    __slots__ = ("A", "B", "D", "_exacts")
+
+    def __init__(self, A: list | None, B: list | None, D: int):
+        self.A, self.B, self.D = A, B, D
+        self._exacts = None
+
+    @classmethod
+    def of(cls, values) -> "ExactRow":
+        """The row of a sequence of ``Exact`` values, put over the lcm of
+        their denominators."""
+        d = math.lcm(*{v.D for v in values})
+        A = [v.A * (d // v.D) for v in values]
+        B = [v.B * (d // v.D) for v in values] if any(v.B for v in values) else None
+        return cls(A, B, d)
+
+    def _part(self, part: list | None) -> list:
+        return [0] * len(self) if part is None else part
+
+    def exacts(self) -> list:
+        """The canonical ``Exact`` entries, built on the first call."""
+        if self._exacts is None:
+            self._exacts = list(
+                map(_canonical, self._part(self.A), self._part(self.B), repeat(self.D))
+            )
+        return self._exacts
+
+    def __len__(self):
+        return len(self.A if self.A is not None else self.B)
+
+    def __getitem__(self, k):
+        A, B = self.A, self.B
+        if isinstance(k, slice):
+            return ExactRow(None if A is None else A[k], None if B is None else B[k], self.D)
+        if self._exacts is not None:
+            return self._exacts[k]
+        return _canonical(0 if A is None else A[k], 0 if B is None else B[k], self.D)
+
+    def __iter__(self):
+        return iter(self.exacts())
+
+    def __eq__(self, other):
+        if isinstance(other, (ExactRow, list, tuple)):
+            return self.exacts() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __mul__(self, n: int) -> "ExactRow":
+        A, B = self.A, self.B
+        return ExactRow(None if A is None else A * n, None if B is None else B * n, self.D)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"ExactRow({self.exacts()!r})"
+
+
+def exact_rows(table) -> list:
+    """A table's rows as ``ExactRow``s: rows that are one already are
+    kept, and a row of ``Exact`` values is put over one denominator."""
+    return [row if type(row) is ExactRow else ExactRow.of(row) for row in table]
+
+
+def _times(part: list | None, k: int) -> list | None:
+    return part if part is None or k == 1 else [a * k for a in part]
+
+
+def row_product(x: ExactRow, y: ExactRow) -> ExactRow:
+    """The entrywise product of two rows of one length:
+    (a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2."""
+    a, b, c, d = x.A, x.B, y.A, y.B
+    A = B = None
+    if a is not None and c is not None:
+        A = list(map(mul, a, c))
+    if b is not None and d is not None:
+        bd = [2 * p * q for p, q in zip(b, d)]
+        A = bd if A is None else list(map(add, A, bd))
+    if a is not None and d is not None:
+        B = list(map(mul, a, d))
+    if b is not None and c is not None:
+        bc = list(map(mul, b, c))
+        B = bc if B is None else list(map(add, B, bc))
+    return ExactRow(A, B, x.D * y.D)
+
+
+def row_root2_scaled(x: ExactRow, k: int) -> ExactRow:
+    """x times 2**(k/2) for any integer k: an odd k moves each part to the
+    other, (a + b*sqrt2)*sqrt2 = 2b + a*sqrt2; a power of two comes off
+    the denominator while it divides it, else onto the numerators."""
+    q, r = divmod(k, 2)
+    A, B = x.A, x.B
+    if r:
+        A, B = _times(B, 2), A
+    d = x.D
+    if q > 0:
+        # the power of two that divides d comes off it first
+        z = min(q, (d & -d).bit_length() - 1)
+        d >>= z
+        A, B = _times(A, 1 << (q - z)), _times(B, 1 << (q - z))
+    elif q < 0:
+        d <<= -q
+    return ExactRow(A, B, d)
+
+
+def row_negated(x: ExactRow) -> ExactRow:
+    return ExactRow(_times(x.A, -1), _times(x.B, -1), x.D)
+
+
+def _pairwise(op, part: list | None) -> list | None:
+    """op(right, left) for each pair of neighbouring ints of a row part."""
+    return None if part is None else list(map(op, part[1::2], part[0::2]))
+
+
+def row_pair_sums(x: ExactRow) -> ExactRow:
+    """The sum of each pair of neighbouring entries."""
+    return ExactRow(_pairwise(add, x.A), _pairwise(add, x.B), x.D)
+
+
+def row_pair_differences(x: ExactRow) -> ExactRow:
+    """right - left for each pair of neighbouring entries."""
+    return ExactRow(_pairwise(sub, x.A), _pairwise(sub, x.B), x.D)
+
+
+def column(rows: list, indices) -> ExactRow:
+    """Entry ``indices[i]`` of ``rows[i]`` for each i, as one row over the
+    lcm of the rows' denominators."""
+    d = math.lcm(*{row.D for row in rows})
+    pairs = list(zip(rows, indices))
+    A = [(0 if r.A is None else r.A[k]) * (d // r.D) for r, k in pairs]
+    if all(r.B is None for r in rows):
+        return ExactRow(A, None, d)
+    return ExactRow(A, [(0 if r.B is None else r.B[k]) * (d // r.D) for r, k in pairs], d)
+
+
+def aligned(rows: list) -> tuple[int, list, list]:
+    """(d, As, Bs): the A and B parts of the rows over d, the lcm of their
+    denominators, a part that a row lacks as a list of zeros."""
+    d = math.lcm(*{row.D for row in rows})
+    As = [row._part(_times(row.A, d // row.D)) for row in rows]
+    Bs = [row._part(_times(row.B, d // row.D)) for row in rows]
+    return d, As, Bs
+
+
+def row_sum(rows: list) -> ExactRow:
+    """The entrywise sum of rows of one length."""
+    d, As, Bs = aligned(rows)
+    return ExactRow([sum(c) for c in zip(*As)], [sum(c) for c in zip(*Bs)], d)
+
+
+def row_total(x: ExactRow):
+    """The sum of a row's entries as one ``Exact``."""
+    return _canonical(sum(x._part(x.A)), sum(x._part(x.B)), x.D)
 
 
 def zero(mode: str):

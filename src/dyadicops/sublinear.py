@@ -15,6 +15,7 @@ from .core import (
     average_table,
     check_grid,
     coefficient_table,
+    exact_haar_sum,
     haar_sum,
 )
 from .errors import RootExceedsHeight
@@ -63,7 +64,12 @@ def maximal(f: StepFunction) -> StepFunction:
 def _square_terms(f: StepFunction) -> list[list]:
     """terms[level][pos] = c_I**2 / |I| with c_I = <f, h_I>, read from f's
     kept coefficient table: the terms of the square function and of the
-    Haar route to BMO2."""
+    Haar route to BMO2; ``ExactRow``s in rational mode."""
+    if f.mode == RATIONAL:
+        return [
+            scalars.row_root2_scaled(scalars.row_product(row, row), 2 * level)
+            for level, row in enumerate(coefficient_table(f))
+        ]
     return [
         [c * c * (1 << level) for c in row]  # 1/|I| = 2**level
         for level, row in enumerate(coefficient_table(f))
@@ -73,9 +79,12 @@ def _square_terms(f: StepFunction) -> list[list]:
 def square_function_sq(f: StepFunction) -> StepFunction:
     """Pointwise square of the Haar square function; exact in rational mode."""
     f = f.expand()
-    return StepFunction._raw(
-        f.depth, haar_sum(scalars.zero(f.mode), _square_terms(f), False), f.mode
-    )
+    zero, terms = scalars.zero(f.mode), _square_terms(f)
+    if f.mode == RATIONAL:
+        values = exact_haar_sum(zero, terms, False).exacts()
+    else:
+        values = haar_sum(zero, terms, False)
+    return StepFunction._raw(f.depth, values, f.mode)
 
 
 def square_function(f: StepFunction) -> StepFunction:

@@ -8,6 +8,7 @@ the package uses, so agreement is meaningful.
 import math
 import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -22,8 +23,9 @@ from dyadicops import (
     necessity_case,
 )
 from dyadicops import scalars
-from dyadicops.core import SupportView, block_runs, coefficient_table
+from dyadicops.core import SupportView, block_runs, coefficient_table, seen
 from dyadicops.normlab import multiplier_sharp_forms
+from dyadicops.paraproducts import _check_call, _grid_rows
 from dyadicops.sublinear import _centered_rows
 from dyadicops.scalars import FLOAT64, RATIONAL, frac_sqrt
 from dyadicops.scalars import one as scalar_one, zero as scalar_zero
@@ -757,7 +759,11 @@ class FractionExact:
         return None
 
     def __float__(self):
-        return float(self.a) + float(self.b) * _SQRT2
+        a, b = self.a, self.b
+        if a and b and (a < 0) != (b < 0):
+            # the two terms cancel: round the value from 100 digits
+            return decimal_float(a, b)
+        return float(a) + float(b) * _SQRT2
 
     def __str__(self):
         if self.b == 0:
@@ -769,6 +775,17 @@ class FractionExact:
 
     def __repr__(self):
         return f"Exact({self.a!r}, {self.b!r})"
+
+
+def decimal_float(a: Fraction, b: Fraction) -> float:
+    """a + b*sqrt(2) rounded to a float from its value at 100 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        value = (
+            Decimal(a.numerator) / a.denominator
+            + Decimal(b.numerator) / b.denominator * Decimal(2).sqrt()
+        )
+    return float(value)
 
 
 _F0 = Fraction(0)
@@ -787,3 +804,148 @@ def close_to_rational(got, want, scale=None) -> bool:
     top = want if scale is None else [float(v) for v in scale]
     tol = 1e-12 * max(map(abs, top), default=0.0) + 1e-15
     return all(abs(g - w) <= tol for g, w in zip(got, want, strict=True))
+
+
+# -- the per-value Exact path ---------------------------------------------------
+# The tables and the engine as they were before rational mode moved to
+# integer rows (``scalars.ExactRow``): one ``Exact`` object per entry,
+# product and partial sum.  The row pass must equal them value by value.
+
+
+def value_interval_integrals(f) -> list[list]:
+    """table[level][pos] = integral of f over that interval, in the support
+    layout for a SupportView, one scalar per entry."""
+    top = f.support.level
+    w = scalars.reciprocal(1 << f.depth, f.mode)
+    level = [v * w for v in f.values]
+    table = [level]
+    for _ in range(f.depth - top):
+        level = [x + y for x, y in zip(level[0::2], level[1::2])]
+        table.append(level)
+    table += [list(level) for _ in range(top)]
+    table.reverse()
+    return table
+
+
+def value_average_table(f) -> list[list]:
+    return [
+        [v * (1 << level) for v in row]
+        for level, row in enumerate(value_interval_integrals(f))
+    ]
+
+
+def value_coefficient_table(f) -> list[list]:
+    ints = value_interval_integrals(f)
+    top = f.support.level
+    out = []
+    for level in range(f.depth):
+        mag = scalars.root2_power(level, f.mode)
+        below = ints[level + 1]
+        if level < top:
+            side = below[0]
+            right = (f.support.position >> (top - level - 1)) & 1
+            out.append([mag * side if right else mag * -side])
+            continue
+        out.append([mag * (y - x) for x, y in zip(below[0::2], below[1::2])])
+    return out
+
+
+def value_engine(sigma, tables, depth, mode, support=UNIVERSE):
+    """``paraproducts._engine`` with one scalar per product and partial
+    sum: the sum over intervals of the tables' product times h_I**sigma,
+    the tables in the support layout."""
+    top = support.level
+    z = scalars.zero(mode)
+    first, *factors = tables
+    const = z
+    odd = sigma % 2 == 1
+    above = z
+    blocks = []
+    for level in range(top):
+        t = first[level][0]
+        for tab in factors:
+            t = t * tab[level][0]
+        if t and sigma == 0:
+            const = const + t
+        elif t:
+            tw = t * scalars.root2_power(level * sigma, mode)
+            if odd and not (support.position >> (top - level - 1)) & 1:
+                tw = -tw
+            blocks.append(above - tw if odd else above + tw)
+            above = above + tw
+            continue
+        blocks.append(above)
+    terms = []
+    for level in range(top, depth):
+        w = scalars.root2_power(level * sigma, mode)
+        row = list(first[level])
+        for tab in factors:
+            row = [x * y for x, y in zip(row, tab[level])]
+        terms.append([t * w if t else t for t in row])
+    if sigma == 0:
+        width = 1 << (depth - top)
+        values = []
+        for k in range(len(terms[0]) if terms else 1):
+            total = const
+            for i, row in enumerate(terms):
+                for t in row[k << i:(k + 1) << i]:
+                    if t:
+                        total = total + t
+            values += [total] * width
+        return seen(depth, support, values, (total,) * top, mode)
+    vals = [above] * (len(terms[0]) if terms else 1)
+    for row in terms:
+        children = []
+        for v, t in zip(vals, row):
+            children += [v - t, v + t] if odd else [v + t, v + t]
+        vals = children
+    return seen(depth, support, vals, blocks, mode)
+
+
+def _value_slot_tables(bits, fs):
+    return [
+        value_coefficient_table(f) if bit == 0 else value_average_table(f)
+        for bit, f in zip(bits, fs)
+    ]
+
+
+def value_paraproduct(alpha, fs):
+    a, depth, mode, support, _ = _check_call(alpha, fs)
+    return value_engine(a.zero_count, _value_slot_tables(a.bits, fs), depth, mode, support)
+
+
+def value_pi_paraproduct(alpha, b, fs):
+    a, depth, mode, support, trees = _check_call(alpha, fs, b)
+    b_rows = _grid_rows(value_coefficient_table(b), support, trees)
+    tables = [b_rows, *_value_slot_tables(a.bits, fs)]
+    return value_engine(a.zero_count + 1, tables, depth, mode, support)
+
+
+def value_multiplier(eps, alpha, fs):
+    a, depth, mode, support, trees = _check_call(alpha, fs)
+    symbol = _grid_rows(eps.table(depth, mode), support, trees)
+    tables = [*_value_slot_tables(a.bits, fs), symbol]
+    return value_engine(a.zero_count, tables, depth, mode, support)
+
+
+def value_commutator(slot, b, eps, alpha, fs):
+    """[b, T]_slot(fs) as ``multipliers.commutator`` forms it, on the
+    per-value multiplier."""
+    _, depth, mode, support, trees = _check_call(alpha, fs, b)
+    f = fs[slot - 1]
+    span = support.leaf_span(depth)
+    b_on = b.values[span.start:span.stop] * trees
+    modified = list(fs)
+    modified[slot - 1] = seen(
+        depth, support, [x * y for x, y in zip(b_on, f.values)], f.blocks, mode
+    )
+    inside = value_multiplier(eps, alpha, modified)
+    outside = value_multiplier(eps, alpha, fs)
+    values = [x - c * y for x, c, y in zip(inside.values, b_on, outside.values)]
+    blocks = []
+    for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
+        if y:
+            span = outside.block_span(k)
+            x = tuple(x - c * y for c in b.values[span.start:span.stop])
+        blocks.append(x)
+    return seen(depth, support, values, blocks, mode)

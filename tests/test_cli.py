@@ -284,6 +284,19 @@ class TestNorms:
         assert lp["3"] == pytest.approx(1e300 / 2 ** (1 / 3), rel=1e-15)
         assert lp["inf"] == 1e300
 
+    def test_norms_of_cancelling_terms_are_positive(self, tmp_path, capsys):
+        # 1023286908188737 - 723573111879672 * sqrt2 is 4.9e-16, not -0.125
+        path = tmp_path / "f.json"
+        values = [["1023286908188737", "-723573111879672"], "0"]
+        write_json(path, {"depth": 1, "mode": "rational", "values": values})
+        assert main(["norms", str(path), "--p", "1,2,inf"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        tiny = 4.886e-16
+        assert obj["lp"]["inf"] == pytest.approx(tiny, rel=1e-3)
+        assert obj["lp"]["1"] == pytest.approx(tiny / 2, rel=1e-3)
+        for key in ("bmo1", "bmo2", "bstar"):
+            assert obj[key] == pytest.approx(tiny / 2, rel=1e-3), key
+
     def test_square_function_of_values_near_the_float_limit(self, tmp_path, capsys):
         # the squares near 1e600 have no exact root and no float: only they
         # are scaled before the float root

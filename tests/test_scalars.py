@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from dyadicops.scalars import (
     coerce,
     decode_value,
     encode_value,
+    float_sqrt,
     one,
     root2_power,
     scalar_sqrt,
@@ -144,6 +146,52 @@ class TestExactField:
     def test_float_operands_rejected(self):
         with pytest.raises(TypeError):
             Exact(1) + 0.5  # type: ignore[operator]
+
+
+def decimal_value(x: Exact) -> float:
+    """x rounded to a float from its value at 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return float((Decimal(x.A) + Decimal(x.B) * Decimal(2).sqrt()) / x.D)
+
+
+def ulps_apart(x: float, y: float) -> float:
+    return abs(x - y) / math.ulp(y)
+
+
+class TestFloat:
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_powers_of_root2_plus_and_minus_one(self, n):
+        # (sqrt2 - 1)**n cancels to about 2.4**-n between terms of 2.4**n
+        for base in (Exact(-1, 1), Exact(1, 1)):
+            x = base**n
+            got, want = float(x), decimal_value(x)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert ulps_apart(got, want) <= 1.0, (n, base)
+
+    def test_cancelling_terms_keep_their_sign(self):
+        x = Exact(-1, 1) ** 40
+        assert float(x) == pytest.approx(4.886e-16, rel=1e-3)
+        assert float(Exact(1023286908188737, -723573111879672)) > 0
+
+    def test_a_sum_in_range_of_terms_past_it(self):
+        # -1e308 + 1.5e308 * sqrt2: the second term alone is past the range
+        x = Exact(-(10**308), 15 * 10**307)
+        assert ulps_apart(float(x), decimal_value(x)) <= 1.0
+        assert float(x) == pytest.approx(1.1213e308, rel=1e-4)
+
+    def test_only_values_past_the_range_overflow(self):
+        for x in (Exact(0, 15 * 10**307), Exact(10**308, 15 * 10**307), -Exact(0, 15 * 10**307)):
+            with pytest.raises(OverflowError):
+                float(x)
+        # so float_sqrt takes its rescaled route: sqrt(1.5e308 * sqrt2)
+        root = float_sqrt(Exact(0, 15 * 10**307))
+        assert root == pytest.approx(1.4564753151219705e154, rel=1e-15)
+
+    @given(exacts)
+    def test_rational_and_one_signed_values_keep_their_bits(self, x):
+        if not x.B or not x.A or (x.A < 0) == (x.B < 0):
+            assert float(x) == x.A / x.D + x.B / x.D * math.sqrt(2.0)
 
 
 class TestModeHelpers:
