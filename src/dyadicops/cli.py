@@ -23,9 +23,9 @@ from .core import (
     analyze,
     canonical_json,
     check_depth,
+    coefficient_table,
     interval_family,
     lp_norm,
-    pairing,
     synthesize,
     weak_lp_quasinorm,
 )
@@ -38,13 +38,14 @@ from .normlab import (
     OperatorDescriptor,
     SamplerSpec,
     adjoint_residual,
+    draws_below,
     estimate_operator_norm,
     random_rational_step,
     weak_type_ratio,
 )
 from .paraproducts import (
     AlphaVector,
-    admissible_alphas,
+    alpha_at,
     localized_average_residual,
     product_decomposition_residual,
 )
@@ -138,12 +139,17 @@ def _suite_localized(args, rng):
             yield localized_average_residual(interval, fs)
 
 
+def _random_alpha(rng, m: int) -> AlphaVector:
+    """``rng.choice(admissible_alphas(m))`` without listing the 2**m - 1
+    alphas: the same draw and the same alpha."""
+    return alpha_at(m, draws_below(rng, [(1 << m) - 1])[0])
+
+
 def _suite_duality(args, rng):
     # <T(fs), g> = <f_j, T*j(fs; g)> for random kinds, alphas of arity --m, slots
-    alphas = admissible_alphas(args.m)
     for _ in range(args.trials):
         kind = rng.choice(KINDS)
-        alpha = rng.choice(alphas)
+        alpha = _random_alpha(rng, args.m)
         slot = rng.randint(1, alpha.m)
         draws = {
             "b": lambda: _random_function(rng, args.depth, args.mode),
@@ -158,32 +164,39 @@ def _suite_duality(args, rng):
         yield adjoint_residual(descriptor, slot, fs, g)
 
 
+def _random_fractions(rng, count: int) -> list[Fraction]:
+    """``count`` fractions n/d with n drawn from -12..12, then d from 1..6,
+    as ``rng.randint`` draws them."""
+    draws = iter(draws_below(rng, (25, 6) * count))
+    return [Fraction(n - 12, d + 1) for n, d in zip(draws, draws)]
+
+
 def _random_symbol(rng, depth: int) -> SymbolSequence:
-    entries = {
-        i: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-        for i in interval_family(depth)
-    }
+    intervals = interval_family(depth)
+    entries = dict(zip(intervals, _random_fractions(rng, len(intervals))))
     return SymbolSequence(default=0, entries=entries)
 
 
 def _suite_multiplier_coeff(args, rng):
+    # <T f, h_I> = eps_I <f, h_I> for every interval I, from the Haar
+    # coefficient tables of f and T f
     for _ in range(args.trials):
         eps = _random_symbol(rng, args.depth)
         f = _random_function(rng, args.depth, args.mode)
         out = multilinear_multiplier(eps, (0,), [f])
-        table = eps.table(args.depth, args.mode)
-        for interval in interval_family(args.depth):
-            want = table[interval.level][interval.position] * pairing(f, interval, 0)
-            yield pairing(out, interval, 0) - want
+        rows = zip(eps.table(args.depth, args.mode), coefficient_table(f),
+                   coefficient_table(out))
+        for eps_row, f_row, out_row in rows:
+            for e, c, o in zip(eps_row, f_row, out_row):
+                yield o - e * c
 
 
 def _suite_commutator_constant(args, rng):
-    alphas = admissible_alphas(args.m)
     for _ in range(args.trials):
-        c = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        [c] = _random_fractions(rng, 1)
         b = StepFunction.constant(c, args.depth, args.mode)
         eps = _random_symbol(rng, args.depth)
-        alpha = rng.choice(alphas)
+        alpha = _random_alpha(rng, args.m)
         slot = rng.randint(1, alpha.m)
         fs = [_random_function(rng, args.depth, args.mode) for _ in range(alpha.m)]
         yield commutator(slot, b, eps, alpha, fs)

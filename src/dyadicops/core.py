@@ -762,12 +762,15 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
     """The two ways a function enters a paraproduct slot.
 
     alpha = 0 pairs with the Haar function (<f, h_I>); alpha = 1 takes the
-    average over the interval.
+    average over the interval.  f must be one tree.  One query sums the
+    interval's leaves; a caller that wants every interval reads
+    ``coefficient_table`` or ``average_table`` instead.
     """
     if alpha not in (0, 1):
         raise ValueError(f"alpha bit must be 0 or 1, got {alpha}")
     f = f.expand()
     depth, mode = f.depth, f.mode
+    check_grid(f, depth, mode)
     if alpha == 0:
         check_haar_level(interval.level, depth)
     span = interval.leaf_span(depth)
@@ -784,9 +787,15 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
 
 
 def inner_product(f: StepFunction, g: StepFunction):
-    """Integral of f*g over [0, 1)."""
+    """Integral of f*g over [0, 1), every tree of a forest added in.  In
+    rational mode the leaf products are one int row (``row_product``),
+    summed and made an ``Exact`` once."""
     f, g = f.expand(), g.expand()
     check_grid(g, f.depth, f.mode, trees=tree_count(f))
+    if f.mode == RATIONAL:
+        rows = scalars.ExactRow.of(f.values), scalars.ExactRow.of(g.values)
+        products = scalars.row_root2_scaled(scalars.row_product(*rows), -2 * f.depth)
+        return scalars.row_total(products)
     acc = scalars.zero(f.mode)
     for x, y in zip(f.values, g.values):
         acc = acc + x * y

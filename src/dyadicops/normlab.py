@@ -216,14 +216,31 @@ def adjoint_residual(descriptor: OperatorDescriptor, slot: int, fs, g):
 # -- samplers -------------------------------------------------------------------
 
 
+def draws_below(rng: random.Random, bounds) -> list[int]:
+    """``[rng.randrange(n) for n in bounds]`` for positive ints n, by the
+    rule of ``random.Random._randbelow`` without its call chain: k =
+    n.bit_length() bits from ``getrandbits``, drawn again while they are
+    >= n.  The values, and the rng state afterwards, are those of
+    ``randrange(n)``, of ``randint(a, b)`` (a plus a draw below b - a + 1)
+    and of ``choice(seq)`` (the entry at a draw below ``len(seq)``)."""
+    getrandbits = rng.getrandbits
+    out = []
+    for n in bounds:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def random_rational_step(rng: random.Random, depth: int) -> StepFunction:
     """A rational-mode function with small random fractions as leaf values:
     ``Exact(Fraction(n, d))`` for n drawn from -24..24, then d from 1..12,
-    built straight from the two ints."""
-    randint, canonical = rng.randint, scalars._canonical
-    vals = [
-        canonical(randint(-24, 24), 0, randint(1, 12)) for _ in range(1 << depth)
-    ]
+    as ``rng.randint`` draws them, built straight from the two ints."""
+    draws = iter(draws_below(rng, (49, 12) * (1 << depth)))
+    canonical = scalars._canonical
+    vals = [canonical(n - 24, 0, d + 1) for n, d in zip(draws, draws)]
     return StepFunction._raw(depth, vals, RATIONAL)
 
 

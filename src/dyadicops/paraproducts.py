@@ -131,6 +131,26 @@ def admissible_alphas(m: int) -> list[AlphaVector]:
     return out
 
 
+def alpha_at(m: int, index: int) -> AlphaVector:
+    """``admissible_alphas(m)[index]`` in O(m), without the list: each
+    step down the recursion reads whether index lies in the block with 1
+    appended, the block with 0 appended, or is the last vector."""
+    if m < 1:
+        raise ValueError(f"arity must be >= 1, got {m}")
+    if not 0 <= index < (1 << m) - 1:
+        raise IndexError(f"no admissible alpha of arity {m} at index {index}")
+    tail = []
+    while m > 1:
+        block = (1 << (m - 1)) - 1
+        if index == 2 * block:
+            break
+        tail.append(1 if index < block else 0)
+        index %= block
+        m -= 1
+    head = (1,) * (m - 1) + (0,)
+    return AlphaVector(head + tuple(reversed(tail)))
+
+
 def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None):
     """The operator-call contract: alpha as an AlphaVector, then the depth,
     mode, support and tree count that its m inputs share (``check_grid``),

@@ -17,6 +17,7 @@ from dyadicops import (
     DyadicInterval,
     Exact,
     StepFunction,
+    SymbolSequence,
     extremal_tuple,
     interval_family,
     multilinear_multiplier,
@@ -525,6 +526,31 @@ def fraction_rational_step(rng, depth: int) -> StepFunction:
         for _ in range(1 << depth)
     ]
     return StepFunction(depth, tuple(vals), RATIONAL)
+
+
+def randint_fractions(rng, count: int) -> list:
+    """The symbol and constant draws of ``verify``: Fraction(n, d) with n
+    from ``rng.randint(-12, 12)``, then d from ``rng.randint(1, 6)``."""
+    return [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(count)]
+
+
+def randint_symbol(rng, depth: int) -> SymbolSequence:
+    """The symbol draw of ``verify``: one randint fraction per interval of
+    ``interval_family(depth)``, in its order."""
+    return SymbolSequence(default=0, entries={
+        i: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        for i in interval_family(depth)
+    })
+
+
+def loop_inner_product(f, g):
+    """``inner_product`` by one scalar operation per leaf: the sum of x*y
+    over every leaf of every tree, divided by 2**depth."""
+    f, g = f.expand(), g.expand()
+    acc = scalar_zero(f.mode)
+    for x, y in zip(f.values, g.values):
+        acc = acc + x * y
+    return acc * scalars.reciprocal(1 << f.depth, f.mode)
 
 
 def uniform_random_step(sampler, trial: int, m: int) -> list:

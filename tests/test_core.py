@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +50,7 @@ from oracles import (
     divided_inner_product,
     divided_lp_norm_pow,
     divided_pairing,
+    loop_inner_product,
     naive_average,
     naive_coefficient,
     naive_haar,
@@ -387,6 +388,45 @@ class TestPairing:
         assert inner_product(ones, h) == Exact(0)
         assert inner_product(StepFunction.from_values([2, 4]), ones) == Exact(3)
         assert inner_product(h, h) == Exact(1)
+
+    def test_rational_inner_product_is_the_leaf_sum(self):
+        # one int row per input against one Exact per leaf, on sqrt(2)
+        # parts, large coprime denominators, views with constant and leaf
+        # blocks, and forests, whose trees all add into one value
+        rng = random.Random(12)
+        primes = (2**61 - 1, 10**9 + 7, 998244353, 2**31 - 1)
+        draws = {
+            "small": lambda: Exact(Fraction(rng.randint(-6, 6), rng.randint(1, 4))),
+            "root2": lambda: Exact(*random_rationals(rng, 2)),
+            "sqrt2 only": lambda: Exact(0, Fraction(rng.randint(-6, 6), rng.randint(1, 4))),
+            "coprime": lambda: Exact(
+                Fraction(rng.randint(-10**12, 10**12), rng.choice(primes)),
+                Fraction(rng.randint(-9, 9), rng.choice(primes)) if rng.random() < 0.3 else 0,
+            ),
+        }
+
+        def view(depth, value):
+            level = rng.randint(1, depth)
+            blocks = tuple(
+                value() if rng.random() < 0.5
+                else tuple(value() for _ in range(1 << (depth - k - 1)))
+                for k in range(level)
+            )
+            values = tuple(value() for _ in range(1 << (depth - level)))
+            support = DyadicInterval(level, rng.randrange(1 << level))
+            return SupportView(depth, support, values, blocks, RATIONAL)
+
+        for depth in range(1, 7):
+            for x, y in product(draws.values(), repeat=2):
+                for trees in (1, 2, 3):
+                    f, g = (
+                        StepFunction._raw(depth, [v() for _ in range(trees << depth)], RATIONAL)
+                        for v in (x, y)
+                    )
+                    assert inner_product(f, g) == loop_inner_product(f, g)
+                f, g = view(depth, x), view(depth, y)
+                for pair in ((f, g), (f, g.expand()), (f.expand(), f)):
+                    assert inner_product(*pair) == loop_inner_product(*pair)
 
 
 class TestNorms:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadicops import (
+    UNIVERSE,
     OperatorDescriptor,
     StepFunction,
     SymbolSequence,
@@ -27,6 +28,7 @@ from dyadicops import (
     lp_norm,
     lp_norm_pow,
     multilinear_multiplier,
+    pairing,
     paraproduct,
     pi_paraproduct,
     weak_lp_quasinorm,
@@ -182,7 +184,8 @@ class TestAdjointsOnForests:
 
 class TestPointwiseAlgebraOfForests:
     """``+``, ``-``, ``*`` and ``inner_product`` take two functions of as
-    many trees, and refuse a one-tree function against a forest."""
+    many trees, and refuse a one-tree function against a forest; ``pairing``
+    refuses a forest."""
 
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
     def test_one_tree_against_a_forest_is_refused(self, mode):
@@ -194,6 +197,8 @@ class TestPointwiseAlgebraOfForests:
                 lambda: b * f, lambda: f * b, lambda: f + b, lambda: b + f,
                 lambda: f - b, lambda: b - f,
                 lambda: inner_product(f, b), lambda: inner_product(b, f),
+                # a single query reads one tree
+                lambda: pairing(f, UNIVERSE, 0), lambda: pairing(f, UNIVERSE, 1),
             ):
                 with pytest.raises(ShapeError, match="forests of"):
                     op()

@@ -15,7 +15,9 @@ run on integer-valued b, whose forms sort ties, and a ``norms`` run on a
 rational file pin the one float weak rule, sorted |values| times
 (rank / n) ** (1/p).  A multiplier run on a symbol file with repeated
 value texts, a sqrt(2) pair and an entry below the grid pins the
-row-built symbol table.
+row-built symbol table.  The draws of ``verify``, which read raw bits by
+the rule of ``random.Random._randbelow``, give the values and the rng
+state of ``randint`` and ``choice`` under each of them.
 """
 
 import json
@@ -177,4 +179,50 @@ def test_sharp_forms_match_across_interpreters():
     outputs = run_everywhere(["-c", SHARP_FORMS])
     first = next(iter(outputs.values()))
     assert b"\nI False" in first[1] and b"II False" in first[1]
+    assert all(out == first for out in outputs.values()), outputs
+
+
+# the verify suites' draws from raw bits against randint and choice: the
+# leaves, the symbol, the constant and the alpha, then the rng state
+DRAWS = """
+import hashlib
+import random
+from fractions import Fraction
+from dyadicops import admissible_alphas, interval_family
+from dyadicops.cli import _random_alpha, _random_fractions, _random_symbol
+from dyadicops.normlab import random_rational_step
+
+def raw_bits(rng, depth):
+    return (
+        [Fraction(v.A, v.D) for v in random_rational_step(rng, depth).values],
+        list(_random_symbol(rng, depth).entries.values()),
+        _random_fractions(rng, 1),
+        _random_alpha(rng, depth + 1),
+    )
+
+def randint_and_choice(rng, depth):
+    return (
+        [Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(1 << depth)],
+        [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in interval_family(depth)],
+        [Fraction(rng.randint(-12, 12), rng.randint(1, 6))],
+        rng.choice(admissible_alphas(depth + 1)),
+    )
+
+for draw in (raw_bits, randint_and_choice):
+    digest = hashlib.sha256()
+    for seed in range(20):
+        rng = random.Random(f"draws:{seed}")
+        for depth in range(1, 10):
+            digest.update(repr(draw(rng, depth)).encode())
+        digest.update(repr(rng.getstate()).encode())
+    print(digest.hexdigest())
+"""
+
+
+def test_draws_match_randint_across_interpreters():
+    outputs = run_everywhere(["-c", DRAWS])
+    for version, (_, stdout, _, _) in outputs.items():
+        raw, reference = stdout.split()
+        assert raw == reference, version
+    first = next(iter(outputs.values()))
     assert all(out == first for out in outputs.values()), outputs

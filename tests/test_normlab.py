@@ -15,6 +15,7 @@ from dyadicops import (
     SamplerSpec,
     StepFunction,
     SymbolSequence,
+    admissible_alphas,
     estimate_operator_norm,
     extremal_tuple,
     interval_family,
@@ -25,7 +26,7 @@ from dyadicops import (
     sharp_ratio,
     weak_type_ratio,
 )
-from dyadicops import normlab
+from dyadicops import cli, normlab
 from dyadicops.core import MAX_DEPTH
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.normlab import (
@@ -33,12 +34,15 @@ from dyadicops.normlab import (
     KINDS,
     _lr_quasinorm,
     _sign_indices,
+    draws_below,
     random_rational_step,
 )
 from dyadicops.scalars import FLOAT64, RATIONAL, Exact, _canonical
 
 from oracles import (
     fraction_rational_step,
+    randint_fractions,
+    randint_symbol,
     oscillation_forms,
     loop_rademacher_haar,
     scaled_indicator_draw,
@@ -246,7 +250,7 @@ class TestSamplerStreams:
                 got, want = _canonical(n, 0, d), Exact(Fraction(n, d))
                 assert (got.A, got.B, got.D) == (want.A, want.B, want.D)
 
-    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("depth", range(1, 10))
     def test_random_rational_step_is_the_fraction_draw(self, depth):
         for seed in range(40):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
@@ -256,6 +260,37 @@ class TestSamplerStreams:
             assert [(v.A, v.B, v.D) for v in got.values] == [
                 (v.A, v.B, v.D) for v in want.values
             ]
+            assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("depth", range(1, 10))
+    def test_verify_symbol_and_constant_are_the_randint_draws(self, depth):
+        for seed in range(40):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got, want = cli._random_symbol(got_rng, depth), randint_symbol(want_rng, depth)
+            # the same entries in the same order: repr is what a suite's
+            # frozen digest reads
+            assert repr(got) == repr(want)
+            assert cli._random_fractions(got_rng, 3) == randint_fractions(want_rng, 3)
+            assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_verify_alpha_is_the_choice_draw(self, m):
+        alphas = admissible_alphas(m)
+        for seed in range(60):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert cli._random_alpha(got_rng, m) == want_rng.choice(alphas)
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_draws_below_are_randrange(self):
+        # one bit, bounds just past a power of two, and bounds of more
+        # than one 32-bit word
+        bounds = [1, 2, 3, 6, 12, 25, 49, 255, 256, 257, (1 << 32) - 1, 1 << 32,
+                  (1 << 32) + 1, (1 << 40) - 1, 10**20 + 7]
+        for seed in range(30):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            order = random.Random(-seed).sample(bounds * 3, 3 * len(bounds))
+            assert draws_below(got_rng, order) == [want_rng.randrange(n) for n in order]
             assert got_rng.getstate() == want_rng.getstate()
 
 

@@ -25,7 +25,7 @@ from dyadicops import (
 )
 from dyadicops.core import SupportView
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.paraproducts import _engine
+from dyadicops.paraproducts import _engine, alpha_at
 from dyadicops.scalars import FLOAT64, RATIONAL, one, zero
 
 from oracles import (
@@ -92,6 +92,16 @@ class TestAlphaVector:
         assert len(alphas) == 2**m - 1
         assert len(set(alphas)) == len(alphas)
         assert all(a.is_admissible and a.m == m for a in alphas)
+
+    def test_alpha_at_is_the_enumeration(self):
+        for m in range(1, 12):
+            assert [alpha_at(m, i) for i in range((1 << m) - 1)] == admissible_alphas(m)
+        assert alpha_at(40, (1 << 40) - 2) == AlphaVector((1,) * 39 + (0,))
+        with pytest.raises(ValueError):
+            alpha_at(0, 0)
+        for m, index in ((1, 1), (3, -1), (3, 7)):
+            with pytest.raises(IndexError):
+                alpha_at(m, index)
 
 
 def haar_power(interval, sigma, depth):
