@@ -54,6 +54,9 @@ from .scalars import (
     RATIONAL,
     parse_finite_fraction,
     parse_fraction,
+    row_difference,
+    row_product,
+    row_values,
 )
 from .sublinear import (
     bmo2_via_haar,
@@ -179,16 +182,15 @@ def _random_symbol(rng, depth: int) -> SymbolSequence:
 
 def _suite_multiplier_coeff(args, rng):
     # <T f, h_I> = eps_I <f, h_I> for every interval I, from the Haar
-    # coefficient tables of f and T f
+    # coefficient tables of f and T f: one residual row per level
     for _ in range(args.trials):
         eps = _random_symbol(rng, args.depth)
         f = _random_function(rng, args.depth, args.mode)
         out = multilinear_multiplier(eps, (0,), [f])
-        rows = zip(eps.table(args.depth, args.mode), coefficient_table(f),
+        rows = zip(eps.factor_rows(args.depth, args.mode), coefficient_table(f),
                    coefficient_table(out))
-        for eps_row, f_row, out_row in rows:
-            for e, c, o in zip(eps_row, f_row, out_row):
-                yield o - e * c
+        for e, c, o in rows:
+            yield from row_values(row_difference(o, row_product(e, c)))
 
 
 def _suite_commutator_constant(args, rng):

@@ -132,6 +132,14 @@ def check_haar_level(level: int, depth: int):
         )
 
 
+def check_alpha_bit(bit):
+    """Refuse an alpha bit that is not the int 0 or 1: a bool or a float
+    is not read as one, so that every alpha prints as it reads back.  The
+    one bit rule of ``pairing`` and ``AlphaVector``."""
+    if type(bit) is not int or bit not in (0, 1):
+        raise ValueError(f"alpha bits must be 0 or 1, got {bit!r}")
+
+
 def interval_family(depth: int) -> list[DyadicInterval]:
     """All intervals of levels 0..depth-1, i.e. those carrying a Haar
     function on a depth-``depth`` grid, in (level, position) order."""
@@ -487,10 +495,12 @@ def block_runs(f: StepFunction | SupportView) -> Iterator[tuple]:
             yield block, 1 << (f.depth - k - 1)
 
 
-def _right_of(support: DyadicInterval, level: int) -> int:
-    """1 when ``support`` lies in the right half of its ancestor at
-    ``level``, else 0."""
-    return (support.position >> (support.level - level - 1)) & 1
+def _ancestor_signs(support: DyadicInterval) -> list:
+    """For each strict ancestor I of ``support``, level by level, the sign
+    of h_I on the half of I that holds ``support``: +1 on the right half,
+    -1 on the left."""
+    pos, top = support.position, support.level
+    return [((pos >> (top - 1 - level)) & 1) * 2 - 1 for level in range(top)]
 
 
 def support_layout(table: Sequence[Sequence], support: DyadicInterval) -> list:
@@ -602,74 +612,26 @@ def _support_level(f: StepFunction | SupportView) -> int:
     return f.support.level
 
 
-def interval_integrals(f: StepFunction | SupportView) -> list[list]:
+def interval_integrals(f: StepFunction | SupportView) -> list:
     """table[level][pos] = integral of f over that interval, levels 0..depth.
 
     A SupportView, which must vanish outside its support, gets its table in
     the support layout, computed from its leaves on the support alone.  A
     forest's rows hold its trees' rows one after another, as do the tables
-    built on this one.  In rational mode the rows are ``ExactRow``s: the
-    leaves are put over the lcm of their denominators once, and every
-    level adds ints.
+    built on this one.  Every table is a list of rows, built by the row
+    functions of ``scalars`` in both modes: in rational mode the leaves are
+    put over the lcm of their denominators once, and every level adds ints.
     """
     top = _support_level(f)
-    if f.mode == RATIONAL:
-        leaves = scalars.ExactRow.of(f.values)
-        level = scalars.row_root2_scaled(leaves, -2 * f.depth)
-        table = [level]
-        for _ in range(f.depth - top):
-            level = scalars.row_pair_sums(level)
-            table.append(level)
-        # every ancestor of the support holds all of f
-        table += [level] * top
-        table.reverse()
-        return table
-    n = 1 << f.depth
-    w = scalars.reciprocal(n, f.mode)
-    level = [v * w for v in f.values]
+    level = scalars.row_root2_scaled(scalars.as_row(f.values, f.mode), -2 * f.depth)
     table = [level]
     for _ in range(f.depth - top):
-        level = list(map(add, level[0::2], level[1::2]))
+        level = scalars.row_pair_sums(level)
         table.append(level)
     # every ancestor of the support holds all of f
-    table += [list(level) for _ in range(top)]
+    table += [level] * top
     table.reverse()
     return table
-
-
-def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
-    """Leaf values of ``start + sum of terms[level][pos] * s_I`` in one
-    top-down pass, I being the interval (level, pos) of a grid of depth
-    ``len(terms)``.  s_I is the sign pattern of h_I (-1 on the left half of
-    I, +1 on the right half) when ``odd`` and the indicator of I otherwise.
-    The pass starts from one root per entry of the first row, so a forest's
-    terms give its trees' leaves one after another.
-
-    Each child takes its parent's value plus or minus the parent's term, so
-    every leaf adds its terms from the coarsest level down, and zero terms
-    are skipped, which leaves a signed zero as it is.  A level's left and
-    right children are filled row by row.
-    """
-    vals = [start] * len(terms[0]) if terms else [start]
-    for row in terms:
-        children = [None] * (2 * len(vals))
-        if odd:
-            children[0::2] = [v - t if t else v for v, t in zip(vals, row)]
-            children[1::2] = [v + t if t else v for v, t in zip(vals, row)]
-        else:
-            children[0::2] = children[1::2] = [
-                v + t if t else v for v, t in zip(vals, row)
-            ]
-        vals = children
-    return vals
-
-
-def exact_haar_sum(start, terms: Sequence, odd: bool):
-    """``haar_sum`` in rational mode: ``start`` an ``Exact``, ``terms``
-    ``ExactRow``s.  The rows are put over one common denominator and each
-    part makes one int pass; returns the leaves as one ``ExactRow``."""
-    d, (sa, *As), (sb, *Bs) = scalars.aligned([scalars.ExactRow.of([start]), *terms])
-    return scalars.ExactRow(haar_sum(sa[0], As, odd), haar_sum(sb[0], Bs, odd), d)
 
 
 def _kept(build):
@@ -687,46 +649,29 @@ def _kept(build):
 
 
 @_kept
-def average_table(f: StepFunction | SupportView) -> list[list]:
+def average_table(f: StepFunction | SupportView) -> list:
     """table[level][pos] = average of f over that interval, levels 0..depth."""
-    ints = interval_integrals(f)
-    if f.mode == RATIONAL:
-        return [scalars.row_root2_scaled(row, 2 * level) for level, row in enumerate(ints)]
-    out = []
-    for level, row in enumerate(ints):
-        scale = 1 << level
-        out.append([v * scale for v in row])
-    return out
+    return [
+        scalars.row_root2_scaled(row, 2 * level)
+        for level, row in enumerate(interval_integrals(f))
+    ]
 
 
 @_kept
-def coefficient_table(f: StepFunction | SupportView) -> list[list]:
+def coefficient_table(f: StepFunction | SupportView) -> list:
     """table[level][pos] = Haar coefficient <f, h_I>, levels 0..depth-1
-    (in the support layout for a SupportView)."""
+    (in the support layout for a SupportView): 2**(level/2) times the
+    integral of f over the right half of I less that over the left half."""
     ints = interval_integrals(f)
     top = _support_level(f)
-    if f.mode == RATIONAL:
-        out = []
-        for level in range(f.depth):
-            below = ints[level + 1]
-            if level < top:
-                # an ancestor of the support: f lives in one half of it
-                side = below[0:1]
-                row = side if _right_of(f.support, level) else scalars.row_negated(side)
-            else:
-                row = scalars.row_pair_differences(below)
-            out.append(scalars.row_root2_scaled(row, level))
-        return out
     out = []
-    for level in range(f.depth):
-        mag = scalars.root2_power(level, f.mode)
-        below = ints[level + 1]
-        if level < top:
-            # an ancestor of the support: f lives in one half of it
-            side = below[0]
-            out.append([mag * side if _right_of(f.support, level) else mag * -side])
-            continue
-        out.append([mag * d for d in map(sub, below[1::2], below[0::2])])
+    if top:
+        # the ancestors of the support: f, all of it, lives in one half
+        weights = scalars.signed_root2_powers(range(top), _ancestor_signs(f.support), f.mode)
+        sides = scalars.row_product(ints[top] * top, weights)
+        out = [sides[level:level + 1] for level in range(top)]
+    for level in range(top, f.depth):
+        out.append(scalars.row_pair_differences(ints[level + 1], level))
     return out
 
 
@@ -742,20 +687,14 @@ def analyze(f: StepFunction) -> HaarSpectrum:
 
 def synthesize(spectrum: HaarSpectrum) -> StepFunction:
     """Inverse Haar transform: mean + sum of coeff * h_I, each leaf adding
-    its terms from the coarsest level down."""
+    its terms from the coarsest level down (``scalars.row_haar_sum``)."""
     depth, mode = spectrum.depth, spectrum.mode
-    if mode == RATIONAL:
-        terms = [
-            scalars.row_root2_scaled(row, level)
-            for level, row in enumerate(scalars.exact_rows(spectrum.coeffs))
-        ]
-        leaves = exact_haar_sum(spectrum.mean, terms, True)
-        return StepFunction._raw(depth, leaves.exacts(), mode)
     terms = [
-        [c * scalars.root2_power(level, mode) for c in row]
-        for level, row in enumerate(spectrum.coeffs)
+        scalars.row_root2_scaled(row, level)
+        for level, row in enumerate(scalars.as_rows(spectrum.coeffs, mode))
     ]
-    return StepFunction._raw(depth, haar_sum(spectrum.mean, terms, True), mode)
+    leaves = scalars.row_haar_sum(spectrum.mean, terms, True)
+    return StepFunction._raw(depth, scalars.row_values(leaves), mode)
 
 
 def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
@@ -766,8 +705,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
     interval's leaves; a caller that wants every interval reads
     ``coefficient_table`` or ``average_table`` instead.
     """
-    if alpha not in (0, 1):
-        raise ValueError(f"alpha bit must be 0 or 1, got {alpha}")
+    check_alpha_bit(alpha)
     f = f.expand()
     depth, mode = f.depth, f.mode
     check_grid(f, depth, mode)
@@ -787,19 +725,14 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
 
 
 def inner_product(f: StepFunction, g: StepFunction):
-    """Integral of f*g over [0, 1), every tree of a forest added in.  In
-    rational mode the leaf products are one int row (``row_product``),
-    summed and made an ``Exact`` once."""
+    """Integral of f*g over [0, 1), every tree of a forest added in: the
+    total of the row of leaf products, times 2**-depth.  In rational mode
+    that row is ints over one denominator, made an ``Exact`` once."""
     f, g = f.expand(), g.expand()
     check_grid(g, f.depth, f.mode, trees=tree_count(f))
-    if f.mode == RATIONAL:
-        rows = scalars.ExactRow.of(f.values), scalars.ExactRow.of(g.values)
-        products = scalars.row_root2_scaled(scalars.row_product(*rows), -2 * f.depth)
-        return scalars.row_total(products)
-    acc = scalars.zero(f.mode)
-    for x, y in zip(f.values, g.values):
-        acc = acc + x * y
-    return acc * scalars.reciprocal(1 << f.depth, f.mode)
+    rows = scalars.as_row(f.values, f.mode), scalars.as_row(g.values, f.mode)
+    total = scalars.row_total(scalars.row_product(*rows))
+    return total * scalars.reciprocal(1 << f.depth, f.mode)
 
 
 def pointwise_product(fs: Sequence[StepFunction]) -> StepFunction:

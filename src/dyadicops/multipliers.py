@@ -80,15 +80,12 @@ class SymbolSequence:
         return table
 
     def factor_rows(self, depth: int, mode: str) -> list:
-        """The table as the engine's factor rows: in rational mode one
-        ``ExactRow`` per level, built on the first call for each depth and
-        kept; in float64 the table itself."""
-        table = self.table(depth, mode)
-        if mode != RATIONAL:
-            return table
-        rows = self._rows.get(depth)
+        """The table as the engine's factor rows (``scalars.as_rows``),
+        built on the first call for each (depth, mode) and kept."""
+        key = (depth, mode)
+        rows = self._rows.get(key)
         if rows is None:
-            rows = self._rows[depth] = scalars.exact_rows(table)
+            rows = self._rows[key] = scalars.as_rows(self.table(depth, mode), mode)
         return rows
 
     def to_json_dict(self) -> dict:

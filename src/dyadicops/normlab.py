@@ -30,7 +30,6 @@ from .core import (
     check_depth,
     check_grid,
     forest,
-    haar_sum,
     inner_product,
     interval_at,
     lp_norm,
@@ -342,8 +341,8 @@ class SamplerSpec:
                 for level, (row, pair) in enumerate(zip(rows, pairs)):
                     row += [pair[i] for i in islice(signs, 1 << level)]
             rows += [[0.0] * (m << level) for level in range(cap + 1, self.depth)]
-            # the m functions as one forest: one haar_sum pass
-            f = StepFunction._raw(self.depth, haar_sum(0.0, rows, True), FLOAT64)
+            # the m functions as one forest: one scalars.haar_sum pass
+            f = StepFunction._raw(self.depth, scalars.haar_sum(0.0, rows, True), FLOAT64)
             return [tree(f, k) for k in range(m)]
         if self.family == "indicator":
             out = []

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
-from operator import mul
+from itertools import chain, repeat
 from typing import Sequence
 
 from . import scalars
@@ -26,29 +25,24 @@ from .core import (
     DyadicInterval,
     StepFunction,
     SupportView,
-    _right_of,
+    _ancestor_signs,
     average_table,
+    check_alpha_bit,
     check_grid,
     coefficient_table,
-    exact_haar_sum,
-    haar_sum,
-    pointwise_product,
     seen,
     support_layout,
     tree_count,
 )
 from .errors import ShapeError
 from .scalars import (
-    ExactRow,
-    _canonical,
-    aligned,
+    as_row,
     column,
-    exact_rows,
-    row_negated,
+    row_difference,
     row_product,
-    row_root2_scaled,
     row_sum,
     row_total,
+    row_values,
 )
 
 
@@ -73,9 +67,8 @@ class AlphaVector:
         object.__setattr__(self, "bits", tuple(bits))
         if len(self.bits) < 1:
             raise ValueError("alpha needs at least one slot")
-        # not a bool or a float: str(alpha) must read back by from_string
-        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
-            raise ValueError(f"alpha bits must be 0 or 1, got {self.bits}")
+        for b in self.bits:
+            check_alpha_bit(b)
 
     @classmethod
     def from_string(cls, s: str) -> "AlphaVector":
@@ -205,118 +198,72 @@ def _engine(
     does, so float64 results match it bit for bit.  Forest tables give the
     forest of their trees' outputs: each tree sums its own terms.
 
-    In rational mode the pass runs on integer rows (``_exact_pass``), and
-    each output value is canonicalised once.
+    The sum is one pass of rows (``_row_pass``) in both modes; in rational
+    mode each output value is canonicalised once.
     """
-    if mode == scalars.RATIONAL:
-        values, blocks = _exact_pass(sigma, tables, depth, support)
-        return seen(depth, support, values.exacts(), blocks, mode)
+    values, blocks = _row_pass(sigma, tables, depth, mode, support)
+    return seen(depth, support, row_values(values), blocks, mode)
+
+
+def _row_pass(sigma: int, tables: list, depth: int, mode: str, support: DyadicInterval):
+    """``_engine``'s sum as rows: its values on ``support`` as one row, and
+    its blocks.  Each level's slot products, in table order, times its
+    Haar power are one ``row_scaled_product``; the strict ancestors' terms
+    are one row (``_ancestor_terms``), and the top-down sum is
+    ``scalars.row_haar_sum``."""
     top = support.level
-    z = scalars.zero(mode)
-    first, *factors = tables
-    # h_I**0 is 1 on the whole universe: for sigma = 0 the sum is one
-    # constant
-    const = z
-    odd = sigma % 2 == 1
-    # the ancestors: each Haar power is constant on the half that holds
-    # the support and on the other half, where the next block begins
-    above = z
-    blocks = []
-    for level in range(top):
-        t = first[level][0]
-        for tab in factors:
-            t = t * tab[level][0]
-        if t and sigma == 0:
-            const = const + t
-        elif t:
-            tw = t * scalars.root2_power(level * sigma, mode)
-            if odd and not _right_of(support, level):
-                tw = -tw
-            blocks.append(above - tw if odd else above + tw)
-            above = above + tw
-            continue
-        blocks.append(above)
-    # at and below the support: each interval's term, its slot product
-    # times |I|**(-sigma/2), summed top-down
-    terms = []
-    for level in range(top, depth):
-        w = scalars.root2_power(level * sigma, mode)
-        row = first[level]
-        for tab in factors:
-            row = map(mul, row, tab[level])
-        terms.append([t * w if t else t for t in row])
-    if sigma == 0:
-        width = 1 << (depth - top)
-        values = []
-        for k in range(len(terms[0]) if terms else 1):
-            total = const
-            for i, row in enumerate(terms):
-                for t in row[k << i:(k + 1) << i]:
-                    if t:
-                        total = total + t
-            values += [total] * width
-        return seen(depth, support, values, (total,) * top, mode)
-    return seen(depth, support, haar_sum(above, terms, odd), blocks, mode)
-
-
-def _ancestor_terms(sigma: int, columns: list, support: DyadicInterval) -> ExactRow:
-    """The terms of the strict ancestors I of ``support``, one entry per
-    level: the product of the slots' entries at I, one ``column`` per
-    slot, times h_I**sigma on the half of I that holds ``support``, which
-    is 2**(level*sigma/2), negative on a left half when sigma is odd."""
-    top = support.level
-    A, B = [0] * top, [0] * top
-    for level in range(top):
-        q, r = divmod(level * sigma, 2)
-        sign = -1 if sigma % 2 and not _right_of(support, level) else 1
-        (B if r else A)[level] = sign << q
-    return reduce(row_product, columns, ExactRow(A, B if any(B) else None, 1))
-
-
-def _exact_pass(sigma: int, tables: list, depth: int, support: DyadicInterval):
-    """``_engine`` in rational mode on integer rows (``scalars.ExactRow``):
-    the output's leaf values on ``support`` as one row, and its blocks as
-    ``Exact`` values.  The slot products and the top-down sum
-    (``core.exact_haar_sum``) are int list operations, and so is the sum
-    of the ancestors' terms (``_ancestor_terms``)."""
-    top = support.level
-    tables = [exact_rows(tab) for tab in tables]
+    tables = [scalars.as_rows(tab, mode) for tab in tables]
     terms = [
-        row_root2_scaled(reduce(row_product, [tab[level] for tab in tables]), level * sigma)
+        scalars.row_scaled_product([tab[level] for tab in tables], level * sigma)
         for level in range(top, depth)
     ]
-    # in the support layout each ancestor's row holds its one entry
-    columns = [column(tab[:top], [0] * top) for tab in tables]
-    ancestors = _ancestor_terms(sigma, columns, support)
+    ancestors = None
+    if top:
+        # in the support layout each ancestor's row holds its one entry; a
+        # slot whose entries there all vanish, as h_I's do at the ancestors
+        # of I, makes every ancestor's term zero, and only the sigma = 0
+        # sum below reads them then
+        columns = []
+        for tab in tables:
+            columns.append(column(tab[:top], repeat(0)))
+            if sigma and scalars.row_is_zero(columns[-1]):
+                break
+        else:
+            ancestors = _ancestor_terms(sigma, columns, support, mode)
     if sigma == 0:
-        # one constant per tree: its ancestors' terms and its own
-        d, As, Bs = aligned([ancestors, *terms])
-        roots, width = len(terms[0]) if terms else 1, 1 << (depth - top)
-        A = [v for v in _tree_sums(As, roots) for _ in range(width)]
-        B = [v for v in _tree_sums(Bs, roots) for _ in range(width)]
-        values = ExactRow(A, B, d)
-        return values, [values[-1]] * top
-    # each sibling block takes the terms above it and its own term, the
-    # latter negated when sigma is odd
+        # h_I**0 is 1 on the whole universe: each tree's output is one
+        # constant, its ancestors' terms and then its own summed level by
+        # level
+        width = 1 << (depth - top)
+        totals = []
+        for k in range(len(terms[0]) if terms else 1):
+            spans = [range(k << i, (k + 1) << i) for i in range(len(terms))]
+            rows = [ancestors] * top + [row for row, span in zip(terms, spans) for _ in span]
+            totals.append(row_total(column(rows, [*range(top), *chain(*spans)])))
+        values = as_row([t for t in totals for _ in range(width)], mode)
+        return values, [totals[-1]] * top
     odd = sigma % 2 == 1
-    d, (sa,), (sb,) = aligned([ancestors])
-    blocks = [
-        _canonical(pa - a if odd else pa + a, pb - b if odd else pb + b, d)
-        for pa, a, pb, b in zip(accumulate(sa, initial=0), sa, accumulate(sb, initial=0), sb)
-    ]
-    above = _canonical(sum(sa), sum(sb), d)
-    return exact_haar_sum(above, terms, odd), blocks
+    above = scalars.zero(mode)
+    blocks = [above] * top
+    if ancestors is not None:
+        # each sibling block takes the terms above it minus its own term
+        # when sigma is odd, plus it (the next running total) when even
+        sums = scalars.row_running_totals(ancestors)
+        own = row_difference(sums[:-1], ancestors) if odd else sums[1:]
+        blocks, above = row_values(own), sums[-1]
+    return scalars.row_haar_sum(above, terms, odd), blocks
 
 
-def _tree_sums(parts: list, roots: int) -> list:
-    """For each of ``roots`` trees, the sum of the first part (the
-    ancestors' terms) and of the tree's entries in every later part, the
-    part i after the first holding 2**i entries per tree."""
-    first, *rows = parts
-    return [
-        sum(first) + sum(sum(row[k << i:(k + 1) << i]) for i, row in enumerate(rows))
-        for k in range(roots)
-    ]
+def _ancestor_terms(sigma: int, columns: list, support: DyadicInterval, mode: str):
+    """The terms of the strict ancestors I of ``support``, one entry per
+    level: the product of the slots' entries at I, one ``column`` per slot
+    in table order, times h_I**sigma on the half of I that holds
+    ``support``, which is 2**(level*sigma/2), negative on a left half when
+    sigma is odd."""
+    top = support.level
+    signs = _ancestor_signs(support) if sigma % 2 else [1] * top
+    weights = scalars.signed_root2_powers([level * sigma for level in range(top)], signs, mode)
+    return scalars.row_scaled_product([*columns, weights], 0)
 
 
 def _slot_tables(bits, fs):
@@ -360,10 +307,10 @@ def pi_paraproduct(alpha, b: StepFunction, fs: Sequence[StepFunction]) -> StepFu
 
 def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     """prod(fs) minus the sum of all admissible paraproducts minus the
-    global-mean constant; identically zero (exactly so in rational mode,
-    where the product, the paraproducts' leaf rows and the constant are
-    summed as integer rows and each leaf is canonicalised once).  Each
-    input is one tree (``check_grid``)."""
+    global-mean constant; identically zero.  The product, the
+    paraproducts' leaf rows (``_row_pass``) and the constant are summed as
+    rows, so in rational mode each leaf is canonicalised once.  Each input
+    is one tree (``check_grid``)."""
     m = len(fs)
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
@@ -374,21 +321,14 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     corr = scalars.one(mode)
     for f in fs:
         corr = corr * average_table(f)[0][0]
-    if mode == scalars.RATIONAL:
-        outputs = [
-            _exact_pass(a.zero_count, _slot_tables(a.bits, fs), depth, UNIVERSE)[0]
-            for a in admissible_alphas(m)
-        ]
-        product = reduce(row_product, [ExactRow.of(f.values) for f in fs])
-        total = row_sum([*outputs, ExactRow.of([corr]) * (1 << depth)])
-        residual = row_sum([product, row_negated(total)])
-        return StepFunction._raw(depth, residual.exacts(), mode)
-    product = pointwise_product(fs)
-    total = StepFunction.zeros(depth, mode)
-    for a in admissible_alphas(m):
-        tables = _slot_tables(a.bits, fs)
-        total = total + _engine(a.zero_count, tables, depth, mode).expand()
-    return product - total - StepFunction.constant(corr, depth, mode)
+    outputs = [
+        _row_pass(a.zero_count, _slot_tables(a.bits, fs), depth, mode, UNIVERSE)[0]
+        for a in admissible_alphas(m)
+    ]
+    product = reduce(row_product, [as_row(f.values, mode) for f in fs])
+    residual = row_difference(product, row_sum(outputs))
+    residual = row_difference(residual, as_row([corr], mode) * (1 << depth))
+    return StepFunction._raw(depth, row_values(residual), mode)
 
 
 def localized_average_residual(
@@ -418,30 +358,20 @@ def localized_average_residual(
         lhs = lhs * at[interval.level][interval.position]
         corr = corr * at[0][0]
 
-    # the strict ancestors of J are the intervals of the depth-level(J)
-    # grid that contain J: their paraproduct terms, seen from J, are one
-    # value on J
+    # the strict ancestors of J: each slot table's entries there, gathered
+    # once, then one row of ancestor terms per alpha (``_ancestor_terms``,
+    # as ``_engine`` sums them on J), each alpha's total added in turn
     level, pos = interval.level, interval.position
-    alphas = admissible_alphas(len(fs))
-    if mode == scalars.RATIONAL:
-        # each slot table's entries at J's ancestors, gathered once; then
-        # one row of ancestor terms per alpha, all summed as ints
-        chain = [pos >> (level - k) for k in range(level)]
-        columns = [
-            [column(table(f)[:level], chain) for table in (coefficient_table, average_table)]
-            for f in fs
-        ]
-        rows = [
-            _ancestor_terms(
-                a.zero_count, [columns[j][bit] for j, bit in enumerate(a.bits)], interval
-            )
-            for a in alphas
-        ]
-        acc = row_total(row_sum(rows))
-    else:
-        acc = scalars.zero(mode)
-        for a in alphas:
-            tables = [support_layout(t[:level], interval) for t in _slot_tables(a.bits, fs)]
-            acc = acc + _engine(a.zero_count, tables, level, mode, interval).values[0]
-
+    ancestry = [pos >> (level - k) for k in range(level)]
+    columns = [
+        [column(table(f)[:level], ancestry) for table in (coefficient_table, average_table)]
+        for f in fs
+    ]
+    totals = [
+        row_total(_ancestor_terms(
+            a.zero_count, [columns[j][bit] for j, bit in enumerate(a.bits)], interval, mode
+        ))
+        for a in admissible_alphas(len(fs))
+    ]
+    acc = row_total(as_row(totals, mode))
     return StepFunction.constant(lhs - acc - corr, depth, mode).restrict(interval)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from functools import reduce
+from itertools import accumulate, repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, getitem, mul, sub
+from typing import Sequence
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
@@ -460,19 +462,45 @@ class ExactRow:
         return f"ExactRow({self.exacts()!r})"
 
 
-def exact_rows(table) -> list:
-    """A table's rows as ``ExactRow``s: rows that are one already are
-    kept, and a row of ``Exact`` values is put over one denominator."""
+# -- rows ---------------------------------------------------------------------
+# A row is one row of a table: an ``ExactRow`` in rational mode, and the
+# floats themselves, a list or a tuple, in float64.  The table passes build
+# and combine rows only through the functions below, which take a row of
+# either kind, so this module is the only one that knows how a row is
+# stored.  A float64 row function rounds as a loop over the entries does:
+# each product and scale once, rows added in the order given, and a row's
+# entries totalled left to right from 0.0 (``row_total``).
+
+
+def as_row(values, mode: str):
+    """A sequence of ``mode`` scalars as a row."""
+    return ExactRow.of(values) if mode == RATIONAL else values
+
+
+def as_rows(table, mode: str) -> list:
+    """A table's rows as rows of ``mode``: in rational mode a row that is
+    an ``ExactRow`` already is kept, and a row of ``Exact`` values is put
+    over one denominator; a float64 table is its own."""
+    if mode != RATIONAL:
+        return table
     return [row if type(row) is ExactRow else ExactRow.of(row) for row in table]
+
+
+def row_values(x) -> list:
+    """A row's entries as ``mode`` scalars: canonical ``Exact`` values, or
+    the floats themselves."""
+    return x.exacts() if type(x) is ExactRow else x
 
 
 def _times(part: list | None, k: int) -> list | None:
     return part if part is None or k == 1 else [a * k for a in part]
 
 
-def row_product(x: ExactRow, y: ExactRow) -> ExactRow:
+def row_product(x, y):
     """The entrywise product of two rows of one length:
     (a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2."""
+    if type(x) is not ExactRow:
+        return list(map(mul, x, y))
     a, b, c, d = x.A, x.B, y.A, y.B
     A = B = None
     if a is not None and c is not None:
@@ -488,10 +516,31 @@ def row_product(x: ExactRow, y: ExactRow) -> ExactRow:
     return ExactRow(A, B, x.D * y.D)
 
 
-def row_root2_scaled(x: ExactRow, k: int) -> ExactRow:
-    """x times 2**(k/2) for any integer k: an odd k moves each part to the
-    other, (a + b*sqrt2)*sqrt2 = 2b + a*sqrt2; a power of two comes off
-    the denominator while it divides it, else onto the numerators."""
+def row_scaled_product(rows: list, k: int):
+    """The entrywise product of ``rows``, in their order, times 2**(k/2):
+    ``row_product`` of each row in turn, then ``row_root2_scaled``, which
+    a float64 row takes in one pass."""
+    if type(rows[0]) is ExactRow:
+        return row_root2_scaled(reduce(row_product, rows), k)
+    first, *others = rows
+    for row in others:
+        first = map(mul, first, row)
+    if not k:
+        return list(first)
+    w = root2_power(k, FLOAT64)
+    return [v * w for v in first]
+
+
+def row_root2_scaled(x, k: int):
+    """x times 2**(k/2) for any integer k.  In rational mode an odd k moves
+    each part to the other, (a + b*sqrt2)*sqrt2 = 2b + a*sqrt2, and a power
+    of two comes off the denominator while it divides it, else onto the
+    numerators; a float64 row is multiplied by ``root2_power(k)``."""
+    if type(x) is not ExactRow:
+        if not k:
+            return x
+        w = root2_power(k, FLOAT64)
+        return [v * w for v in x]
     q, r = divmod(k, 2)
     A, B = x.A, x.B
     if r:
@@ -507,54 +556,146 @@ def row_root2_scaled(x: ExactRow, k: int) -> ExactRow:
     return ExactRow(A, B, d)
 
 
-def row_negated(x: ExactRow) -> ExactRow:
-    return ExactRow(_times(x.A, -1), _times(x.B, -1), x.D)
+def signed_root2_powers(ks, signs: list, mode: str):
+    """The row of signs[i] * 2**(ks[i]/2), for ints ks[i] >= 0 and signs
+    +-1, built from ints in rational mode."""
+    if mode != RATIONAL:
+        # root2_power(k, FLOAT64), one call less per entry
+        return [s * 2.0 ** (k / 2.0) for k, s in zip(ks, signs)]
+    A, B = [0] * len(ks), [0] * len(ks)
+    for i, (k, s) in enumerate(zip(ks, signs)):
+        q, r = divmod(k, 2)
+        (B if r else A)[i] = s << q
+    return ExactRow(A, B if any(B) else None, 1)
 
 
-def _pairwise(op, part: list | None) -> list | None:
-    """op(right, left) for each pair of neighbouring ints of a row part."""
+def _pairwise(op, part):
+    """op(right, left) for each pair of neighbouring entries of a float row
+    or of an int row part."""
     return None if part is None else list(map(op, part[1::2], part[0::2]))
 
 
-def row_pair_sums(x: ExactRow) -> ExactRow:
+def row_pair_sums(x):
     """The sum of each pair of neighbouring entries."""
+    if type(x) is not ExactRow:
+        return _pairwise(add, x)
     return ExactRow(_pairwise(add, x.A), _pairwise(add, x.B), x.D)
 
 
-def row_pair_differences(x: ExactRow) -> ExactRow:
-    """right - left for each pair of neighbouring entries."""
-    return ExactRow(_pairwise(sub, x.A), _pairwise(sub, x.B), x.D)
+def row_pair_differences(x, k: int = 0):
+    """right - left for each pair of neighbouring entries, times 2**(k/2)
+    (``row_root2_scaled``), which a float64 row takes in one pass."""
+    if type(x) is ExactRow:
+        return row_root2_scaled(ExactRow(_pairwise(sub, x.A), _pairwise(sub, x.B), x.D), k)
+    if not k:
+        return _pairwise(sub, x)
+    w = root2_power(k, FLOAT64)
+    return [(r - left) * w for left, r in zip(x[0::2], x[1::2])]
 
 
-def column(rows: list, indices) -> ExactRow:
-    """Entry ``indices[i]`` of ``rows[i]`` for each i, as one row over the
-    lcm of the rows' denominators."""
-    d = math.lcm(*{row.D for row in rows})
+def column(rows: list, indices):
+    """Entry ``indices[i]`` of ``rows[i]`` for each i, as one row: in
+    rational mode over the lcm of the rows' denominators.  ``rows`` must
+    not be empty."""
+    if type(rows[0]) is not ExactRow:
+        return list(map(getitem, rows, indices))
     pairs = list(zip(rows, indices))
+    d = math.lcm(*{row.D for row in rows})
     A = [(0 if r.A is None else r.A[k]) * (d // r.D) for r, k in pairs]
     if all(r.B is None for r in rows):
         return ExactRow(A, None, d)
     return ExactRow(A, [(0 if r.B is None else r.B[k]) * (d // r.D) for r, k in pairs], d)
 
 
-def aligned(rows: list) -> tuple[int, list, list]:
-    """(d, As, Bs): the A and B parts of the rows over d, the lcm of their
-    denominators, a part that a row lacks as a list of zeros."""
+def _aligned(rows: list) -> tuple[int, list, list]:
+    """(d, As, Bs): the A and B parts of ``ExactRow``s over d, the lcm of
+    their denominators, a part that a row lacks as a list of zeros."""
     d = math.lcm(*{row.D for row in rows})
     As = [row._part(_times(row.A, d // row.D)) for row in rows]
     Bs = [row._part(_times(row.B, d // row.D)) for row in rows]
     return d, As, Bs
 
 
-def row_sum(rows: list) -> ExactRow:
-    """The entrywise sum of rows of one length."""
-    d, As, Bs = aligned(rows)
+def row_sum(rows: list):
+    """The entrywise sum rows[0] + rows[1] + ... of rows of one length, a
+    float64 entry added left to right; ``rows`` must not be empty."""
+    if type(rows[0]) is not ExactRow:
+        return reduce(lambda x, y: list(map(add, x, y)), rows)
+    d, As, Bs = _aligned(rows)
     return ExactRow([sum(c) for c in zip(*As)], [sum(c) for c in zip(*Bs)], d)
 
 
-def row_total(x: ExactRow):
-    """The sum of a row's entries as one ``Exact``."""
+def row_difference(x, y):
+    """The entrywise difference x - y of two rows of one length."""
+    if type(x) is not ExactRow:
+        return list(map(sub, x, y))
+    d, (a, c), (b, e) = _aligned([x, y])
+    return ExactRow(list(map(sub, a, c)), list(map(sub, b, e)), d)
+
+
+def row_is_zero(x) -> bool:
+    """Whether every entry of the row is zero."""
+    if type(x) is not ExactRow:
+        return not any(x)
+    return not any(x.A or ()) and not any(x.B or ())
+
+
+def row_total(x):
+    """The sum of a row's entries as one scalar.  A float64 row is added
+    left to right from 0.0, as a plain loop rounds it, where the builtin
+    ``sum`` compensates from CPython 3.12 on."""
+    if type(x) is not ExactRow:
+        return reduce(add, x, 0.0)
     return _canonical(sum(x._part(x.A)), sum(x._part(x.B)), x.D)
+
+
+def _accumulated(part: list | None) -> list | None:
+    return None if part is None else list(accumulate(part, initial=0))
+
+
+def row_running_totals(x):
+    """The row of the sums of x's first k entries, k = 0 .. len(x)."""
+    if type(x) is not ExactRow:
+        return list(accumulate(x, add, initial=0.0))
+    return ExactRow(_accumulated(x.A), _accumulated(x.B), x.D)
+
+
+def haar_sum(start, terms: Sequence[Sequence], odd: bool) -> list:
+    """Leaf values of ``start + sum of terms[level][pos] * s_I`` in one
+    top-down pass, I being the interval (level, pos) of a grid of depth
+    ``len(terms)``, for numbers of one kind (floats, ints or ``Exact``s).
+    s_I is the sign pattern of h_I (-1 on the left half of I, +1 on the
+    right half) when ``odd`` and the indicator of I otherwise.  The pass
+    starts from one root per entry of the first row, so a forest's terms
+    give its trees' leaves one after another.
+
+    Each child takes its parent's value plus or minus the parent's term, so
+    every leaf adds its terms from the coarsest level down, and zero terms
+    are skipped, which leaves a signed zero as it is.  A level's left and
+    right children are filled row by row.
+    """
+    vals = [start] * len(terms[0]) if terms else [start]
+    for row in terms:
+        children = [None] * (2 * len(vals))
+        if odd:
+            children[0::2] = [v - t if t else v for v, t in zip(vals, row)]
+            children[1::2] = [v + t if t else v for v, t in zip(vals, row)]
+        else:
+            children[0::2] = children[1::2] = [
+                v + t if t else v for v, t in zip(vals, row)
+            ]
+        vals = children
+    return vals
+
+
+def row_haar_sum(start, terms: list, odd: bool):
+    """``haar_sum`` of a ``mode`` scalar ``start`` and rows ``terms``, as
+    one row of leaves.  In rational mode the rows are put over one common
+    denominator and each part makes one int pass."""
+    if type(start) is not Exact:
+        return haar_sum(start, terms, odd)
+    d, (sa, *As), (sb, *Bs) = _aligned([ExactRow.of([start]), *terms])
+    return ExactRow(haar_sum(sa[0], As, odd), haar_sum(sb[0], Bs, odd), d)
 
 
 def zero(mode: str):

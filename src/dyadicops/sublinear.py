@@ -15,8 +15,6 @@ from .core import (
     average_table,
     check_grid,
     coefficient_table,
-    exact_haar_sum,
-    haar_sum,
 )
 from .errors import RootExceedsHeight
 from .scalars import FLOAT64, RATIONAL
@@ -61,30 +59,21 @@ def maximal(f: StepFunction) -> StepFunction:
     return StepFunction._raw(f.depth, best, f.mode)
 
 
-def _square_terms(f: StepFunction) -> list[list]:
+def _square_terms(f: StepFunction) -> list:
     """terms[level][pos] = c_I**2 / |I| with c_I = <f, h_I>, read from f's
-    kept coefficient table: the terms of the square function and of the
-    Haar route to BMO2; ``ExactRow``s in rational mode."""
-    if f.mode == RATIONAL:
-        return [
-            scalars.row_root2_scaled(scalars.row_product(row, row), 2 * level)
-            for level, row in enumerate(coefficient_table(f))
-        ]
+    kept coefficient table as rows: the terms of the square function and
+    of the Haar route to BMO2."""
     return [
-        [c * c * (1 << level) for c in row]  # 1/|I| = 2**level
-        for level, row in enumerate(coefficient_table(f))
+        scalars.row_scaled_product([row, row], 2 * level)
+        for level, row in enumerate(coefficient_table(f))  # 1/|I| = 2**level
     ]
 
 
 def square_function_sq(f: StepFunction) -> StepFunction:
     """Pointwise square of the Haar square function; exact in rational mode."""
     f = f.expand()
-    zero, terms = scalars.zero(f.mode), _square_terms(f)
-    if f.mode == RATIONAL:
-        values = exact_haar_sum(zero, terms, False).exacts()
-    else:
-        values = haar_sum(zero, terms, False)
-    return StepFunction._raw(f.depth, values, f.mode)
+    leaves = scalars.row_haar_sum(scalars.zero(f.mode), _square_terms(f), False)
+    return StepFunction._raw(f.depth, scalars.row_values(leaves), f.mode)
 
 
 def square_function(f: StepFunction) -> StepFunction:

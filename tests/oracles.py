@@ -379,7 +379,7 @@ def dense_sharp_ratio(descriptor, exponents, interval, depth, weak=False):
 
 # -- leaf-loop forms of the top-down pass -----------------------------------------
 #
-# The library builds every Haar sum in one top-down pass (``core.haar_sum``).
+# The library builds every Haar sum in one top-down pass (``scalars.haar_sum``).
 # These are the earlier forms, which add each term to every leaf under its
 # interval, level by level; float64 results must match them bit for bit.
 

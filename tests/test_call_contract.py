@@ -8,8 +8,9 @@ a bool or a float is refused before it can reach a report.
 
 Each input rule is stated by one function (``core.check_grid``,
 ``scalars.check_int``, ``scalars.check_scalar``, ``core.check_depth``,
-``DyadicInterval.leaf_span`` with ``core.check_haar_level``, and
-``AlphaVector.__post_init__``), and every caller reuses it.
+``DyadicInterval.leaf_span`` with ``core.check_haar_level``,
+``AlphaVector.__post_init__`` and ``core.check_alpha_bit``), and every
+caller reuses it.
 """
 
 from pathlib import Path
@@ -122,6 +123,12 @@ def test_alpha_bits_are_ints(bits):
         AlphaVector(bits)
     with pytest.raises(ValueError, match="alpha bits must be 0 or 1"):
         OperatorDescriptor("paraproduct", bits)
+
+
+@pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, 2])
+def test_pairing_reads_an_alpha_bit_by_the_same_rule(bit):
+    with pytest.raises(ValueError, match="alpha bits must be 0 or 1"):
+        core.pairing(StepFunction.from_values([1, 2, 3, 4]), DyadicInterval(0, 0), bit)
 
 
 
@@ -272,6 +279,7 @@ RULE_MESSAGES = [
     "depth must lie in",
     "out of range for depth",
     "needs a Haar slot",
+    "alpha bits must be 0 or 1",
 ]
 
 

@@ -40,7 +40,7 @@ from dyadicops.core import (
     forest,
     interval_integrals,
 )
-from dyadicops.scalars import ExactRow, exact_rows
+from dyadicops.scalars import RATIONAL, ExactRow, as_rows
 
 from oracles import (
     value_average_table,
@@ -143,9 +143,9 @@ class TestTables:
         assert list(row) == [Exact(quarter), Exact(0, half), Exact(Fraction(-3, 2))]
         assert row[1:] == [Exact(0, half), Exact(Fraction(-3, 2))]
         assert len(row * 2) == 6 and list(row * 2) == list(row) * 2
-        assert row == exact_rows([list(row)])[0]
+        assert row == as_rows([list(row)], RATIONAL)[0]
         # a row of rational values over one denominator keeps no sqrt(2) part
-        assert exact_rows([[Exact(Fraction(1, 3)), Exact(2)]])[0].B is None
+        assert as_rows([[Exact(Fraction(1, 3)), Exact(2)]], RATIONAL)[0].B is None
 
 
 class TestOperators:

@@ -1,6 +1,6 @@
 """The one top-down Haar-sum pass against the leaf loops it replaced.
 
-``core.haar_sum`` builds the engine's output below the support, the
+``scalars.haar_sum`` builds the engine's output below the support, the
 inverse Haar transform, the squared square function and the
 rademacher-haar draws.  Each must equal the per-leaf accumulation kept in
 ``tests/oracles.py``: ``repr`` for ``repr`` in float64, signed zeros
@@ -22,9 +22,8 @@ from dyadicops import (
     square_function_sq,
     synthesize,
 )
-from dyadicops.core import haar_sum
 from dyadicops.paraproducts import _engine
-from dyadicops.scalars import FLOAT64, RATIONAL
+from dyadicops.scalars import FLOAT64, RATIONAL, haar_sum
 
 from oracles import (
     loop_engine,

@@ -15,7 +15,9 @@ run on integer-valued b, whose forms sort ties, and a ``norms`` run on a
 rational file pin the one float weak rule, sorted |values| times
 (rank / n) ** (1/p).  A multiplier run on a symbol file with repeated
 value texts, a sqrt(2) pair and an entry below the grid pins the
-row-built symbol table.  The draws of ``verify``, which read raw bits by
+row-built symbol table.  ``transform analyze`` of the float64 file and
+``transform synthesize`` of a float64 spectrum pin the one row pass of
+the tables and of synthesis.  The draws of ``verify``, which read raw bits by
 the rule of ``random.Random._randbelow``, give the values and the rng
 state of ``randint`` and ``choice`` under each of them.
 """
@@ -104,7 +106,20 @@ def test_reports_match_across_interpreters(tmp_path):
             for level in range(6) for pos in range(1 << level) if rng.random() < 0.6
         ] + [{"level": 7, "pos": 5, "value": "9"}],
     }))
+    # a float64 spectrum: coefficients over six decades, a tenth of them zero
+    spectrum_path = tmp_path / "spectrum.json"
+    spectrum_path.write_text(json.dumps({
+        "depth": 9, "mode": "float64", "mean": rng.uniform(-1, 1),
+        "coeffs": [
+            {"level": level, "pos": pos,
+             "value": rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3)}
+            for level in range(9) for pos in range(1 << level) if rng.random() < 0.9
+        ],
+    }))
     commands = [
+        # the one table pass and the one top-down pass
+        ["transform", "analyze", str(f_path)],
+        ["transform", "synthesize", str(spectrum_path)],
         ["estimate", "--op", "mult", "--alpha", "001", "--symbol-const", "3/2",
          "--depth", "6", "--p", "1,3,2", "--family", "indicator", "--trials", "30"],
         # the square function and bmo2_haar add the same c_I**2 / |I| terms
