@@ -55,8 +55,8 @@ from .scalars import (
     parse_finite_fraction,
     parse_fraction,
     row_difference,
+    row_is_zero,
     row_product,
-    row_values,
 )
 from .sublinear import (
     bmo2_via_haar,
@@ -106,7 +106,7 @@ def _is_small(residual, mode: str) -> bool:
     mode, or has every value within FLOAT_TOL in float64."""
     values = residual.values if isinstance(residual, StepFunction) else (residual,)
     if mode == RATIONAL:
-        return not any(values)
+        return row_is_zero(values)
     return all(abs(v) <= FLOAT_TOL for v in values)
 
 
@@ -190,7 +190,7 @@ def _suite_multiplier_coeff(args, rng):
         rows = zip(eps.factor_rows(args.depth, args.mode), coefficient_table(f),
                    coefficient_table(out))
         for e, c, o in rows:
-            yield from row_values(row_difference(o, row_product(e, c)))
+            yield from row_difference(o, row_product(e, c))
 
 
 def _suite_commutator_constant(args, rng):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate, chain, repeat
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import scalars
@@ -189,8 +189,9 @@ def _check_leaf_count(depth: int, values: Sequence):
 class StepFunction:
     """A function on [0, 1) constant on the 2**depth leaf cells.
 
-    It is also the SupportView of the universe: ``support`` and ``blocks``
-    are class attributes, not fields, so equality and JSON ignore them.
+    ``values`` is the row of leaves (``scalars.leaf_row``).  It is also the
+    SupportView of the universe: ``support`` and ``blocks`` are class
+    attributes, not fields, so equality and JSON ignore them.
     """
 
     depth: int
@@ -204,14 +205,15 @@ class StepFunction:
         check_mode(self.mode)
         check_depth(self.depth)
         _check_leaf_count(self.depth, self.values)
-        object.__setattr__(self, "values", _coerce_values(self.values, self.mode))
+        values = _coerce_values(self.values, self.mode)
+        object.__setattr__(self, "values", scalars.leaf_row(values, self.mode))
 
     @classmethod
-    def _raw(cls, depth: int, values: list, mode: str) -> "StepFunction":
-        """Internal constructor: values must already be mode scalars."""
+    def _raw(cls, depth: int, values, mode: str) -> "StepFunction":
+        """Internal constructor: values must already be mode scalars or a row."""
         f = object.__new__(cls)
         object.__setattr__(f, "depth", depth)
-        object.__setattr__(f, "values", tuple(values))
+        object.__setattr__(f, "values", scalars.leaf_row(values, mode))
         object.__setattr__(f, "mode", mode)
         return f
 
@@ -225,6 +227,7 @@ class StepFunction:
 
     @classmethod
     def constant(cls, value, depth: int, mode: str = RATIONAL) -> "StepFunction":
+        check_depth(depth)
         v = scalars.coerce(value, mode)
         return cls._raw(depth, [v] * (1 << depth), mode)
 
@@ -248,24 +251,24 @@ class StepFunction:
 
     def _leafwise(self, op, other: "StepFunction") -> "StepFunction":
         check_grid(other, self.depth, self.mode, trees=tree_count(self))
-        return self._raw(self.depth, map(op, self.values, other.values), self.mode)
+        return self._raw(self.depth, op(self.values, other.values), self.mode)
 
     def __add__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return self._leafwise(add, other)
+        return self._leafwise(lambda x, y: scalars.row_sum([x, y]), other)
 
     def __sub__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return self._leafwise(sub, other)
+        return self._leafwise(scalars.row_difference, other)
 
     def __neg__(self):
         return StepFunction._raw(self.depth, [-x for x in self.values], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            return self._leafwise(mul, other)
+            return self._leafwise(scalars.row_product, other)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -281,20 +284,25 @@ class StepFunction:
         return StepFunction._raw(self.depth, [abs(x) for x in self.values], self.mode)
 
     def restrict(self, interval: DyadicInterval) -> "StepFunction":
-        """self times the indicator of ``interval``."""
+        """self times the indicator of ``interval``, each tree of a forest
+        on its own."""
+        span = interval.leaf_span(self.depth)
         z = scalars.zero(self.mode)
-        vals = [z] * (1 << self.depth)
-        for leaf in interval.leaf_span(self.depth):
-            vals[leaf] = self.values[leaf]
+        vals = [z] * len(self.values)
+        for start in range(0, len(vals), 1 << self.depth):
+            leaves = slice(start + span.start, start + span.stop)
+            vals[leaves] = self.values[leaves]
         return StepFunction._raw(self.depth, vals, self.mode)
 
     def is_zero(self) -> bool:
-        return all(not v for v in self.values)
+        return scalars.row_is_zero(self.values)
 
     def vanishes_outside(self, interval: DyadicInterval) -> bool:
+        """Whether each tree is zero off ``interval``."""
         span = interval.leaf_span(self.depth)
+        n = 1 << self.depth
         return all(
-            not v for leaf, v in enumerate(self.values) if leaf not in span
+            not v for leaf, v in enumerate(self.values) if leaf % n not in span
         )
 
     def expand(self) -> "StepFunction":
@@ -348,6 +356,9 @@ class SupportView:
     blocks: tuple
     mode: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", scalars.leaf_row(self.values, self.mode))
+
     @staticmethod
     def restrict(f: StepFunction, support: DyadicInterval):
         """f seen from ``support``.  f must vanish outside ``support``: only
@@ -363,6 +374,7 @@ class SupportView:
     ):
         """``left`` on the left half of ``interval``, ``right`` on its right
         half (all of it for a leaf), zero elsewhere, seen from ``support``."""
+        check_depth(depth)
         if not support.contains(interval):
             raise ValueError(f"{support} does not contain {interval}")
         z = scalars.zero(mode)
@@ -391,7 +403,7 @@ class SupportView:
     ):
         """The Haar function of ``interval`` seen from ``support``, which
         must contain it."""
-        check_haar_level(interval.level, depth)
+        check_haar_level(interval.level, check_depth(depth))
         mag = scalars.root2_power(interval.level, mode)
         return cls._halves(interval, support, depth, mode, -mag, mag)
 
@@ -402,7 +414,7 @@ class SupportView:
             for block in self.blocks
         )
         return SupportView(
-            self.depth, self.support, tuple(s * x for x in self.values), blocks, self.mode
+            self.depth, self.support, [s * x for x in self.values], blocks, self.mode
         )
 
     def block_span(self, k: int) -> range:
@@ -429,7 +441,7 @@ def seen(depth: int, support: DyadicInterval, values, blocks, mode: str):
     it: a StepFunction on the universe, a SupportView elsewhere."""
     if support.level == 0:
         return StepFunction._raw(depth, values, mode)
-    return SupportView(depth, support, tuple(values), tuple(blocks), mode)
+    return SupportView(depth, support, values, tuple(blocks), mode)
 
 
 def tree_count(f: StepFunction | SupportView) -> int:
@@ -619,11 +631,11 @@ def interval_integrals(f: StepFunction | SupportView) -> list:
     the support layout, computed from its leaves on the support alone.  A
     forest's rows hold its trees' rows one after another, as do the tables
     built on this one.  Every table is a list of rows, built by the row
-    functions of ``scalars`` in both modes: in rational mode the leaves are
-    put over the lcm of their denominators once, and every level adds ints.
+    functions of ``scalars`` in both modes, from f's row of leaves: in
+    rational mode every level adds ints.
     """
     top = _support_level(f)
-    level = scalars.row_root2_scaled(scalars.as_row(f.values, f.mode), -2 * f.depth)
+    level = scalars.row_root2_scaled(f.values, -2 * f.depth)
     table = [level]
     for _ in range(f.depth - top):
         level = scalars.row_pair_sums(level)
@@ -690,11 +702,11 @@ def synthesize(spectrum: HaarSpectrum) -> StepFunction:
     its terms from the coarsest level down (``scalars.row_haar_sum``)."""
     depth, mode = spectrum.depth, spectrum.mode
     terms = [
-        scalars.row_root2_scaled(row, level)
-        for level, row in enumerate(scalars.as_rows(spectrum.coeffs, mode))
+        scalars.row_root2_scaled(scalars.as_row(row, mode), level)
+        for level, row in enumerate(spectrum.coeffs)
     ]
     leaves = scalars.row_haar_sum(spectrum.mean, terms, True)
-    return StepFunction._raw(depth, scalars.row_values(leaves), mode)
+    return StepFunction._raw(depth, leaves, mode)
 
 
 def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
@@ -713,9 +725,7 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
         check_haar_level(interval.level, depth)
     span = interval.leaf_span(depth)
     if alpha == 1:
-        total = scalars.zero(mode)
-        for leaf in span:
-            total = total + f.values[leaf]
+        total = scalars.row_total(f.values[span.start:span.stop])
         return total * scalars.reciprocal(len(span), mode)
     half = len(span) // 2
     acc = scalars.zero(mode)
@@ -730,8 +740,7 @@ def inner_product(f: StepFunction, g: StepFunction):
     that row is ints over one denominator, made an ``Exact`` once."""
     f, g = f.expand(), g.expand()
     check_grid(g, f.depth, f.mode, trees=tree_count(f))
-    rows = scalars.as_row(f.values, f.mode), scalars.as_row(g.values, f.mode)
-    total = scalars.row_total(scalars.row_product(*rows))
+    total = scalars.row_total(scalars.row_product(f.values, g.values))
     return total * scalars.reciprocal(1 << f.depth, f.mode)
 
 

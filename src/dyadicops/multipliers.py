@@ -20,7 +20,7 @@ from .core import DyadicInterval, StepFunction, seen
 from .paraproducts import (
     _as_alpha, _check_call, _check_slot, _engine, _grid_rows, _slot_tables,
 )
-from .scalars import RATIONAL
+from .scalars import RATIONAL, row_difference, row_product
 
 COMMUTATOR_CONVENTION = "T(f_1,...,b*f_i,...,f_m) - b*T(f_1,...,f_m)"
 
@@ -80,12 +80,13 @@ class SymbolSequence:
         return table
 
     def factor_rows(self, depth: int, mode: str) -> list:
-        """The table as the engine's factor rows (``scalars.as_rows``),
+        """The table as the engine's factor rows (``scalars.as_row``),
         built on the first call for each (depth, mode) and kept."""
         key = (depth, mode)
         rows = self._rows.get(key)
         if rows is None:
-            rows = self._rows[key] = scalars.as_rows(self.table(depth, mode), mode)
+            table = self.table(depth, mode)
+            rows = self._rows[key] = [scalars.as_row(row, mode) for row in table]
         return rows
 
     def to_json_dict(self) -> dict:
@@ -166,12 +167,10 @@ def commutator(
     span = support.leaf_span(depth)
     b_on = b.values[span.start:span.stop] * trees
     modified = list(fs)
-    modified[slot - 1] = seen(
-        depth, support, [x * y for x, y in zip(b_on, f.values)], f.blocks, mode
-    )
+    modified[slot - 1] = seen(depth, support, row_product(b_on, f.values), f.blocks, mode)
     inside = multilinear_multiplier(eps, a, modified)
     outside = multilinear_multiplier(eps, a, fs)
-    values = [x - c * y for x, c, y in zip(inside.values, b_on, outside.values)]
+    values = row_difference(inside.values, row_product(b_on, outside.values))
     blocks = []
     for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
         if y:

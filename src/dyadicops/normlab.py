@@ -236,11 +236,10 @@ def draws_below(rng: random.Random, bounds) -> list[int]:
 def random_rational_step(rng: random.Random, depth: int) -> StepFunction:
     """A rational-mode function with small random fractions as leaf values:
     ``Exact(Fraction(n, d))`` for n drawn from -24..24, then d from 1..12,
-    as ``rng.randint`` draws them, built straight from the two ints."""
+    as ``rng.randint`` draws them, as one row over 27720 = lcm(1..12)."""
     draws = iter(draws_below(rng, (49, 12) * (1 << depth)))
-    canonical = scalars._canonical
-    vals = [canonical(n - 24, 0, d + 1) for n, d in zip(draws, draws)]
-    return StepFunction._raw(depth, vals, RATIONAL)
+    nums = [(n - 24) * (27720 // (d + 1)) for n, d in zip(draws, draws)]
+    return StepFunction._raw(depth, scalars.fraction_row(nums, 27720), RATIONAL)
 
 
 # random.choice over two entries takes getrandbits(2), the top two bits of

@@ -42,7 +42,6 @@ from .scalars import (
     row_product,
     row_sum,
     row_total,
-    row_values,
 )
 
 
@@ -198,11 +197,11 @@ def _engine(
     does, so float64 results match it bit for bit.  Forest tables give the
     forest of their trees' outputs: each tree sums its own terms.
 
-    The sum is one pass of rows (``_row_pass``) in both modes; in rational
-    mode each output value is canonicalised once.
+    The sum is one pass of rows (``_row_pass``) in both modes, and the
+    output keeps its row of values.
     """
     values, blocks = _row_pass(sigma, tables, depth, mode, support)
-    return seen(depth, support, row_values(values), blocks, mode)
+    return seen(depth, support, values, blocks, mode)
 
 
 def _row_pass(sigma: int, tables: list, depth: int, mode: str, support: DyadicInterval):
@@ -212,7 +211,7 @@ def _row_pass(sigma: int, tables: list, depth: int, mode: str, support: DyadicIn
     are one row (``_ancestor_terms``), and the top-down sum is
     ``scalars.row_haar_sum``."""
     top = support.level
-    tables = [scalars.as_rows(tab, mode) for tab in tables]
+    tables = [[as_row(row, mode) for row in tab] for tab in tables]
     terms = [
         scalars.row_scaled_product([tab[level] for tab in tables], level * sigma)
         for level in range(top, depth)
@@ -250,7 +249,7 @@ def _row_pass(sigma: int, tables: list, depth: int, mode: str, support: DyadicIn
         # when sigma is odd, plus it (the next running total) when even
         sums = scalars.row_running_totals(ancestors)
         own = row_difference(sums[:-1], ancestors) if odd else sums[1:]
-        blocks, above = row_values(own), sums[-1]
+        blocks, above = own, sums[-1]
     return scalars.row_haar_sum(above, terms, odd), blocks
 
 
@@ -309,8 +308,8 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     """prod(fs) minus the sum of all admissible paraproducts minus the
     global-mean constant; identically zero.  The product, the
     paraproducts' leaf rows (``_row_pass``) and the constant are summed as
-    rows, so in rational mode each leaf is canonicalised once.  Each input
-    is one tree (``check_grid``)."""
+    rows, and the residual keeps its row.  Each input is one tree
+    (``check_grid``)."""
     m = len(fs)
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
@@ -325,10 +324,10 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
         _row_pass(a.zero_count, _slot_tables(a.bits, fs), depth, mode, UNIVERSE)[0]
         for a in admissible_alphas(m)
     ]
-    product = reduce(row_product, [as_row(f.values, mode) for f in fs])
+    product = reduce(row_product, [f.values for f in fs])
     residual = row_difference(product, row_sum(outputs))
     residual = row_difference(residual, as_row([corr], mode) * (1 << depth))
-    return StepFunction._raw(depth, row_values(residual), mode)
+    return StepFunction._raw(depth, residual, mode)
 
 
 def localized_average_residual(

@@ -392,41 +392,41 @@ _EXACT_ONE = _exact(1, 0, 1)
 
 
 class ExactRow:
-    """One row of a rational table as integers: entry k is
-    ``(A[k] + B[k]*sqrt(2)) / D``, every entry over the one denominator
-    ``D > 0``, which need not be the lowest.  ``A`` or ``B`` (never both)
-    is None where that part of every entry is zero.
+    """One row of a rational table or of a function's leaves as integers:
+    entry k is ``(A[k] + B[k]*sqrt(2)) / D``, every entry over the one
+    denominator ``D > 0``, which need not be the lowest.  ``A`` or ``B``
+    (never both) is None where that part of every entry is zero.
 
-    The table passes add, subtract and multiply these int lists; a value
-    becomes an ``Exact``, with one gcd, only where a reader takes it:
-    ``row[k]`` and iteration give canonical ``Exact`` values (iteration
-    builds them once and keeps them), and ``==`` compares them with any
-    list, tuple or row.  A slice is a row, and ``row * n`` repeats the row
-    n times, as a tuple does.
+    The passes add, subtract and multiply these int lists; a value becomes
+    an ``Exact``, with one gcd, only where a reader takes it: ``row[k]`` and
+    iteration give canonical ``Exact`` values, and iteration keeps them, as
+    a row made ``of`` values or sliced from a row does.  ``==``, ``hash``
+    and ``repr`` are those of the tuple of the values; ``==`` also takes a
+    list.  A slice is a row, and ``row * n`` repeats the row n times.
     """
 
     __slots__ = ("A", "B", "D", "_exacts")
 
-    def __init__(self, A: list | None, B: list | None, D: int):
+    def __init__(self, A: list | None, B: list | None, D: int, exacts: tuple | None = None):
         self.A, self.B, self.D = A, B, D
-        self._exacts = None
+        self._exacts = exacts
 
     @classmethod
     def of(cls, values) -> "ExactRow":
         """The row of a sequence of ``Exact`` values, put over the lcm of
-        their denominators."""
+        their denominators, which keeps the values themselves."""
         d = math.lcm(*{v.D for v in values})
         A = [v.A * (d // v.D) for v in values]
         B = [v.B * (d // v.D) for v in values] if any(v.B for v in values) else None
-        return cls(A, B, d)
+        return cls(A, B, d, tuple(values))
 
     def _part(self, part: list | None) -> list:
         return [0] * len(self) if part is None else part
 
-    def exacts(self) -> list:
+    def exacts(self) -> tuple:
         """The canonical ``Exact`` entries, built on the first call."""
         if self._exacts is None:
-            self._exacts = list(
+            self._exacts = tuple(
                 map(_canonical, self._part(self.A), self._part(self.B), repeat(self.D))
             )
         return self._exacts
@@ -437,7 +437,8 @@ class ExactRow:
     def __getitem__(self, k):
         A, B = self.A, self.B
         if isinstance(k, slice):
-            return ExactRow(None if A is None else A[k], None if B is None else B[k], self.D)
+            kept = None if self._exacts is None else self._exacts[k]
+            return ExactRow(None if A is None else A[k], None if B is None else B[k], self.D, kept)
         if self._exacts is not None:
             return self._exacts[k]
         return _canonical(0 if A is None else A[k], 0 if B is None else B[k], self.D)
@@ -447,10 +448,11 @@ class ExactRow:
 
     def __eq__(self, other):
         if isinstance(other, (ExactRow, list, tuple)):
-            return self.exacts() == list(other)
+            return self.exacts() == tuple(other)
         return NotImplemented
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self.exacts())
 
     def __mul__(self, n: int) -> "ExactRow":
         A, B = self.A, self.B
@@ -459,7 +461,7 @@ class ExactRow:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"ExactRow({self.exacts()!r})"
+        return repr(self.exacts())
 
 
 # -- rows ---------------------------------------------------------------------
@@ -473,23 +475,22 @@ class ExactRow:
 
 
 def as_row(values, mode: str):
-    """A sequence of ``mode`` scalars as a row."""
-    return ExactRow.of(values) if mode == RATIONAL else values
+    """A sequence of ``mode`` scalars as a row: a row is kept as it is, and
+    ``Exact`` values become an ``ExactRow`` that keeps them."""
+    if mode != RATIONAL or type(values) is ExactRow:
+        return values
+    return ExactRow.of(values)
 
 
-def as_rows(table, mode: str) -> list:
-    """A table's rows as rows of ``mode``: in rational mode a row that is
-    an ``ExactRow`` already is kept, and a row of ``Exact`` values is put
-    over one denominator; a float64 table is its own."""
-    if mode != RATIONAL:
-        return table
-    return [row if type(row) is ExactRow else ExactRow.of(row) for row in table]
+def leaf_row(values, mode: str):
+    """The leaf values of a function as every constructor stores them: one
+    row (``as_row``) in rational mode, a tuple of floats in float64."""
+    return as_row(values, mode) if mode == RATIONAL else tuple(values)
 
 
-def row_values(x) -> list:
-    """A row's entries as ``mode`` scalars: canonical ``Exact`` values, or
-    the floats themselves."""
-    return x.exacts() if type(x) is ExactRow else x
+def fraction_row(numerators: list, d: int) -> ExactRow:
+    """The row of the rationals n / d for ints n over one d > 0."""
+    return ExactRow(numerators, None, d)
 
 
 def _times(part: list | None, k: int) -> list | None:
@@ -789,6 +790,9 @@ def coerce(value, mode: str):
     if mode == RATIONAL:
         if type(value) is Exact:
             return value
+        if type(value) is Fraction:
+            # already in lowest terms over a positive denominator
+            return _exact(value.numerator, 0, value.denominator)
         if isinstance(value, float):
             raise TypeError(
                 "float values are not allowed in rational mode; "

@@ -73,7 +73,7 @@ def square_function_sq(f: StepFunction) -> StepFunction:
     """Pointwise square of the Haar square function; exact in rational mode."""
     f = f.expand()
     leaves = scalars.row_haar_sum(scalars.zero(f.mode), _square_terms(f), False)
-    return StepFunction._raw(f.depth, scalars.row_values(leaves), f.mode)
+    return StepFunction._raw(f.depth, leaves, f.mode)
 
 
 def square_function(f: StepFunction) -> StepFunction:

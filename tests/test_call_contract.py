@@ -251,18 +251,41 @@ def _refuse_allocation(*args):
     raise AssertionError("an interval was built before the depth was checked")
 
 
+def grid_builds(depth):
+    """Every way to build a grid of ``depth`` leaves, the shortcut
+    constructors included."""
+    universe = core.UNIVERSE
+    return (
+        lambda: StepFunction(depth, ()),
+        lambda: HaarSpectrum(depth, 0, ()),
+        lambda: interval_family(depth),
+        lambda: StepFunction.constant(1, depth),
+        lambda: StepFunction.zeros(depth, "float64"),
+        lambda: StepFunction.indicator(universe, depth),
+        lambda: StepFunction.haar(universe, depth),
+        lambda: SupportView.indicator(universe, universe, depth),
+        lambda: SupportView.haar(universe, universe, depth),
+    )
+
+
 @pytest.mark.parametrize("depth", [0, MAX_DEPTH + 1])
 def test_every_grid_checks_its_depth_first(depth, monkeypatch):
     message = f"depth must lie in 1..{MAX_DEPTH}, got {depth}"
     monkeypatch.setattr(core, "DyadicInterval", _refuse_allocation)
-    for build in (
-        lambda: StepFunction(depth, ()),
-        lambda: HaarSpectrum(depth, 0, ()),
-        lambda: interval_family(depth),
-    ):
+    for build in grid_builds(depth):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("depth", [True, 2.0])
+def test_every_grid_refuses_a_depth_that_is_not_an_int(depth, monkeypatch):
+    # True is not read as 1, nor 2.0 shifted as 2
+    monkeypatch.setattr(core, "DyadicInterval", _refuse_allocation)
+    for build in grid_builds(depth):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == f"depth must be an integer, got {depth!r}"
 
 
 # each boundary message is written once, in the function that states the

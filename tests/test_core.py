@@ -42,7 +42,7 @@ from dyadicops.core import (
     weak_power_mean,
 )
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.scalars import FLOAT64, RATIONAL, coerce
+from dyadicops.scalars import FLOAT64, RATIONAL, ExactRow, coerce
 
 from oracles import (
     candidate_weak_lr,
@@ -841,7 +841,7 @@ class TestJsonFormats:
             {"depth": 2, "mode": "rational", "values": [3, "1/3", ["1", "-2"], "0"]}
         )
         assert f == StepFunction(2, (3, Fraction(1, 3), Exact(1, -2), 0))
-        assert type(f.values) is tuple and {type(v) for v in f.values} == {Exact}
+        assert type(f.values) is ExactRow and {type(v) for v in f.values} == {Exact}
         g = StepFunction.from_json_dict(
             {"depth": 1, "mode": "float64", "values": [3, "1/4"]}
         )

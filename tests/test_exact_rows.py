@@ -33,16 +33,21 @@ from dyadicops import (
     synthesize,
 )
 from dyadicops.cli import SUITES, main
+from dyadicops import scalars
 from dyadicops.core import (
     SupportView,
     average_table,
     coefficient_table,
     forest,
     interval_integrals,
+    tree,
+    tree_count,
 )
-from dyadicops.scalars import RATIONAL, ExactRow, as_rows
+from dyadicops.normlab import random_rational_step
+from dyadicops.scalars import RATIONAL, ExactRow, as_row
 
 from oracles import (
+    fraction_rational_step,
     value_average_table,
     value_coefficient_table,
     value_commutator,
@@ -143,9 +148,9 @@ class TestTables:
         assert list(row) == [Exact(quarter), Exact(0, half), Exact(Fraction(-3, 2))]
         assert row[1:] == [Exact(0, half), Exact(Fraction(-3, 2))]
         assert len(row * 2) == 6 and list(row * 2) == list(row) * 2
-        assert row == as_rows([list(row)], RATIONAL)[0]
+        assert row == as_row(list(row), RATIONAL)
         # a row of rational values over one denominator keeps no sqrt(2) part
-        assert as_rows([[Exact(Fraction(1, 3)), Exact(2)]], RATIONAL)[0].B is None
+        assert as_row([Exact(Fraction(1, 3)), Exact(2)], RATIONAL).B is None
 
 
 class TestOperators:
@@ -218,3 +223,101 @@ def test_every_suite_holds_at_depth_8(suite, m, capsys):
     argv = ["verify", suite, "--m", str(m), "--depth", "8", "--trials", "1"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == 0
+
+
+# -- the storage of a rational function ------------------------------------------
+
+
+def assert_stored(f, want):
+    """f's leaves are one ExactRow equal to ``want``, the per-value path,
+    and ``==``, ``hash`` and ``repr`` read it as the tuple of its values."""
+    row, want = f.values, tuple(want)
+    assert type(row) is ExactRow and all(type(v) is Exact for v in row)
+    assert row == want and list(row) == list(want) and len(row) == len(want)
+    assert hash(row) == hash(want) and repr(row) == repr(want)
+    if isinstance(f, StepFunction):
+        if tree_count(f) == 1:
+            assert f == StepFunction(f.depth, want)
+        assert hash(f) == hash((f.depth, want, RATIONAL))
+        assert repr(f) == f"StepFunction(depth={f.depth}, values={want!r}, mode='rational')"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_every_rational_function_holds_one_row(seed):
+    rng = random.Random(seed)
+    depth = rng.randint(1, 6)
+    flavour = rng.choice(FLAVOURS)
+    vals = [random_value(rng, flavour) for _ in range(1 << depth)]
+    f = StepFunction(depth, tuple(vals))
+    assert_stored(f, vals)
+    assert_stored(StepFunction.from_json_dict(f.to_json_dict()), vals)
+    g = random_function(rng, depth, flavour)
+    assert_stored(f + g, [x + y for x, y in zip(f.values, g.values)])
+    assert_stored(f - g, [x - y for x, y in zip(f.values, g.values)])
+    assert_stored(f * g, [x * y for x, y in zip(f.values, g.values)])
+    s = random_value(rng, flavour)
+    assert_stored(f.scale(s), [s * v for v in vals])
+    assert_stored(f.abs(), [abs(v) for v in vals])
+    assert_stored(-f, [-v for v in vals])
+    level = rng.randint(0, depth)
+    interval = DyadicInterval(level, rng.randrange(1 << level))
+    span = interval.leaf_span(depth)
+    inside = [v if leaf in span else Exact(0) for leaf, v in enumerate(vals)]
+    assert_stored(f.restrict(interval), inside)
+    view = SupportView.restrict(f.restrict(interval), interval)
+    assert_stored(view, vals[span.start:span.stop])
+    assert_stored(view.expand(), inside)
+    assert_stored(forest([f, g]), [*vals, *g.values])
+    assert_stored(tree(forest([f, g]), 1), list(g.values))
+    bits = tuple(rng.randint(0, 1) for _ in range(2))
+    out, want = paraproduct(bits, [f, g]), value_paraproduct(bits, [f, g])
+    assert_stored(out, want.values)
+    assert_stored(synthesize(analyze(f)), vals)
+
+
+def test_a_drawn_function_holds_one_row():
+    for seed in range(5):
+        for depth in (1, 4, 9):
+            got = random_rational_step(random.Random(seed), depth)
+            want = fraction_rational_step(random.Random(seed), depth)
+            assert_stored(got, want.values)
+
+
+def test_a_function_read_from_json_keeps_the_decoded_values(monkeypatch):
+    decoded = []
+
+    def decode(obj, mode, real=scalars.decode_value):
+        decoded.append(real(obj, mode))
+        return decoded[-1]
+
+    monkeypatch.setattr(scalars, "decode_value", decode)
+    f = StepFunction.from_json_dict(
+        {"depth": 2, "mode": "rational", "values": ["1/3", ["1", "-2/5"], "7", "-1/6"]}
+    )
+    assert len(decoded) == 4 and all(v is w for v, w in zip(f.values, decoded))
+    # a slice keeps them too: a view, a restriction or a tree reads them
+    view = SupportView.restrict(f.restrict(DyadicInterval(1, 1)), DyadicInterval(1, 1))
+    assert all(v is w for v, w in zip(view.values, decoded[2:]))
+
+
+def test_large_denominators_survive_storage():
+    """PR 23's depth-9 leaves over 1,024 distinct primes: a JSON round
+    trip, the expansion of a view and ``restrict`` keep every value."""
+    depth = 9
+    n = 1 << depth
+    primes = distinct_primes(2 * n)
+    rng = random.Random(9)
+    for ps in (primes[:n], primes[n:]):
+        fractions = [Fraction(rng.randint(-50, 50) or 1, p) for p in ps]
+        f = StepFunction(depth, tuple(fractions))
+        assert f.values.D.bit_length() > 1000
+        assert_stored(f, map(Exact, fractions))
+        assert_stored(StepFunction.from_json_dict(f.to_json_dict()), f.values)
+        for interval in (DyadicInterval(1, 1), DyadicInterval(5, 17), DyadicInterval(9, 300)):
+            span = interval.leaf_span(depth)
+            want = [v if leaf in span else Exact(0) for leaf, v in enumerate(f.values)]
+            assert_stored(f.restrict(interval), want)
+            view = SupportView.restrict(f.restrict(interval), interval)
+            assert_stored(view.expand(), want)
+            assert [v.as_fraction() for v in view.values] == fractions[span.start:span.stop]

@@ -132,6 +132,25 @@ class TestOperatorsOnForests:
                 ]
             assert [tree(f, k) for k in range(3)] == fs
 
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_restrict_and_vanishes_outside_read_every_tree(self, mode):
+        h = StepFunction.from_values([1, -1, 0, 0], mode)
+        g = forest([h, h])
+        left = interval_family(2)[1]
+        assert g.restrict(left) == g and g.vanishes_outside(left)
+        rng = random.Random(8)
+        for depth in range(1, 5):
+            fs = [random_function(rng, depth, mode) for _ in range(3)]
+            fs[1] = fs[1].restrict(interval_family(depth)[-1])
+            f = forest(fs)
+            for interval in interval_family(depth):
+                got = f.restrict(interval)
+                assert tree_count(got) == 3
+                assert got == forest([t.restrict(interval) for t in fs])
+                assert got.vanishes_outside(interval)
+                want = all(t.vanishes_outside(interval) for t in fs)
+                assert f.vanishes_outside(interval) == want
+
     def test_a_forest_of_one_is_the_function(self):
         f = random_function(random.Random(1), 3, FLOAT64)
         assert forest([f]) is f and tree(f, 0) is f and tree_count(f) == 1

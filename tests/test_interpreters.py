@@ -95,6 +95,8 @@ def test_reports_match_across_interpreters(tmp_path):
     exact_path = tmp_path / "exact.json"
     exact = [str(Fraction(rng.randint(-40, 40), rng.randint(1, 12))) for _ in range(1 << 8)]
     exact_path.write_text(json.dumps({"depth": 8, "mode": "rational", "values": exact}))
+    # twice the mean |f|: the global average stays below the height
+    height = str(2 * sum(abs(Fraction(t)) for t in exact) / len(exact))
     # value texts that repeat, a + b*sqrt(2) as a pair, and an entry at
     # level 7, below the depth-6 grid
     texts = ["3/2", "-1", ["1", "-1/2"], "5/7", "3/2", "-2/3"]
@@ -153,6 +155,9 @@ def test_reports_match_across_interpreters(tmp_path):
          "--family", "rademacher-haar", "--trials", "20", "--seed", "6",
          "--dump-trials", str(tmp_path / "weak-ties.csv")],
         ["norms", str(exact_path), "--p", "1,3/2,3"],
+        # both read the rational leaves through their row; czd prints each
+        ["transform", "analyze", str(exact_path)],
+        ["czd", str(exact_path), "--height", height],
         ["estimate", "--op", "mult", "--alpha", "01", "--symbol", str(symbol_path),
          "--depth", "6", "--p", "2,3", "--family", "random-step", "--trials", "20",
          "--seed", "7", "--dump-trials", str(tmp_path / "symbol.csv")],
