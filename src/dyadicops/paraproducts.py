@@ -183,10 +183,11 @@ def _engine(
 ) -> StepFunction | SupportView:
     """Accumulate sum over intervals of the factor tables' product * h_I^sigma.
 
-    The product is taken in the order of ``tables``.  Every table, b's and
-    the symbol's included, comes in the support layout of
-    ``support`` (``core.support_layout``), which on the universe is the
-    full layout.  The sum is exact when each product vanishes at the
+    The product is taken in the order of ``tables``, each a list of rows
+    (``scalars.as_row``), as the kept tables and the symbol's factor rows
+    are.  Every table, b's and the symbol's included, comes in the support
+    layout of ``support`` (``core.support_layout``), which on the universe
+    is the full layout.  The sum is exact when each product vanishes at the
     intervals that neither contain ``support`` nor lie inside it, as it
     does when some slot's input vanishes outside ``support``.  The output,
     built by ``core.seen``, is then its leaf values on ``support`` plus one
@@ -211,7 +212,6 @@ def _row_pass(sigma: int, tables: list, depth: int, mode: str, support: DyadicIn
     are one row (``_ancestor_terms``), and the top-down sum is
     ``scalars.row_haar_sum``."""
     top = support.level
-    tables = [[as_row(row, mode) for row in tab] for tab in tables]
     terms = [
         scalars.row_scaled_product([tab[level] for tab in tables], level * sigma)
         for level in range(top, depth)

@@ -731,6 +731,41 @@ def total(terms: list, mode: str):
     return math.fsum(terms)
 
 
+def jensen_floor(values, e: int, depth: int):
+    """The skip rule of ``sublinear``'s BMO1 search, for a function of
+    depth ``depth`` whose leaves, divided by 2**e, are the row ``values``:
+    the function ``floor(best)`` that gives the least mean square
+    oscillation M2 of ``values`` on an interval at which the computed L1
+    oscillation of the function there can still reach ``best``.  An
+    interval whose M2 lies below ``floor(best)`` is skipped.
+
+    In rational mode ``floor(best)`` is ``best**2``, exact, and e is 0: by
+    Jensen's inequality the L1 oscillation is at most sqrt(M2).  In float64
+    it inverts the bound that ``sublinear._bmo1_search`` proves,
+    L1 <= 2**e ((1 + 2**-48) sqrt(M2) + 2**-45 T) + 2**(depth - 1074)
+    with T = max |values|, with the wider margins 2**-40, 2**-40 and
+    2**(depth - 1072).  The floor's own four roundings (best - tau, the
+    difference, the quotient and the square; the scaling by 2**-e and
+    2**-40 T are exact, or subnormal far below 2**-40 T) are relative
+    2**-53 each, and best / 2**e <= 2.01 T, so they stay inside those
+    margins: the computed floor never exceeds the exact inverse of the
+    proved bound.  A floor of 0 skips nothing.
+    """
+    if type(values) is ExactRow:
+        return lambda best: best * best
+    slack = 2.0**-40 * max(map(abs, values))
+    tau = 2.0 ** (depth - 1072)
+
+    def floor(best: float) -> float:
+        root = math.ldexp(best - tau, -e) - slack
+        if root <= 0.0:
+            return 0.0
+        root /= 1.0 + 2.0**-40
+        return root * root
+
+    return floor
+
+
 def parse_fraction(text) -> Fraction:
     """``Fraction(text)``, with a zero denominator ("1/0") reported as the
     ValueError of any other malformed number."""

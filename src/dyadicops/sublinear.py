@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import sub
 
 from . import scalars
 from .core import (
     DyadicInterval,
     StepFunction,
+    _kept,
     average_table,
     check_grid,
     coefficient_table,
@@ -44,7 +45,7 @@ def _unit_scaled(f: StepFunction) -> tuple[StepFunction, int]:
 
 def _sup(table: list[list], mode: str):
     """The largest entry of a table of nonnegative values, zero if none."""
-    return max((v for row in table for v in row), default=scalars.zero(mode))
+    return max(map(max, table), default=scalars.zero(mode))
 
 
 def maximal(f: StepFunction) -> StepFunction:
@@ -122,50 +123,118 @@ def _pairwise_means(terms: list[list], mode: str) -> list[list]:
     return table
 
 
-def _oscillation_pow(b: StepFunction, r: int) -> list[list]:
-    """table[level][pos] = average over the interval of |b - <b>_I|**r.
+@_kept
+def _variance_table(b: StepFunction) -> list[list]:
+    """table[level][pos] = M2(I), the average over I of |b - <b>_I|**2,
+    kept on b: the table of BMO2 and the bound of the BMO1 search.
 
-    For r = 1 each interval adds |b - <b>_I| over its leaves
-    (``_centered_rows``) with ``scalars.total``, and the leaf row, where
-    <b>_I is b, is zero.  For r = 2 the table follows the pairwise rule of
-    Chan, Golub & LeVeque (1979),
-    M(I) = (M(L) + M(R))/2 + ((<b>_R - <b>_L)/2)**2: no large terms cancel,
-    and it is exact in rational mode.  A float64 b is first shifted by its
-    mean, so that its averages carry no digits of a common offset.
+    The table follows the pairwise rule of Chan, Golub & LeVeque (1979),
+    M2(I) = (M2(L) + M2(R))/2 + ((<b>_R - <b>_L)/2)**2: no large terms
+    cancel, and it is exact in rational mode.  A float64 b is first shifted
+    by its mean, so that its averages carry no digits of a common offset.
     """
+    if b.mode == FLOAT64:
+        mean = average_table(b)[0][0]
+        b = StepFunction._raw(b.depth, [v - mean for v in b.values], FLOAT64)
+    half = scalars.reciprocal(2, b.mode)
+    terms = []
+    for avgs in average_table(b)[1:]:
+        gaps = [d * half for d in map(sub, avgs[1::2], avgs[0::2])]
+        terms.append([d * d for d in gaps])
+    return _pairwise_means(terms, b.mode)
+
+
+def _mean_oscillation(leaves, mean, mode: str):
+    """The average of |v - mean| over ``leaves``, the leaf values of an
+    interval I, with mean = <b>_I: the total of the terms
+    (``scalars.total``) times 1/|I|."""
+    terms = map(abs, map(sub, leaves, repeat(mean)))
+    return scalars.total(terms, mode) * scalars.reciprocal(len(leaves), mode)
+
+
+def _bmo1_search(b: StepFunction):
+    """The largest ``_mean_oscillation`` of b on an interval above the
+    leaves (on a leaf it is zero), found from b's variance table, whose
+    rows above the leaves, laid end to end, are in ``interval_family``
+    order.
+
+    By Jensen's inequality the L1 oscillation on I is at most sqrt(M2(I)),
+    so an interval whose M2 lies below ``scalars.jensen_floor`` of the best
+    value so far cannot reach it.  The search evaluates the interval of
+    largest M2, then, in decreasing order of M2, each interval that the
+    floor of the running best does not skip, and stops at the first that
+    it skips.  When the bound separates nothing (data whose offset makes
+    the float64 margin larger than the oscillation, or ties) every interval
+    is evaluated.  Each value evaluated is the one a table of every
+    interval would hold, so the sup keeps its bits.
+
+    The float64 bound.  With b_s = b / 2**e (``_unit_scaled``), T =
+    max |b_s|, M2_s b_s's table, u = 2**-53 and depth d <= 20, the computed
+    L1 oscillation on I of level l is at most
+    2**e ((1 + 2**-48) sqrt(M2_s(I)) + 2**-45 T) + 2**(d - 1074):
+    <b>_I is off by at most d u max |b| + 2**(d - 1075) (pairwise sums
+    of leaf integrals, each of which may underflow by 2**-1075), each term
+    |v - <b>_I| and the correctly rounded sum add a factor 1 + u, and the
+    scale by 2**(l - d) may underflow by 2**-1075.  The mean shift moves
+    each leaf of b_s by at most 2 u T, so sqrt of the exact M2 of the
+    shifted b_s is off by at most 2 u T (Minkowski); each half gap is off
+    by at most (2d + 2) u T, and the gaps of the at most d levels below I
+    move sqrt(M2) by at most sqrt(d) (2d + 2) u T, again by Minkowski; the
+    nonnegative pairwise means and their squares round by a factor of at
+    most (1 + u)**(2d + 3), and the square root by one more 1 + u.  With
+    max |b| = 2**e T these give at most 211 u T + 25 u sqrt(M2_s) at
+    d = 20, inside 2**-45 T and 2**-48 sqrt(M2_s).  Scaling is exact
+    except where a leaf of b_s becomes subnormal, by at most 2**-1075, far
+    below u T.
+    """
+    scaled, e = _unit_scaled(b)
+    bounds = list(chain.from_iterable(_variance_table(scaled)[:-1]))
+    floor = scalars.jensen_floor(scaled.values, e, b.depth)
+    avgs, values = average_table(b), b.values
+
+    def oscillation(k: int):
+        # of the interval at index k of interval_family (core.interval_at)
+        level = (k + 1).bit_length() - 1
+        pos = k + 1 - (1 << level)
+        width = len(values) >> level
+        leaves = values[pos * width:(pos + 1) * width]
+        return _mean_oscillation(leaves, avgs[level][pos], b.mode)
+
+    first = bounds.index(max(bounds))
+    best = oscillation(first)
+    cut = floor(best)
+    rest = [k for k, bound in enumerate(bounds) if bound >= cut and k != first]
+    rest.sort(key=bounds.__getitem__, reverse=True)
+    for k in rest:
+        if bounds[k] < cut:
+            break
+        value = oscillation(k)
+        if value > best:
+            best, cut = value, floor(value)
+    return best
+
+
+def _one_tree(b: StepFunction) -> StepFunction:
+    """b on the universe, refused with a ShapeError when it is a forest: a
+    BMO norm is a sup over the intervals of one grid."""
     b = b.expand()
-    if r == 2:
-        if b.mode == FLOAT64:
-            mean = average_table(b)[0][0]
-            b = StepFunction._raw(b.depth, [v - mean for v in b.values], FLOAT64)
-        half = scalars.reciprocal(2, b.mode)
-        terms = []
-        for avgs in average_table(b)[1:]:
-            gaps = [d * half for d in map(sub, avgs[1::2], avgs[0::2])]
-            terms.append([d * d for d in gaps])
-        return _pairwise_means(terms, b.mode)
-    table = []
-    # zip stops before the leaf row, which is not built
-    for level, row in zip(range(b.depth), _centered_rows(b)):
-        width = 1 << (b.depth - level)
-        scale = scalars.reciprocal(width, b.mode)
-        mags = map(abs, row)  # each interval takes the next width leaves
-        table.append([
-            scalars.total(islice(mags, width), b.mode) * scale
-            for _ in range(1 << level)
-        ])
-    table.append([scalars.zero(b.mode)] * (1 << b.depth))
-    return table
+    check_grid(b, b.depth, b.mode)
+    return b
 
 
 def bmo_norm_pow(b: StepFunction, r: int):
     """sup over intervals of the r-th power mean oscillation, r in {1, 2}.
 
-    Exact in rational mode; this is ||b||_{BMO_r} ** r.
+    Exact in rational mode; this is ||b||_{BMO_r} ** r.  BMO2 is the
+    largest entry of b's kept variance table; BMO1 is its bounded search
+    (``_bmo1_search``).
     """
     if r not in (1, 2):
         raise ValueError(f"BMO exponent must be 1 or 2, got {r}")
-    return _sup(_oscillation_pow(b, r), b.mode)
+    b = _one_tree(b)
+    if r == 1:
+        return _bmo1_search(b)
+    return _sup(_variance_table(b), b.mode)
 
 
 def bmo_norm(b: StepFunction, r: int):
@@ -175,7 +244,7 @@ def bmo_norm(b: StepFunction, r: int):
     exists in the scalar field and a float otherwise; use bmo_norm_pow for
     guaranteed-exact comparisons.
     """
-    b, e = _unit_scaled(b.expand())
+    b, e = _unit_scaled(_one_tree(b))
     top = bmo_norm_pow(b, r)
     if r == 2:
         top = scalars.scalar_sqrt(top, b.mode)
@@ -185,13 +254,13 @@ def bmo_norm(b: StepFunction, r: int):
 def bmo2_via_haar_sq(b: StepFunction):
     """sup over intervals I of |I|**-1 * sum of squared Haar coefficients of
     the subintervals of I; exact in rational mode."""
-    b = b.expand()
+    b = _one_tree(b)
     return _sup(_pairwise_means(_square_terms(b), b.mode), b.mode)
 
 
 def bmo2_via_haar(b: StepFunction):
     """Same value as bmo_norm(b, 2), computed from Haar coefficients."""
-    b, e = _unit_scaled(b.expand())
+    b, e = _unit_scaled(_one_tree(b))
     root = scalars.scalar_sqrt(bmo2_via_haar_sq(b), b.mode)
     return math.ldexp(root, e) if e else root
 
@@ -208,7 +277,7 @@ def _bstar_table(b: StepFunction) -> list[list]:
 
 def bstar_seminorm(b: StepFunction):
     """sup over intervals of |<b, h_I>| / sqrt(|I|); exact in rational mode."""
-    b = b.expand()
+    b = _one_tree(b)
     return _sup(_bstar_table(b), b.mode)
 
 

@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from dyadicops import (
     UNIVERSE,
@@ -251,6 +251,34 @@ def naive_oscillation_pow(b: StepFunction, interval: DyadicInterval, r: int):
         acc = acc + (d if r == 1 else d * d)
     width = len(interval.leaf_span(b.depth))
     return acc * Fraction(1, width) if b.mode == RATIONAL else acc / width
+
+
+def l1_oscillation_table(b: StepFunction) -> list[list]:
+    """table[level][pos] = average over the interval of |b - <b>_I|, every
+    interval of b summed: each level's row of b - <b>_I
+    (``_centered_rows``) cut into its intervals, |.| totalled with
+    ``scalars.total`` and scaled by 1/|I|; the leaf row, where <b>_I is b,
+    is zero.  The full table that the BMO1 search of ``bmo_norm_pow``
+    replaces, and its reference: each entry is the value the search would
+    evaluate there."""
+    table = []
+    # zip stops before the leaf row, which is not built
+    for level, row in zip(range(b.depth), _centered_rows(b)):
+        width = 1 << (b.depth - level)
+        scale = scalars.reciprocal(width, b.mode)
+        mags = map(abs, row)  # each interval takes the next width leaves
+        table.append([
+            scalars.total(islice(mags, width), b.mode) * scale
+            for _ in range(1 << level)
+        ])
+    table.append([scalar_zero(b.mode)] * (1 << b.depth))
+    return table
+
+
+def full_bmo1(b: StepFunction):
+    """The largest entry of ``l1_oscillation_table``, zero if none: the
+    full-table BMO1 sup."""
+    return max((v for row in l1_oscillation_table(b) for v in row), default=scalar_zero(b.mode))
 
 
 def naive_bmo_pow(b: StepFunction, r: int):

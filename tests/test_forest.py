@@ -22,6 +22,11 @@ from dyadicops import (
     OperatorDescriptor,
     StepFunction,
     SymbolSequence,
+    bmo2_via_haar,
+    bmo2_via_haar_sq,
+    bmo_norm,
+    bmo_norm_pow,
+    bstar_seminorm,
     commutator,
     inner_product,
     interval_family,
@@ -299,6 +304,24 @@ class TestNormsOfForests:
             for norm, p in norms:
                 want = [norm(t, p) for t in trees]
                 assert same(norm(f, p), want, mode), (norm.__name__, p)
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_the_bmo_norms_refuse_a_forest(self, mode):
+        # a BMO norm is a sup over one grid's intervals: reading a forest's
+        # tables as one grid gave the first tree's sup (0 here, where the
+        # second tree alone has BMO1 2 and BMO2**2 4)
+        f = forest([
+            StepFunction.from_values([0, 0, 0, 0], mode),
+            StepFunction.from_values([0, 4, 0, 0], mode),
+        ])
+        for norm in (
+            lambda: bmo_norm_pow(f, 1), lambda: bmo_norm_pow(f, 2),
+            lambda: bmo_norm(f, 1), lambda: bmo_norm(f, 2),
+            lambda: bmo2_via_haar_sq(f), lambda: bmo2_via_haar(f),
+            lambda: bstar_seminorm(f),
+        ):
+            with pytest.raises(ShapeError, match="forests of"):
+                norm()
 
     def test_two_trees_are_measured_apart(self):
         f = forest([StepFunction.from_values([1, 2]), StepFunction.from_values([3, -5])])

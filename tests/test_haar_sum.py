@@ -23,7 +23,7 @@ from dyadicops import (
     synthesize,
 )
 from dyadicops.paraproducts import _engine
-from dyadicops.scalars import FLOAT64, RATIONAL, haar_sum
+from dyadicops.scalars import FLOAT64, RATIONAL, as_row, haar_sum
 
 from oracles import (
     loop_engine,
@@ -89,7 +89,8 @@ def test_engine_matches_leaf_loop(data, mode):
     tables = [table() for _ in bits]
     symbol = table() if data.draw(st.booleans()) else None
     factors = tables if symbol is None else [*tables, symbol]
-    got = _engine(bits.count(0), factors, depth, mode, support)
+    rows = [[as_row(row, mode) for row in t] for t in factors]
+    got = _engine(bits.count(0), rows, depth, mode, support)
     want = loop_engine(bits, tables, depth, mode, symbol, support)
     assert same((got.values, got.blocks), (want.values, want.blocks), mode)
 

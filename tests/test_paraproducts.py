@@ -26,7 +26,7 @@ from dyadicops import (
 from dyadicops.core import SupportView
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.paraproducts import _engine, alpha_at
-from dyadicops.scalars import FLOAT64, RATIONAL, one, zero
+from dyadicops.scalars import FLOAT64, RATIONAL, as_row, one, zero
 
 from oracles import (
     close_to_rational,
@@ -108,11 +108,11 @@ def haar_power(interval, sigma, depth):
     """h_I**sigma as the engine sums it: a single unit product at I, with
     sigma Haar slots (one average slot for sigma = 0)."""
     unit = [
-        [one(RATIONAL) if (level, pos) == (interval.level, interval.position)
-         else zero(RATIONAL) for pos in range(1 << level)]
+        as_row([one(RATIONAL) if (level, pos) == (interval.level, interval.position)
+                else zero(RATIONAL) for pos in range(1 << level)], RATIONAL)
         for level in range(depth)
     ]
-    ones = [[one(RATIONAL)] * (1 << level) for level in range(depth)]
+    ones = [as_row([one(RATIONAL)] * (1 << level), RATIONAL) for level in range(depth)]
     bits = (0,) * sigma or (1,)
     tables = [unit] + [ones] * (len(bits) - 1)
     return _engine(sigma, tables, depth, RATIONAL).expand()

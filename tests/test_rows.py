@@ -158,7 +158,8 @@ def test_a_slot_that_vanishes_at_the_ancestors_adds_no_ancestor_terms(mode, bits
 
 
 # every pass that exists once for both modes, with the helpers that
-# ``_engine`` is split into
+# ``_engine`` is split into, and the BMO1 search, whose one mode rule is
+# ``scalars.jensen_floor``
 ONE_PASS = [
     core.interval_integrals,
     core.average_table,
@@ -175,6 +176,8 @@ ONE_PASS = [
     multipliers.commutator,
     sublinear._square_terms,
     sublinear.square_function_sq,
+    sublinear._bmo1_search,
+    sublinear._mean_oscillation,
 ]
 
 # what a fork on the mode would read: the mode names and their texts, and

@@ -30,17 +30,23 @@ from dyadicops import (
     square_function,
     square_function_sq,
 )
+from dyadicops import scalars, sublinear
+from dyadicops.core import average_table
 from dyadicops.errors import RootExceedsHeight, ShapeError
 from dyadicops.normlab import multiplier_sharp_forms, pi_sharp_forms
 from dyadicops.scalars import FLOAT64, RATIONAL
 from dyadicops.sublinear import (
     _bstar_table,
-    _oscillation_pow,
+    _mean_oscillation,
     _pairwise_means,
     _square_terms,
+    _unit_scaled,
+    _variance_table,
 )
 
 from oracles import (
+    full_bmo1,
+    l1_oscillation_table,
     naive_bmo_pow,
     naive_coefficient,
     naive_maximal,
@@ -251,9 +257,16 @@ class TestSharedTables:
         rng = random.Random(depth)
         for _ in range(3):
             b = StepFunction.from_values(random_rationals(rng, 1 << depth))
-            one, two = _oscillation_pow(b, 1), _oscillation_pow(b, 2)
+            one, two = l1_oscillation_table(b), _variance_table(b)
             haar = _pairwise_means(_square_terms(b), RATIONAL)
             star = _bstar_table(b)
+            avgs = average_table(b)
+            for i in interval_family(depth):
+                width = 1 << (depth - i.level)
+                leaves = b.values[i.position * width:(i.position + 1) * width]
+                # the search evaluates an entry of the full table
+                mean = avgs[i.level][i.position]
+                assert _mean_oscillation(leaves, mean, RATIONAL) == one[i.level][i.position]
             for level in range(depth + 1):
                 for pos in range(1 << level):
                     i = DyadicInterval(level, pos)
@@ -286,7 +299,7 @@ class TestSharedTables:
             assert max(forms) == pytest.approx(bmo_norm(b, r), rel=1e-12), depth
             if r == 1:
                 # both add the same |b - <b>_I| with fsum over each interval
-                one = _oscillation_pow(b, 1)
+                one = l1_oscillation_table(b)
                 weights = multiplier_sharp_forms(eps, depth)
                 for k, i in enumerate(interval_family(depth)):
                     assert forms[k] == weights[k] * one[i.level][i.position], (depth, i)
@@ -300,6 +313,130 @@ class TestSharedTables:
             forms = pi_sharp_forms(b)
             assert forms == [v for row in _bstar_table(b) for v in row]
             assert bstar_seminorm(b) == max(forms)
+
+
+def float_families(rng, n):
+    """(name, leaf values) of float64 data that strain the BMO1 search's
+    bound: offsets larger than the oscillation, ties, constants, data near
+    the bottom of the float range or scaled far from 1, and the dyadic
+    logarithm."""
+    uniform = [rng.uniform(-1, 1) for _ in range(n)]
+    yield "uniform", uniform
+    yield "offset 1e8", [1e8 + v * 1e-3 for v in uniform]
+    yield "offset 1e12", [1e12 + v * 1e-3 for v in uniform]
+    yield "integers", [float(rng.randint(-3, 3)) for _ in range(n)]
+    yield "constant", [2.5] * n
+    yield "two-valued", [rng.choice((0.0, 1.0)) for _ in range(n)]
+    yield "+-1e-300", [rng.choice((-1e-300, 1e-300)) for _ in range(n)]
+    yield "subnormal", [rng.randint(-5, 5) * 5e-324 for _ in range(n)]
+    yield "below 1e-310", [v * 1e-310 for v in uniform]
+    yield "times 2**600", [v * 2.0**600 for v in uniform]
+    yield "times 2**-600", [v * 2.0**-600 for v in uniform]
+    yield "1e150 + 3e152", [1e150 * v + 3e152 for v in uniform]
+    yield "dyadic log", [-math.log2((k + 0.5) / n) for k in range(n)]
+
+
+def rational_families(rng, n):
+    yield "rationals", random_rationals(rng, n)
+    yield "constant", [Fraction(5, 3)] * n
+    yield "two-valued", [rng.choice((0, 1)) for _ in range(n)]
+    yield "Q(sqrt 2)", [Exact(rng.randint(-4, 4), Fraction(rng.randint(-4, 4), 3)) for _ in range(n)]
+
+
+def four_bumps(rng, depth):
+    """Small noise plus one tall bump of 16 leaves in each quarter, as in
+    the benchmark's data files."""
+    n = 1 << depth
+    vals = [rng.uniform(-0.05, 0.05) for _ in range(n)]
+    for quarter in range(4):
+        start = quarter * (n // 4) + rng.randrange(n // 64) * 16
+        sign = rng.choice((-1, 1))
+        for leaf in range(start, start + 16):
+            vals[leaf] = sign * rng.uniform(2.5, 3.5)
+    return StepFunction(depth, vals, FLOAT64)
+
+
+class TestBMO1Search:
+    """BMO1 evaluates |b - <b>_I| only on the intervals whose L2
+    oscillation, read from the kept variance table, can reach the running
+    sup; the result is the full table's sup."""
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_the_search_is_the_full_table_sup_bit_for_bit(self, depth):
+        rng = random.Random(depth)
+        for _ in range(2):
+            for name, vals in float_families(rng, 1 << depth):
+                b = StepFunction(depth, vals, FLOAT64)
+                # repr tells the sign of a zero apart
+                assert repr(bmo_norm_pow(b, 1)) == repr(full_bmo1(b)), name
+            for name, vals in rational_families(rng, 1 << depth):
+                b = StepFunction(depth, vals)
+                assert bmo_norm_pow(b, 1) == full_bmo1(b), name
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_no_interval_lies_above_its_skip_bound(self, depth):
+        # an interval is skipped when its M2 lies below the floor of the
+        # running best, so none may lie below the floor of its own value
+        rng = random.Random(100 + depth)
+        n = 1 << depth
+        cases = [StepFunction(depth, vals, FLOAT64) for _, vals in float_families(rng, n)]
+        cases += [StepFunction(depth, vals) for _, vals in rational_families(rng, n)]
+        for b in cases:
+            self.assert_within_bounds(b)
+
+    def test_the_float_floor_covers_the_underflow_of_deep_averages(self):
+        # at depth 16 the averages of a constant subnormal b are off by up
+        # to 2**(16 - 1075), above a fixed 2**-1060, while its M2 is 0
+        self.assert_within_bounds(StepFunction(16, [3.3e-310] * (1 << 16), FLOAT64))
+
+    @staticmethod
+    def assert_within_bounds(b):
+        scaled, e = _unit_scaled(b)
+        floor = scalars.jensen_floor(scaled.values, e, b.depth)
+        one = l1_oscillation_table(b)
+        bounds = _variance_table(scaled)
+        for level in range(b.depth):
+            for pos in range(1 << level):
+                assert not bounds[level][pos] < floor(one[level][pos]), (level, pos)
+
+    def count_evaluations(self, monkeypatch):
+        """The list of the values the search evaluates, in its order."""
+        calls = []
+        evaluate = sublinear._mean_oscillation
+
+        def counted(*args):
+            calls.append(evaluate(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(sublinear, "_mean_oscillation", counted)
+        return calls
+
+    def test_tall_bumps_are_found_with_a_handful_of_evaluations(self, monkeypatch):
+        calls = self.count_evaluations(monkeypatch)
+        for seed in range(3):
+            b = four_bumps(random.Random(seed), 12)
+            del calls[:]
+            got = bmo_norm_pow(b, 1)
+            assert len(calls) <= 4, seed
+            assert got == full_bmo1(b)
+
+    def test_offset_data_evaluates_every_interval(self, monkeypatch):
+        # 2**-40 of 1e12 is above the oscillation, so nothing is skipped
+        calls = self.count_evaluations(monkeypatch)
+        rng = random.Random(4)
+        b = StepFunction(8, [1e12 + rng.uniform(-1e-3, 1e-3) for _ in range(256)], FLOAT64)
+        assert bmo_norm_pow(b, 1) == full_bmo1(b)
+        # each interval once, with the value of its entry in the full table
+        entries = [v for row in l1_oscillation_table(b)[:-1] for v in row]
+        assert sorted(calls) == sorted(entries)
+
+    def test_bmo2_after_bmo1_builds_no_table(self, monkeypatch):
+        b = four_bumps(random.Random(5), 8)
+        want = bmo_norm(StepFunction(b.depth, b.values, FLOAT64), 2)
+        bmo_norm(b, 1)
+        # BMO2 reads the variance table that the BMO1 search kept on b
+        monkeypatch.setattr(sublinear, "_pairwise_means", None)
+        assert bmo_norm(b, 2) == want
 
 
 class TestCZDecomposition:

@@ -59,7 +59,7 @@ from dyadicops.core import (
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.normlab import KINDS
 from dyadicops.paraproducts import _engine, _slot_tables
-from dyadicops.scalars import FLOAT64, RATIONAL
+from dyadicops.scalars import FLOAT64, RATIONAL, as_row
 
 from oracles import dense_sharp_ratio, naive_haar, naive_indicator, random_rationals
 
@@ -275,7 +275,7 @@ class TestExactOnSupport:
         support = random_support(rng, depth)
         fs = [vanishing_outside(rng, support, depth) for _ in range(m)]
         symbol = random_symbol(rng, depth).table(depth, RATIONAL) if rng.random() < 0.5 else None
-        extra = [] if symbol is None else [symbol]
+        extra = [] if symbol is None else [[as_row(row, RATIONAL) for row in symbol]]
         dense = _engine(bits.count(0), _slot_tables(bits, fs) + extra, depth, RATIONAL)
         views = [SupportView.restrict(f, support) for f in fs]
         local = _engine(
