@@ -151,11 +151,17 @@ def interval_family(depth: int) -> list[DyadicInterval]:
     ]
 
 
-def interval_at(k: int) -> DyadicInterval:
-    """The interval at index k of ``interval_family(depth)`` for any depth
-    above its level: 2**level - 1 intervals come before level ``level``."""
+def level_position(k: int) -> tuple[int, int]:
+    """The (level, position) of the interval at index k of
+    ``interval_family(depth)`` for any depth above its level: 2**level - 1
+    intervals come before level ``level``."""
     level = (k + 1).bit_length() - 1
-    return DyadicInterval(level, k + 1 - (1 << level))
+    return level, k + 1 - (1 << level)
+
+
+def interval_at(k: int) -> DyadicInterval:
+    """The interval at index k of ``interval_family`` (``level_position``)."""
+    return DyadicInterval(*level_position(k))
 
 
 def haar_eval(interval: DyadicInterval, leaf: int, depth: int, mode: str = RATIONAL):
@@ -472,6 +478,18 @@ def check_grid(
         raise ShapeError(f"inputs are forests of {trees} and {tree_count(f)} trees")
 
 
+def one_grid(fs: Sequence[StepFunction | SupportView]) -> list[StepFunction]:
+    """fs on the universe, each refused with a ShapeError unless it has the
+    depth and mode of fs[0] and is one tree (``check_grid``): the one rule
+    of a reader of one grid, whose value is a sum or a sup over the
+    intervals of one tree."""
+    fs = [f.expand() for f in fs]
+    depth, mode = fs[0].depth, fs[0].mode
+    for f in fs:
+        check_grid(f, depth, mode)
+    return fs
+
+
 def forest(fs: Sequence[StepFunction]) -> StepFunction:
     """The StepFunctions fs, of one depth and mode, side by side as one
     forest; fs[0] itself when it is alone.
@@ -647,15 +665,19 @@ def interval_integrals(f: StepFunction | SupportView) -> list:
 
 
 def _kept(build):
-    """The table ``build(f)``, built on the first call and kept on f: the
-    values of f never change, and callers only read its tables."""
+    """The table ``build(f, *args)``, built on the first call for each args
+    and kept on f under the builder's name, with the args after it when
+    there are any: the values of f never change, and callers only read its
+    tables.  A kept value must not hold f itself, which would make f and
+    its tables a reference cycle that only the cyclic collector frees."""
     name = build.__name__
 
     @wraps(build)
-    def table(f: StepFunction | SupportView) -> list[list]:
-        if name not in f.__dict__:
-            f.__dict__[name] = build(f)
-        return f.__dict__[name]
+    def table(f, *args):
+        key = (name, *args) if args else name
+        if key not in f.__dict__:
+            f.__dict__[key] = build(f, *args)
+        return f.__dict__[key]
 
     return table
 
@@ -691,8 +713,9 @@ def coefficient_table(f: StepFunction | SupportView) -> list:
 
 
 def analyze(f: StepFunction) -> HaarSpectrum:
-    """Haar transform: global mean plus <f, h_I> for every interval."""
-    f = f.expand()
+    """Haar transform: global mean plus <f, h_I> for every interval of
+    one tree (``one_grid``)."""
+    [f] = one_grid([f])
     mean = interval_integrals(f)[0][0]
     return HaarSpectrum._raw(f.depth, mean, coefficient_table(f), f.mode)
 
@@ -713,14 +736,13 @@ def pairing(f: StepFunction, interval: DyadicInterval, alpha: int):
     """The two ways a function enters a paraproduct slot.
 
     alpha = 0 pairs with the Haar function (<f, h_I>); alpha = 1 takes the
-    average over the interval.  f must be one tree.  One query sums the
-    interval's leaves; a caller that wants every interval reads
-    ``coefficient_table`` or ``average_table`` instead.
+    average over the interval.  f must be one tree (``one_grid``).  One
+    query sums the interval's leaves; a caller that wants every interval
+    reads ``coefficient_table`` or ``average_table`` instead.
     """
     check_alpha_bit(alpha)
-    f = f.expand()
+    [f] = one_grid([f])
     depth, mode = f.depth, f.mode
-    check_grid(f, depth, mode)
     if alpha == 0:
         check_haar_level(interval.level, depth)
     span = interval.leaf_span(depth)

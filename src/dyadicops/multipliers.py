@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import scalars
-from .core import DyadicInterval, StepFunction, seen
+from .core import DyadicInterval, StepFunction, _kept, seen
 from .paraproducts import (
     _as_alpha, _check_call, _check_slot, _engine, _grid_rows, _slot_tables,
 )
@@ -33,18 +33,13 @@ class SymbolSequence:
     ``DyadicInterval``s.  Values are stored as given (int, Fraction, Exact,
     or finite float; not bool) and coerced to the computation mode when
     the symbol is applied.  The coerced table is built once per (depth,
-    mode) and kept, so ``entries`` must not change after the first
-    ``table`` call; equality ignores the kept tables.
+    mode) and kept (``core._kept``), so ``entries`` must not change after
+    the first ``table`` call; equality, repr and JSON ignore the kept
+    tables.
     """
 
     default: object = 0
     entries: dict = field(default_factory=dict)
-    _tables: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _rows: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for interval in self.entries:
@@ -62,32 +57,24 @@ class SymbolSequence:
     def value(self, interval: DyadicInterval):
         return self.entries.get(interval, self.default)
 
+    @_kept
     def table(self, depth: int, mode: str) -> tuple[tuple, ...]:
         """Per-(level, pos) coerced values for a depth-``depth`` grid,
-        built on the first call for each (depth, mode): each level's row
-        starts as the coerced default, and each entry of a level below
-        ``depth`` is then written at its position."""
-        key = (depth, mode)
-        table = self._tables.get(key)
-        if table is None:
-            default = scalars.coerce(self.default, mode)
-            rows = [[default] * (1 << level) for level in range(depth)]
-            for interval, v in self.entries.items():
-                if interval.level < depth:
-                    rows[interval.level][interval.position] = scalars.coerce(v, mode)
-            table = tuple(map(tuple, rows))
-            self._tables[key] = table
-        return table
+        kept for each (depth, mode): each level's row starts as the
+        coerced default, and each entry of a level below ``depth`` is then
+        written at its position."""
+        default = scalars.coerce(self.default, mode)
+        rows = [[default] * (1 << level) for level in range(depth)]
+        for interval, v in self.entries.items():
+            if interval.level < depth:
+                rows[interval.level][interval.position] = scalars.coerce(v, mode)
+        return tuple(map(tuple, rows))
 
+    @_kept
     def factor_rows(self, depth: int, mode: str) -> list:
         """The table as the engine's factor rows (``scalars.as_row``),
-        built on the first call for each (depth, mode) and kept."""
-        key = (depth, mode)
-        rows = self._rows.get(key)
-        if rows is None:
-            table = self.table(depth, mode)
-            rows = self._rows[key] = [scalars.as_row(row, mode) for row in table]
-        return rows
+        kept for each (depth, mode)."""
+        return [scalars.as_row(row, mode) for row in self.table(depth, mode)]
 
     def to_json_dict(self) -> dict:
         def enc(v):

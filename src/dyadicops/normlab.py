@@ -41,7 +41,8 @@ from .core import (
 from .errors import ResolutionError, ShapeError
 from .multipliers import SymbolSequence, commutator, multilinear_multiplier
 from .paraproducts import (
-    AlphaVector, _as_alpha, _check_slot, paraproduct, pi_paraproduct,
+    AlphaVector, _as_alpha, _check_input_count, _check_slot, paraproduct,
+    pi_paraproduct,
 )
 from .scalars import FLOAT64, RATIONAL
 from .sublinear import _bstar_table, _centered_rows, bmo_norm, bstar_seminorm
@@ -161,8 +162,7 @@ class OperatorDescriptor:
         m = self.arity
         _check_slot(slot, m)
         # the commutator's branch reads fs before any operator checks it
-        if len(fs) != m:
-            raise ShapeError(f"alpha has {m} slots but got {len(fs)} functions")
+        _check_input_count(m, fs)
         if self.kind == "commutator":
             t = replace(self, kind="multilinear_multiplier", b=None, slot=None)
             # b once per tree of a forest, as ``commutator`` tiles it

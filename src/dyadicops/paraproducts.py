@@ -30,6 +30,7 @@ from .core import (
     check_alpha_bit,
     check_grid,
     coefficient_table,
+    one_grid,
     seen,
     support_layout,
     tree_count,
@@ -108,28 +109,26 @@ def _as_alpha(alpha) -> AlphaVector:
     return alpha if isinstance(alpha, AlphaVector) else AlphaVector(alpha)
 
 
-def admissible_alphas(m: int) -> list[AlphaVector]:
-    """All 0/1 vectors of length m except all-ones, in the recursion order:
-    previous vectors with 1 appended, then with 0 appended, then the vector
-    (1, ..., 1, 0)."""
+def _alpha_count(m: int) -> int:
+    """2**m - 1, the number of admissible alphas of arity m >= 1."""
     if m < 1:
         raise ValueError(f"arity must be >= 1, got {m}")
-    if m == 1:
-        return [AlphaVector((0,))]
-    prev = admissible_alphas(m - 1)
-    out = [AlphaVector(a.bits + (1,)) for a in prev]
-    out += [AlphaVector(a.bits + (0,)) for a in prev]
-    out.append(AlphaVector((1,) * (m - 1) + (0,)))
-    return out
+    return (1 << m) - 1
+
+
+def admissible_alphas(m: int) -> list[AlphaVector]:
+    """All 0/1 vectors of length m except all-ones, in the order of
+    ``alpha_at``."""
+    return [alpha_at(m, index) for index in range(_alpha_count(m))]
 
 
 def alpha_at(m: int, index: int) -> AlphaVector:
-    """``admissible_alphas(m)[index]`` in O(m), without the list: each
-    step down the recursion reads whether index lies in the block with 1
-    appended, the block with 0 appended, or is the last vector."""
-    if m < 1:
-        raise ValueError(f"arity must be >= 1, got {m}")
-    if not 0 <= index < (1 << m) - 1:
+    """The admissible alpha of arity m at ``index`` in the recursion order,
+    in O(m): the vectors of arity m - 1 with 1 appended, then with 0
+    appended, then (1, ..., 1, 0); (0,) alone for m = 1.  Each step down
+    the recursion reads whether index lies in the block with 1 appended,
+    the block with 0 appended, or is the last vector."""
+    if not 0 <= index < _alpha_count(m):
         raise IndexError(f"no admissible alpha of arity {m} at index {index}")
     tail = []
     while m > 1:
@@ -143,6 +142,12 @@ def alpha_at(m: int, index: int) -> AlphaVector:
     return AlphaVector(head + tuple(reversed(tail)))
 
 
+def _check_input_count(m: int, fs: Sequence):
+    """One input per slot of an m-linear operator."""
+    if len(fs) != m:
+        raise ShapeError(f"alpha has {m} slots but got {len(fs)} functions")
+
+
 def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None):
     """The operator-call contract: alpha as an AlphaVector, then the depth,
     mode, support and tree count that its m inputs share (``check_grid``),
@@ -150,8 +155,7 @@ def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None
     seen from the universe, and the inputs must match its depth and mode.
     Forests must hold equally many trees."""
     a = _as_alpha(alpha)
-    if len(fs) != a.m:
-        raise ShapeError(f"alpha has {a.m} slots but got {len(fs)} functions")
+    _check_input_count(a.m, fs)
     if b is not None:
         check_grid(b, b.depth, b.mode)
     first = fs[0] if b is None else b
@@ -309,14 +313,12 @@ def product_decomposition_residual(fs: Sequence[StepFunction]) -> StepFunction:
     global-mean constant; identically zero.  The product, the
     paraproducts' leaf rows (``_row_pass``) and the constant are summed as
     rows, and the residual keeps its row.  Each input is one tree
-    (``check_grid``)."""
+    (``one_grid``)."""
     m = len(fs)
     if m < 2:
         raise ShapeError(f"the decomposition needs at least 2 functions, got {m}")
-    fs = [f.expand() for f in fs]
+    fs = one_grid(fs)
     depth, mode = fs[0].depth, fs[0].mode
-    for f in fs:
-        check_grid(f, depth, mode)
     corr = scalars.one(mode)
     for f in fs:
         corr = corr * average_table(f)[0][0]
@@ -338,14 +340,12 @@ def localized_average_residual(
     The product of the averages over J, viewed on J, equals the sum over
     the strict ancestors I of J of the paraproduct terms of I (restricted
     to J) plus the same global-mean constant.  Returns LHS - RHS, which is
-    identically zero.  Each input is one tree (``check_grid``).
+    identically zero.  Each input is one tree (``one_grid``).
     """
-    fs = [f.expand() for f in fs]
     if not fs:
         raise ShapeError("need at least one input function")
+    fs = one_grid(fs)
     depth, mode = fs[0].depth, fs[0].mode
-    for f in fs:
-        check_grid(f, depth, mode)
     if interval.level < 1:
         raise ValueError("localization needs a proper subinterval of the universe")
     interval.leaf_span(depth)  # refuses an interval finer than the grid

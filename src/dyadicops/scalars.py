@@ -847,7 +847,7 @@ def coerce(value, mode: str):
         if isinstance(value, str):
             return finite_float(parse_fraction(value))
         return finite_float(check_scalar(value))
-    raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode)  # raises: mode is neither
 
 
 def float_sqrt(value) -> float:

@@ -16,6 +16,8 @@ from .core import (
     average_table,
     check_grid,
     coefficient_table,
+    level_position,
+    one_grid,
 )
 from .errors import RootExceedsHeight
 from .scalars import FLOAT64, RATIONAL
@@ -29,18 +31,34 @@ from .scalars import FLOAT64, RATIONAL
 _SQUARE_EXP = 500
 
 
-def _unit_scaled(f: StepFunction) -> tuple[StepFunction, int]:
-    """(f / 2**e, e): e = 0 unless f is float64 with max |f| past
-    2**_SQUARE_EXP or below 2**-_SQUARE_EXP.  Scaling by a power of two is
-    exact unless it makes a value subnormal, so scaling small data up
-    always is."""
+@_kept
+def _square_exponent(f: StepFunction) -> int:
+    """The exponent e of ``_unit_scaled``, kept on f: 0 unless f is float64
+    with max |f| past 2**_SQUARE_EXP or below 2**-_SQUARE_EXP, and then
+    the e that puts max |f / 2**e| just below 2**_SQUARE_EXP."""
     if f.mode != FLOAT64:
-        return f, 0
+        return 0
     top = max(map(abs, f.values))
     if not top or 2.0**-_SQUARE_EXP <= top < 2.0**_SQUARE_EXP:
-        return f, 0
-    e = math.frexp(top)[1] - _SQUARE_EXP
-    return StepFunction._raw(f.depth, [math.ldexp(v, -e) for v in f.values], FLOAT64), e
+        return 0
+    return math.frexp(top)[1] - _SQUARE_EXP
+
+
+@_kept
+def _scaled_copy(f: StepFunction) -> StepFunction:
+    """f / 2**e for f's ``_square_exponent`` e, kept on f, so the tables
+    kept on the copy serve every later call."""
+    e = _square_exponent(f)
+    return StepFunction._raw(f.depth, [math.ldexp(v, -e) for v in f.values], FLOAT64)
+
+
+def _unit_scaled(f: StepFunction) -> tuple[StepFunction, int]:
+    """(f / 2**e, e) for f's ``_square_exponent`` e, f itself when e = 0;
+    not kept, since a kept (f, 0) would make f hold itself.  Scaling by a
+    power of two is exact unless it makes a value subnormal, so scaling
+    small data up always is."""
+    e = _square_exponent(f)
+    return (_scaled_copy(f) if e else f), e
 
 
 def _sup(table: list[list], mode: str):
@@ -193,9 +211,7 @@ def _bmo1_search(b: StepFunction):
     avgs, values = average_table(b), b.values
 
     def oscillation(k: int):
-        # of the interval at index k of interval_family (core.interval_at)
-        level = (k + 1).bit_length() - 1
-        pos = k + 1 - (1 << level)
+        level, pos = level_position(k)
         width = len(values) >> level
         leaves = values[pos * width:(pos + 1) * width]
         return _mean_oscillation(leaves, avgs[level][pos], b.mode)
@@ -214,14 +230,6 @@ def _bmo1_search(b: StepFunction):
     return best
 
 
-def _one_tree(b: StepFunction) -> StepFunction:
-    """b on the universe, refused with a ShapeError when it is a forest: a
-    BMO norm is a sup over the intervals of one grid."""
-    b = b.expand()
-    check_grid(b, b.depth, b.mode)
-    return b
-
-
 def bmo_norm_pow(b: StepFunction, r: int):
     """sup over intervals of the r-th power mean oscillation, r in {1, 2}.
 
@@ -231,7 +239,7 @@ def bmo_norm_pow(b: StepFunction, r: int):
     """
     if r not in (1, 2):
         raise ValueError(f"BMO exponent must be 1 or 2, got {r}")
-    b = _one_tree(b)
+    [b] = one_grid([b])
     if r == 1:
         return _bmo1_search(b)
     return _sup(_variance_table(b), b.mode)
@@ -244,7 +252,8 @@ def bmo_norm(b: StepFunction, r: int):
     exists in the scalar field and a float otherwise; use bmo_norm_pow for
     guaranteed-exact comparisons.
     """
-    b, e = _unit_scaled(_one_tree(b))
+    [b] = one_grid([b])
+    b, e = _unit_scaled(b)
     top = bmo_norm_pow(b, r)
     if r == 2:
         top = scalars.scalar_sqrt(top, b.mode)
@@ -254,13 +263,14 @@ def bmo_norm(b: StepFunction, r: int):
 def bmo2_via_haar_sq(b: StepFunction):
     """sup over intervals I of |I|**-1 * sum of squared Haar coefficients of
     the subintervals of I; exact in rational mode."""
-    b = _one_tree(b)
+    [b] = one_grid([b])
     return _sup(_pairwise_means(_square_terms(b), b.mode), b.mode)
 
 
 def bmo2_via_haar(b: StepFunction):
     """Same value as bmo_norm(b, 2), computed from Haar coefficients."""
-    b, e = _unit_scaled(_one_tree(b))
+    [b] = one_grid([b])
+    b, e = _unit_scaled(b)
     root = scalars.scalar_sqrt(bmo2_via_haar_sq(b), b.mode)
     return math.ldexp(root, e) if e else root
 
@@ -277,7 +287,7 @@ def _bstar_table(b: StepFunction) -> list[list]:
 
 def bstar_seminorm(b: StepFunction):
     """sup over intervals of |<b, h_I>| / sqrt(|I|); exact in rational mode."""
-    b = _one_tree(b)
+    [b] = one_grid([b])
     return _sup(_bstar_table(b), b.mode)
 
 
@@ -339,9 +349,9 @@ def cz_decompose(f: StepFunction, height) -> CZDecomposition:
 
     Selects the maximal intervals whose |f|-average strictly exceeds the
     height (ties are not selected).  Requires the global average of |f| to
-    be at most the height.
+    be at most the height.  f must be one tree (``one_grid``).
     """
-    f = f.expand()
+    [f] = one_grid([f])
     h = scalars.coerce(height, f.mode)
     if not h > scalars.zero(f.mode):
         raise ValueError("height must be positive")

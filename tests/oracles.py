@@ -14,6 +14,7 @@ from itertools import accumulate, islice
 
 from dyadicops import (
     UNIVERSE,
+    AlphaVector,
     DyadicInterval,
     Exact,
     StepFunction,
@@ -30,6 +31,18 @@ from dyadicops.paraproducts import _check_call, _grid_rows
 from dyadicops.sublinear import _centered_rows
 from dyadicops.scalars import FLOAT64, RATIONAL, frac_sqrt
 from dyadicops.scalars import one as scalar_one, zero as scalar_zero
+
+
+def recursive_alphas(m: int) -> list[AlphaVector]:
+    """The admissible alphas of arity m by the recursion itself: those of
+    arity m - 1 with 1 appended, then with 0 appended, then (1, ..., 1, 0)."""
+    if m == 1:
+        return [AlphaVector((0,))]
+    prev = recursive_alphas(m - 1)
+    out = [AlphaVector(a.bits + (1,)) for a in prev]
+    out += [AlphaVector(a.bits + (0,)) for a in prev]
+    out.append(AlphaVector((1,) * (m - 1) + (0,)))
+    return out
 
 
 def leaf_interval(leaf: int, depth: int) -> DyadicInterval:

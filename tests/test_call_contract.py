@@ -6,11 +6,13 @@ supports, forests of different tree counts and a b of another depth, with
 the same exception type and message.  Slots and alpha bits are ints:
 a bool or a float is refused before it can reach a report.
 
-Each input rule is stated by one function (``core.check_grid``,
-``scalars.check_int``, ``scalars.check_scalar``, ``core.check_depth``,
+Each input rule is stated by one function (``core.check_grid``, with
+``core.one_grid`` for a reader of one grid, ``scalars.check_int``,
+``scalars.check_scalar``, ``scalars.check_mode``, ``core.check_depth``,
 ``DyadicInterval.leaf_span`` with ``core.check_haar_level``,
-``AlphaVector.__post_init__`` and ``core.check_alpha_bit``), and every
-caller reuses it.
+``AlphaVector.__post_init__``, ``core.check_alpha_bit``,
+``paraproducts._check_input_count`` and ``paraproducts._alpha_count``),
+and every caller reuses it.
 """
 
 from pathlib import Path
@@ -27,8 +29,14 @@ from dyadicops import (
     SamplerSpec,
     StepFunction,
     SymbolSequence,
+    bmo2_via_haar,
+    bmo2_via_haar_sq,
+    bmo_norm,
+    bmo_norm_pow,
+    bstar_seminorm,
     commutator,
     core,
+    cz_decompose,
     estimate_operator_norm,
     interval_family,
     localized_average_residual,
@@ -221,6 +229,37 @@ def test_an_identity_residual_takes_one_tree(forests):
         product_decomposition_residual(fs)
 
 
+# every reader of one grid, whose value is a sum or a sup over the
+# intervals of one tree, takes its inputs through ``core.one_grid``
+ONE_GRID_READERS = {
+    "analyze": core.analyze,
+    "pairing": lambda f: core.pairing(f, DyadicInterval(1, 1), 0),
+    "bmo_norm_pow": lambda f: bmo_norm_pow(f, 1),
+    "bmo_norm": lambda f: bmo_norm(f, 2),
+    "bmo2_via_haar_sq": bmo2_via_haar_sq,
+    "bmo2_via_haar": bmo2_via_haar,
+    "bstar_seminorm": bstar_seminorm,
+    "cz_decompose": lambda f: cz_decompose(f, 4),
+}
+
+
+@pytest.mark.parametrize("reader", ONE_GRID_READERS)
+def test_a_one_grid_reader_refuses_a_forest(reader):
+    # analyze read the forest of [1, 2, 3, 4] and [5, 0, 0, 0] as one grid
+    # of twice the leaves, and cz_decompose selected on it
+    fs = forest([F, StepFunction.from_values([5, 0, 0, 0])])
+    with pytest.raises(ShapeError) as info:
+        ONE_GRID_READERS[reader](fs)
+    assert str(info.value) == "inputs are forests of 1 and 2 trees"
+
+
+@pytest.mark.parametrize("reader", ONE_GRID_READERS)
+def test_a_one_grid_reader_reads_a_view_as_its_expansion(reader):
+    f = StepFunction.from_values([0, 0, 8, 2])
+    view = SupportView.restrict(f, DyadicInterval(1, 1))
+    assert ONE_GRID_READERS[reader](view) == ONE_GRID_READERS[reader](f)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -303,6 +342,9 @@ RULE_MESSAGES = [
     "out of range for depth",
     "needs a Haar slot",
     "alpha bits must be 0 or 1",
+    "unknown mode",
+    "arity must be >= 1",
+    "slots but got",
 ]
 
 

@@ -33,6 +33,7 @@ from oracles import (
     matrix_adjoint,
     naive_paraproduct,
     random_rationals,
+    recursive_alphas,
 )
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -95,10 +96,15 @@ class TestAlphaVector:
 
     def test_alpha_at_is_the_enumeration(self):
         for m in range(1, 12):
-            assert [alpha_at(m, i) for i in range((1 << m) - 1)] == admissible_alphas(m)
+            want = recursive_alphas(m)
+            assert [alpha_at(m, i) for i in range((1 << m) - 1)] == want
+            assert admissible_alphas(m) == want
         assert alpha_at(40, (1 << 40) - 2) == AlphaVector((1,) * 39 + (0,))
-        with pytest.raises(ValueError):
-            alpha_at(0, 0)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match=f"^arity must be >= 1, got {m}$"):
+                alpha_at(m, 0)
+            with pytest.raises(ValueError, match=f"^arity must be >= 1, got {m}$"):
+                admissible_alphas(m)
         for m, index in ((1, 1), (3, -1), (3, 7)):
             with pytest.raises(IndexError):
                 alpha_at(m, index)

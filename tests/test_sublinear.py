@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -437,6 +439,32 @@ class TestBMO1Search:
         # BMO2 reads the variance table that the BMO1 search kept on b
         monkeypatch.setattr(sublinear, "_pairwise_means", None)
         assert bmo_norm(b, 2) == want
+
+    def test_bmo2_after_bmo1_builds_no_table_on_scaled_data(self, monkeypatch):
+        # past 2**500 the norms work on f / 2**e, which is kept on f with
+        # the variance table the BMO1 search kept on it
+        b = four_bumps(random.Random(5), 10).scale(2.0**600)
+        want = bmo_norm(StepFunction(b.depth, b.values, FLOAT64), 2)
+        bmo_norm(b, 1)
+        monkeypatch.setattr(sublinear, "_pairwise_means", None)
+        assert bmo_norm(b, 2) == want
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600])
+    def test_a_function_is_freed_by_reference_counting(self, scale):
+        # no value kept on b may hold b: a cycle would free b, and every
+        # table kept on it, only at a full collection
+        b = four_bumps(random.Random(6), 10).scale(scale)
+        ref = weakref.ref(b)
+        gc.disable()
+        try:
+            bmo_norm(b, 1)
+            bmo_norm(b, 2)
+            bmo2_via_haar(b)
+            square_function(b)
+            del b
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCZDecomposition:
