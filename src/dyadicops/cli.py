@@ -52,7 +52,8 @@ from .paraproducts import (
 from .scalars import (
     FLOAT64,
     RATIONAL,
-    parse_finite_fraction,
+    check_exponent,
+    check_range,
     parse_fraction,
     row_difference,
     row_is_zero,
@@ -122,8 +123,7 @@ def _random_function(rng: random.Random, depth: int, mode: str) -> StepFunction:
 def _check_m_and_depth(args):
     """The decomposition suites need --m >= 2 and --depth >= 2."""
     for flag in ("m", "depth"):
-        if getattr(args, flag) < 2:
-            raise ValueError(f"the {args.suite} suite needs --{flag} >= 2")
+        check_range(getattr(args, flag), f"--{flag}", 2)
 
 
 def _suite_decomposition(args, rng):
@@ -218,10 +218,8 @@ SUITES = {
 def cmd_verify(args) -> int:
     """Run a suite; each residual it yields that is not small is one
     failure."""
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
+    check_range(args.trials, "--trials", 1)
+    check_range(args.m, "--m", 1)
     check_depth(args.depth)
     rng = random.Random(f"verify:{args.suite}:{args.seed}")
     residuals = SUITES[args.suite](args, rng)
@@ -258,7 +256,7 @@ def _parse_p(text: str):
     p = text.strip()
     if p in ("inf", "oo", "infinity"):
         return math.inf
-    return parse_finite_fraction(p)
+    return check_exponent(p)
 
 
 def cmd_norms(args) -> int:

@@ -118,9 +118,7 @@ MAX_DEPTH = 20
 def check_depth(depth: int) -> int:
     """Reject a grid depth that is not an int in 1..MAX_DEPTH before
     anything is allocated for it."""
-    if not 1 <= scalars.check_int(depth, "depth") <= MAX_DEPTH:
-        raise ValueError(f"depth must lie in 1..{MAX_DEPTH}, got {depth}")
-    return depth
+    return scalars.check_range(depth, "depth", 1, MAX_DEPTH)
 
 
 def check_haar_level(level: int, depth: int):
@@ -782,10 +780,7 @@ def _normalize_p(p) -> Fraction | None:
     """None encodes infinity."""
     if p == math.inf:
         return None
-    q = Fraction(p)
-    if q < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    return q
+    return scalars.check_exponent(p)
 
 
 def _by_tree(seq: Sequence, f: StepFunction | SupportView) -> list:

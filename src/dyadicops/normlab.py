@@ -69,11 +69,8 @@ class ExponentTuple:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ps = tuple(scalars.parse_finite_fraction(x) for x in self.p)
-        if not ps:
-            raise ValueError("need at least one exponent")
-        if any(x < 1 for x in ps):
-            raise ValueError(f"every exponent must be >= 1, got {ps}")
+        ps = tuple(map(scalars.check_exponent, self.p))
+        scalars.check_range(len(ps), "exponent count", 1)
         object.__setattr__(self, "p", ps)
 
     @classmethod
@@ -295,10 +292,7 @@ class SamplerSpec:
                 f"level_cap applies to the rademacher-haar family only, "
                 f"not to {self.family}"
             )
-        if not 0 <= scalars.check_int(self.level_cap, "level_cap") < self.depth:
-            raise ValueError(
-                f"level_cap must lie in 0..{self.depth - 1}, got {self.level_cap}"
-            )
+        scalars.check_range(self.level_cap, "level_cap", 0, self.depth - 1)
 
     def _rng(self, trial: int) -> random.Random:
         # string seeding is stable across processes (no hash randomization)
@@ -700,8 +694,7 @@ def _run_experiment(
     trials: int,
     weak: bool,
 ) -> ExperimentReport:
-    if scalars.check_int(trials, "trials") < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    scalars.check_range(trials, "trials", 1)
     _check_arity(descriptor, exponents)
     if weak and all(p != 1 for p in exponents.p):
         raise ValueError("weak-type experiments need some exponent equal to 1")

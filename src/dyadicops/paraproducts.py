@@ -65,8 +65,7 @@ class AlphaVector:
                 )
             bits = map(int, bits)
         object.__setattr__(self, "bits", tuple(bits))
-        if len(self.bits) < 1:
-            raise ValueError("alpha needs at least one slot")
+        scalars.check_range(len(self.bits), "arity", 1)
         for b in self.bits:
             check_alpha_bit(b)
 
@@ -111,9 +110,7 @@ def _as_alpha(alpha) -> AlphaVector:
 
 def _alpha_count(m: int) -> int:
     """2**m - 1, the number of admissible alphas of arity m >= 1."""
-    if m < 1:
-        raise ValueError(f"arity must be >= 1, got {m}")
-    return (1 << m) - 1
+    return (1 << scalars.check_range(m, "arity", 1)) - 1
 
 
 def admissible_alphas(m: int) -> list[AlphaVector]:
@@ -167,8 +164,7 @@ def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None
 
 def _check_slot(slot, m: int):
     """A 1-based slot of an m-linear operator: an int, not a bool."""
-    if not 1 <= scalars.check_int(slot, "slot") <= m:
-        raise ValueError(f"slot must be in 1..{m}, got {slot}")
+    scalars.check_range(slot, "slot", 1, m)
 
 
 def _grid_rows(table, support: DyadicInterval, trees: int) -> list:
@@ -346,7 +342,7 @@ def localized_average_residual(
         raise ShapeError("need at least one input function")
     fs = one_grid(fs)
     depth, mode = fs[0].depth, fs[0].mode
-    if interval.level < 1:
+    if interval.is_universe:
         raise ValueError("localization needs a proper subinterval of the universe")
     interval.leaf_span(depth)  # refuses an interval finer than the grid
     atabs = [average_table(f) for f in fs]

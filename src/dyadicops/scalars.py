@@ -775,17 +775,6 @@ def parse_fraction(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def parse_finite_fraction(text) -> Fraction:
-    """``parse_fraction(text)`` for a number that fits a float64 value:
-    "1e400" parses as the integer 10**400, which no float can hold."""
-    q = parse_fraction(text)
-    try:
-        float(q)
-    except OverflowError:
-        raise ValueError(f"{text} is too large for a float64 value") from None
-    return q
-
-
 def check_int(value, name: str) -> int:
     """value, which must be an int: a float, a string or a bool is refused,
     not rounded or read as 0 or 1.  The one integer rule of slots, seeds,
@@ -795,14 +784,43 @@ def check_int(value, name: str) -> int:
     return value
 
 
+def check_range(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value, an int (``check_int``) of at least lo, and at most hi when hi
+    is given: the one range rule of depths, slots, arities, counts and
+    caps."""
+    check_int(value, name)
+    if hi is None:
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in {lo}..{hi}, got {value}")
+    return value
+
+
 def check_scalar(value):
     """value, refused if it is a bool or a float that is not finite: the
-    one scalar rule of ``coerce``, ``decode_value`` and ``SymbolSequence``."""
+    one scalar rule of ``coerce`` (and so of ``decode_value``),
+    ``check_exponent`` and ``SymbolSequence``."""
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"float64 values must be finite, got {value!r}")
     return value
+
+
+def check_exponent(p) -> Fraction:
+    """A finite exponent p >= 1 as a Fraction: a scalar (``check_scalar``)
+    or a fraction text whose value fits a float64 value ("1e400" parses
+    as the integer 10**400, which no float can hold).  The one exponent
+    rule of the norms, ``ExponentTuple`` and the command line."""
+    q = parse_fraction(check_scalar(p))
+    try:
+        float(q)
+    except OverflowError:
+        raise ValueError(f"{p} is too large for a float64 value") from None
+    if q < 1:
+        raise ValueError(f"exponent must be >= 1, got {p}")
+    return q
 
 
 def finite_float(value) -> float:
@@ -828,6 +846,8 @@ def coerce(value, mode: str):
         if type(value) is Fraction:
             # already in lowest terms over a positive denominator
             return _exact(value.numerator, 0, value.denominator)
+        if isinstance(value, str):
+            return coerce(parse_fraction(value), RATIONAL)
         if isinstance(value, float):
             raise TypeError(
                 "float values are not allowed in rational mode; "
@@ -836,8 +856,6 @@ def coerce(value, mode: str):
         check_scalar(value)
         if isinstance(value, (int, Fraction)):
             return Exact(value)
-        if isinstance(value, str):
-            return Exact(parse_fraction(value))
         if isinstance(value, Exact):
             return value
         raise TypeError(f"cannot use {type(value).__name__} in rational mode")
@@ -892,26 +910,15 @@ def _pair(obj: list) -> list:
 
 
 def decode_value(obj, mode: str):
-    """A scalar of ``mode`` from its JSON form; JSON booleans, NaN, the
-    infinities (``check_scalar``) and lists that are not pairs are refused."""
+    """A scalar of ``mode`` from its JSON form: a list is a pair a, b read
+    as a + b*sqrt(2), each entry and any other form read by ``coerce``."""
     if type(obj) is float and mode == FLOAT64 and math.isfinite(obj):
         return obj
-    check_scalar(obj)
+    if not isinstance(obj, list):
+        return coerce(obj, mode)
+    a, b = _pair(obj)
+    a, b = coerce(a, mode), coerce(b, mode)
     if mode == FLOAT64:
-        if isinstance(obj, str):
-            return finite_float(parse_fraction(obj))
-        if isinstance(obj, list):
-            a, b = _pair(obj)
-            return finite_float(
-                finite_float(parse_fraction(a))
-                + finite_float(parse_fraction(b)) * _SQRT2
-            )
-        return finite_float(obj)
-    if isinstance(obj, list):
-        a, b = _pair(obj)
-        return Exact(parse_fraction(a), parse_fraction(b))
-    if isinstance(obj, str):
-        return Exact(parse_fraction(obj))
-    if isinstance(obj, int):
-        return Exact(obj)
-    raise TypeError(f"cannot decode {obj!r} as a rational-mode value")
+        return finite_float(a + b * _SQRT2)
+    # a + b*sqrt(2) = ((A D' + 2 B' D) + (B D' + A' D) sqrt(2)) / (D D')
+    return _canonical(a.A * b.D + 2 * b.B * a.D, a.B * b.D + b.A * a.D, a.D * b.D)

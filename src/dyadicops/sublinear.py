@@ -331,15 +331,25 @@ class CZDecomposition:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CZDecomposition":
+        """The decomposition a file holds; each part must be zero off its
+        interval and the intervals disjoint, or ``reconstruct`` would not
+        give back f."""
         good = StepFunction.from_json_dict(obj["good"])
         json_int = scalars._json_int
         parts = []
+        covered = bytearray(1 << good.depth)
         for p in obj.get("parts", []):
             i = p["interval"]
             interval = DyadicInterval(json_int(i, "level"), json_int(i, "pos"))
             b = StepFunction.from_json_dict(p["b"])
             # a part of another depth or mode would not add to good
             check_grid(b, good.depth, good.mode)
+            if not b.vanishes_outside(interval):
+                raise ValueError(f"the part on {interval} is nonzero outside it")
+            span = interval.leaf_span(good.depth)
+            if any(covered[span.start:span.stop]):
+                raise ValueError(f"the part on {interval} overlaps another part")
+            covered[span.start:span.stop] = b"\1" * len(span)
             parts.append((interval, b))
         return cls(scalars.decode_value(obj["height"], good.mode), good, tuple(parts))
 
@@ -362,20 +372,20 @@ def cz_decompose(f: StepFunction, height) -> CZDecomposition:
         )
     signed = average_table(f)
 
+    # a depth-first walk, left to right, from the universe (never selected):
+    # from each interval taken off the stack, down its left edge while the
+    # average stays at most h, each right sibling left on the stack
     selected: list[DyadicInterval] = []
-
-    def descend(level: int, pos: int):
-        if avgs[level][pos] > h:
+    depth, stack = f.depth, [(0, 0)]
+    while stack:
+        level, pos = stack.pop()
+        while avgs[level][pos] <= h:
+            if level == depth:
+                break
+            level, pos = level + 1, 2 * pos
+            stack.append((level, pos + 1))
+        else:
             selected.append(DyadicInterval(level, pos))
-            return
-        if level == f.depth:
-            return
-        descend(level + 1, 2 * pos)
-        descend(level + 1, 2 * pos + 1)
-
-    if f.depth > 0:
-        descend(1, 0)
-        descend(1, 1)
 
     good_vals = list(f.values)
     parts = []

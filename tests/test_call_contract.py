@@ -8,13 +8,17 @@ a bool or a float is refused before it can reach a report.
 
 Each input rule is stated by one function (``core.check_grid``, with
 ``core.one_grid`` for a reader of one grid, ``scalars.check_int``,
-``scalars.check_scalar``, ``scalars.check_mode``, ``core.check_depth``,
-``DyadicInterval.leaf_span`` with ``core.check_haar_level``,
-``AlphaVector.__post_init__``, ``core.check_alpha_bit``,
-``paraproducts._check_input_count`` and ``paraproducts._alpha_count``),
-and every caller reuses it.
+``scalars.check_range`` for every bounded int, ``scalars.check_scalar``,
+``scalars.check_exponent`` for every exponent, ``scalars.check_mode``,
+``core.check_depth``, ``DyadicInterval.leaf_span`` with
+``core.check_haar_level``, ``AlphaVector.__post_init__``,
+``core.check_alpha_bit``, ``paraproducts._check_input_count`` and
+``paraproducts._alpha_count``), and every caller reuses it.
 """
 
+import ast
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,9 +49,11 @@ from dyadicops import (
     pi_paraproduct,
     product_decomposition_residual,
 )
-from dyadicops.core import MAX_DEPTH, SupportView, forest
+from dyadicops.cli import _parse_p, main
+from dyadicops.core import MAX_DEPTH, SupportView, forest, lp_norm, weak_lp_quasinorm
 from dyadicops.errors import ShapeError
 from dyadicops.normlab import necessity_case
+from dyadicops.paraproducts import admissible_alphas, alpha_at
 
 ALPHA = "01"
 F = StepFunction.from_values([1, 2, 3, 4])
@@ -338,12 +344,14 @@ RULE_MESSAGES = [
     "no Haar function at level",
     "bool is not a scalar",
     "alpha string must be",
-    "depth must lie in",
+    "must lie in {lo}..{hi}, got {value}",
+    "must be >= {lo}, got {value}",
+    "exponent must be >= 1",
+    "not allowed in rational mode",
     "out of range for depth",
     "needs a Haar slot",
     "alpha bits must be 0 or 1",
     "unknown mode",
-    "arity must be >= 1",
     "slots but got",
 ]
 
@@ -353,3 +361,164 @@ def test_each_input_rule_is_stated_once(message):
     package = Path(dyadicops.__file__).parent
     sources = [path.read_text() for path in sorted(package.glob("*.py"))]
     assert sum(text.count(message) for text in sources) == 1
+
+
+# (build, message): each bounded int is refused by ``scalars.check_range``
+RANGES = [
+    (lambda: core.check_depth(0), f"depth must lie in 1..{MAX_DEPTH}, got 0"),
+    (
+        lambda: SamplerSpec("rademacher-haar", 3, level_cap=3),
+        "level_cap must lie in 0..2, got 3",
+    ),
+    (
+        lambda: OperatorDescriptor("paraproduct", ALPHA).adjoint(3, [F, F], F),
+        "slot must lie in 1..2, got 3",
+    ),
+    (lambda: AlphaVector(()), "arity must be >= 1, got 0"),
+    (lambda: admissible_alphas(0), "arity must be >= 1, got 0"),
+    (lambda: alpha_at(-1, 0), "arity must be >= 1, got -1"),
+    (lambda: ExponentTuple(()), "exponent count must be >= 1, got 0"),
+    (
+        lambda: estimate_operator_norm(
+            OperatorDescriptor("paraproduct", ALPHA),
+            ExponentTuple.from_string("2,2"),
+            SamplerSpec("random-step", 2),
+            0,
+        ),
+        "trials must be >= 1, got 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", RANGES)
+def test_every_range_has_one_rule(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--m", "1"], "--m must be >= 2, got 1"),
+        (["--depth", "1"], "--depth must be >= 2, got 1"),
+    ],
+)
+def test_a_verify_count_has_the_same_rule(argv, message, capsys):
+    assert main(["verify", "decomposition", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("build", [admissible_alphas, lambda m: alpha_at(m, 0)])
+def test_an_arity_is_an_int(build):
+    # True is not read as arity 1
+    with pytest.raises(TypeError, match="^arity must be an integer, got True$"):
+        build(True)
+
+
+EXPONENT_READERS = {
+    "lp_norm": lambda p: lp_norm(F, p),
+    "weak_lp_quasinorm": lambda p: weak_lp_quasinorm(F, p),
+    "float64 lp_norm": lambda p: lp_norm(F.as_float64(), p),
+    "ExponentTuple": lambda p: ExponentTuple((p, 2)),
+}
+# the command line reads the text of p
+TEXT_READERS = {**EXPONENT_READERS, "cli": lambda p: _parse_p(str(p))}
+
+
+@pytest.mark.parametrize("read", EXPONENT_READERS.values(), ids=EXPONENT_READERS)
+def test_a_bool_is_not_an_exponent(read):
+    # True is not read as p = 1
+    with pytest.raises(TypeError, match="^bool is not a scalar$"):
+        read(True)
+
+
+@pytest.mark.parametrize("read", EXPONENT_READERS.values(), ids=EXPONENT_READERS)
+@pytest.mark.parametrize("p", [math.nan, -math.inf])
+def test_a_float_exponent_must_be_finite(read, p):
+    with pytest.raises(ValueError, match="^float64 values must be finite"):
+        read(p)
+
+
+def test_an_exponent_tuple_refuses_an_infinite_entry():
+    # an infinity in a tuple is refused, not left to Fraction's OverflowError
+    with pytest.raises(ValueError, match="^float64 values must be finite, got inf$"):
+        ExponentTuple((math.inf, 2))
+
+
+@pytest.mark.parametrize("read", TEXT_READERS.values(), ids=TEXT_READERS)
+@pytest.mark.parametrize("p", [10**400, "1e400"], ids=["10**400", "1e400"])
+def test_an_exponent_past_the_float_range_is_refused_alike(read, p):
+    with pytest.raises(ValueError) as info:
+        read(p)
+    assert str(info.value) == f"{p} is too large for a float64 value"
+
+
+@pytest.mark.parametrize("read", TEXT_READERS.values(), ids=TEXT_READERS)
+@pytest.mark.parametrize("p", [Fraction(1, 2), 0, "-3", 0.75])
+def test_an_exponent_below_one_is_refused_alike(read, p):
+    with pytest.raises(ValueError) as info:
+        read(p)
+    assert str(info.value) == f"exponent must be >= 1, got {p}"
+
+
+# the functions that state a bound on an int or an exponent
+RULES = {"check_range", "check_exponent"}
+
+
+def _refusals_of_one(tree):
+    """(function, line) of each ``if`` that compares with 1 by ``<``,
+    ``>=`` or ``1 <= ...`` and raises, outside ``RULES``."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if func.name in RULES:
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.If):
+                continue
+            if not any(isinstance(s, ast.Raise) for s in node.body):
+                continue
+            for cmp in ast.walk(node.test):
+                if not isinstance(cmp, ast.Compare):
+                    continue
+                terms = [cmp.left, *cmp.comparators]
+                for op, left, right in zip(cmp.ops, terms, terms[1:]):
+                    if (
+                        isinstance(op, (ast.Lt, ast.GtE))
+                        and isinstance(right, ast.Constant)
+                        and right.value == 1
+                    ) or (
+                        isinstance(op, ast.LtE)
+                        and isinstance(left, ast.Constant)
+                        and left.value == 1
+                    ):
+                        found.append((func.name, node.lineno))
+    return found
+
+
+def test_no_bound_of_one_is_restated():
+    """A count, arity or exponent held to >= 1 goes through ``check_range``
+    or ``check_exponent``; an ``if x < 1: raise`` elsewhere is a copy."""
+    package = Path(dyadicops.__file__).parent
+    found = [
+        (path.name, *hit)
+        for path in sorted(package.glob("*.py"))
+        for hit in _refusals_of_one(ast.parse(path.read_text()))
+    ]
+    assert not found
+
+
+def test_the_restatement_guard_sees_a_copy():
+    copies = [
+        "def f(n):\n    if n < 1:\n        raise ValueError(n)\n",
+        "def f(n):\n    if not 1 <= n <= 4:\n        raise ValueError(n)\n",
+        "def f(ps):\n    if any(p < 1 for p in ps):\n        raise ValueError(ps)\n",
+        # a bound that only routes, as the sharp family's level test does
+        "def f(n):\n    if n < 1:\n        return None\n",
+    ]
+    assert [len(_refusals_of_one(ast.parse(c))) for c in copies] == [1, 1, 1, 0]

@@ -622,6 +622,36 @@ class TestBoundary:
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, pair, message",
+        [
+            ("rational", ["1", True], "bool is not a scalar"),
+            ("float64", ["1", True], "bool is not a scalar"),
+            ("rational", ["1/2", 0.5], "float values are not allowed in rational mode"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "analyze", "{path}"],
+            ["norms", "{path}"],
+            ["czd", "{path}", "--height", "9"],
+            ["estimate", "--op", "pi", "--alpha", "1", "--b", "{path}", "--p", "2",
+             "--trials", "1"],
+        ],
+        ids=["transform", "norms", "czd", "estimate"],
+    )
+    def test_a_pair_entry_is_read_as_a_bare_value(
+        self, tmp_path, capsys, argv, mode, pair, message
+    ):
+        # an entry of an [a, b] pair obeys the rule of a value on its own
+        path = tmp_path / "f.json"
+        write_json(path, {"depth": 1, "mode": mode, "values": [pair, "1"]})
+        assert main([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_norms_rejects_a_value_too_large_for_a_float(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         write_json(path, {"depth": 1, "mode": "rational", "values": ["1e400", "1"]})

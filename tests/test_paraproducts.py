@@ -452,7 +452,7 @@ class TestDuality:
         with pytest.raises(ValueError, match="all-ones"):
             para((1, 1)).adjoint(1, [f, f], g)
         for slot in (0, 3):
-            with pytest.raises(ValueError, match="slot must be in 1..2"):
+            with pytest.raises(ValueError, match="slot must lie in 1..2"):
                 para((0, 1)).adjoint(slot, [f, f], g)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])

@@ -262,6 +262,27 @@ class TestValueCodec:
         obj = {"depth": 1, "mode": "float64", "values": [["1/2", "-3"], 2.0]}
         assert StepFunction.from_json_dict(obj).values == (want, 2.0)
 
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    @pytest.mark.parametrize("pair", [["1", True], [False, "2"]])
+    def test_a_pair_entry_is_not_a_bool(self, pair, mode):
+        with pytest.raises(TypeError, match="^bool is not a scalar$"):
+            decode_value(pair, mode)
+
+    @pytest.mark.parametrize("pair", [["1/2", 0.5], [0.0, "1"]])
+    def test_a_rational_pair_entry_is_not_a_float(self, pair):
+        # as a bare float is not: a pair does not read a float exactly
+        for value in (pair, 0.5):
+            with pytest.raises(TypeError, match="not allowed in rational mode"):
+                decode_value(value, RATIONAL)
+
+    @pytest.mark.parametrize("a, b", [("1/2", "-3"), (7, "2/9"), ("0", 5), (-4, 0)])
+    def test_a_pair_is_its_entries_read_alone(self, a, b):
+        x = decode_value([a, b], RATIONAL)
+        assert x == decode_value(a, RATIONAL) + decode_value(b, RATIONAL) * Exact(0, 1)
+        assert x == Exact(Fraction(a), Fraction(b))
+        want = decode_value(a, FLOAT64) + decode_value(b, FLOAT64) * math.sqrt(2.0)
+        assert decode_value([a, b], FLOAT64) == want
+
     def test_decode_rejects_garbage(self):
         with pytest.raises((ValueError, TypeError)):
             decode_value({"bad": 1}, RATIONAL)

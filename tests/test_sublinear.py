@@ -566,6 +566,36 @@ class TestCZDecomposition:
         with pytest.raises(TypeError, match=f"{key} must be an integer"):
             CZDecomposition.from_json_dict(obj)
 
+    def test_json_part_nonzero_outside_its_interval_is_refused(self):
+        # reconstruct() would add the stray value to good and return another f
+        obj = cz_decompose(StepFunction.from_values([4, 2, 0, 0]), 2).to_json_dict()
+        assert obj["parts"][0]["interval"] == {"level": 1, "pos": 0}
+        obj["parts"][0]["b"] = StepFunction.from_values([1, -1, 0, 5]).to_json_dict()
+        with pytest.raises(ValueError, match=r"^the part on \(1,0\) is nonzero outside it$"):
+            CZDecomposition.from_json_dict(obj)
+
+    @pytest.mark.parametrize("other", [(1, 0), (2, 1), (0, 0)])
+    def test_json_parts_that_overlap_are_refused(self, other):
+        # the same interval twice, or one holding the other: f's leaves there
+        # would be counted twice
+        obj = cz_decompose(StepFunction.from_values([4, 2, 0, 0]), 2).to_json_dict()
+        level, pos = other
+        zero = StepFunction.zeros(2, "rational").to_json_dict()
+        obj["parts"].append({"interval": {"level": level, "pos": pos}, "b": zero})
+        with pytest.raises(ValueError, match="overlaps another part$"):
+            CZDecomposition.from_json_dict(obj)
+        # in either order
+        obj["parts"].reverse()
+        with pytest.raises(ValueError, match="overlaps another part$"):
+            CZDecomposition.from_json_dict(obj)
+
+    def test_json_disjoint_parts_are_read(self):
+        f = StepFunction.from_values([9, -3, 0, 1, 0, 0, 8, 0])
+        d = cz_decompose(f, 3)
+        assert d.intervals == (DyadicInterval(1, 0), DyadicInterval(2, 3))
+        back = CZDecomposition.from_json_dict(d.to_json_dict())
+        assert back.parts == d.parts and back.reconstruct() == f
+
     @pytest.mark.parametrize(
         "b, message",
         [
