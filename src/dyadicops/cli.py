@@ -187,7 +187,7 @@ def _suite_multiplier_coeff(args, rng):
         eps = _random_symbol(rng, args.depth)
         f = _random_function(rng, args.depth, args.mode)
         out = multilinear_multiplier(eps, (0,), [f])
-        rows = zip(eps.factor_rows(args.depth, args.mode), coefficient_table(f),
+        rows = zip(eps.table(args.depth, args.mode), coefficient_table(f),
                    coefficient_table(out))
         for e, c, o in rows:
             yield from row_difference(o, row_product(e, c))

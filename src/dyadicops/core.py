@@ -25,7 +25,12 @@ from .scalars import FLOAT64, RATIONAL, check_mode
 
 
 def check_interval(level: int, position: int):
-    """Reject a (level, position) pair that names no dyadic interval."""
+    """Reject a (level, position) pair that names no dyadic interval: each
+    must be an int (``scalars.check_int``), not a bool or a float.  Two
+    ints, as every interval the library builds has, skip the two calls."""
+    if type(level) is not int or type(position) is not int:
+        scalars.check_int(level, "level")
+        scalars.check_int(position, "position")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if position < 0 or position >> level:
@@ -181,11 +186,14 @@ def _coerce_values(values: Iterable, mode: str) -> tuple:
     return tuple(scalars.coerce(v, mode) for v in values)
 
 
-def _check_leaf_count(depth: int, values: Sequence):
-    n = 1 << depth
+def _check_leaf_count(depth: int, values: Sequence, support: DyadicInterval = UNIVERSE):
+    """Refuse values with a ShapeError unless they are the leaves of one
+    tree on ``support``."""
+    n = len(support.leaf_span(depth))
     if len(values) != n:
+        where = f" on {support}" if support.level else ""
         raise ShapeError(
-            f"expected {n} leaf values for depth {depth}, got {len(values)}"
+            f"expected {n} leaf values for depth {depth}{where}, got {len(values)}"
         )
 
 
@@ -193,7 +201,7 @@ def _check_leaf_count(depth: int, values: Sequence):
 class StepFunction:
     """A function on [0, 1) constant on the 2**depth leaf cells.
 
-    ``values`` is the row of leaves (``scalars.leaf_row``).  It is also the
+    ``values`` is the row of leaves (``scalars.as_row``).  It is also the
     SupportView of the universe: ``support`` and ``blocks`` are class
     attributes, not fields, so equality and JSON ignore them.
     """
@@ -210,14 +218,14 @@ class StepFunction:
         check_depth(self.depth)
         _check_leaf_count(self.depth, self.values)
         values = _coerce_values(self.values, self.mode)
-        object.__setattr__(self, "values", scalars.leaf_row(values, self.mode))
+        object.__setattr__(self, "values", scalars.as_row(values, self.mode))
 
     @classmethod
     def _raw(cls, depth: int, values, mode: str) -> "StepFunction":
         """Internal constructor: values must already be mode scalars or a row."""
         f = object.__new__(cls)
         object.__setattr__(f, "depth", depth)
-        object.__setattr__(f, "values", scalars.leaf_row(values, mode))
+        object.__setattr__(f, "values", scalars.as_row(values, mode))
         object.__setattr__(f, "mode", mode)
         return f
 
@@ -341,12 +349,14 @@ class StepFunction:
 class SupportView:
     """A step function seen from one dyadic interval S, its support.
 
-    ``values`` holds the leaf values on S.  Outside S the function is given
-    block by block: ``blocks[k]`` covers the sibling of S's ancestor at
-    level k + 1 (the last block is S's own sibling), so S and its blocks
-    tile [0, 1).  A block is a scalar where the function is constant on it
-    and the tuple of its leaf values otherwise.  The view of the universe
-    is the StepFunction itself: ``seen`` builds that, never a SupportView.
+    ``values`` holds the leaf values on S, one tree's row of them
+    (``scalars.as_row``): a forest is a StepFunction.  Outside S the
+    function is given block by block: ``blocks[k]`` covers the sibling of
+    S's ancestor at level k + 1 (the last block is S's own sibling), so S
+    and its blocks tile [0, 1).  A block is a scalar where the function
+    is constant on it and the tuple of its leaf values otherwise.  The
+    view of the universe is the StepFunction itself: ``seen`` builds that,
+    never a SupportView.
 
     Inputs that vanish outside S, and every operator output built from
     them, take O(|S| + level(S)) numbers this way.  The tables of a view
@@ -361,7 +371,8 @@ class SupportView:
     mode: str
 
     def __post_init__(self):
-        object.__setattr__(self, "values", scalars.leaf_row(self.values, self.mode))
+        _check_leaf_count(self.depth, self.values, self.support)
+        object.__setattr__(self, "values", scalars.as_row(self.values, self.mode))
 
     @staticmethod
     def restrict(f: StepFunction, support: DyadicInterval):
@@ -453,7 +464,8 @@ def tree_count(f: StepFunction | SupportView) -> int:
     through a public constructor.  A forest of K trees is a StepFunction
     whose ``values`` hold K grids of leaves one after another, so that one
     pass of the tables, the operators and the float64 norms serves K
-    functions; each tree is read as a function of its own."""
+    functions; each tree is read as a function of its own.  A SupportView
+    holds exactly one tree, so a forest is always a StepFunction."""
     return len(f.values) >> (f.depth - f.support.level)
 
 
@@ -556,7 +568,8 @@ def support_layout(table: Sequence[Sequence], support: DyadicInterval) -> list:
 class HaarSpectrum:
     """Global mean plus the coefficient table: row ``level`` holds the
     2**level coefficients <f, h_I> of that level in position order, zeros
-    included, the layout of ``coefficient_table``."""
+    included, the layout of ``coefficient_table``, as one row
+    (``scalars.as_row``)."""
 
     depth: int
     mean: object
@@ -573,18 +586,19 @@ class HaarSpectrum:
                 f"expected {self.depth} rows of 1, 2, 4, ... coefficients, "
                 f"got rows of {shape}"
             )
-        object.__setattr__(
-            self, "coeffs", tuple(_coerce_values(row, self.mode) for row in self.coeffs)
-        )
+        mode = self.mode
+        coeffs = tuple(scalars.as_row(_coerce_values(row, mode), mode) for row in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def _raw(cls, depth: int, mean, rows: list, mode: str) -> "HaarSpectrum":
         """Internal constructor: the mean and rows must already be mode
-        scalars, in the shape of a depth-``depth`` coefficient table."""
+        scalars or rows, in the shape of a depth-``depth`` coefficient
+        table."""
         s = object.__new__(cls)
         object.__setattr__(s, "depth", depth)
         object.__setattr__(s, "mean", mean)
-        object.__setattr__(s, "coeffs", tuple(map(tuple, rows)))
+        object.__setattr__(s, "coeffs", tuple(scalars.as_row(row, mode) for row in rows))
         object.__setattr__(s, "mode", mode)
         return s
 
@@ -723,8 +737,7 @@ def synthesize(spectrum: HaarSpectrum) -> StepFunction:
     its terms from the coarsest level down (``scalars.row_haar_sum``)."""
     depth, mode = spectrum.depth, spectrum.mode
     terms = [
-        scalars.row_root2_scaled(scalars.as_row(row, mode), level)
-        for level, row in enumerate(spectrum.coeffs)
+        scalars.row_root2_scaled(row, level) for level, row in enumerate(spectrum.coeffs)
     ]
     leaves = scalars.row_haar_sum(spectrum.mean, terms, True)
     return StepFunction._raw(depth, leaves, mode)

@@ -58,23 +58,18 @@ class SymbolSequence:
         return self.entries.get(interval, self.default)
 
     @_kept
-    def table(self, depth: int, mode: str) -> tuple[tuple, ...]:
-        """Per-(level, pos) coerced values for a depth-``depth`` grid,
-        kept for each (depth, mode): each level's row starts as the
-        coerced default, and each entry of a level below ``depth`` is then
-        written at its position."""
+    def table(self, depth: int, mode: str) -> tuple:
+        """Per-(level, pos) coerced values for a depth-``depth`` grid, one
+        row (``scalars.as_row``) per level, as the engine reads its
+        factors; kept for each (depth, mode).  Each level's row starts as
+        the coerced default, and each entry of a level below ``depth`` is
+        then written at its position."""
         default = scalars.coerce(self.default, mode)
         rows = [[default] * (1 << level) for level in range(depth)]
         for interval, v in self.entries.items():
             if interval.level < depth:
                 rows[interval.level][interval.position] = scalars.coerce(v, mode)
-        return tuple(map(tuple, rows))
-
-    @_kept
-    def factor_rows(self, depth: int, mode: str) -> list:
-        """The table as the engine's factor rows (``scalars.as_row``),
-        kept for each (depth, mode)."""
-        return [scalars.as_row(row, mode) for row in self.table(depth, mode)]
+        return tuple(scalars.as_row(row, mode) for row in rows)
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -128,7 +123,7 @@ def multilinear_multiplier(
     a = _as_alpha(alpha)
     a.check_haar_slot()
     _, depth, mode, support, trees = _check_call(a, fs)
-    symbol = _grid_rows(eps.factor_rows(depth, mode), support, trees)
+    symbol = _grid_rows(eps.table(depth, mode), support, trees)
     tables = [*_slot_tables(a.bits, fs), symbol]
     return _engine(a.zero_count, tables, depth, mode, support)
 

@@ -150,7 +150,8 @@ def _check_call(alpha, fs: Sequence[StepFunction], b: StepFunction | None = None
     mode, support and tree count that its m inputs share (``check_grid``),
     a StepFunction being seen from the universe.  ``b`` must be one tree
     seen from the universe, and the inputs must match its depth and mode.
-    Forests must hold equally many trees."""
+    Forests, which are StepFunctions (a SupportView is one tree), must
+    hold equally many trees."""
     a = _as_alpha(alpha)
     _check_input_count(a.m, fs)
     if b is not None:
@@ -184,7 +185,7 @@ def _engine(
     """Accumulate sum over intervals of the factor tables' product * h_I^sigma.
 
     The product is taken in the order of ``tables``, each a list of rows
-    (``scalars.as_row``), as the kept tables and the symbol's factor rows
+    (``scalars.as_row``), as the kept tables and the symbol's table
     are.  Every table, b's and the symbol's included, comes in the support
     layout of ``support`` (``core.support_layout``), which on the universe
     is the full layout.  The sum is exact when each product vanishes at the

@@ -64,8 +64,9 @@ class Exact:
     with ``D > 0`` and ``gcd(A, B, D) = 1``, so every value has exactly one
     representation and ``==`` compares the ints.  ``a`` and ``b`` give the
     two rational parts as Fractions.  Closed under +, -, *, / and integer
-    powers; comparisons and abs are exact.  Mixing with floats is rejected
-    so exactness cannot silently leak away.
+    powers; comparisons and abs are exact.  Mixing with floats is rejected,
+    as is a float or bool part (``check_rational``), so exactness cannot
+    silently leak away.
     """
 
     __slots__ = ("A", "B", "D")
@@ -74,11 +75,11 @@ class Exact:
         if type(a) is int and type(b) is int:
             self.A, self.B, self.D = a, b, 1
             return
-        a = a if type(a) is Fraction else Fraction(a)
+        a = a if type(a) is Fraction else Fraction(check_rational(a))
         if type(b) is int and not b:
             self.A, self.B, self.D = a.numerator, 0, a.denominator
             return
-        b = b if type(b) is Fraction else Fraction(b)
+        b = b if type(b) is Fraction else Fraction(check_rational(b))
         da, db = a.denominator, b.denominator
         # over the lcm of two lowest-terms denominators no factor is common
         d = da // gcd(da, db) * db
@@ -475,17 +476,15 @@ class ExactRow:
 
 
 def as_row(values, mode: str):
-    """A sequence of ``mode`` scalars as a row: a row is kept as it is, and
-    ``Exact`` values become an ``ExactRow`` that keeps them."""
-    if mode != RATIONAL or type(values) is ExactRow:
+    """A sequence of ``mode`` scalars as the row that every table and every
+    function's leaves are stored as: a tuple of the floats in float64; in
+    rational mode a row is kept as it is, and ``Exact`` values become an
+    ``ExactRow`` that keeps them."""
+    if mode != RATIONAL:
+        return tuple(values)
+    if type(values) is ExactRow:
         return values
     return ExactRow.of(values)
-
-
-def leaf_row(values, mode: str):
-    """The leaf values of a function as every constructor stores them: one
-    row (``as_row``) in rational mode, a tuple of floats in float64."""
-    return as_row(values, mode) if mode == RATIONAL else tuple(values)
 
 
 def fraction_row(numerators: list, d: int) -> ExactRow:
@@ -800,12 +799,24 @@ def check_range(value, name: str, lo: int, hi: int | None = None) -> int:
 def check_scalar(value):
     """value, refused if it is a bool or a float that is not finite: the
     one scalar rule of ``coerce`` (and so of ``decode_value``),
-    ``check_exponent`` and ``SymbolSequence``."""
+    ``check_rational``, ``check_exponent`` and ``SymbolSequence``."""
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"float64 values must be finite, got {value!r}")
     return value
+
+
+def check_rational(value):
+    """value, refused if it is a float or a bool (``check_scalar``): the
+    one rule of the rational-mode inputs of ``coerce`` and of the parts of
+    ``Exact``, so that exactness cannot silently leak away."""
+    if isinstance(value, float):
+        raise TypeError(
+            "float values are not allowed in rational mode; "
+            "pass Fraction or Exact instead"
+        )
+    return check_scalar(value)
 
 
 def check_exponent(p) -> Fraction:
@@ -848,12 +859,7 @@ def coerce(value, mode: str):
             return _exact(value.numerator, 0, value.denominator)
         if isinstance(value, str):
             return coerce(parse_fraction(value), RATIONAL)
-        if isinstance(value, float):
-            raise TypeError(
-                "float values are not allowed in rational mode; "
-                "pass Fraction or Exact instead"
-            )
-        check_scalar(value)
+        check_rational(value)
         if isinstance(value, (int, Fraction)):
             return Exact(value)
         if isinstance(value, Exact):

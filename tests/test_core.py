@@ -84,6 +84,13 @@ class TestDyadicInterval:
         with pytest.raises(ValueError):
             DyadicInterval(0, 1)
 
+    @pytest.mark.parametrize("level, position", [(True, 1), (1, True), (1, 1.0), (1.0, 0)])
+    def test_level_and_position_are_ints(self, level, position):
+        # a bool would equal its int and print and write as true; a float
+        # would fail deep inside the range check
+        with pytest.raises(TypeError, match="must be an integer"):
+            DyadicInterval(level, position)
+
     def test_children_and_parent(self):
         i = DyadicInterval(2, 1)
         assert i.left_child() == DyadicInterval(3, 2)
@@ -852,5 +859,15 @@ class TestJsonFormats:
         })
         assert spec == HaarSpectrum(2, 2, ((0,), (0, Exact(0, Fraction(3, 2)))))
         assert type(spec.coeffs) is tuple
-        assert all(type(row) is tuple for row in spec.coeffs)
+        # each row is a row (``scalars.as_row``): an ExactRow in rational
+        # mode, a tuple of floats in float64
+        assert all(type(row) is ExactRow for row in spec.coeffs)
+        assert {type(v) for row in spec.coeffs for v in row} == {Exact}
         assert type(spec.mean) is Exact
+        spec = HaarSpectrum.from_json_dict({
+            "depth": 2, "mode": "float64", "mean": 2,
+            "coeffs": [{"level": 1, "pos": 1, "value": "3/2"}],
+        })
+        assert spec.coeffs == ((0.0,), (0.0, 1.5))
+        assert all(type(row) is tuple for row in spec.coeffs)
+        assert {type(v) for row in spec.coeffs for v in row} == {float}

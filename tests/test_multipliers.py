@@ -22,7 +22,7 @@ from dyadicops import (
     paraproduct,
 )
 from dyadicops.errors import ShapeError
-from dyadicops.scalars import FLOAT64, RATIONAL, decode_value
+from dyadicops.scalars import FLOAT64, RATIONAL, ExactRow, decode_value
 
 from oracles import cell_symbol_table, naive_paraproduct, random_rationals
 
@@ -102,6 +102,7 @@ class TestSymbolSequence:
         """Rows of the coerced default with the entries written in give the
         values and scalar types of coercing each cell's value."""
         rng = random.Random(f"table:{mode}")
+        row_type = ExactRow if mode == RATIONAL else tuple
         values = [3, -2, 0, Fraction(-5, 3), Fraction(4, 2), Exact(Fraction(7, 2)),
                   Exact(1, -1), Exact(0, Fraction(1, 2))]
         if mode == FLOAT64:
@@ -122,7 +123,8 @@ class TestSymbolSequence:
                 assert [list(map(type, row)) for row in got] == [
                     list(map(type, row)) for row in want
                 ]
-                assert type(got) is tuple and all(type(row) is tuple for row in got)
+                # one row (``scalars.as_row``) per level
+                assert type(got) is tuple and all(type(row) is row_type for row in got)
 
     def test_entries_it_cannot_use_are_refused(self):
         with pytest.raises(TypeError, match="DyadicInterval"):

@@ -17,6 +17,7 @@ import math
 import random
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,7 @@ ONE_PASS = [
     core.average_table,
     core.coefficient_table,
     core.synthesize,
+    core.HaarSpectrum._raw,
     core.inner_product,
     StepFunction._leafwise,
     paraproducts._engine,
@@ -172,7 +174,7 @@ ONE_PASS = [
     paraproducts._ancestor_terms,
     paraproducts.product_decomposition_residual,
     paraproducts.localized_average_residual,
-    SymbolSequence.factor_rows,
+    SymbolSequence.table,
     multipliers.commutator,
     sublinear._square_terms,
     sublinear.square_function_sq,
@@ -199,3 +201,29 @@ def test_no_pass_forks_on_the_mode(fn):
         if isinstance(node, ast.Constant) and node.value in MODE_TEXTS
     ]
     assert not MODE_NAMES.intersection(named) and not texts
+
+
+# the names of the rational row type and of the leaf storage rule that
+# ``scalars.as_row`` replaced
+STORAGE_NAMES = {"ExactRow", "leaf_row"}
+PACKAGE = Path(core.__file__).parent
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "scalars.py"),
+    ids=lambda p: p.stem,
+)
+def test_only_scalars_knows_how_a_row_is_stored(path):
+    """Every other module makes its rows with ``scalars.as_row`` and the
+    row functions, so none names the row type, as a name, an attribute
+    or an import."""
+    tree = ast.parse(path.read_text())
+    named = {
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert not STORAGE_NAMES.intersection(named)

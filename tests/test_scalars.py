@@ -55,6 +55,23 @@ class TestExactField:
         else:
             assert x * (Exact(1) / x) == Exact(1)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (0.1, 0, "float values are not allowed"),
+            (1, 0.25, "float values are not allowed"),
+            (Fraction(1, 2), 0.5, "float values are not allowed"),
+            (True, 0, "bool is not a scalar"),
+            (1, False, "bool is not a scalar"),
+            (Fraction(1, 2), True, "bool is not a scalar"),
+        ],
+    )
+    def test_parts_are_rationals(self, a, b, message):
+        # the rule of rational-mode inputs: no part is read as a float's
+        # binary fraction or as a bool's 0 or 1
+        with pytest.raises(TypeError, match=message):
+            Exact(a, b)
+
     def test_sqrt2_squares_to_two(self):
         r = Exact(0, 1)
         assert r * r == Exact(2)

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from dyadicops import (
     AlphaVector,
     DyadicInterval,
+    Exact,
     ExponentTuple,
     OperatorDescriptor,
     SamplerSpec,
@@ -54,7 +55,9 @@ from dyadicops.core import (
     coefficient_table,
     interval_integrals,
     power_mean,
+    seen,
     support_layout,
+    tree_count,
 )
 from dyadicops.errors import ResolutionError, ShapeError
 from dyadicops.normlab import KINDS
@@ -525,6 +528,19 @@ class TestConstructors:
                         h = SupportView.haar(i, s, depth, mode)
                         assert h.support == s
                         assert h.expand() == StepFunction.haar(i, depth, mode)
+
+    def test_a_view_holds_one_tree(self):
+        # two trees of (1,1) on a depth-3 grid would read tree 0's ancestor
+        # entries for both; a forest is a StepFunction
+        depth, support = 3, DyadicInterval(1, 1)
+        leaves = [Exact(v) for v in (1, 2, 0, 5, 3, -1, 4, 6)]
+        blocks = (Exact(0),)
+        with pytest.raises(ShapeError, match="expected 4 leaf values for depth 3 on"):
+            seen(depth, support, leaves, blocks, RATIONAL)
+        with pytest.raises(ShapeError):
+            SupportView(depth, support, leaves[:2], blocks, RATIONAL)
+        view = seen(depth, support, leaves[4:], blocks, RATIONAL)
+        assert tree_count(view) == 1 and view.expand().values[4:] == leaves[4:]
 
     def test_the_universe_is_seen_as_a_step_function(self):
         i = DyadicInterval(1, 1)
