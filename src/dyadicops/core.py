@@ -105,6 +105,7 @@ class DyadicInterval:
         return range(self.position * width, (self.position + 1) * width)
 
     def contains_leaf(self, leaf: int, depth: int) -> bool:
+        scalars.check_int(leaf, "leaf")
         if not 0 <= leaf < (1 << depth):
             raise ValueError(f"leaf {leaf} out of range for depth {depth}")
         return leaf in self.leaf_span(depth)
@@ -173,6 +174,7 @@ def haar_eval(interval: DyadicInterval, leaf: int, depth: int, mode: str = RATIO
     Negative (-2**(level/2)) on the left half, positive on the right half,
     zero outside.
     """
+    check_depth(depth)
     check_mode(mode)
     check_haar_level(interval.level, depth)
     if not interval.contains_leaf(leaf, depth):
@@ -351,17 +353,18 @@ class SupportView:
 
     ``values`` holds the leaf values on S, one tree's row of them
     (``scalars.as_row``): a forest is a StepFunction.  Outside S the
-    function is given block by block: ``blocks[k]`` covers the sibling of
-    S's ancestor at level k + 1 (the last block is S's own sibling), so S
-    and its blocks tile [0, 1).  A block is a scalar where the function
-    is constant on it and the tuple of its leaf values otherwise.  The
-    view of the universe is the StepFunction itself: ``seen`` builds that,
-    never a SupportView.
+    function is given block by block: ``blocks[k]`` is its one mode
+    scalar on the sibling of S's ancestor at level k + 1 (the last block
+    is S's own sibling), so S and its blocks tile [0, 1).  The view of the
+    universe is the StepFunction itself: ``seen`` builds that, never a
+    SupportView.
 
     Inputs that vanish outside S, and every operator output built from
     them, take O(|S| + level(S)) numbers this way.  The tables of a view
     (``interval_integrals`` and the two built on it) need it to vanish
     outside S and come in the support layout of ``support_layout``.
+    The constructor checks the mode and the counts of blocks and values,
+    in O(1): the blocks are not coerced.
     """
 
     depth: int
@@ -371,13 +374,22 @@ class SupportView:
     mode: str
 
     def __post_init__(self):
+        check_mode(self.mode)
+        if len(self.blocks) != self.support.level:
+            raise ShapeError(
+                f"a view of {self.support} needs {self.support.level} blocks, "
+                f"got {len(self.blocks)}"
+            )
         _check_leaf_count(self.depth, self.values, self.support)
         object.__setattr__(self, "values", scalars.as_row(self.values, self.mode))
 
     @staticmethod
     def restrict(f: StepFunction, support: DyadicInterval):
-        """f seen from ``support``.  f must vanish outside ``support``: only
-        the leaves of ``support`` are read, and every block is zero."""
+        """f seen from ``support``, every block zero.  f must vanish
+        outside ``support`` (``StepFunction.vanishes_outside``), or a
+        ValueError is raised."""
+        if not f.vanishes_outside(support):
+            raise ValueError(f"the function is nonzero outside {support}")
         span = support.leaf_span(f.depth)
         blocks = (scalars.zero(f.mode),) * support.level
         return seen(f.depth, support, f.values[span.start:span.stop], blocks, f.mode)
@@ -424,30 +436,19 @@ class SupportView:
 
     def scale(self, scalar) -> "SupportView":
         s = scalars.coerce(scalar, self.mode)
-        blocks = tuple(
-            tuple(s * x for x in block) if type(block) is tuple else s * block
-            for block in self.blocks
-        )
         return SupportView(
-            self.depth, self.support, [s * x for x in self.values], blocks, self.mode
+            self.depth, self.support, [s * x for x in self.values],
+            tuple(s * block for block in self.blocks), self.mode,
         )
-
-    def block_span(self, k: int) -> range:
-        """The leaves of ``blocks[k]``."""
-        level, pos = self.support.level, self.support.position
-        sibling = DyadicInterval(k + 1, (pos >> (level - k - 1)) ^ 1)
-        return sibling.leaf_span(self.depth)
 
     def expand(self) -> StepFunction:
-        """The function on the full grid."""
-        vals = [None] * (1 << self.depth)
-        for k, block in enumerate(self.blocks):
-            span = self.block_span(k)
-            if type(block) is not tuple:
-                block = [block] * len(span)
-            vals[span.start:span.stop] = block
-        span = self.support.leaf_span(self.depth)
-        vals[span.start:span.stop] = self.values
+        """The function on the full grid: S's values, then each block from
+        S's own sibling up, as wide as the leaves gathered so far."""
+        vals = list(self.values)
+        signs = _ancestor_signs(self.support)
+        for block, sign in zip(reversed(self.blocks), reversed(signs)):
+            run = [block] * len(vals)
+            vals = run + vals if sign > 0 else vals + run
         return StepFunction._raw(self.depth, vals, self.mode)
 
 
@@ -524,15 +525,12 @@ def tree(f: StepFunction | SupportView, k: int) -> StepFunction | SupportView:
 
 
 def block_runs(f: StepFunction | SupportView) -> Iterator[tuple]:
-    """The (value, leaf count) pairs of f outside ``f.values``: a view's
-    blocks, nothing for a StepFunction.  With ``f.values`` (one leaf each)
-    they give the distribution of f, which is all that L^p norms and weak
-    quasinorms read."""
+    """The (value, leaf count) pairs of f outside ``f.values``: block k of
+    a view and its 2**(depth - k - 1) leaves, nothing for a StepFunction.
+    With ``f.values`` (one leaf each) they give the distribution of f,
+    which is all that L^p norms and weak quasinorms read."""
     for k, block in enumerate(f.blocks):
-        if type(block) is tuple:
-            yield from zip(block, repeat(1))
-        else:
-            yield block, 1 << (f.depth - k - 1)
+        yield block, 1 << (f.depth - k - 1)
 
 
 def _ancestor_signs(support: DyadicInterval) -> list:

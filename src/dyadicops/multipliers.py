@@ -104,10 +104,13 @@ class SymbolSequence:
             return decoded[key]
 
         json_int = scalars._json_int
+        listed = obj.get("entries", [])
         entries = {
             DyadicInterval(json_int(e, "level"), json_int(e, "pos")): dec(e["value"])
-            for e in obj.get("entries", [])
+            for e in listed
         }
+        if len(entries) < len(listed):
+            raise ValueError("a symbol lists some interval more than once")
         return cls(dec(obj.get("default", 0)), entries)
 
 
@@ -138,25 +141,23 @@ def commutator(
     """[b, T]_slot(fs) with T the alpha multiplier for eps; slot is 1-based.
 
     fs may also be SupportViews of one support S, which must vanish outside
-    it; the output is then seen from S.  b enters through its leaves on S
-    and, for ``b * T(fs)``, on each block where T's constant is nonzero;
-    such a block is expanded leaf by leaf.
+    it.  b enters through its leaves on S, and the blocks of
+    T(..., b*f_slot, ...) pass through: b * T(fs) vanishes off S, since
+    T(fs) has zero blocks for every sharp tuple.  Where T(fs) has a
+    nonzero block, as for inputs with a nonzero mean on S, the commutator
+    runs on the expanded inputs and returns the full-grid function.
     """
     a = _as_alpha(alpha)
     _check_slot(slot, a.m)
     _, depth, mode, support, trees = _check_call(a, fs, b)
+    outside = multilinear_multiplier(eps, a, fs)
+    if any(outside.blocks):
+        return commutator(slot, b, eps, a, [f.expand() for f in fs])
     f = fs[slot - 1]
     span = support.leaf_span(depth)
     b_on = b.values[span.start:span.stop] * trees
     modified = list(fs)
     modified[slot - 1] = seen(depth, support, row_product(b_on, f.values), f.blocks, mode)
     inside = multilinear_multiplier(eps, a, modified)
-    outside = multilinear_multiplier(eps, a, fs)
     values = row_difference(inside.values, row_product(b_on, outside.values))
-    blocks = []
-    for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
-        if y:
-            span = outside.block_span(k)
-            x = tuple(x - c * y for c in b.values[span.start:span.stop])
-        blocks.append(x)
-    return seen(depth, support, values, blocks, mode)
+    return seen(depth, support, values, inside.blocks, mode)

@@ -997,8 +997,12 @@ def value_multiplier(eps, alpha, fs):
 
 def value_commutator(slot, b, eps, alpha, fs):
     """[b, T]_slot(fs) as ``multipliers.commutator`` forms it, on the
-    per-value multiplier."""
+    per-value multiplier: on the expanded inputs where T(fs) has a nonzero
+    block."""
     _, depth, mode, support, trees = _check_call(alpha, fs, b)
+    outside = value_multiplier(eps, alpha, fs)
+    if any(outside.blocks):
+        return value_commutator(slot, b, eps, alpha, [f.expand() for f in fs])
     f = fs[slot - 1]
     span = support.leaf_span(depth)
     b_on = b.values[span.start:span.stop] * trees
@@ -1007,12 +1011,5 @@ def value_commutator(slot, b, eps, alpha, fs):
         depth, support, [x * y for x, y in zip(b_on, f.values)], f.blocks, mode
     )
     inside = value_multiplier(eps, alpha, modified)
-    outside = value_multiplier(eps, alpha, fs)
     values = [x - c * y for x, c, y in zip(inside.values, b_on, outside.values)]
-    blocks = []
-    for k, (x, y) in enumerate(zip(inside.blocks, outside.blocks)):
-        if y:
-            span = outside.block_span(k)
-            x = tuple(x - c * y for c in b.values[span.start:span.stop])
-        blocks.append(x)
-    return seen(depth, support, values, blocks, mode)
+    return seen(depth, support, values, inside.blocks, mode)

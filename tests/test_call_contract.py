@@ -50,7 +50,9 @@ from dyadicops import (
     product_decomposition_residual,
 )
 from dyadicops.cli import _parse_p, main
-from dyadicops.core import MAX_DEPTH, SupportView, forest, lp_norm, weak_lp_quasinorm
+from dyadicops.core import (
+    MAX_DEPTH, UNIVERSE, SupportView, forest, lp_norm, weak_lp_quasinorm,
+)
 from dyadicops.errors import ShapeError
 from dyadicops.normlab import necessity_case
 from dyadicops.paraproducts import admissible_alphas, alpha_at
@@ -62,7 +64,8 @@ EPS = SymbolSequence.constant(3)
 
 
 def _views(f):
-    return [SupportView.restrict(f, DyadicInterval(1, k)) for k in (0, 1)]
+    """f on each half of [0, 1), seen from that half."""
+    return [SupportView.restrict(f.restrict(half), half) for half in UNIVERSE.children()]
 
 
 CALLS = {
@@ -292,6 +295,21 @@ def test_a_leaf_past_the_grid_is_refused_alike(call):
         call()
 
 
+@pytest.mark.parametrize("leaf", [True, 1.5, 1.0, "1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda leaf: core.haar_eval(DyadicInterval(1, 0), leaf, 2),
+        lambda leaf: DyadicInterval(1, 0).contains_leaf(leaf, 2),
+    ],
+)
+def test_a_leaf_that_is_not_an_int_is_refused(call, leaf):
+    # True was read as leaf 1, 1.5 gave 0, and 1.0 failed on a shift
+    with pytest.raises(TypeError) as info:
+        call(leaf)
+    assert str(info.value) == f"leaf must be an integer, got {leaf!r}"
+
+
 def _refuse_allocation(*args):
     raise AssertionError("an interval was built before the depth was checked")
 
@@ -310,6 +328,7 @@ def grid_builds(depth):
         lambda: StepFunction.haar(universe, depth),
         lambda: SupportView.indicator(universe, universe, depth),
         lambda: SupportView.haar(universe, universe, depth),
+        lambda: core.haar_eval(universe, 0, depth),
     )
 
 
@@ -353,6 +372,8 @@ RULE_MESSAGES = [
     "alpha bits must be 0 or 1",
     "unknown mode",
     "slots but got",
+    "{self.support.level} blocks",
+    "lists some interval more than once",
 ]
 
 

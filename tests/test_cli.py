@@ -895,6 +895,19 @@ class TestBoundary:
         assert captured.out == ""
         assert captured.err == f"error: {message.format(path=path)}\n"
 
+    def test_symbol_listing_an_interval_twice_exits_two(self, tmp_path, capsys):
+        # the later value won
+        path = tmp_path / "eps.json"
+        entries = [{"level": 1, "pos": 1, "value": v} for v in ("2", "3")]
+        write_json(path, {"default": "1", "entries": entries})
+        assert main([
+            "estimate", "--op", "mult", "--alpha", "01", "--p", "2,2",
+            "--depth", "2", "--trials", "2", "--symbol", str(path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a symbol lists some interval more than once\n"
+
 
 class TestCanonicalOutput:
     """Every report is one line: ``json.dumps(obj, sort_keys=True)`` and a

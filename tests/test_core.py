@@ -398,8 +398,8 @@ class TestPairing:
 
     def test_rational_inner_product_is_the_leaf_sum(self):
         # one int row per input against one Exact per leaf, on sqrt(2)
-        # parts, large coprime denominators, views with constant and leaf
-        # blocks, and forests, whose trees all add into one value
+        # parts, large coprime denominators, views with random blocks, and
+        # forests, whose trees all add into one value
         rng = random.Random(12)
         primes = (2**61 - 1, 10**9 + 7, 998244353, 2**31 - 1)
         draws = {
@@ -414,11 +414,7 @@ class TestPairing:
 
         def view(depth, value):
             level = rng.randint(1, depth)
-            blocks = tuple(
-                value() if rng.random() < 0.5
-                else tuple(value() for _ in range(1 << (depth - k - 1)))
-                for k in range(level)
-            )
+            blocks = tuple(value() for _ in range(level))
             values = tuple(value() for _ in range(1 << (depth - level)))
             support = DyadicInterval(level, rng.randrange(1 << level))
             return SupportView(depth, support, values, blocks, RATIONAL)
@@ -608,17 +604,11 @@ def sized_values(rng, n, kind):
 
 
 def random_view(rng, depth, kind):
-    """A float64 SupportView on a random interval below the universe whose
-    blocks mix constants and leaf tuples."""
+    """A float64 SupportView on a random interval below the universe, with
+    one random constant per block."""
     level = rng.randint(1, depth)
     support = DyadicInterval(level, rng.randrange(1 << level))
-    blocks = []
-    for k in range(level):
-        width = 1 << (depth - k - 1)
-        if rng.random() < 0.5:
-            blocks.append(sized_values(rng, 1, kind)[0])
-        else:
-            blocks.append(tuple(sized_values(rng, width, kind)))
+    blocks = sized_values(rng, level, kind)
     values = sized_values(rng, 1 << (depth - level), kind)
     return SupportView(depth, support, tuple(values), tuple(blocks), FLOAT64)
 

@@ -160,6 +160,17 @@ class TestSymbolSequence:
         ]
         assert SymbolSequence.from_json_dict(back) == eps
 
+    def test_an_interval_listed_twice_is_refused(self):
+        # the last value won silently
+        entry = {"level": 1, "pos": 0, "value": "1/2"}
+        obj = {"default": 1, "entries": [entry, {**entry, "value": "3"}]}
+        with pytest.raises(ValueError, match="lists some interval more than once"):
+            SymbolSequence.from_json_dict(obj)
+        obj["entries"][1] = {**entry, "pos": 1}
+        assert SymbolSequence.from_json_dict(obj).value(DyadicInterval(1, 1)) == Exact(
+            Fraction(1, 2)
+        )
+
     def test_non_finite_values_rejected(self):
         with pytest.raises(ValueError):
             SymbolSequence(default=float("nan"))

@@ -60,9 +60,9 @@ from dyadicops.core import (
     tree_count,
 )
 from dyadicops.errors import ResolutionError, ShapeError
-from dyadicops.normlab import KINDS
+from dyadicops.normlab import KINDS, necessity_case
 from dyadicops.paraproducts import _engine, _slot_tables
-from dyadicops.scalars import FLOAT64, RATIONAL, as_row
+from dyadicops.scalars import FLOAT64, RATIONAL, as_row, zero as scalars_zero
 
 from oracles import dense_sharp_ratio, naive_haar, naive_indicator, random_rationals
 
@@ -348,12 +348,15 @@ class TestExactOnSupport:
         fs = [vanishing_outside(rng, support, depth) for _ in range(m)]
         views = [SupportView.restrict(f, support) for f in fs]
         local = commutator(slot, b, eps, bits, views)
-        assert local.support == support
+        # where T leaks off the support, the output is on the full grid
+        leaks = any(multilinear_multiplier(eps, bits, views).blocks)
+        assert local.support == (UNIVERSE if leaks else support)
         assert local.expand() == commutator(slot, b, eps, bits, fs)
 
     def test_commutator_expands_blocks_where_t_is_nonzero(self):
         # inputs with nonzero mean on the support give T a nonzero constant
-        # on every block, so b * T(fs) varies there leaf by leaf
+        # on every block, so b * T(fs) varies there leaf by leaf: the
+        # commutator runs on the full grid
         depth = 3
         support = DyadicInterval(2, 1)
         rng = random.Random(4)
@@ -362,9 +365,10 @@ class TestExactOnSupport:
         f = StepFunction.from_values([0, 0, 1, 3, 0, 0, 0, 0])
         g = StepFunction.from_values([0, 0, 2, 1, 0, 0, 0, 0])
         views = [SupportView.restrict(h, support) for h in (f, g)]
+        assert all(multilinear_multiplier(eps, (0, 1), views).blocks)
         local = commutator(2, b, eps, (0, 1), views)
-        assert any(type(block) is tuple for block in local.blocks)
-        assert local.expand() == commutator(2, b, eps, (0, 1), [f, g])
+        assert type(local) is StepFunction
+        assert local == commutator(2, b, eps, (0, 1), [f, g])
 
 
 class TestOperatorsOnViews:
@@ -542,6 +546,32 @@ class TestConstructors:
         view = seen(depth, support, leaves[4:], blocks, RATIONAL)
         assert tree_count(view) == 1 and view.expand().values[4:] == leaves[4:]
 
+    def test_a_view_has_one_block_per_ancestor_level(self):
+        # no blocks read as lp_norm 1.75 and expanded to (None, None, 3.0,
+        # 4.0); three blocks ended in a negative shift count
+        support = DyadicInterval(1, 1)
+        for blocks in ((), (0.0, 0.0, 0.0)):
+            with pytest.raises(ShapeError) as info:
+                SupportView(2, support, [3.0, 4.0], blocks, FLOAT64)
+            assert str(info.value) == f"a view of (1,1) needs 1 blocks, got {len(blocks)}"
+        view = SupportView(2, support, [3.0, 4.0], (0.5,), FLOAT64)
+        assert view.expand().values == (0.5, 0.5, 3.0, 4.0)
+        assert lp_norm(view, 1) == 2.0
+
+    def test_a_view_checks_its_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            SupportView(2, DyadicInterval(1, 1), [3.0, 4.0], (0.0,), "bogus")
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_restrict_refuses_a_function_nonzero_off_the_support(self, mode):
+        # the leaves off the support were dropped: the view expanded to
+        # [0, 0, 3, 4]
+        f = StepFunction.from_values([1, 2, 3, 4], mode)
+        with pytest.raises(ValueError, match=r"nonzero outside \(1,1\)"):
+            SupportView.restrict(f, DyadicInterval(1, 1))
+        g = StepFunction.from_values([0, 0, 3, 4], mode)
+        assert SupportView.restrict(g, DyadicInterval(1, 1)).expand() == g
+
     def test_the_universe_is_seen_as_a_step_function(self):
         i = DyadicInterval(1, 1)
         f = SupportView.haar(i, UNIVERSE, 2, FLOAT64)
@@ -553,3 +583,92 @@ class TestConstructors:
         assert set(f.to_json_dict()) == {"depth", "mode", "values"}
         with pytest.raises(ResolutionError):
             SupportView.haar(DyadicInterval(2, 0), UNIVERSE, 2, FLOAT64)
+
+
+def sharp_descriptors(rng, depth, mode):
+    """Every kind at every alpha with m <= 3, and every commutator slot,
+    with one b and one symbol drawn for ``mode``."""
+    if mode == FLOAT64:
+        b = float_function(rng, depth)
+    else:
+        b = StepFunction.from_values(random_rationals(rng, 1 << depth, numer=6, denom=4))
+    eps = random_symbol(rng, depth)
+    for m in (1, 2, 3):
+        for code in range(1 << m):
+            bits = tuple((code >> j) & 1 for j in range(m))
+            yield OperatorDescriptor("paraproduct", bits)
+            yield OperatorDescriptor("pi_paraproduct", bits, b=b)
+            if 0 in bits:
+                yield OperatorDescriptor("multilinear_multiplier", bits, symbol=eps)
+                for slot in range(1, m + 1):
+                    yield OperatorDescriptor("commutator", bits, b=b, symbol=eps, slot=slot)
+
+
+def level_batches(desc, depth):
+    """The sharp jobs of each level whose supports are disjoint: the whole
+    level, or, for the case-I commutator, whose support is the parent, its
+    left children and its right children apart."""
+    case_one = desc.kind == "commutator" and necessity_case(desc.alpha, desc.slot) == "I"
+    for level in range(depth):
+        row = [DyadicInterval(level, pos) for pos in range(1 << level)]
+        yield from ([row[0::2], row[1::2]] if case_one else [row])
+
+
+class TestSharpTraffic:
+    """What a sharp job sends outside its support, at every alpha with
+    m <= 3, every kind and every commutator slot, at depths 1-6 and p = 2
+    in each slot.  Every Haar slot of a sharp tuple holds h_I, whose
+    coefficient at each strict ancestor of I is 0, and the average slots
+    of the case-I commutator hold h_P, whose average there is 0; so every
+    ancestor term vanishes unless alpha is all ones."""
+
+    @pytest.mark.parametrize("mode", [FLOAT64, RATIONAL])
+    def test_a_sharp_output_has_one_scalar_per_block(self, mode):
+        scalar = float if mode == FLOAT64 else Exact
+        rng = random.Random(f"blocks:{mode}")
+        for depth in range(1, 7):
+            for desc in sharp_descriptors(rng, depth, mode):
+                exps = ExponentTuple((2,) * desc.arity)
+                ones = 0 not in desc.alpha.bits
+                for i in interval_family(depth):
+                    fs = extremal_tuple(desc, exps, i, depth, mode)
+                    if fs is None:
+                        continue
+                    out = desc.apply(fs)
+                    assert all(type(block) is scalar for block in out.blocks)
+                    assert ones or not any(out.blocks), (desc.kind, desc.alpha, i)
+                    if desc.kind == "commutator":
+                        t = multilinear_multiplier(desc.symbol, desc.alpha, fs)
+                        assert not any(t.blocks), (desc.alpha, desc.slot, i)
+
+    @pytest.mark.parametrize("mode", [FLOAT64, RATIONAL])
+    def test_one_full_grid_call_per_level_gives_every_job(self, mode):
+        """Where alpha has a zero bit, the jobs of one batch
+        (``level_batches``) laid side by side on the full grid give, in
+        one call, each job's leaves on its support bit for bit."""
+        rng = random.Random(f"batches:{mode}")
+        for depth in range(1, 7):
+            for desc in sharp_descriptors(rng, depth, mode):
+                if 0 not in desc.alpha.bits:
+                    continue
+                exps = ExponentTuple((2,) * desc.arity)
+                for batch in level_batches(desc, depth):
+                    jobs = [extremal_tuple(desc, exps, i, depth, mode) for i in batch]
+                    jobs = [fs for fs in jobs if fs is not None]
+                    if not jobs:
+                        continue
+                    inputs = []
+                    for j in range(desc.arity):
+                        vals = [scalars_zero(mode)] * (1 << depth)
+                        for fs in jobs:
+                            span = fs[j].support.leaf_span(depth)
+                            vals[span.start:span.stop] = fs[j].values
+                        inputs.append(StepFunction(depth, tuple(vals), mode))
+                    full = desc.apply(inputs)
+                    for fs in jobs:
+                        span = fs[0].support.leaf_span(depth)
+                        got = full.values[span.start:span.stop]
+                        want = desc.apply(fs).values
+                        if mode == FLOAT64:
+                            got, want = [v.hex() for v in got], [v.hex() for v in want]
+                        assert list(got) == list(want), (desc.kind, desc.alpha, fs[0].support)
